@@ -5,9 +5,7 @@ trimmed Harrell-Davis estimator whose beta weights are truncated to their
 highest-density interval; plus the deterministic Monte-Carlo harness used
 to study their robustness and efficiency.
 
-The numeric core runs on a compiled extension when available and on a
-bit-identical pure-Python fallback otherwise; ``trimq.BACKEND`` names the
-one in use and the TRIMQ_BACKEND environment variable forces a choice.
+The numeric core is pure Python; ``trimq.BACKEND`` names it ("python").
 """
 
 __version__ = "0.1.0"

@@ -1,8 +1,6 @@
-"""Pure-Python numeric kernels.
+"""Pure-Python numeric kernels, the package's one backend
+(``trimq.backend.kernels``).
 
-This is the fallback twin of the compiled module ``trimq._kernels``.  The two
-implementations evaluate the same expressions in the same order so that their
-results agree bit for bit; any change here must be mirrored in the .pyx file.
 Arguments are assumed pre-validated by the public wrappers in trimq.special
 and friends.
 """
@@ -26,8 +24,6 @@ _S8 = -3617.0 / 122400.0
 _MAX_ITER = 300
 _CF_TOL = 1e-14
 _FPMIN = 1e-300
-
-# bisection bracket tolerance for the HDI middle case
 
 
 def log_gamma(x):
@@ -134,9 +130,11 @@ def reg_inc_beta(x, a, b):
     return 1.0 - math.exp(front) * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def hdi_middle_lower(a, b, width):
+def hdi_middle_lower(a, b, width, lo, hi):
     """Lower endpoint of the middle-case HDI: the root of
-    pdf(t) - pdf(t + width) on [max(0, mode - width), min(mode, 1 - width)].
+    pdf(t) - pdf(t + width) on the bracket [lo, hi], which the caller
+    takes as [max(0, mode - width), min(mode, 1 - width)] and has checked
+    for a sign change.
 
     The difference is monotone on that bracket (increasing density left of
     the mode, decreasing right of it), so plain bisection is safe.  The
@@ -144,9 +142,6 @@ def hdi_middle_lower(a, b, width):
     root hugs an endpoint where the density has unbounded slope, any fixed
     absolute tolerance in t leaves the endpoint densities visibly unequal.
     """
-    mode = (a - 1.0) / (a + b - 2.0)
-    lo = max(0.0, mode - width)
-    hi = min(mode, 1.0 - width)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -1,43 +1,23 @@
-"""Numeric backend selection.
+"""The numeric backend.
 
-The package ships two interchangeable kernel implementations: a compiled
-extension (trimq._kernels) and a pure-Python fallback (trimq._kernels_py).
-They are written to agree bit for bit.  The compiled one is preferred when
-it imported cleanly; the environment variable TRIMQ_BACKEND overrides:
-
-    TRIMQ_BACKEND=c        require the compiled backend (error if missing)
-    TRIMQ_BACKEND=python   force the pure-Python backend
-
-Accepted aliases: "native" for "c"; "py" and "pure" for "python".
+Every numeric kernel lives in the pure-Python module trimq._kernels_py;
+``kernels`` is that module and ``BACKEND`` names it, "python".  The
+TRIMQ_BACKEND environment variable may be unset or name it ("python",
+"py" or "pure"); any other value fails at import, so a script that asks
+for the removed compiled backend ("c" or "native") learns it was removed.
 """
 
 import os
 
-_C_IMPORT_ERROR = None
-try:
-    from . import _kernels as _c_kernels
-except ImportError as exc:  # extension not built on this install
-    _c_kernels = None
-    _C_IMPORT_ERROR = exc
+from . import _kernels_py as kernels
 
-from . import _kernels_py as _py_kernels
+BACKEND = "python"
 
-
-def _select():
-    choice = os.environ.get("TRIMQ_BACKEND", "").strip().lower()
-    if choice in ("", "c", "native"):
-        if _c_kernels is not None:
-            return _c_kernels, "c"
-        if choice:
-            raise ImportError(
-                "TRIMQ_BACKEND=%s but the compiled backend is not available: %s"
-                % (choice, _C_IMPORT_ERROR))
-        return _py_kernels, "python"
-    if choice in ("python", "py", "pure"):
-        return _py_kernels, "python"
+_choice = os.environ.get("TRIMQ_BACKEND", "").strip().lower()
+if _choice in ("c", "native"):
+    raise ImportError(
+        "TRIMQ_BACKEND=%s: the compiled backend was removed; unset "
+        "TRIMQ_BACKEND or set it to 'python'" % _choice)
+if _choice not in ("", "python", "py", "pure"):
     raise ValueError(
-        "unrecognized TRIMQ_BACKEND value %r (expected 'c' or 'python')"
-        % choice)
-
-
-kernels, BACKEND = _select()
+        "unrecognized TRIMQ_BACKEND value %r (expected 'python')" % _choice)

@@ -156,6 +156,8 @@ def _cmd_hdi(args):
 
 
 def _cmd_simulate(args):
+    if args.threads < 1:
+        return _fail(2, "--threads must be a positive integer")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

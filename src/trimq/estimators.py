@@ -17,6 +17,7 @@ for callers that reuse them across samples of the same size.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .backend import kernels as _k
@@ -118,17 +119,44 @@ def _make_weight_vector(weights):
     return WeightVector(tuple(weights), lo + 1, hi + 1)
 
 
+def _hf7(n, p):
+    """HF7 over n sorted values as a callable: linear interpolation at
+    h = (n-1)p + 1 (1-based), with the index and fraction fixed here."""
+    h = (n - 1) * p + 1.0
+    j = int(math.floor(h))
+    if j >= n:
+        return lambda xs: xs[n - 1]
+    g = h - j
+
+    def est(xs):
+        lo = xs[j - 1]
+        return lo + g * (xs[j] - lo)
+
+    return est
+
+
+def _weighted_sum(wv):
+    """The estimate that WeightVector `wv` defines, as a callable over n
+    sorted values: the correctly rounded sum of weight times value over the
+    support.  Weights outside it are exactly 0 and are skipped."""
+    lo = wv.support_lo - 1
+    hi = wv.support_hi
+    ws = wv.weights[lo:hi]
+    mul = operator.mul
+    return lambda xs: math.fsum(map(mul, ws, xs[lo:hi]))
+
+
+def _sqrt_width(n):
+    """Default trim width: confines the weights to about sqrt(n) order
+    statistics."""
+    return 1.0 / math.sqrt(n)
+
+
 def hf7_quantile(sample, p):
     """Linear-interpolation quantile at h = (n-1)p + 1 (1-based)."""
     sample = _as_sample(sample)
     p = _check_p(p)
-    x = sample.values
-    n = len(x)
-    h = (n - 1) * p + 1.0
-    j = int(math.floor(h))
-    if j >= n:
-        return x[n - 1]
-    return x[j - 1] + (h - j) * (x[j] - x[j - 1])
+    return _hf7(sample.n, p)(sample.values)
 
 
 def _shape_params(n, p):
@@ -174,8 +202,7 @@ def hd_quantile(sample, p):
         return x[0]
     if p == 1.0:
         return x[-1]
-    wv = hd_weights(len(x), p)
-    return math.fsum(w * v for w, v in zip(wv.weights, x))
+    return _weighted_sum(hd_weights(len(x), p))(x)
 
 
 def thd_weights(n, p, width):
@@ -239,8 +266,5 @@ def thd_quantile(sample, p, width=None):
         return x[-1]
     n = len(x)
     if width is None:
-        width = 1.0 / math.sqrt(n)
-    wv = thd_weights(n, p, width)
-    lo = wv.support_lo - 1
-    hi = wv.support_hi
-    return math.fsum(wv.weights[i] * x[i] for i in range(lo, hi))
+        width = _sqrt_width(n)
+    return _weighted_sum(thd_weights(n, p, width))(x)

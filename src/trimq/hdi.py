@@ -76,7 +76,7 @@ def _middle_lower(a, b, width, mode):
             % (a, b, width, pick, max(mass_lo, mass_hi)),
             RuntimeWarning, stacklevel=3)
         return pick
-    return _k.hdi_middle_lower(a, b, width)
+    return _k.hdi_middle_lower(a, b, width, lo, hi)
 
 
 def beta_hdi(params, width):

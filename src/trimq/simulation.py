@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .distributions import DistributionSpec, sample, true_quantile
-from .estimators import hd_weights, thd_weights
+from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
+                         thd_weights)
 from .rng import RngStream, fnv1a64
 
 __all__ = [
@@ -52,56 +53,14 @@ class ConfigError(ValueError):
     """Invalid simulation config; the message names the offending field."""
 
 
-def _hf7_factory(n, p):
-    h = (n - 1) * p + 1.0
-    j = int(math.floor(h))
-    if j >= n:
-        return lambda xs: xs[n - 1]
-    g = h - j
-
-    def est(xs):
-        lo = xs[j - 1]
-        return lo + g * (xs[j] - lo)
-
-    return est
-
-
-def _hd_factory(n, p):
-    ws = hd_weights(n, p).weights
-
-    def est(xs):
-        return math.fsum(w * x for w, x in zip(ws, xs))
-
-    return est
-
-
-def _thd_sqrt_factory(n, p):
-    wv = thd_weights(n, p, 1.0 / math.sqrt(n))
-    ws = wv.weights
-    lo = wv.support_lo - 1
-    hi = wv.support_hi
-
-    def est(xs):
-        return math.fsum(ws[i] * xs[i] for i in range(lo, hi))
-
-    return est
-
-
-# estimator id -> factory(n, p) -> callable(sorted values) -> estimate
+# estimator id -> factory(n, p) -> callable(sorted values) -> estimate; the
+# weights and the HF7 index are built once per (n, p), not per sample
 ESTIMATORS = {
-    "hf7": _hf7_factory,
-    "hd": _hd_factory,
-    "thd-sqrt": _thd_sqrt_factory,
+    "hf7": _hf7,
+    "hd": lambda n, p: _weighted_sum(hd_weights(n, p)),
+    "thd-sqrt": lambda n, p: _weighted_sum(
+        thd_weights(n, p, _sqrt_width(n))),
 }
-
-
-def _hf7_on_sorted(xs, p):
-    n = len(xs)
-    h = (n - 1) * p + 1.0
-    j = int(math.floor(h))
-    if j >= n:
-        return xs[-1]
-    return xs[j - 1] + (h - j) * (xs[j] - xs[j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +313,7 @@ def run_sim1(config, threads=1):
         estimates[eid] = vals
         sorted_estimates[eid] = sorted(vals)
     rows = tuple(
-        (q, eid, _hf7_on_sorted(sorted_estimates[eid], q))
+        (q, eid, _hf7(reps, q)(sorted_estimates[eid]))
         for q in config.report_quantiles
         for eid, _ in factories)
     return Sim1Result(rows, estimates)
@@ -419,6 +378,8 @@ def estimate_mse(estimator, spec, n, p, samples_per_batch, batches, seed):
                              % (estimator, ", ".join(sorted(ESTIMATORS))))
         factory = ESTIMATORS[estimator]
     n = int(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer, got %r" % (n,))
     samples_per_batch = int(samples_per_batch)
     batches = int(batches)
     if samples_per_batch < 1 or batches < 1:

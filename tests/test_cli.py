@@ -208,6 +208,17 @@ def test_simulate_config_errors(tmp_path, capsys):
                  str(tmp_path / "missing.json"), "--out", out]) == 3
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_simulate_rejects_non_positive_threads(tmp_path, capsys, threads):
+    cfg = _sim1_config_file(tmp_path)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--kind", "sim1", "--config", cfg,
+                 "--out", str(out), "--threads", threads]) == 2
+    assert ("error: --threads must be a positive integer"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_simulate_unwritable_output(tmp_path, capsys):
     cfg = _sim1_config_file(tmp_path)
     assert main(["simulate", "--kind", "sim1", "--config", cfg,

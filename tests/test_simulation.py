@@ -1,18 +1,25 @@
 import csv
+import hashlib
 import io
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from trimq import (
+    ESTIMATORS,
     ConfigError,
     DistributionSpec,
     Sim1Config,
     Sim2Config,
     estimate_mse,
+    hd_quantile,
     hf7_quantile,
     run_sim1,
     run_sim2,
+    thd_quantile,
     true_quantile,
 )
 
@@ -20,6 +27,7 @@ from _oracles import naive_mse
 
 NORMAL = "Normal(m=0, sd=1)"
 EXP = "Exp(rate=1)"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _sim1_cfg(**over):
@@ -192,6 +200,9 @@ def test_estimate_mse_validation():
         estimate_mse("hf7", spec, 5, 0.5, 8, 4, 0)  # even batch count
     with pytest.raises(ValueError):
         estimate_mse("hf7", spec, 5, 0.5, 0, 3, 0)
+    for eid in ESTIMATORS:
+        with pytest.raises(ValueError, match="n must be"):
+            estimate_mse(eid, spec, 0, 0.5, 8, 3, 0)
 
 
 def test_sim2_row_grid_order_and_labels():
@@ -241,3 +252,51 @@ def test_sim2_mse_positive_for_real_estimators():
     for row in run_sim2(_sim2_cfg()).rows:
         for v in (row.mse_hf7, row.mse_hd, row.mse_thd):
             assert v > 0.0 and math.isfinite(v)
+
+
+# ---------------------------------------------------------------------------
+# the harness's estimators are the public ones
+
+_PUBLIC = {
+    "hf7": hf7_quantile,
+    "hd": hd_quantile,
+    "thd-sqrt": lambda xs, p: thd_quantile(xs, p, width=None),
+}
+
+
+@pytest.mark.parametrize("eid", sorted(ESTIMATORS))
+def test_simulation_estimators_equal_public_ones(eid):
+    assert set(_PUBLIC) == set(ESTIMATORS)
+    rng = random.Random(11)
+    for n in (1, 2, 3, 10, 37):
+        for p in (0.05, 0.25, 0.5, 0.95):
+            est = ESTIMATORS[eid](n, p)
+            for _ in range(5):
+                xs = sorted([rng.gauss(0.0, 1.0) for _ in range(n - 1)]
+                            + [1e6])
+                assert est(xs) == _PUBLIC[eid](xs, p), (n, p, xs)
+
+
+# sha256 of to_csv() for each shipped preset at its own seed, one thread.
+# A change here changes every published number of that preset and must be
+# deliberate.
+PRESET_DIGESTS = {
+    ("sim1", "sim1_contaminated.json"):
+        "4e9cb4b033eb72c8b4f9b0b644d89ff46be1ef9f8c6f40ad34b0041048f8ba96",
+    ("sim1", "sim1_frechet.json"):
+        "48c1f5ddf1d6f63e556882cdaca32f95f74dfaf868e7913dda1de734447a1e68",
+    ("sim2", "sim2_hf7_self.json"):
+        "d8261d15b721972166e39eb0a1288cb6162d8bf6d8fd7d41ec24abf900305e88",
+}
+
+
+@pytest.mark.parametrize("kind,name", sorted(PRESET_DIGESTS))
+def test_shipped_preset_bytes_are_pinned(kind, name):
+    with open(CONFIG_DIR / name, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if kind == "sim1":
+        text = run_sim1(Sim1Config.from_dict(raw)).to_csv()
+    else:
+        text = run_sim2(Sim2Config.from_dict(raw)).to_csv()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PRESET_DIGESTS[kind, name]
