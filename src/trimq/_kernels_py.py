@@ -54,7 +54,8 @@ def log_gamma(x):
     return out
 
 
-def _log_beta(a, b):
+def log_beta(a, b):
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b) for a, b > 0."""
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
@@ -64,16 +65,16 @@ def beta_pdf(x, a, b):
         if a > 1.0:
             return 0.0
         if a == 1.0:
-            return math.exp(-_log_beta(a, b))
+            return math.exp(-log_beta(a, b))
         return math.inf
     if x == 1.0:
         if b > 1.0:
             return 0.0
         if b == 1.0:
-            return math.exp(-_log_beta(a, b))
+            return math.exp(-log_beta(a, b))
         return math.inf
     return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
-                    - _log_beta(a, b))
+                    - log_beta(a, b))
 
 
 def _beta_cont_frac(a, b, x):

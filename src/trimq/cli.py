@@ -4,7 +4,7 @@ Three subcommands: ``estimate`` (quantiles of numbers read from a file or
 stdin), ``hdi`` (beta highest-density interval), and ``simulate`` (the
 Monte-Carlo studies, from a JSON config).  Standard output carries only
 machine-parseable CSV rows; all diagnostics go to standard error.  Exit
-codes: 0 success, 2 usage or input error, 3 I/O error.
+codes: 0 success, 2 usage, input or configuration error, 3 I/O error.
 """
 
 import argparse
@@ -134,14 +134,19 @@ def _cmd_estimate(args):
         return _fail(2, "empty input: expected at least one number")
 
     sample = Sample(values)
-    for p in probs:
-        if args.method == "hf7":
-            est = hf7_quantile(sample, p)
-        elif args.method == "hd":
-            est = hd_quantile(sample, p)
-        else:
-            est = thd_quantile(sample, p, width)
-        print("%s,%s" % (_fmt(p), _fmt(est)))
+    rows = []
+    try:  # the incomplete beta gives out above n of about 3.3e5
+        for p in probs:
+            if args.method == "hf7":
+                est = hf7_quantile(sample, p)
+            elif args.method == "hd":
+                est = hd_quantile(sample, p)
+            else:
+                est = thd_quantile(sample, p, width)
+            rows.append("%s,%s\n" % (_fmt(p), _fmt(est)))
+    except ArithmeticError as exc:
+        return _fail(2, "cannot estimate at n=%d: %s" % (sample.n, exc))
+    sys.stdout.write("".join(rows))
     return 0
 
 

@@ -12,8 +12,9 @@ Three estimators share this module:
   default interval width 1/sqrt(n) keeps the weighted window at O(sqrt(n))
   order statistics.
 
-Weight vectors are exposed separately (``hd_weights`` / ``thd_weights``)
-for callers that reuse them across samples of the same size.
+Harrell-Davis is the trimmed recipe at width 1, whose interval is all of
+[0, 1], so one builder makes both weight vectors.  They are exposed
+(``hd_weights`` / ``thd_weights``) for reuse across samples of one size.
 """
 
 import math
@@ -106,19 +107,6 @@ class WeightVector:
         return len(self.weights)
 
 
-def _make_weight_vector(weights):
-    lo = 0
-    hi = -1
-    for i, w in enumerate(weights):
-        if w > 0.0:
-            if hi < 0:
-                lo = i
-            hi = i
-    if hi < 0:
-        raise ArithmeticError("weight vector vanished entirely")
-    return WeightVector(tuple(weights), lo + 1, hi + 1)
-
-
 def _hf7(n, p):
     """HF7 over n sorted values as a callable: linear interpolation at
     h = (n-1)p + 1 (1-based), with the index and fraction fixed here."""
@@ -177,42 +165,10 @@ def _check_np(n, p):
     return n, p
 
 
-def hd_weights(n, p):
-    """Weights W_i = I_{i/n}(a, b) - I_{(i-1)/n}(a, b) over i = 1..n,
-    with (a, b) = ((n+1)p, (n+1)(1-p))."""
-    n, p = _check_np(n, p)
-    params = _shape_params(n, p)
-    a, b = params.alpha, params.beta
-    weights = [0.0] * n
-    prev = 0.0
-    for i in range(1, n + 1):
-        cur = 1.0 if i == n else _k.reg_inc_beta(i / n, a, b)
-        w = cur - prev
-        weights[i - 1] = w if w > 0.0 else 0.0
-        prev = cur
-    return _make_weight_vector(weights)
-
-
-def hd_quantile(sample, p):
-    """Harrell-Davis quantile estimate: the hd_weights dot product."""
-    sample = _as_sample(sample)
-    p = _check_p(p)
-    x = sample.values
-    if p == 0.0:
-        return x[0]
-    if p == 1.0:
-        return x[-1]
-    return _weighted_sum(hd_weights(len(x), p))(x)
-
-
-def thd_weights(n, p, width):
-    """Trimmed weights: the beta weight distribution is truncated to its
-    highest-density interval [L, R] of the given width and renormalized.
-
-    Index support follows floor/ceil of the interval endpoints scaled by n:
-    nonzero weights live only at positions floor(L*n)+1 .. ceil(R*n).
-    """
-    n, p = _check_np(n, p)
+def _trimmed_weights(n, p, width):
+    """The one weight builder behind hd_weights and thd_weights, for (n, p)
+    validated by _check_np: W_i = F(i/n) - F((i-1)/n), F the beta CDF
+    truncated to the HDI of `width` and renormalized ([0, 1] at width 1)."""
     params = _shape_params(n, p)
     hdi = beta_hdi(params, width)
     if hdi.case is HdiCase.DEGENERATE:
@@ -232,23 +188,56 @@ def thd_weights(n, p, width):
             "width=%g" % (a, b, hdi.width))
     i_lo = max(int(math.floor(lower * n)), 0)
     i_hi = min(int(math.ceil(upper * n)), n)
-
-    def trunc_cdf(x):
-        if x <= lower:
-            return 0.0
-        if x >= upper:
-            return 1.0
-        f = (_k.reg_inc_beta(x, a, b) - cdf_lower) / denom
-        return min(max(f, 0.0), 1.0)
-
     weights = [0.0] * n
-    prev = trunc_cdf(i_lo / n)
-    for i in range(i_lo + 1, i_hi + 1):
-        cur = trunc_cdf(i / n)
-        w = cur - prev
-        weights[i - 1] = w if w > 0.0 else 0.0
+    prev = None
+    lo = hi = 0  # 1-based support, tracked as the weights are written
+    # F inline, clamped by branches: a call per index slows the width-1 path
+    for i in range(i_lo, i_hi + 1):
+        x = i / n
+        if x <= lower:
+            cur = 0.0
+        elif x >= upper:
+            cur = 1.0
+        else:
+            cur = (_k.reg_inc_beta(x, a, b) - cdf_lower) / denom
+            if cur < 0.0:
+                cur = 0.0
+            elif cur > 1.0:
+                cur = 1.0
+        if prev is not None:
+            w = cur - prev
+            if w > 0.0:
+                weights[i - 1] = w
+                lo = lo or i
+                hi = i
         prev = cur
-    return _make_weight_vector(weights)
+    if not hi:
+        raise ArithmeticError("weight vector vanished entirely")
+    return WeightVector(tuple(weights), lo, hi)
+
+
+def hd_weights(n, p):
+    """Harrell-Davis weights W_i = I_{i/n}(a, b) - I_{(i-1)/n}(a, b) over
+    i = 1..n, with (a, b) = ((n+1)p, (n+1)(1-p)): the trimmed recipe of
+    thd_weights at width 1, whose interval is all of [0, 1]."""
+    n, p = _check_np(n, p)
+    return _trimmed_weights(n, p, 1.0)
+
+
+def hd_quantile(sample, p):
+    """Harrell-Davis quantile estimate: thd_quantile at width 1."""
+    return thd_quantile(sample, p, 1.0)
+
+
+def thd_weights(n, p, width):
+    """Trimmed weights: the beta weight distribution is truncated to its
+    highest-density interval [L, R] of the given width and renormalized.
+
+    Index support follows floor/ceil of the interval endpoints scaled by n:
+    nonzero weights live only at positions floor(L*n)+1 .. ceil(R*n).
+    """
+    n, p = _check_np(n, p)
+    return _trimmed_weights(n, p, width)
 
 
 def thd_quantile(sample, p, width=None):

@@ -44,18 +44,22 @@ class HdiInterval:
     case: HdiCase
 
 
+def _shape_case(a, b):
+    """(case, mode) of Beta(a, b) before any width applies.  The case comes
+    from the shapes alone: at a ~ 1e7, b just above 1 a MIDDLE mode is 1.0."""
+    if a < 1.0 + _EPS and b < 1.0 + _EPS:
+        return HdiCase.DEGENERATE, None
+    if a < 1.0 + _EPS:
+        return HdiCase.LEFT_BORDER, 0.0
+    if b < 1.0 + _EPS:
+        return HdiCase.RIGHT_BORDER, 1.0
+    return HdiCase.MIDDLE, (a - 1.0) / (a + b - 2.0)
+
+
 def beta_mode(params):
     """Mode of Beta(alpha, beta), or None when the density has no unique
     interior-or-border mode (both shapes <= 1, up to tolerance)."""
-    a = params.alpha
-    b = params.beta
-    if a < 1.0 + _EPS and b < 1.0 + _EPS:
-        return None
-    if a < 1.0 + _EPS:
-        return 0.0
-    if b < 1.0 + _EPS:
-        return 1.0
-    return (a - 1.0) / (a + b - 2.0)
+    return _shape_case(params.alpha, params.beta)[1]
 
 
 def _middle_lower(a, b, width, mode):
@@ -93,16 +97,14 @@ def beta_hdi(params, width):
         raise ValueError("width must lie in (0, 1], got %r" % (width,))
     a = params.alpha
     b = params.beta
-    nan = float("nan")
-    if a < 1.0 + _EPS and b < 1.0 + _EPS:
-        return HdiInterval(nan, nan, width, nan, HdiCase.DEGENERATE)
-    if a < 1.0 + _EPS:
-        return HdiInterval(0.0, width, width, 0.0, HdiCase.LEFT_BORDER)
-    if b < 1.0 + _EPS:
+    case, mode = _shape_case(a, b)
+    if case is HdiCase.DEGENERATE:
+        return HdiInterval(math.nan, math.nan, width, math.nan, case)
+    if case is HdiCase.LEFT_BORDER:
+        return HdiInterval(0.0, width, width, mode, case)
+    if case is HdiCase.RIGHT_BORDER:
         lower = 1.0 - width
-        return HdiInterval(lower, lower + width, width, 1.0,
-                           HdiCase.RIGHT_BORDER)
-    mode = (a - 1.0) / (a + b - 2.0)
+        return HdiInterval(lower, lower + width, width, mode, case)
     if width > 1.0 - _EPS:
         return HdiInterval(0.0, 1.0, 1.0, mode, HdiCase.FULL_RANGE)
     lower = _middle_lower(a, b, width, mode)

@@ -280,6 +280,9 @@ class EfficiencyReport:
 # harness
 
 def _run_chunks(worker, chunks, threads):
+    if threads < 1:
+        raise ValueError("threads must be a positive integer, got %r"
+                         % (threads,))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(worker, chunks))

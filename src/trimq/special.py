@@ -52,8 +52,7 @@ def log_gamma(x):
 
 def log_beta(params):
     """ln B(alpha, beta) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b)."""
-    return (_k.log_gamma(params.alpha) + _k.log_gamma(params.beta)
-            - _k.log_gamma(params.alpha + params.beta))
+    return _k.log_beta(params.alpha, params.beta)
 
 
 def _check_unit_interval(x, what):

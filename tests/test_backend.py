@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -8,10 +9,12 @@ from trimq import _kernels_py
 
 
 def _run(env_value, code):
-    import os
-
     env = dict(os.environ)
     env["TRIMQ_BACKEND"] = env_value
+    # the child imports the trimq this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(trimq.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
 

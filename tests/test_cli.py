@@ -107,6 +107,21 @@ def test_estimate_empty_input(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_estimate_beyond_incomplete_beta_range_is_input_error(tmp_path,
+                                                              capsys):
+    # above n of about 3.3e5 the incomplete beta's continued fraction hits
+    # its iteration cap; the CLI reports that as one error line, exit 2
+    path = tmp_path / "big.txt"
+    path.write_text("".join("%d\n" % (i % 1000) for i in range(400000)))
+    assert main(["estimate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: cannot estimate at n=400000: ")
+    assert "continued fraction did not converge" in lines[0]
+
+
 def test_estimate_missing_file_is_io_error(capsys):
     assert main(["estimate", "/no/such/file.txt"]) == 3
 

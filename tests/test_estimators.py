@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -279,3 +280,23 @@ def test_reference_parity():
                     assert abs(g - w) <= 1e-12, (n, p, width)
                 count += 1
     assert count >= 200
+
+
+# p grid of the pinned weight digest, tails included
+PIN_PS = (1e-4, 0.001, 0.01, 0.05, 0.25, 0.5, 0.77, 0.95, 0.99, 0.999,
+          1 - 1e-4)
+
+
+def test_weight_bytes_are_pinned():
+    # exact guard on every bit of the weight vectors, tails and n = 1
+    # included: a rewrite of the builder or of its kernels must keep it
+    digest = hashlib.sha256()
+    for n in list(range(1, 61)) + [100, 333, 1000]:
+        for p in PIN_PS:
+            vectors = [hd_weights(n, p)] + [
+                thd_weights(n, p, w) for w in (1.0 / math.sqrt(n), 0.3, 1.0)]
+            for wv in vectors:
+                digest.update(repr((wv.weights, wv.support_lo,
+                                    wv.support_hi)).encode())
+    assert digest.hexdigest() == (
+        "29f28ee0ea77d683881444e0e8cf5b7e713931f81a8573bc3e66dc797e485643")

@@ -227,6 +227,14 @@ def test_sim2_deterministic_and_thread_invariant():
     assert a == b and a.to_csv() == b.to_csv()
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_runs_reject_non_positive_threads(threads):
+    with pytest.raises(ValueError, match="threads"):
+        run_sim1(_sim1_cfg(), threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        run_sim2(_sim2_cfg(), threads=threads)
+
+
 def test_sim2_cells_independent_of_grid_shape():
     # a cell's numbers must not depend on which other cells run with it
     full = run_sim2(_sim2_cfg())
