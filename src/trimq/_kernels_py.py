@@ -5,6 +5,7 @@ Arguments are assumed pre-validated by the public wrappers in trimq.special
 and friends.
 """
 
+import functools
 import math
 
 # ln(2*pi)/2
@@ -24,6 +25,10 @@ _S8 = -3617.0 / 122400.0
 _MAX_ITER = 300
 _CF_TOL = 1e-14
 _FPMIN = 1e-300
+
+# shape pairs whose log-gamma terms are kept: a bisection or a weight vector
+# holds one pair fixed for all of its calls, a few run at once across threads
+_SHAPE_CACHE = 64
 
 
 def log_gamma(x):
@@ -59,71 +64,97 @@ def log_beta(a, b):
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
+# the density's normalizer, computed once per shape pair
+_log_beta_cached = functools.lru_cache(maxsize=_SHAPE_CACHE)(log_beta)
+
+
 def beta_pdf(x, a, b):
     """Beta density at x in [0, 1], evaluated in log space."""
     if x == 0.0:
         if a > 1.0:
             return 0.0
         if a == 1.0:
-            return math.exp(-log_beta(a, b))
+            return math.exp(-_log_beta_cached(a, b))
         return math.inf
     if x == 1.0:
         if b > 1.0:
             return 0.0
         if b == 1.0:
-            return math.exp(-log_beta(a, b))
+            return math.exp(-_log_beta_cached(a, b))
         return math.inf
     return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
-                    - log_beta(a, b))
+                    - _log_beta_cached(a, b))
 
 
 def _beta_cont_frac(a, b, x):
-    # modified Lentz recurrence; returns the continued-fraction factor
+    """Continued-fraction factor of I_x(a, b), by the modified Lentz
+    recurrence.  The counter m runs in floats and a + 2m is formed once per
+    term; m and 2m are exact, so every term is bit-identical to the one an
+    integer counter gives."""
+    # the limits as locals, negated once: -fpmin < d < fpmin is abs(d) < fpmin
+    fpmin = _FPMIN
+    neg_fpmin = -fpmin
+    tol = _CF_TOL
+    neg_tol = -tol
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
+    if neg_fpmin < d < fpmin:
+        d = fpmin
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    m = 0.0
+    for _ in range(_MAX_ITER):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        if neg_fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        if neg_fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        if neg_fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        if neg_fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_TOL:
+        if neg_tol < delta - 1.0 < tol:
             return h
     raise ArithmeticError(
         "incomplete beta continued fraction did not converge "
         "(a=%g, b=%g, x=%g)" % (a, b, x))
 
 
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _log_norm(a, b):
+    # ln(1 / B(a, b)), subtracted in this order; -log_beta(a, b) rounds
+    # differently for about half of all shape pairs
+    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+
+
 def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1]."""
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1].
+
+    The log-gamma normalizer is cached per shape pair (a, b), and
+    front = normalizer + a ln x + b ln(1-x) is summed left to right, so a
+    cached call returns the same bits as an uncached one.
+    """
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-             + a * math.log(x) + b * math.log1p(-x))
+    front = _log_norm(a, b) + a * math.log(x) + b * math.log1p(-x)
     # the continued fraction converges fast only below the mean;
     # above it, use I_x(a,b) = 1 - I_{1-x}(b,a)
     if x < (a + 1.0) / (a + b + 2.0):

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 
 from .backend import kernels as _k
-from .hdi import HdiCase, beta_hdi
+from .hdi import HdiCase, _check_width, beta_hdi
 from .special import BetaParams
 
 __all__ = [
@@ -152,9 +152,14 @@ def _shape_params(n, p):
 
 
 def _check_np(n, p):
-    n = int(n)
-    if n < 1:
+    # int() alone would floor 2.5 to 2 and read True as 1
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = 0
+    if isinstance(n, bool) or k != n or k < 1:
         raise ValueError("n must be a positive integer, got %r" % (n,))
+    n = k
     p = _check_p(p)
     if p == 0.0 or p == 1.0:
         # Beta((n+1)p, (n+1)(1-p)) degenerates at the boundary; quantile
@@ -248,6 +253,9 @@ def thd_quantile(sample, p, width=None):
     """
     sample = _as_sample(sample)
     p = _check_p(p)
+    if width is not None:
+        # checked here too: p = 0 and p = 1 return before any interval
+        width = _check_width(width)
     x = sample.values
     if p == 0.0:
         return x[0]

@@ -83,6 +83,13 @@ def _middle_lower(a, b, width, mode):
     return _k.hdi_middle_lower(a, b, width, lo, hi)
 
 
+def _check_width(width):
+    width = float(width)
+    if not math.isfinite(width) or width <= 0.0 or width > 1.0:
+        raise ValueError("width must lie in (0, 1], got %r" % (width,))
+    return width
+
+
 def beta_hdi(params, width):
     """Highest-density interval of width `width` for Beta(params).
 
@@ -92,9 +99,7 @@ def beta_hdi(params, width):
     otherwise the unique interior interval with balanced endpoint densities.
     """
 
-    width = float(width)
-    if not math.isfinite(width) or width <= 0.0 or width > 1.0:
-        raise ValueError("width must lie in (0, 1], got %r" % (width,))
+    width = _check_width(width)
     a = params.alpha
     b = params.beta
     case, mode = _shape_case(a, b)

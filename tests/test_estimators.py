@@ -103,6 +103,18 @@ def test_hd_weights_rejects_extreme_p():
         hd_weights(5, 1.0)
 
 
+def test_weights_reject_non_integral_and_bool_n():
+    # int(n) would build 2-point weights for 2.5 and read True as n = 1
+    for bad in [2.5, 0.5, True, False, math.nan, math.inf, "10", None]:
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            hd_weights(bad, 0.5)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            thd_weights(bad, 0.5, 0.5)
+    # integral values of any numeric type still count
+    assert hd_weights(10.0, 0.5) == hd_weights(10, 0.5)
+    assert thd_weights(10.0, 0.3, 0.5) == thd_weights(10, 0.3, 0.5)
+
+
 def test_hd_quantile_published_example():
     s = Sample(OUTLIER_SAMPLE, presorted=True)
     assert abs(hd_quantile(s, 0.5) - 51.9169) <= 1e-3
@@ -196,6 +208,17 @@ def test_thd_width_validation():
     for bad in [0.0, -0.2, 1.5, math.nan]:
         with pytest.raises(ValueError):
             thd_weights(5, 0.5, bad)
+
+
+def test_thd_quantile_checks_width_at_extreme_p():
+    # p = 0 and p = 1 return a sample extreme without an interval, but an
+    # invalid width is still an error there
+    s = Sample([5.0, 1.0, 3.0])
+    for p in (0.0, 1.0):
+        for bad in [5, -1, 0.0, math.nan, math.inf]:
+            with pytest.raises(ValueError, match=r"width must lie in \(0, 1\]"):
+                thd_quantile(s, p, width=bad)
+        assert thd_quantile(s, p, width=1) == thd_quantile(s, p)
 
 
 def test_estimators_accept_raw_iterables():

@@ -227,6 +227,19 @@ def test_sim2_deterministic_and_thread_invariant():
     assert a == b and a.to_csv() == b.to_csv()
 
 
+def test_sim2_inverted_families_thread_invariant():
+    # Beta and Student variates bisect through the incomplete beta from two
+    # threads at once; its shape caches must not leak between them
+    cfg = _sim2_cfg(specs=["Beta(a=2, b=4)", "Student(df=3)",
+                           "Beta(a=2, b=10)"],
+                    sample_sizes=[5, 12], p_grid=[0.1, 0.5, 0.9],
+                    samples_per_batch=6, seed=4)
+    one = run_sim2(cfg, threads=1).to_csv()
+    assert run_sim2(cfg, threads=2).to_csv() == one
+    assert hashlib.sha256(one.encode("utf-8")).hexdigest() == (
+        "11a1d4ee1775638142f509ef792db0a4cda67582399b163d55cb7293c028edc5")
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_runs_reject_non_positive_threads(threads):
     with pytest.raises(ValueError, match="threads"):

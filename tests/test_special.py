@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -170,3 +171,61 @@ def test_continued_fraction_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", 2)
     with pytest.raises(ArithmeticError):
         _kernels_py.reg_inc_beta(0.4, 37.0, 41.0)
+
+
+# shapes and points of the pinned incomplete-beta digest: both tails, the
+# middle, and each side of the (a+1)/(a+b+2) switch to the reflected fraction
+PIN_SHAPES = (0.5, 1.0, 1.5, 2.0, 4.0, 10.0, 37.5, 300.0, 2500.0, 1e4)
+PIN_XS = (1e-9, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999, 1.0 - 1e-9)
+
+
+def _pinned_ibeta_points():
+    for a in PIN_SHAPES:
+        for b in PIN_SHAPES:
+            switch = (a + 1.0) / (a + b + 2.0)
+            for x in PIN_XS + (math.nextafter(switch, 0.0), switch,
+                               math.nextafter(switch, 1.0), a / (a + b)):
+                yield x, a, b
+
+
+def test_incomplete_beta_bytes_are_pinned():
+    # exact guard on every bit of the kernel, (1.5, 0.5) and (2, 4) included:
+    # a faster incomplete beta must return the same doubles
+    from trimq import _kernels_py
+
+    digest = hashlib.sha256()
+    for x, a, b in _pinned_ibeta_points():
+        digest.update(repr(_kernels_py.reg_inc_beta(x, a, b)).encode())
+    assert digest.hexdigest() == (
+        "57dcec7dce09798456d5f19058a8bba923e50a1c24f6170a115ed61b881a26fd")
+
+
+def test_shape_caches_do_not_change_bits():
+    # the per-shape-pair caches behind reg_inc_beta and beta_pdf: a warm
+    # cache, a cold one and one that evicted in between give the same bits
+    from trimq import _kernels_py
+
+    def clear():
+        _kernels_py._log_norm.cache_clear()
+        _kernels_py._log_beta_cached.cache_clear()
+
+    # more pairs than the caches keep, interleaved, ints mixed with floats
+    shapes = [(2, 4), (1.5, 0.5), (2.0, 4.0)] + [
+        (0.5 + 0.37 * i, 300.0 / (i + 1)) for i in range(100)]
+    calls = [(x, a, b) for x in (0.01, 0.3, 0.5, 0.9)
+             for a, b in shapes + shapes[::-1]]
+
+    def run(cold):
+        out = []
+        for x, a, b in calls:
+            if cold:
+                clear()
+            out.append((_kernels_py.reg_inc_beta(x, a, b),
+                        _kernels_py.beta_pdf(x, a, b)))
+        return repr(out)
+
+    clear()
+    cold = run(cold=True)
+    assert run(cold=False) == cold
+    assert run(cold=False) == cold
+    assert _kernels_py._log_norm.cache_info().currsize > 0
