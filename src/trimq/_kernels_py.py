@@ -27,7 +27,8 @@ _CF_TOL = 1e-14
 _FPMIN = 1e-300
 
 # shape pairs whose log-gamma terms are kept: a bisection or a weight vector
-# holds one pair fixed for all of its calls, a few run at once across threads
+# holds one pair fixed for all of its calls; a caller's threads may run a few
+# at once, and each simulation worker process fills its own
 _SHAPE_CACHE = 64
 
 

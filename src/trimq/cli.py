@@ -74,8 +74,8 @@ def _build_parser():
     sim.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads (output is identical for any "
-                          "thread count)")
+                     help="worker processes (output is identical for any "
+                          "count)")
     return parser
 
 
@@ -183,10 +183,13 @@ def _cmd_simulate(args):
         config = dataclasses.replace(config, seed=args.seed)
 
     started = time.perf_counter()
-    if args.kind == "sim1":
-        result = run_sim1(config, threads=args.threads)
-    else:
-        result = run_sim2(config, threads=args.threads)
+    try:  # e.g. a Beta cell whose shapes are past the incomplete beta's range
+        if args.kind == "sim1":
+            result = run_sim1(config, threads=args.threads)
+        else:
+            result = run_sim2(config, threads=args.threads)
+    except ArithmeticError as exc:
+        return _fail(2, "cannot simulate %s: %s" % (args.config, exc))
     elapsed = time.perf_counter() - started
 
     try:

@@ -151,7 +151,7 @@ def _shape_params(n, p):
     return BetaParams((n + 1) * p, (n + 1) * (1.0 - p))
 
 
-def _check_np(n, p):
+def _check_n(n):
     # int() alone would floor 2.5 to 2 and read True as 1
     try:
         k = int(n)
@@ -159,7 +159,11 @@ def _check_np(n, p):
         k = 0
     if isinstance(n, bool) or k != n or k < 1:
         raise ValueError("n must be a positive integer, got %r" % (n,))
-    n = k
+    return k
+
+
+def _check_np(n, p):
+    n = _check_n(n)
     p = _check_p(p)
     if p == 0.0 or p == 1.0:
         # Beta((n+1)p, (n+1)(1-p)) degenerates at the boundary; quantile

@@ -16,20 +16,23 @@ Two studies, both reproducible to the byte given a seed:
   so every estimator sees identical samples and the HF7 self-ratio is
   exactly 1.
 
-Worker threads only partition the replication/cell loops; results are
-reassembled in a fixed order, so thread count never changes the output.
+The ``threads`` argument counts worker processes.  Where the ``fork``
+start method exists and the calling process runs no other Python thread,
+up to that many forked workers split the replication/cell loops;
+otherwise, and at one worker, the loops run in-process.  Results are
+reassembled in a fixed order, so the worker count never changes the output.
 """
 
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .distributions import DistributionSpec, sample, true_quantile
-from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
-                         thd_weights)
+from .estimators import (_check_n, _hf7, _sqrt_width, _weighted_sum,
+                         hd_weights, thd_weights)
 from .rng import RngStream, fnv1a64
 
 __all__ = [
@@ -279,13 +282,40 @@ class EfficiencyReport:
 # ---------------------------------------------------------------------------
 # harness
 
+# in a forked worker process: the (worker, chunks) of the run that forked it
+_TASK = None
+
+
+def _install_task(worker, chunks):
+    global _TASK
+    _TASK = (worker, chunks)
+
+
+def _run_task(index):
+    worker, chunks = _TASK
+    return worker(chunks[index])
+
+
 def _run_chunks(worker, chunks, threads):
     if threads < 1:
         raise ValueError("threads must be a positive integer, got %r"
                          % (threads,))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, chunks))
+    workers = min(threads, len(chunks))
+    # a fork copies no thread but the caller's, nor releases the locks the
+    # others hold, so a process with other threads runs the loops itself
+    if workers > 1 and threading.active_count() == 1:
+        # imported here so that single-worker runs do not pay for them
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            # fork hands the closures to the workers without pickling them;
+            # only chunk indices go out and results come back
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_install_task,
+                    initargs=(worker, chunks)) as pool:
+                return list(pool.map(_run_task, range(len(chunks))))
     return [worker(c) for c in chunks]
 
 
@@ -380,9 +410,7 @@ def estimate_mse(estimator, spec, n, p, samples_per_batch, batches, seed):
             raise ValueError("unknown estimator id %r (known: %s)"
                              % (estimator, ", ".join(sorted(ESTIMATORS))))
         factory = ESTIMATORS[estimator]
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer, got %r" % (n,))
+    n = _check_n(n)
     samples_per_batch = int(samples_per_batch)
     batches = int(batches)
     if samples_per_batch < 1 or batches < 1:

@@ -207,6 +207,24 @@ def test_simulate_sim2_runs(tmp_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_beyond_incomplete_beta_range_is_input_error(
+        tmp_path, capsys, threads):
+    # two cells, so that at --threads 2 the error comes back from a worker
+    data = {"specs": ["Normal(m=0, sd=1)", "Beta(a=1000000, b=1000000)"],
+            "sample_sizes": [5], "p_grid": [0.5], "samples_per_batch": 2,
+            "batches": 1}
+    cfg = tmp_path / "cfg2.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out2.csv"
+    assert main(["simulate", "--kind", "sim2", "--config", str(cfg),
+                 "--out", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot simulate ")
+    assert "did not converge" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_simulate_config_errors(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

@@ -1,13 +1,17 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
 import json
 import math
+import multiprocessing
 import random
+import threading
 from pathlib import Path
 
 import pytest
 
+from trimq import simulation
 from trimq import (
     ESTIMATORS,
     ConfigError,
@@ -201,8 +205,11 @@ def test_estimate_mse_validation():
     with pytest.raises(ValueError):
         estimate_mse("hf7", spec, 5, 0.5, 0, 3, 0)
     for eid in ESTIMATORS:
-        with pytest.raises(ValueError, match="n must be"):
-            estimate_mse(eid, spec, 0, 0.5, 8, 3, 0)
+        for n in (0, 2.5, True, math.nan, "10"):
+            with pytest.raises(ValueError, match="n must be"):
+                estimate_mse(eid, spec, n, 0.5, 8, 3, 0)
+        assert (estimate_mse(eid, spec, 10.0, 0.5, 8, 3, 0)
+                == estimate_mse(eid, spec, 10, 0.5, 8, 3, 0))
 
 
 def test_sim2_row_grid_order_and_labels():
@@ -228,8 +235,9 @@ def test_sim2_deterministic_and_thread_invariant():
 
 
 def test_sim2_inverted_families_thread_invariant():
-    # Beta and Student variates bisect through the incomplete beta from two
-    # threads at once; its shape caches must not leak between them
+    # Beta and Student variates bisect through the incomplete beta, whose
+    # shape caches each worker process fills on its own; 1 and 2 workers
+    # must still give the same bytes
     cfg = _sim2_cfg(specs=["Beta(a=2, b=4)", "Student(df=3)",
                            "Beta(a=2, b=10)"],
                     sample_sizes=[5, 12], p_grid=[0.1, 0.5, 0.9],
@@ -238,6 +246,69 @@ def test_sim2_inverted_families_thread_invariant():
     assert run_sim2(cfg, threads=2).to_csv() == one
     assert hashlib.sha256(one.encode("utf-8")).hexdigest() == (
         "11a1d4ee1775638142f509ef792db0a4cda67582399b163d55cb7293c028edc5")
+
+
+def test_more_workers_than_chunks_give_the_same_bytes():
+    cfg2 = _sim2_cfg(specs=[NORMAL], p_grid=[0.25, 0.5])  # two cells
+    assert (run_sim2(cfg2, threads=8).to_csv()
+            == run_sim2(cfg2, threads=1).to_csv())
+    cfg1 = _sim1_cfg(replications=600)  # two chunks of replications
+    assert (run_sim1(cfg1, threads=8).to_csv()
+            == run_sim1(cfg1, threads=1).to_csv())
+
+
+class _InlinePool:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="worker processes need the fork start method")
+def test_worker_count_is_capped_by_chunks(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(simulation, "_TASK", None)
+    cfg2 = _sim2_cfg(specs=[NORMAL], p_grid=[0.25, 0.5])
+    want = run_sim2(cfg2).to_csv()
+    assert _InlinePool.sizes == []  # one worker runs in-process
+    assert run_sim2(cfg2, threads=8).to_csv() == want
+    run_sim2(_sim2_cfg(), threads=3)  # four cells
+    run_sim1(_sim1_cfg(replications=600), threads=8)  # two chunks
+    run_sim1(_sim1_cfg(), threads=8)  # one chunk: in-process
+    assert _InlinePool.sizes == [2, 3, 2]
+
+
+def test_process_with_other_threads_does_not_fork(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    other.start()
+    try:
+        cfg2 = _sim2_cfg(specs=[NORMAL], p_grid=[0.25, 0.5])
+        assert (run_sim2(cfg2, threads=2).to_csv()
+                == run_sim2(cfg2).to_csv())
+    finally:
+        release.set()
+        other.join(10.0)
+    assert not other.is_alive()
+    assert _InlinePool.sizes == []
 
 
 @pytest.mark.parametrize("threads", [0, -3])
