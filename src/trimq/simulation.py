@@ -296,7 +296,13 @@ def _run_task(index):
     return worker(chunks[index])
 
 
-def _run_chunks(worker, chunks, threads):
+def _run_chunks(worker, chunks, threads, cost):
+    """[worker(c) for c in chunks], on up to `threads` worker processes.
+
+    `cost(chunk)` ranks chunks by their expected run time.  The pool takes
+    the costliest first, so the tasks left when a worker runs dry are the
+    short ones and the other worker does not idle through a long one.
+    """
     if threads < 1:
         raise ValueError("threads must be a positive integer, got %r"
                          % (threads,))
@@ -308,6 +314,8 @@ def _run_chunks(worker, chunks, threads):
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
+            order = sorted(range(len(chunks)),
+                           key=lambda i: cost(chunks[i]), reverse=True)
             # fork hands the closures to the workers without pickling them;
             # only chunk indices go out and results come back
             with ProcessPoolExecutor(
@@ -315,7 +323,10 @@ def _run_chunks(worker, chunks, threads):
                     mp_context=multiprocessing.get_context("fork"),
                     initializer=_install_task,
                     initargs=(worker, chunks)) as pool:
-                return list(pool.map(_run_task, range(len(chunks))))
+                results = [None] * len(chunks)
+                for i, result in zip(order, pool.map(_run_task, order)):
+                    results[i] = result
+                return results
     return [worker(c) for c in chunks]
 
 
@@ -336,7 +347,8 @@ def run_sim1(config, threads=1):
 
     reps = config.replications
     chunks = [(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
-    per_rep = [row for part in _run_chunks(block, chunks, threads)
+    per_rep = [row for part in _run_chunks(block, chunks, threads,
+                                           cost=lambda b: b[1] - b[0])
                for row in part]
 
     estimates = {}
@@ -394,7 +406,10 @@ def run_sim2(config, threads=1):
 
     cells = [(spec, n, p) for spec in config.specs
              for n in config.sample_sizes for p in config.p_grid]
-    return EfficiencyReport(tuple(_run_chunks(cell_row, cells, threads)))
+    # a cell's time grows with its sample size: n draws, sorts and sums
+    # for each of its samples_per_batch * batches samples
+    return EfficiencyReport(tuple(_run_chunks(cell_row, cells, threads,
+                                              cost=lambda cell: cell[1])))
 
 
 def estimate_mse(estimator, spec, n, p, samples_per_batch, batches, seed):

@@ -261,6 +261,7 @@ class _InlinePool:
     """Stands in for the process pool: records its size, runs in-process."""
 
     sizes = []
+    orders = []
 
     def __init__(self, max_workers, mp_context, initializer, initargs):
         self.sizes.append(max_workers)
@@ -273,6 +274,8 @@ class _InlinePool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.orders.append(items)
         return map(fn, items)
 
 
@@ -282,6 +285,7 @@ def test_worker_count_is_capped_by_chunks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "orders", [])
     monkeypatch.setattr(simulation, "_TASK", None)
     cfg2 = _sim2_cfg(specs=[NORMAL], p_grid=[0.25, 0.5])
     want = run_sim2(cfg2).to_csv()
@@ -293,10 +297,28 @@ def test_worker_count_is_capped_by_chunks(monkeypatch):
     assert _InlinePool.sizes == [2, 3, 2]
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="worker processes need the fork start method")
+def test_pool_takes_the_largest_cells_first(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    monkeypatch.setattr(_InlinePool, "orders", [])
+    monkeypatch.setattr(simulation, "_TASK", None)
+    # cells run spec by spec, n = 5 before n = 20 within each spec
+    cfg = _sim2_cfg(sample_sizes=[5, 20], p_grid=[0.5])
+    want = run_sim2(cfg).to_csv()
+    assert run_sim2(cfg, threads=2).to_csv() == want
+    assert _InlinePool.orders == [[1, 3, 0, 2]]
+    # equal replication chunks keep their order
+    run_sim1(_sim1_cfg(replications=600), threads=2)
+    assert _InlinePool.orders[1] == [0, 1]
+
+
 def test_process_with_other_threads_does_not_fork(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "orders", [])
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10.0,))
     other.start()
