@@ -14,7 +14,7 @@ import math
 import sys
 import time
 
-from . import __version__
+from . import __version__, _checks
 from .estimators import Sample, hd_quantile, hf7_quantile, thd_quantile
 from .hdi import beta_hdi
 from .simulation import (ConfigError, Sim1Config, Sim2Config, run_sim1,
@@ -81,10 +81,12 @@ def _build_parser():
 
 def _read_numbers(path):
     if path == "-":
-        lines = sys.stdin.readlines()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        return _parse_numbers(sys.stdin)
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_numbers(fh)
+
+
+def _parse_numbers(lines):
     values = []
     for lineno, line in enumerate(lines, 1):
         for token in line.split():
@@ -101,28 +103,16 @@ def _read_numbers(path):
 
 def _cmd_estimate(args):
     try:
-        probs = [float(tok) for tok in args.p.split(",") if tok.strip()]
-    except ValueError:
-        return _fail(2, "--p expects comma-separated numbers, got %r"
-                     % args.p)
+        probs = [_checks.fraction(tok, "--p")
+                 for tok in args.p.split(",") if tok.strip()]
+        width = (None if args.width == "auto"
+                 else _checks.fraction(args.width, "--width", "(0, 1]"))
+    except ValueError as exc:
+        return _fail(2, str(exc))
     if not probs:
         return _fail(2, "--p expects at least one probability")
-    for p in probs:
-        if not 0.0 <= p <= 1.0:
-            return _fail(2, "--p values must lie in [0, 1], got %s" % _fmt(p))
-
-    if args.width == "auto":
-        width = None
-    else:
-        try:
-            width = float(args.width)
-        except ValueError:
-            return _fail(2, "--width expects a number or 'auto', got %r"
-                         % args.width)
-        if args.method != "thd":
-            return _fail(2, "--width applies only to the thd method")
-        if not (math.isfinite(width) and 0.0 < width <= 1.0):
-            return _fail(2, "--width must lie in (0, 1], got %s" % args.width)
+    if width is not None and args.method != "thd":
+        return _fail(2, "--width applies only to the thd method")
 
     try:
         values = _read_numbers(args.path)
@@ -152,7 +142,8 @@ def _cmd_estimate(args):
 
 def _cmd_hdi(args):
     try:
-        interval = beta_hdi(BetaParams(args.alpha, args.beta), args.width)
+        interval = beta_hdi(BetaParams(args.alpha, args.beta),
+                            _checks.fraction(args.width, "--width", "(0, 1]"))
     except ValueError as exc:
         return _fail(2, str(exc))
     print("%s,%s,%s" % (_fmt(interval.lower), _fmt(interval.upper),
@@ -161,8 +152,10 @@ def _cmd_hdi(args):
 
 
 def _cmd_simulate(args):
-    if args.threads < 1:
-        return _fail(2, "--threads must be a positive integer")
+    try:
+        _checks.integer(args.threads, "--threads", 1)
+    except ValueError as exc:
+        return _fail(2, str(exc))
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

@@ -12,6 +12,7 @@ normal quantile) and therefore consumes exactly two uniforms per variate.
 import math
 import re
 
+from . import _checks
 from .backend import kernels as _k
 
 __all__ = ["DistributionSpec", "true_quantile", "sample"]
@@ -116,9 +117,8 @@ class DistributionSpec:
         if self.kind == "Triangular" and not prm["a"] <= prm["c"] <= prm["b"]:
             raise ValueError("Triangular requires a <= c <= b, got c=%g"
                              % prm["c"])
-        if self.kind == "ContaminatedNormal" and not 0.0 <= prm["epsilon"] <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1], got %g"
-                             % prm["epsilon"])
+        if self.kind == "ContaminatedNormal":
+            _checks.fraction(prm["epsilon"], "epsilon")
 
     @classmethod
     def parse(cls, text):
@@ -285,17 +285,13 @@ def true_quantile(spec, p):
     contaminated normal invert their CDFs by bisection (the Student CDF
     comes from the incomplete-beta relation).
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1), got %r" % (p,))
-    return _QUANTILES[spec.kind](spec.params, p)
+    return _QUANTILES[spec.kind](spec.params,
+                                 _checks.fraction(p, "p", "(0, 1)"))
 
 
 def sample(spec, rng, count):
     """Draw `count` variates from the given distribution on `rng`."""
-    count = int(count)
-    if count < 0:
-        raise ValueError("count must be non-negative, got %r" % (count,))
+    count = _checks.integer(count, "count", 0)
     prm = spec.params
     if spec.kind == "ContaminatedNormal":
         eps, sigma = prm["epsilon"], prm["sigma"]

@@ -21,8 +21,9 @@ import math
 import operator
 from dataclasses import dataclass
 
+from . import _checks
 from .backend import kernels as _k
-from .hdi import HdiCase, _check_width, beta_hdi
+from .hdi import HdiCase, beta_hdi
 from .special import BetaParams
 
 __all__ = [
@@ -83,13 +84,6 @@ def _as_sample(sample):
     return sample if isinstance(sample, Sample) else Sample(sample)
 
 
-def _check_p(p):
-    p = float(p)
-    if not (0.0 <= p <= 1.0):  # also rejects NaN
-        raise ValueError("p must lie in [0, 1], got %r" % (p,))
-    return p
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Per-order-statistic weights summing to 1.
@@ -143,7 +137,7 @@ def _sqrt_width(n):
 def hf7_quantile(sample, p):
     """Linear-interpolation quantile at h = (n-1)p + 1 (1-based)."""
     sample = _as_sample(sample)
-    p = _check_p(p)
+    p = _checks.fraction(p, "p")
     return _hf7(sample.n, p)(sample.values)
 
 
@@ -151,20 +145,9 @@ def _shape_params(n, p):
     return BetaParams((n + 1) * p, (n + 1) * (1.0 - p))
 
 
-def _check_n(n):
-    # int() alone would floor 2.5 to 2 and read True as 1
-    try:
-        k = int(n)
-    except (TypeError, ValueError, OverflowError):
-        k = 0
-    if isinstance(n, bool) or k != n or k < 1:
-        raise ValueError("n must be a positive integer, got %r" % (n,))
-    return k
-
-
 def _check_np(n, p):
-    n = _check_n(n)
-    p = _check_p(p)
+    n = _checks.integer(n, "n", 1)
+    p = _checks.fraction(p, "p")
     if p == 0.0 or p == 1.0:
         # Beta((n+1)p, (n+1)(1-p)) degenerates at the boundary; quantile
         # callers short-circuit to the sample min/max instead.
@@ -256,10 +239,10 @@ def thd_quantile(sample, p, width=None):
     to a window of roughly sqrt(n) order statistics.
     """
     sample = _as_sample(sample)
-    p = _check_p(p)
+    p = _checks.fraction(p, "p")
     if width is not None:
         # checked here too: p = 0 and p = 1 return before any interval
-        width = _check_width(width)
+        width = _checks.fraction(width, "width", "(0, 1]")
     x = sample.values
     if p == 0.0:
         return x[0]

@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from . import _checks
 from .backend import kernels as _k
 
 __all__ = ["HdiCase", "HdiInterval", "beta_mode", "beta_hdi"]
@@ -83,13 +84,6 @@ def _middle_lower(a, b, width, mode):
     return _k.hdi_middle_lower(a, b, width, lo, hi)
 
 
-def _check_width(width):
-    width = float(width)
-    if not math.isfinite(width) or width <= 0.0 or width > 1.0:
-        raise ValueError("width must lie in (0, 1], got %r" % (width,))
-    return width
-
-
 def beta_hdi(params, width):
     """Highest-density interval of width `width` for Beta(params).
 
@@ -98,8 +92,7 @@ def beta_hdi(params, width):
     only beta <= 1 -> [1-width, 1]; width > 1 - 1e-9 -> [0, 1] FULL_RANGE;
     otherwise the unique interior interval with balanced endpoint densities.
     """
-
-    width = _check_width(width)
+    width = _checks.fraction(width, "width", "(0, 1]")
     a = params.alpha
     b = params.beta
     case, mode = _shape_case(a, b)

@@ -9,6 +9,7 @@ independent streams as there are 64-bit ids.
 
 from dataclasses import dataclass
 
+from . import _checks
 from .backend import kernels as _k
 
 __all__ = ["RngStream", "fnv1a64"]
@@ -22,18 +23,16 @@ class RngStream:
     stream_id: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _M64)
-        object.__setattr__(self, "stream_id", int(self.stream_id) & _M64)
+        seed = _checks.integer(self.seed, "seed")
+        stream_id = _checks.integer(self.stream_id, "stream_id")
+        object.__setattr__(self, "seed", seed & _M64)
+        object.__setattr__(self, "stream_id", stream_id & _M64)
 
     def uniforms(self, count, start=0):
         """`count` doubles strictly inside (0, 1), starting at draw `start`."""
-        count = int(count)
-        if count < 0:
-            raise ValueError("count must be non-negative, got %r" % (count,))
-        start = int(start)
-        if start < 0:
-            raise ValueError("start must be non-negative, got %r" % (start,))
-        return _k.fill_uniforms(self.seed, self.stream_id, start, count)
+        return _k.fill_uniforms(self.seed, self.stream_id,
+                                _checks.integer(start, "start", 0),
+                                _checks.integer(count, "count", 0))
 
 
 def fnv1a64(text):

@@ -24,15 +24,18 @@ reassembled in a fixed order, so the worker count never changes the output.
 """
 
 import csv
+import dataclasses
+import functools
 import io
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
 
+from . import _checks
 from .distributions import DistributionSpec, sample, true_quantile
-from .estimators import (_check_n, _hf7, _sqrt_width, _weighted_sum,
-                         hd_weights, thd_weights)
+from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
+                         thd_weights)
 from .rng import RngStream, fnv1a64
 
 __all__ = [
@@ -68,163 +71,119 @@ ESTIMATORS = {
 
 # ---------------------------------------------------------------------------
 # configs
-
-def _fail(path, message, value):
-    raise ConfigError("%s: %s, got %r" % (path, message, value))
-
+#
+# Each config field declares its rule once, as a converter(value, path) in
+# its metadata; a converter returns the value the run uses or raises
+# ValueError with a message that starts with the field's path.
 
 def _as_spec(value, path):
     if isinstance(value, DistributionSpec):
         return value
     if not isinstance(value, str):
-        _fail(path, "expected a distribution spec string", value)
+        raise ValueError("%s must be a distribution spec string, got %r"
+                         % (path, value))
     try:
         return DistributionSpec.parse(value)
     except ValueError as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from None
-
-
-def _as_pos_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        _fail(path, "expected a positive integer", value)
-    return value
-
-
-def _as_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, "expected an integer", value)
-    return value
-
-
-def _as_prob(value, path, closed=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, "expected a number", value)
-    value = float(value)
-    if closed:
-        if not 0.0 <= value <= 1.0:
-            _fail(path, "expected a probability in [0, 1]", value)
-    elif not 0.0 < value < 1.0:
-        _fail(path, "expected a probability in (0, 1)", value)
-    return value
-
-
-def _as_list(value, path):
-    if not isinstance(value, (list, tuple)) or not value:
-        _fail(path, "expected a non-empty list", value)
-    return value
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _as_estimator_id(value, path):
-    if value not in ESTIMATORS:
-        _fail(path, "unknown estimator id (known: %s)"
-              % ", ".join(sorted(ESTIMATORS)), value)
+    if not isinstance(value, str) or value not in ESTIMATORS:
+        raise ValueError("%s must be an estimator id (known: %s), got %r"
+                         % (path, ", ".join(sorted(ESTIMATORS)), value))
     return value
 
 
-def _check_fields(data, known, what):
+def _as_roles(value, path):
+    if not isinstance(value, dict) or set(value) != set(_ROLES):
+        raise ValueError("%s must be an object with exactly the keys %s, "
+                         "got %r" % (path, ", ".join(_ROLES), value))
+    return {role: _as_estimator_id(value[role], "%s.%s" % (path, role))
+            for role in _ROLES}
+
+
+def _as_odd_count(value, path):
+    count = _checks.integer(value, path, 1)
+    if count % 2 == 0:
+        raise ValueError("%s must be odd so that the median batch is unique, "
+                         "got %d" % (path, count))
+    return count
+
+
+_as_count = functools.partial(_checks.integer, low=1)
+_as_open_prob = functools.partial(_checks.fraction, interval="(0, 1)")
+
+
+def _each(convert):
+    """The converter of a non-empty list whose items `convert` takes."""
+    def convert_all(value, path):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError("%s must be a non-empty list, got %r"
+                             % (path, value))
+        return tuple(convert(v, "%s[%d]" % (path, i))
+                     for i, v in enumerate(value))
+    return convert_all
+
+
+def _field(convert, **default):
+    return field(metadata={"convert": convert}, **default)
+
+
+def _from_dict(cls, data):
+    """`cls` from a JSON object, each field through the converter it
+    declares; the fields without a default are required."""
+    fields = dataclasses.fields(cls)
     if not isinstance(data, dict):
-        raise ConfigError("%s config must be a JSON object, got %r"
-                          % (what, type(data).__name__))
+        raise ConfigError("%s must be a JSON object, got %r"
+                          % (cls.__name__, type(data).__name__))
+    known = {f.name for f in fields}
     for key in data:
         if key not in known:
             raise ConfigError("%s: unknown field (known: %s)"
                               % (key, ", ".join(sorted(known))))
+    kwargs = {}
+    for f in fields:
+        if f.name in data:
+            try:
+                kwargs[f.name] = f.metadata["convert"](data[f.name], f.name)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError("%s: required field is missing" % f.name)
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class Sim1Config:
-    spec: DistributionSpec
-    sample_size: int
-    replications: int
-    p_estimated: float
-    report_quantiles: tuple = (0.0, 0.01, 0.02, 0.03, 0.04,
-                               0.96, 0.97, 0.98, 0.99, 1.0)
-    estimators: tuple = ("hf7", "hd", "thd-sqrt")
-    seed: int = 0
+    spec: DistributionSpec = _field(_as_spec)
+    sample_size: int = _field(_as_count)
+    replications: int = _field(_as_count)
+    p_estimated: float = _field(_as_open_prob)
+    report_quantiles: tuple = _field(
+        _each(_checks.fraction),
+        default=(0.0, 0.01, 0.02, 0.03, 0.04, 0.96, 0.97, 0.98, 0.99, 1.0))
+    estimators: tuple = _field(_each(_as_estimator_id),
+                               default=("hf7", "hd", "thd-sqrt"))
+    seed: int = _field(_checks.integer, default=0)
 
-    @classmethod
-    def from_dict(cls, data):
-        _check_fields(data, {"spec", "sample_size", "replications",
-                             "p_estimated", "report_quantiles", "estimators",
-                             "seed"}, "sim1")
-        missing = [k for k in ("spec", "sample_size", "replications",
-                               "p_estimated") if k not in data]
-        if missing:
-            raise ConfigError("%s: required field is missing" % missing[0])
-        kwargs = {
-            "spec": _as_spec(data["spec"], "spec"),
-            "sample_size": _as_pos_int(data["sample_size"], "sample_size"),
-            "replications": _as_pos_int(data["replications"], "replications"),
-            "p_estimated": _as_prob(data["p_estimated"], "p_estimated"),
-        }
-        if "report_quantiles" in data:
-            raw = _as_list(data["report_quantiles"], "report_quantiles")
-            kwargs["report_quantiles"] = tuple(
-                _as_prob(v, "report_quantiles[%d]" % i, closed=True)
-                for i, v in enumerate(raw))
-        if "estimators" in data:
-            raw = _as_list(data["estimators"], "estimators")
-            kwargs["estimators"] = tuple(
-                _as_estimator_id(v, "estimators[%d]" % i)
-                for i, v in enumerate(raw))
-        if "seed" in data:
-            kwargs["seed"] = _as_int(data["seed"], "seed")
-        return cls(**kwargs)
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)
 class Sim2Config:
-    specs: tuple
-    sample_sizes: tuple
-    p_grid: tuple
-    samples_per_batch: int
-    batches: int
-    seed: int = 0
+    specs: tuple = _field(_each(_as_spec))
+    sample_sizes: tuple = _field(_each(_as_count))
+    p_grid: tuple = _field(_each(_as_open_prob))
+    samples_per_batch: int = _field(_as_count)
+    batches: int = _field(_as_odd_count)
+    seed: int = _field(_checks.integer, default=0)
     # role -> estimator id; swapping ids in (or repeating one) lets the same
     # harness compute self-efficiency and ablations
-    estimators: dict = field(default_factory=lambda: {
+    estimators: dict = _field(_as_roles, default_factory=lambda: {
         "hf7": "hf7", "hd": "hd", "thd": "thd-sqrt"})
 
-    @classmethod
-    def from_dict(cls, data):
-        _check_fields(data, {"specs", "sample_sizes", "p_grid",
-                             "samples_per_batch", "batches", "estimators",
-                             "seed"}, "sim2")
-        missing = [k for k in ("specs", "sample_sizes", "p_grid",
-                               "samples_per_batch", "batches")
-                   if k not in data]
-        if missing:
-            raise ConfigError("%s: required field is missing" % missing[0])
-        batches = _as_pos_int(data["batches"], "batches")
-        if batches % 2 == 0:
-            raise ConfigError(
-                "batches: expected an odd count so the median batch is "
-                "unique, got %d" % batches)
-        kwargs = {
-            "specs": tuple(_as_spec(v, "specs[%d]" % i) for i, v in
-                           enumerate(_as_list(data["specs"], "specs"))),
-            "sample_sizes": tuple(
-                _as_pos_int(v, "sample_sizes[%d]" % i) for i, v in
-                enumerate(_as_list(data["sample_sizes"], "sample_sizes"))),
-            "p_grid": tuple(
-                _as_prob(v, "p_grid[%d]" % i) for i, v in
-                enumerate(_as_list(data["p_grid"], "p_grid"))),
-            "samples_per_batch": _as_pos_int(data["samples_per_batch"],
-                                             "samples_per_batch"),
-            "batches": batches,
-        }
-        if "seed" in data:
-            kwargs["seed"] = _as_int(data["seed"], "seed")
-        if "estimators" in data:
-            raw = data["estimators"]
-            if not isinstance(raw, dict) or set(raw) != set(_ROLES):
-                raise ConfigError(
-                    "estimators: expected an object with exactly the keys "
-                    "hf7, hd, thd, got %r" % (raw,))
-            kwargs["estimators"] = {
-                role: _as_estimator_id(raw[role], "estimators.%s" % role)
-                for role in _ROLES}
-        return cls(**kwargs)
+    from_dict = classmethod(_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +262,7 @@ def _run_chunks(worker, chunks, threads, cost):
     the costliest first, so the tasks left when a worker runs dry are the
     short ones and the other worker does not idle through a long one.
     """
-    if threads < 1:
-        raise ValueError("threads must be a positive integer, got %r"
-                         % (threads,))
-    workers = min(threads, len(chunks))
+    workers = min(_checks.integer(threads, "threads", 1), len(chunks))
     # a fork copies no thread but the caller's, nor releases the locks the
     # others hold, so a process with other threads runs the loops itself
     if workers > 1 and threading.active_count() == 1:
@@ -418,20 +374,11 @@ def estimate_mse(estimator, spec, n, p, samples_per_batch, batches, seed):
     `estimator` is an id from ESTIMATORS or a factory callable(n, p) that
     returns an estimate callable over sorted values.
     """
-    if callable(estimator):
-        factory = estimator
-    else:
-        if estimator not in ESTIMATORS:
-            raise ValueError("unknown estimator id %r (known: %s)"
-                             % (estimator, ", ".join(sorted(ESTIMATORS))))
-        factory = ESTIMATORS[estimator]
-    n = _check_n(n)
-    samples_per_batch = int(samples_per_batch)
-    batches = int(batches)
-    if samples_per_batch < 1 or batches < 1:
-        raise ValueError("samples_per_batch and batches must be positive")
-    if batches % 2 == 0:
-        raise ValueError("batches must be odd so the median batch is unique")
+    factory = (estimator if callable(estimator)
+               else ESTIMATORS[_as_estimator_id(estimator, "estimator")])
+    n = _as_count(n, "n")
+    samples_per_batch = _as_count(samples_per_batch, "samples_per_batch")
+    batches = _as_odd_count(batches, "batches")
     mse = _mse_cell(spec, n, p, [("est", factory(n, p))], samples_per_batch,
                     batches, seed)
     return mse["est"]

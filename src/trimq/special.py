@@ -8,6 +8,7 @@ parameters in the thousands neither overflow nor underflow.
 import math
 from dataclasses import dataclass
 
+from . import _checks
 from .backend import kernels as _k
 
 __all__ = [
@@ -55,13 +56,6 @@ def log_beta(params):
     return _k.log_beta(params.alpha, params.beta)
 
 
-def _check_unit_interval(x, what):
-    x = float(x)
-    if not (0.0 <= x <= 1.0):  # also rejects NaN
-        raise ValueError("%s must lie in [0, 1], got %r" % (what, x))
-    return x
-
-
 def beta_pdf(x, params):
     """Beta density at x.
 
@@ -69,7 +63,7 @@ def beta_pdf(x, params):
     the finite uniform-edge value when the shape is exactly 1; +inf when the
     density genuinely diverges (shape < 1).
     """
-    x = _check_unit_interval(x, "x")
+    x = _checks.fraction(x, "x")
     return _k.beta_pdf(x, params.alpha, params.beta)
 
 
@@ -81,5 +75,5 @@ def regularized_incomplete_beta(x, params):
     A hit on the internal iteration cap raises ArithmeticError rather than
     returning a silently wrong value.
     """
-    x = _check_unit_interval(x, "x")
+    x = _checks.fraction(x, "x")
     return _k.reg_inc_beta(x, params.alpha, params.beta)

@@ -86,6 +86,24 @@ def test_estimate_rejects_bad_p(sample_file, capsys):
     assert main(["estimate", sample_file, "--p", ","]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--p", "1.5"), ("--width", "1.5"), ("--width", "x"), ("--threads", "0"),
+])
+def test_bad_flag_gives_one_error_line_naming_it(sample_file, tmp_path,
+                                                 capsys, flag, value):
+    if flag == "--threads":
+        argv = ["simulate", "--kind", "sim1", "--config",
+                _sim1_config_file(tmp_path), "--out", str(tmp_path / "x.csv")]
+    else:
+        argv = ["estimate", sample_file]
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: %s " % flag)
+
+
 def test_estimate_names_offending_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1.0\ntwo\n3.0\n")
@@ -170,7 +188,8 @@ def test_simulate_sim1_writes_csv_and_summary(tmp_path, capsys):
     assert "wrote 30 rows" in captured.err
     text = out.read_text()
     assert text.splitlines()[0] == "report_quantile,estimator,value"
-    want = run_sim1(Sim1Config.from_dict(json.loads(open(cfg).read())))
+    with open(cfg) as fh:
+        want = run_sim1(Sim1Config.from_dict(json.load(fh)))
     assert text == want.to_csv()
 
 

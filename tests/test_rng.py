@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from trimq import RngStream, fnv1a64
+from trimq import DistributionSpec, RngStream, fnv1a64, sample
 
 
 def test_streams_are_deterministic():
@@ -48,6 +50,26 @@ def test_count_validation():
         s.uniforms(-1)
     with pytest.raises(ValueError):
         s.uniforms(4, start=-2)
+
+
+# each takes the count under test as c; int() would have floored 2.5 to 2,
+# read True as 1 and parsed "3"
+_COUNTED = {
+    "sample": lambda c: sample(DistributionSpec.parse("Exp(rate=2)"),
+                               RngStream(5, 9), c),
+    "uniforms": lambda c: RngStream(5, 9).uniforms(c),
+    "start": lambda c: RngStream(5, 9).uniforms(1, start=c),
+    "seed": lambda c: RngStream(c, 0).uniforms(4),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_COUNTED))
+def test_counts_are_integers_not_truncated(call):
+    draw = _COUNTED[call]
+    for bad in (2.5, True, math.nan, "3"):
+        with pytest.raises(ValueError):
+            draw(bad)
+    assert draw(3.0) == draw(3)
 
 
 def test_fnv1a64_known_vectors():

@@ -204,6 +204,10 @@ def test_estimate_mse_validation():
         estimate_mse("hf7", spec, 5, 0.5, 8, 4, 0)  # even batch count
     with pytest.raises(ValueError):
         estimate_mse("hf7", spec, 5, 0.5, 0, 3, 0)
+    # int() would run 2.5 as 2 samples, True as 1 and 3.7 as 3 batches
+    for spb, batches in [(2.5, 3), (True, 3), (8, 3.7)]:
+        with pytest.raises(ValueError):
+            estimate_mse("hf7", spec, 5, 0.5, spb, batches, 0)
     for eid in ESTIMATORS:
         for n in (0, 2.5, True, math.nan, "10"):
             with pytest.raises(ValueError, match="n must be"):
