@@ -175,12 +175,18 @@ def test_estimate_mse_constant_estimator_bias_squared():
     assert abs(mse - theta * theta) <= 1e-15
 
 
-def test_estimate_mse_matches_naive_recomputation():
-    spec = DistributionSpec.parse(NORMAL)
-    got = estimate_mse("hf7", spec, 6, 0.25, samples_per_batch=20, batches=5,
+@pytest.mark.parametrize("text,eid,n,p,spb", [
+    (NORMAL, "hf7", 6, 0.25, 20),
+    ("ContaminatedNormal(epsilon=0.1, sigma=1, c=400)", "thd-sqrt", 7, 0.5,
+     12),
+    ("Student(df=3)", "hd", 5, 0.9, 6),
+])
+def test_estimate_mse_matches_naive_recomputation(text, eid, n, p, spb):
+    spec = DistributionSpec.parse(text)
+    got = estimate_mse(eid, spec, n, p, samples_per_batch=spb, batches=5,
                        seed=11)
-    want = naive_mse(lambda xs: hf7_quantile(list(xs), 0.25), spec, 6, 0.25,
-                     20, 5, 11)
+    want = naive_mse(lambda xs: _PUBLIC[eid](list(xs), p), spec, n, p, spb,
+                     5, 11)
     assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
@@ -250,6 +256,28 @@ def test_sim2_inverted_families_thread_invariant():
     assert run_sim2(cfg, threads=2).to_csv() == one
     assert hashlib.sha256(one.encode("utf-8")).hexdigest() == (
         "11a1d4ee1775638142f509ef792db0a4cda67582399b163d55cb7293c028edc5")
+
+
+# one spec per family, none at its default parameters; Triangular's mode
+# sits off centre so both of its branches are drawn
+ALL_FAMILIES = [
+    "Uniform(a=-1, b=3)", "Triangular(a=0, b=2, c=0.2)", "Beta(a=0.5, b=3)",
+    "Normal(m=1, sd=2)", "Weibull(scale=2, shape=0.5)", "Student(df=2.5)",
+    "Gumbel(loc=1, scale=2)", "Exp(rate=3)", "Cauchy(x0=1, gamma=0.5)",
+    "Pareto(loc=2, shape=1.5)", "LogNormal(mlog=0.5, sdlog=1.5)",
+    "Frechet(shape=2)", "ContaminatedNormal(epsilon=0.1, sigma=2, c=100)",
+]
+
+
+def test_sim2_every_family_bytes_are_pinned():
+    # every family's sampler and true quantile through the cell loop, at
+    # an odd and an even n, and at 1 and 2 workers
+    cfg = _sim2_cfg(specs=ALL_FAMILIES, sample_sizes=[3, 8],
+                    p_grid=[0.1, 0.5, 0.9], samples_per_batch=5, seed=7)
+    one = run_sim2(cfg, threads=1).to_csv()
+    assert run_sim2(cfg, threads=2).to_csv() == one
+    assert hashlib.sha256(one.encode("utf-8")).hexdigest() == (
+        "6bea1823d9d7b28f18b23e77789e7883182c1e657dff17c0566701ad867c8c5f")
 
 
 def test_more_workers_than_chunks_give_the_same_bytes():
@@ -405,6 +433,8 @@ PRESET_DIGESTS = {
         "48c1f5ddf1d6f63e556882cdaca32f95f74dfaf868e7913dda1de734447a1e68",
     ("sim2", "sim2_hf7_self.json"):
         "d8261d15b721972166e39eb0a1288cb6162d8bf6d8fd7d41ec24abf900305e88",
+    ("sim2", "sim2_desk.json"):
+        "16cccc3184013ea705192f33de5d4e5acc67a6052cf6ddf9cdc7bf965da29b1a",
 }
 
 
