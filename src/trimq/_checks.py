@@ -5,7 +5,9 @@ or raises ValueError with a message that starts with `what`: the argument,
 config field or command-line flag being checked.
 """
 
-__all__ = ["fraction", "integer"]
+import math
+
+__all__ = ["fraction", "integer", "real"]
 
 # interval -> its test on a float; NaN fails every one
 _INTERVALS = {
@@ -22,20 +24,36 @@ _INTEGERS = {
 }
 
 
+def _float(value):
+    """`value` as float() reads it, or None: a string float() reads counts,
+    True and False do not."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def fraction(value, what, interval="[0, 1]"):
     """`value` as a float in `interval`, a key of _INTERVALS: p, x and
-    epsilon in [0, 1], a width in (0, 1], a config's p in (0, 1).  A string
-    that float() reads counts; True does not."""
-    if not isinstance(value, bool):
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if _INTERVALS[interval](x):
-                return x
-            value = x
-    raise ValueError("%s must lie in %s, got %r" % (what, interval, value))
+    epsilon in [0, 1], a width in (0, 1], a config's p in (0, 1)."""
+    x = _float(value)
+    if x is not None and _INTERVALS[interval](x):
+        return x
+    raise ValueError("%s must lie in %s, got %r"
+                     % (what, interval, value if x is None else x))
+
+
+def real(value, what, positive=False):
+    """`value` as a finite float, above 0 if `positive`: beta shapes, the
+    argument of log_gamma and distribution parameters."""
+    x = _float(value)
+    if x is not None and math.isfinite(x) and (x > 0.0 or not positive):
+        return x
+    raise ValueError("%s must be a finite %snumber, got %r"
+                     % (what, "positive " if positive else "",
+                        value if x is None else x))
 
 
 def integer(value, what, low=None):

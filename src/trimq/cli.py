@@ -142,7 +142,9 @@ def _cmd_estimate(args):
 
 def _cmd_hdi(args):
     try:
-        interval = beta_hdi(BetaParams(args.alpha, args.beta),
+        params = BetaParams(_checks.real(args.alpha, "--alpha", positive=True),
+                            _checks.real(args.beta, "--beta", positive=True))
+        interval = beta_hdi(params,
                             _checks.fraction(args.width, "--width", "(0, 1]"))
     except ValueError as exc:
         return _fail(2, str(exc))

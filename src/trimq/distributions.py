@@ -88,29 +88,24 @@ class DistributionSpec:
             if name not in known:
                 raise ValueError("unknown parameter %r for %s (expected %s)"
                                  % (name, canon, ", ".join(known)))
+        positive = _POSITIVE.get(canon, ())
         resolved = {}
         for name, default in fields:
             if name in params:
-                value = float(params[name])
+                resolved[name] = _checks.real(params[name],
+                                              "%s of %s" % (name, canon),
+                                              positive=name in positive)
             elif default is not None:
-                value = default
+                resolved[name] = default
             else:
                 raise ValueError("missing required parameter %r for %s"
                                  % (name, canon))
-            if not math.isfinite(value):
-                raise ValueError("parameter %s of %s must be finite, got %r"
-                                 % (name, canon, params[name]))
-            resolved[name] = value
         self.kind = canon
         self.params = resolved
         self._validate()
 
     def _validate(self):
         prm = self.params
-        for name in _POSITIVE.get(self.kind, ()):
-            if prm[name] <= 0.0:
-                raise ValueError("parameter %s of %s must be positive, got %g"
-                                 % (name, self.kind, prm[name]))
         if self.kind in ("Uniform", "Triangular") and not prm["a"] < prm["b"]:
             raise ValueError("%s requires a < b, got a=%g b=%g"
                              % (self.kind, prm["a"], prm["b"]))
@@ -197,68 +192,81 @@ def _invert_unbounded(cdf, p):
     return _bisect_cdf(cdf, p, lo, hi)
 
 
-def _q_uniform(prm, p):
-    return prm["a"] + (prm["b"] - prm["a"]) * p
+# Each family's inverse CDF as a factory: called with the family's
+# parameters, it returns q(p), with what does not depend on p worked out
+# once.
+
+def _q_uniform(a, b):
+    span = b - a
+    return lambda p: a + span * p
 
 
-def _q_triangular(prm, p):
-    a, b, c = prm["a"], prm["b"], prm["c"]
+def _q_triangular(a, b, c):
     split = (c - a) / (b - a)
-    if p < split:
-        return a + math.sqrt(p * (b - a) * (c - a))
-    return b - math.sqrt((1.0 - p) * (b - a) * (b - c))
+    ba, ca, bc = b - a, c - a, b - c
+
+    def q(p):
+        if p < split:
+            return a + math.sqrt(p * ba * ca)
+        return b - math.sqrt((1.0 - p) * ba * bc)
+    return q
 
 
-def _q_beta(prm, p):
-    a, b = prm["a"], prm["b"]
-    return _bisect_cdf(lambda x: _k.reg_inc_beta(x, a, b), p, 0.0, 1.0)
+def _q_beta(a, b):
+    def cdf(x):
+        return _k.reg_inc_beta(x, a, b)
+    return lambda p: _bisect_cdf(cdf, p, 0.0, 1.0)
 
 
-def _q_normal(prm, p):
-    return prm["m"] + prm["sd"] * _k.norm_quantile(p)
+def _q_normal(m, sd):
+    norm_quantile = _k.norm_quantile
+    return lambda p: m + sd * norm_quantile(p)
 
 
-def _q_weibull(prm, p):
-    return prm["scale"] * (-math.log1p(-p)) ** (1.0 / prm["shape"])
+def _q_weibull(scale, shape):
+    power = 1.0 / shape
+    return lambda p: scale * (-math.log1p(-p)) ** power
 
 
-def _q_student(prm, p):
-    df = prm["df"]
-    return _invert_unbounded(lambda t: _student_cdf(t, df), p)
+def _q_student(df):
+    def cdf(t):
+        return _student_cdf(t, df)
+    return lambda p: _invert_unbounded(cdf, p)
 
 
-def _q_gumbel(prm, p):
-    return prm["loc"] - prm["scale"] * math.log(-math.log(p))
+def _q_gumbel(loc, scale):
+    return lambda p: loc - scale * math.log(-math.log(p))
 
 
-def _q_exp(prm, p):
-    return -math.log1p(-p) / prm["rate"]
+def _q_exp(rate):
+    return lambda p: -math.log1p(-p) / rate
 
 
-def _q_cauchy(prm, p):
-    return prm["x0"] + prm["gamma"] * math.tan(math.pi * (p - 0.5))
+def _q_cauchy(x0, gamma):
+    return lambda p: x0 + gamma * math.tan(math.pi * (p - 0.5))
 
 
-def _q_pareto(prm, p):
-    return prm["loc"] * (1.0 - p) ** (-1.0 / prm["shape"])
+def _q_pareto(loc, shape):
+    power = -1.0 / shape
+    return lambda p: loc * (1.0 - p) ** power
 
 
-def _q_lognormal(prm, p):
-    return math.exp(prm["mlog"] + prm["sdlog"] * _k.norm_quantile(p))
+def _q_lognormal(mlog, sdlog):
+    norm_quantile = _k.norm_quantile
+    return lambda p: math.exp(mlog + sdlog * norm_quantile(p))
 
 
-def _q_frechet(prm, p):
-    return (-math.log(p)) ** (-1.0 / prm["shape"])
+def _q_frechet(shape):
+    power = -1.0 / shape
+    return lambda p: (-math.log(p)) ** power
 
 
-def _q_contaminated_normal(prm, p):
-    eps, sigma = prm["epsilon"], prm["sigma"]
-    wide = sigma * math.sqrt(prm["c"])
+def _q_contaminated_normal(epsilon, sigma, c):
+    wide = sigma * math.sqrt(c)
 
     def cdf(x):
-        return (1.0 - eps) * _phi(x / sigma) + eps * _phi(x / wide)
-
-    return _invert_unbounded(cdf, p)
+        return (1.0 - epsilon) * _phi(x / sigma) + epsilon * _phi(x / wide)
+    return lambda p: _invert_unbounded(cdf, p)
 
 
 _QUANTILES = {
@@ -285,22 +293,36 @@ def true_quantile(spec, p):
     contaminated normal invert their CDFs by bisection (the Student CDF
     comes from the incomplete-beta relation).
     """
-    return _QUANTILES[spec.kind](spec.params,
-                                 _checks.fraction(p, "p", "(0, 1)"))
+    q = _QUANTILES[spec.kind](**spec.params)
+    return q(_checks.fraction(p, "p", "(0, 1)"))
+
+
+def sampler(spec):
+    """(k, transform): each variate of `spec` takes k uniforms, and
+    transform(us) turns a list of k * count uniforms into `count` variates.
+
+    Built once per spec, so a caller that samples a spec many times looks
+    up its family and parameters once.  The contaminated normal takes two
+    uniforms per variate, the first picking the component and the second
+    feeding the normal quantile; every other family maps each uniform
+    through its inverse CDF.
+    """
+    if spec.kind == "ContaminatedNormal":
+        prm = spec.params
+        eps, sigma = prm["epsilon"], prm["sigma"]
+        wide = sigma * math.sqrt(prm["c"])
+        norm_quantile = _k.norm_quantile
+
+        def transform(us):
+            return [(wide if pick < eps else sigma) * norm_quantile(u)
+                    for pick, u in zip(us[::2], us[1::2])]
+        return 2, transform
+    q = _QUANTILES[spec.kind](**spec.params)
+    return 1, lambda us: list(map(q, us))
 
 
 def sample(spec, rng, count):
     """Draw `count` variates from the given distribution on `rng`."""
     count = _checks.integer(count, "count", 0)
-    prm = spec.params
-    if spec.kind == "ContaminatedNormal":
-        eps, sigma = prm["epsilon"], prm["sigma"]
-        wide = sigma * math.sqrt(prm["c"])
-        us = rng.uniforms(2 * count)
-        out = [0.0] * count
-        for i in range(count):
-            sd = wide if us[2 * i] < eps else sigma
-            out[i] = sd * _k.norm_quantile(us[2 * i + 1])
-        return out
-    q = _QUANTILES[spec.kind]
-    return [q(prm, u) for u in rng.uniforms(count)]
+    k, transform = sampler(spec)
+    return transform(rng.uniforms(k * count))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from . import _checks
 from .backend import kernels as _k
 
-__all__ = ["RngStream", "fnv1a64"]
+__all__ = ["RngStream", "fnv1a64", "seed_uniforms"]
 
 _M64 = (1 << 64) - 1
+_FNV_OFFSET = 0xCBF29CE484222325
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,25 @@ class RngStream:
                                 _checks.integer(count, "count", 0))
 
 
-def fnv1a64(text):
-    """FNV-1a 64-bit hash of a string, for deriving stream ids from labels."""
-    h = 0xCBF29CE484222325
+def seed_uniforms(seed):
+    """uniforms(stream_id, count) -> RngStream(seed, stream_id).uniforms(count)
+    for a stream id already in [0, 2**64), with the seed checked, masked
+    and mixed here, once for all of its streams."""
+    seed_mix = _k.mix_seed(_checks.integer(seed, "seed") & _M64)
+    draw = _k.stream_uniforms
+
+    def uniforms(stream_id, count):
+        return draw(seed_mix, stream_id, 0, count)
+    return uniforms
+
+
+def fnv1a64(text, h=_FNV_OFFSET):
+    """FNV-1a 64-bit hash of a string, for deriving stream ids from labels.
+
+    The hash is a left fold over the UTF-8 bytes that starts from `h`, the
+    offset basis unless given.  Starting from the hash of a prefix
+    continues it: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+    """
     for byte in text.encode("utf-8"):
         h ^= byte
         h = (h * 0x100000001B3) & _M64

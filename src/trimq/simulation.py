@@ -11,10 +11,15 @@ Two studies, both reproducible to the byte given a seed:
 * ``run_sim2``: relative efficiency against the HF7 baseline.  For each
   (distribution, n, p) cell, average squared error against the true
   quantile over batches of samples, take the median batch as the MSE, and
-  report eff = mse_hf7 / mse_estimator.  Stream ids are hashed from
-  (label, n, p, batch, sample), independent of estimator and scheduling,
+  report eff = mse_hf7 / mse_estimator.  Stream ids are the FNV-1a hash
+  of "label|n|p|batch|sample", independent of estimator and scheduling,
   so every estimator sees identical samples and the HF7 self-ratio is
-  exactly 1.
+  exactly 1.  The hash is a left fold, so a cell hashes "label|n|p|" once,
+  each batch continues it over "batch|", and each sample over "sample".
+
+Both studies draw a cell's samples through one routine built per cell or
+block, which looks up the family's sampler and mixes the seed once; per
+sample it derives the stream, draws, transforms and sorts.
 
 The ``threads`` argument counts worker processes.  Where the ``fork``
 start method exists and the calling process runs no other Python thread,
@@ -33,10 +38,10 @@ from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
 
 from . import _checks
-from .distributions import DistributionSpec, sample, true_quantile
+from .distributions import DistributionSpec, sampler, true_quantile
 from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
                          thd_weights)
-from .rng import RngStream, fnv1a64
+from .rng import fnv1a64, seed_uniforms
 
 __all__ = [
     "ConfigError",
@@ -286,6 +291,20 @@ def _run_chunks(worker, chunks, threads, cost):
     return [worker(c) for c in chunks]
 
 
+def _cell_sampler(spec, n, seed):
+    """draw(stream_id) -> sample(spec, RngStream(seed, stream_id), n), for
+    stream ids in [0, 2**64): the family's sampler is built and the seed
+    checked and mixed once, so per sample only the stream's own work is
+    left."""
+    k, transform = sampler(spec)
+    uniforms = seed_uniforms(seed)
+    count = k * n
+
+    def draw(stream_id):
+        return transform(uniforms(stream_id, count))
+    return draw
+
+
 def run_sim1(config, threads=1):
     """Run the robustness study; see the module docstring for the scheme."""
     spec = config.spec
@@ -295,9 +314,10 @@ def run_sim1(config, threads=1):
 
     def block(bounds):
         lo, hi = bounds
+        draw = _cell_sampler(spec, n, config.seed)
         out = []
         for r in range(lo, hi):
-            xs = sorted(sample(spec, RngStream(config.seed, r), n))
+            xs = sorted(draw(r))
             out.append(tuple(est(xs) for _, est in factories))
         return out
 
@@ -327,14 +347,15 @@ def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
     per (cell, batch, sample), derived by hashing, so results do not depend
     on which estimators or cells run together.
     """
-    label = spec.label
     theta = true_quantile(spec, p)
+    draw = _cell_sampler(spec, n, seed)
+    cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
     means = {key: [] for key, _ in estimators}
     for b in range(batches):
+        batch = fnv1a64("%d|" % b, cell)
         sq = {key: [] for key, _ in estimators}
         for s in range(samples_per_batch):
-            sid = fnv1a64("%s|%d|%r|%d|%d" % (label, n, p, b, s))
-            xs = sorted(sample(spec, RngStream(seed, sid), n))
+            xs = sorted(draw(fnv1a64("%d" % s, batch)))
             for key, est in estimators:
                 err = est(xs) - theta
                 sq[key].append(err * err)

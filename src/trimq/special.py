@@ -5,7 +5,6 @@ is a pure function; all evaluation happens in log space so that shape
 parameters in the thousands neither overflow nor underflow.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import _checks
@@ -31,24 +30,14 @@ class BetaParams:
     beta: float
 
     def __post_init__(self):
-        a = float(self.alpha)
-        b = float(self.beta)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("beta shapes must be finite, got alpha=%r beta=%r"
-                             % (self.alpha, self.beta))
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("beta shapes must be positive, got alpha=%r beta=%r"
-                             % (self.alpha, self.beta))
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _checks.real(
+                getattr(self, name), name, positive=True))
 
 
 def log_gamma(x):
     """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError("log_gamma requires finite x > 0, got %r" % (x,))
-    return _k.log_gamma(x)
+    return _k.log_gamma(_checks.real(x, "x", positive=True))
 
 
 def log_beta(params):

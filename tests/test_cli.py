@@ -171,6 +171,10 @@ def test_hdi_border_and_degenerate_output(capsys):
 
 def test_hdi_validates_inputs(capsys):
     assert main(["hdi", "--alpha", "-1", "--beta", "2", "--width", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --alpha must be a finite positive number, got -1.0\n")
+    assert main(["hdi", "--alpha", "2", "--beta", "inf", "--width", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: --beta must be")
     assert main(["hdi", "--alpha", "2", "--beta", "2", "--width", "0"]) == 2
     assert main(["hdi", "--alpha", "2", "--beta", "2"]) == 2  # missing flag
 

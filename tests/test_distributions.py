@@ -86,6 +86,21 @@ def test_parse_errors():
             parse_distribution(bad)
 
 
+def test_parameters_follow_the_positive_real_rule():
+    assert DistributionSpec("Normal", sd="2") == parse_distribution(
+        "Normal(m=0, sd=2)")
+    for bad in (True, None, "x", 0.0, math.inf, 10 ** 400):
+        with pytest.raises(ValueError, match="^sd of Normal must be a finite "
+                           "positive number"):
+            DistributionSpec("Normal", sd=bad)
+    # m may be any finite real, but not a bool
+    assert DistributionSpec("Normal", m=-3).params["m"] == -3.0
+    for bad in (False, None, math.nan):
+        with pytest.raises(ValueError, match="^m of Normal must be a finite "
+                           "number"):
+            DistributionSpec("Normal", m=bad)
+
+
 # ---------------------------------------------------------------------------
 # quantiles
 

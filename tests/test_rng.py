@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
 
 from trimq import DistributionSpec, RngStream, fnv1a64, sample
+from trimq.backend import kernels
+from trimq.rng import seed_uniforms
 
 
 def test_streams_are_deterministic():
@@ -78,3 +81,36 @@ def test_fnv1a64_known_vectors():
     assert fnv1a64("a") == 0xAF63DC4C8601EC8C
     assert fnv1a64("Normal(m=0, sd=1)|10|0.5|0|0") != fnv1a64(
         "Normal(m=0, sd=1)|10|0.5|0|1")
+
+
+def test_fnv1a64_continues_from_a_prefix_hash():
+    # the fold started from a prefix's hash equals the one-shot hash, for
+    # every split point of random strings, multi-byte characters included
+    rng = random.Random(8)
+    alphabet = "abc|019.()=, éß€"
+    for _ in range(60):
+        text = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randrange(0, 24)))
+        whole = fnv1a64(text)
+        for i in range(len(text) + 1):
+            assert fnv1a64(text[i:], fnv1a64(text[:i])) == whole
+
+
+def test_seed_uniforms_equal_the_stream_uniforms():
+    for seed in (0, 7, -1, 2 ** 70 + 5):
+        uniforms = seed_uniforms(seed)
+        for sid in (0, 1, 2 ** 63 + 11, 2 ** 64 - 1):
+            for count in (0, 1, 10, 33):
+                assert (uniforms(sid, count)
+                        == RngStream(seed, sid).uniforms(count))
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            seed_uniforms(bad)
+
+
+def test_fill_uniforms_is_the_split_composed():
+    seed, sid = 2 ** 64 - 3, 12345
+    mixed = kernels.mix_seed(seed)
+    assert (kernels.fill_uniforms(seed, sid, 4, 9)
+            == kernels.stream_uniforms(mixed, sid, 4, 9)
+            == kernels.stream_uniforms(mixed, sid, 0, 13)[4:])

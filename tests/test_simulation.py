@@ -16,13 +16,16 @@ from trimq import (
     ESTIMATORS,
     ConfigError,
     DistributionSpec,
+    RngStream,
     Sim1Config,
     Sim2Config,
     estimate_mse,
+    fnv1a64,
     hd_quantile,
     hf7_quantile,
     run_sim1,
     run_sim2,
+    sample,
     thd_quantile,
     true_quantile,
 )
@@ -278,6 +281,22 @@ def test_sim2_every_family_bytes_are_pinned():
     assert run_sim2(cfg, threads=2).to_csv() == one
     assert hashlib.sha256(one.encode("utf-8")).hexdigest() == (
         "6bea1823d9d7b28f18b23e77789e7883182c1e657dff17c0566701ad867c8c5f")
+
+
+def test_cell_sampler_draws_what_sample_draws():
+    # the cell loop's sampler and prefix-folded stream ids against the
+    # public one-shot path, list for list, for every family
+    seed, n, p = 13, 6, 0.3
+    for text in ALL_FAMILIES:
+        spec = DistributionSpec.parse(text)
+        draw = simulation._cell_sampler(spec, n, seed)
+        cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
+        for b in (0, 1, 10):
+            batch = fnv1a64("%d|" % b, cell)
+            for s in (0, 7, 123):
+                sid = fnv1a64("%s|%d|%r|%d|%d" % (spec.label, n, p, b, s))
+                assert fnv1a64("%d" % s, batch) == sid
+                assert draw(sid) == sample(spec, RngStream(seed, sid), n)
 
 
 def test_more_workers_than_chunks_give_the_same_bytes():

@@ -38,6 +38,23 @@ def test_beta_params_validation():
             BetaParams(a, b)
 
 
+# one rule for the positive reals: a string float() reads counts, a bool
+# does not (float(True) is 1.0), and the message starts with the argument
+def test_positive_reals_take_strings_not_bools():
+    assert BetaParams("2", 3) == BetaParams(2.0, 3.0)
+    assert log_gamma("2.5") == log_gamma(2.5)
+    for a, b, name in [(True, "2", "alpha"), (2, False, "beta"),
+                       (None, 1, "alpha"), (1, "x", "beta"),
+                       (1, 10 ** 400, "beta"), ("inf", 1, "alpha")]:
+        with pytest.raises(ValueError, match="^%s must be a finite positive "
+                           "number" % name):
+            BetaParams(a, b)
+    for bad in (True, None, "x", -1.0, 10 ** 400):
+        with pytest.raises(ValueError, match="^x must be a finite positive "
+                           "number"):
+            log_gamma(bad)
+
+
 def test_log_beta_matches_lgamma_identity():
     for a, b in [(1.0, 1.0), (0.5, 0.5), (5.5, 5.5), (2.0, 17.0), (300.0, 4.0)]:
         ref = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -76,8 +93,9 @@ def test_beta_pdf_endpoint_conventions():
 
 def test_beta_pdf_rejects_out_of_range():
     p = BetaParams(2, 2)
-    for bad in [-0.1, 1.1, math.nan]:
-        with pytest.raises(ValueError):
+    # float() overflows on 10**400; that too is a ValueError naming x
+    for bad in [-0.1, 1.1, math.nan, 10 ** 400]:
+        with pytest.raises(ValueError, match="^x must lie in"):
             beta_pdf(bad, p)
 
 
