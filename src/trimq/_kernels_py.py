@@ -260,8 +260,16 @@ def mix_seed(seed):
 
 
 def stream_uniforms(seed_mix, stream_id, start, count):
-    """fill_uniforms for a seed already mixed by mix_seed: a caller that
-    draws many streams of one seed mixes it once."""
+    """`count` uniforms from the (seed, stream_id) stream, skipping `start`,
+    for seed_mix = mix_seed(seed).
+
+    Counter-based SplitMix64: draw k is a pure function of (seed, stream_id,
+    k), so any subsequence can be regenerated without replaying the stream.
+    Values lie strictly inside (0, 1).  stream_id must already be masked to
+    64 bits.  The seed's share, mix_seed(seed), is the same for every stream
+    of a seed, so a caller that draws many streams of one seed mixes it
+    once.
+    """
     s0 = seed_mix ^ _mix64((stream_id ^ _GOLDEN) & _M64)
     state = (s0 + start * _GOLDEN) & _M64
     out = []
@@ -276,17 +284,3 @@ def stream_uniforms(seed_mix, stream_id, start, count):
         out.append(((z >> 11) + 0.5) * 1.1102230246251565e-16)
     return out
 
-
-def fill_uniforms(seed, stream_id, start, count):
-    """`count` uniforms from the (seed, stream_id) stream, skipping `start`.
-
-    Counter-based SplitMix64: draw k is a pure function of (seed, stream_id,
-    k), so any subsequence can be regenerated without replaying the stream.
-    Values lie strictly inside (0, 1).  seed and stream_id must already be
-    masked to 64 bits.
-
-    The work splits in two: mix_seed(seed), the same for every stream of a
-    seed, and stream_uniforms, which mixes the stream id and runs the draw
-    loop; this is their composition.
-    """
-    return stream_uniforms(mix_seed(seed), stream_id, start, count)

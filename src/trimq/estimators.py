@@ -40,9 +40,10 @@ __all__ = [
 class Sample:
     """Sorted, finite, non-empty observations.
 
-    Values are sorted at construction.  Pass presorted=True to skip the
-    sort when order is already guaranteed; the guarantee is still verified
-    (a linear scan, against a quadratic surprise later).
+    Values are sorted at construction; input already in ascending order is
+    kept as it is, found so by the same linear scan that checks each value
+    is finite.  presorted=True does not skip work: it turns out-of-order
+    input into a ValueError instead of sorting it.
     """
 
     __slots__ = ("values",)

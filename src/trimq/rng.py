@@ -31,9 +31,9 @@ class RngStream:
 
     def uniforms(self, count, start=0):
         """`count` doubles strictly inside (0, 1), starting at draw `start`."""
-        return _k.fill_uniforms(self.seed, self.stream_id,
-                                _checks.integer(start, "start", 0),
-                                _checks.integer(count, "count", 0))
+        return _k.stream_uniforms(_k.mix_seed(self.seed), self.stream_id,
+                                  _checks.integer(start, "start", 0),
+                                  _checks.integer(count, "count", 0))
 
 
 def seed_uniforms(seed):

@@ -17,9 +17,9 @@ Two studies, both reproducible to the byte given a seed:
   exactly 1.  The hash is a left fold, so a cell hashes "label|n|p|" once,
   each batch continues it over "batch|", and each sample over "sample".
 
-Both studies draw a cell's samples through one routine built per cell or
-block, which looks up the family's sampler and mixes the seed once; per
-sample it derives the stream, draws, transforms and sorts.
+Both studies draw a cell's samples through one sampler built per cell or
+block (``distributions.sampler``), which mixes the seed once; per sample
+the loop derives the stream id, draws and sorts.
 
 The ``threads`` argument counts worker processes.  Where the ``fork``
 start method exists and the calling process runs no other Python thread,
@@ -41,7 +41,7 @@ from . import _checks
 from .distributions import DistributionSpec, sampler, true_quantile
 from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
                          thd_weights)
-from .rng import fnv1a64, seed_uniforms
+from .rng import fnv1a64
 
 __all__ = [
     "ConfigError",
@@ -291,20 +291,6 @@ def _run_chunks(worker, chunks, threads, cost):
     return [worker(c) for c in chunks]
 
 
-def _cell_sampler(spec, n, seed):
-    """draw(stream_id) -> sample(spec, RngStream(seed, stream_id), n), for
-    stream ids in [0, 2**64): the family's sampler is built and the seed
-    checked and mixed once, so per sample only the stream's own work is
-    left."""
-    k, transform = sampler(spec)
-    uniforms = seed_uniforms(seed)
-    count = k * n
-
-    def draw(stream_id):
-        return transform(uniforms(stream_id, count))
-    return draw
-
-
 def run_sim1(config, threads=1):
     """Run the robustness study; see the module docstring for the scheme."""
     spec = config.spec
@@ -314,7 +300,7 @@ def run_sim1(config, threads=1):
 
     def block(bounds):
         lo, hi = bounds
-        draw = _cell_sampler(spec, n, config.seed)
+        draw = sampler(spec, n, config.seed)
         out = []
         for r in range(lo, hi):
             xs = sorted(draw(r))
@@ -348,7 +334,7 @@ def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
     on which estimators or cells run together.
     """
     theta = true_quantile(spec, p)
-    draw = _cell_sampler(spec, n, seed)
+    draw = sampler(spec, n, seed)
     cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
     means = {key: [] for key, _ in estimators}
     for b in range(batches):
@@ -393,10 +379,12 @@ def estimate_mse(estimator, spec, n, p, samples_per_batch, batches, seed):
     """MSE of one estimator under the run_sim2 protocol (same streams).
 
     `estimator` is an id from ESTIMATORS or a factory callable(n, p) that
-    returns an estimate callable over sorted values.
+    returns an estimate callable over sorted values; `spec` is a
+    DistributionSpec or, as in a config, a spec string.
     """
     factory = (estimator if callable(estimator)
                else ESTIMATORS[_as_estimator_id(estimator, "estimator")])
+    spec = _as_spec(spec, "spec")
     n = _as_count(n, "n")
     samples_per_batch = _as_count(samples_per_batch, "samples_per_batch")
     batches = _as_odd_count(batches, "batches")

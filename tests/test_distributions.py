@@ -1,12 +1,16 @@
 import bisect
 import hashlib
 import math
+import pickle
 
 import pytest
 
 from trimq import DistributionSpec, RngStream, sample, true_quantile
 
+from trimq.distributions import _FAMILIES
 from trimq.estimators import hf7_quantile
+
+from test_simulation import ALL_FAMILIES
 
 parse_distribution = DistributionSpec.parse
 
@@ -48,6 +52,22 @@ def test_parse_round_trips_every_family():
         assert hash(spec) == hash(again)
 
 
+def test_every_family_has_a_round_trip_case_and_a_pinned_digest():
+    # a new family must join ALL_SPECS here and the pinned every-family
+    # simulation grid
+    for cases in (ALL_SPECS, ALL_FAMILIES):
+        assert sorted(parse_distribution(t).kind for t in cases) == sorted(
+            _FAMILIES)
+
+
+def test_specs_pickle_by_label():
+    for text in ALL_SPECS:
+        spec = parse_distribution(text)
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec
+        assert true_quantile(again, 0.3) == true_quantile(spec, 0.3)
+
+
 def test_parse_defaults_and_case_insensitivity():
     assert parse_distribution("Normal") == parse_distribution("Normal(m=0, sd=1)")
     assert parse_distribution("normal(sd=2)") == parse_distribution(
@@ -77,6 +97,9 @@ def test_parse_errors():
         "Student",                        # missing required parameter
         "Triangular(a=2, b=1, c=1.5)",    # inverted support
         "Triangular(a=0, b=1, c=3)",      # mode outside support
+        "Uniform(a=1, b=1)",              # empty support
+        "Uniform(a=-1e308, b=1e308)",     # b - a overflows
+        "Triangular(a=-1e308, b=1e308, c=0)",
         "Normal(m=0, sd=-1)",             # scale must be positive
         "ContaminatedNormal(epsilon=1.5, sigma=1, c=2)",  # weight beyond 1
         "Normal(m=0 sd=1)",               # missing separator

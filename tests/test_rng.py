@@ -108,9 +108,9 @@ def test_seed_uniforms_equal_the_stream_uniforms():
             seed_uniforms(bad)
 
 
-def test_fill_uniforms_is_the_split_composed():
+def test_stream_uniforms_start_skips_draws():
     seed, sid = 2 ** 64 - 3, 12345
     mixed = kernels.mix_seed(seed)
-    assert (kernels.fill_uniforms(seed, sid, 4, 9)
+    assert (RngStream(seed, sid).uniforms(9, start=4)
             == kernels.stream_uniforms(mixed, sid, 4, 9)
             == kernels.stream_uniforms(mixed, sid, 0, 13)[4:])

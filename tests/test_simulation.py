@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from trimq import simulation
+from trimq.distributions import sampler
 from trimq import (
     ESTIMATORS,
     ConfigError,
@@ -218,6 +219,12 @@ def test_estimate_mse_validation():
     for spb, batches in [(2.5, 3), (True, 3), (8, 3.7)]:
         with pytest.raises(ValueError):
             estimate_mse("hf7", spec, 5, 0.5, spb, batches, 0)
+    # a spec string reads as in a config; anything else names `spec`
+    assert (estimate_mse("hd", NORMAL, 5, 0.5, 3, 3, 0)
+            == estimate_mse("hd", spec, 5, 0.5, 3, 3, 0))
+    for bad in (None, 3, "Zeta(s=2)", "Normal(sd=-1)"):
+        with pytest.raises(ValueError, match="^spec"):
+            estimate_mse("hd", bad, 5, 0.5, 3, 3, 0)
     for eid in ESTIMATORS:
         for n in (0, 2.5, True, math.nan, "10"):
             with pytest.raises(ValueError, match="n must be"):
@@ -290,7 +297,7 @@ def test_cell_sampler_draws_what_sample_draws():
     seed, n, p = 13, 6, 0.3
     for text in ALL_FAMILIES:
         spec = DistributionSpec.parse(text)
-        draw = simulation._cell_sampler(spec, n, seed)
+        draw = sampler(spec, n, seed)
         cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
         for b in (0, 1, 10):
             batch = fnv1a64("%d|" % b, cell)
