@@ -87,54 +87,98 @@ def beta_pdf(x, a, b):
                     - _log_beta_cached(a, b))
 
 
+# shape pairs whose Lentz factor tables are kept: a bisection alternates
+# between one pair and its reflection, and so does a weight vector; a table
+# grows only as far as its pair's fractions have needed, doubling from
+# _FIRST_TERMS, so a few tables cost little memory
+_TABLE_CACHE = 4
+_FIRST_TERMS = 32
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _lentz_table(a, b):
+    # a one-slot holder: growing the table replaces the tuple in the slot,
+    # so a caller still iterating the old tuple never sees it change, and
+    # threads growing one table at once each store a whole, correct prefix
+    return [()]
+
+
+def _grow_table(holder, a, b, count):
+    """The first `count` x-free factors (n1, d1, n2, d2) of the Lentz terms
+    of shape pair (a, b), stored in the pair's holder.  Term m of the
+    fraction is n1 * x / d1, then n2 * x / d2, with n1 = m (b - m),
+    d1 = (a - 1 + 2m)(a + 2m), n2 = -(a + m)(a + b + m) and
+    d2 = (a + 2m)(a + 1 + 2m).  A term formed whole, as
+    m * (b - m) * x / ((a - 1 + 2m) * (a + 2m)), rounds m * (b - m) and the
+    divisor's product before x enters, so tabulating them changes no bit."""
+    terms = holder[0]
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    m = float(len(terms))
+    more = []
+    for _ in range(count - len(terms)):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        more.append((m * (b - m), (qam + m2) * am2,
+                     -(a + m) * (qab + m), am2 * (qap + m2)))
+    terms += tuple(more)
+    holder[0] = terms
+    return terms
+
+
 def _beta_cont_frac(a, b, x):
     """Continued-fraction factor of I_x(a, b), by the modified Lentz
-    recurrence.  The counter m runs in floats and a + 2m is formed once per
-    term; m and 2m are exact, so every term is bit-identical to the one an
-    integer counter gives."""
+    recurrence over the pair's cached factor table; at most _MAX_ITER terms,
+    read at call time."""
     # the limits as locals, negated once: -fpmin < d < fpmin is abs(d) < fpmin
     fpmin = _FPMIN
     neg_fpmin = -fpmin
     tol = _CF_TOL
     neg_tol = -tol
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    max_iter = _MAX_ITER
     c = 1.0
-    d = 1.0 - qab * x / qap
+    d = 1.0 - (a + b) * x / (a + 1.0)
     if neg_fpmin < d < fpmin:
         d = fpmin
     d = 1.0 / d
     h = d
-    m = 0.0
-    for _ in range(_MAX_ITER):
-        m += 1.0
-        m2 = m + m
-        am2 = a + m2
-        aa = m * (b - m) * x / ((qam + m2) * am2)
-        d = 1.0 + aa * d
-        if neg_fpmin < d < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if neg_fpmin < c < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
-        d = 1.0 + aa * d
-        if neg_fpmin < d < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if neg_fpmin < c < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if neg_tol < delta - 1.0 < tol:
-            return h
-    raise ArithmeticError(
-        "incomplete beta continued fraction did not converge "
-        "(a=%g, b=%g, x=%g)" % (a, b, x))
+    holder = _lentz_table(a, b)
+    terms = holder[0]
+    done = 0
+    while True:
+        if len(terms) > max_iter:
+            terms = terms[:max_iter]
+        for n1, d1, n2, d2 in terms[done:] if done else terms:
+            aa = n1 * x / d1
+            d = 1.0 + aa * d
+            if neg_fpmin < d < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if neg_fpmin < c < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            h *= d * c
+            aa = n2 * x / d2
+            d = 1.0 + aa * d
+            if neg_fpmin < d < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if neg_fpmin < c < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if neg_tol < delta - 1.0 < tol:
+                return h
+        done = len(terms)
+        if done >= max_iter:
+            raise ArithmeticError(
+                "incomplete beta continued fraction did not converge "
+                "(a=%g, b=%g, x=%g)" % (a, b, x))
+        terms = _grow_table(holder, a, b,
+                            min(max_iter, max(2 * done, _FIRST_TERMS)))
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)

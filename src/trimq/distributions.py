@@ -35,34 +35,57 @@ def _student_cdf(t, df):
     return 1.0 - tail if t >= 0.0 else tail
 
 
-def _bisect_cdf(cdf, p, lo, hi):
+# The first _MEMO_DEPTH midpoints of a bisection depend on its starting
+# bracket only, not on p, so each bisecting family keeps a memo t -> cdf(t)
+# of them and of its bracket-expansion points: at most 2**_MEMO_DEPTH - 1
+# midpoints per starting bracket and _MEMO_SIZE entries in all.  A walk
+# through the memo makes the same comparisons on the same values as one
+# without it, so the quantiles keep their bits.
+_MEMO_DEPTH = 12
+_MEMO_SIZE = 4 << _MEMO_DEPTH
+
+
+def _memo_cdf(cdf, memo, t):
+    f = memo.get(t)
+    if f is None:
+        f = cdf(t)
+        if len(memo) < _MEMO_SIZE:
+            memo[t] = f
+    return f
+
+
+def _bisect_cdf(cdf, p, lo, hi, memo):
     # expects cdf(lo) < p <= cdf(hi)
-    for _ in range(500):
+    for level in range(500):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-12 + 1e-12 * abs(mid) or mid <= lo or mid >= hi:
             return mid
-        if cdf(mid) < p:
+        if level < _MEMO_DEPTH:
+            f = _memo_cdf(cdf, memo, mid)
+        else:
+            f = cdf(mid)
+        if f < p:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _invert_unbounded(cdf, p):
+def _invert_unbounded(cdf, p, memo):
     lo, hi = -1.0, 1.0
     for _ in range(700):
-        if cdf(lo) < p:
+        if _memo_cdf(cdf, memo, lo) < p:
             break
         lo *= 2.0
     else:
         raise ArithmeticError("quantile bracket expansion failed (low side)")
     for _ in range(700):
-        if cdf(hi) >= p:
+        if _memo_cdf(cdf, memo, hi) >= p:
             break
         hi *= 2.0
     else:
         raise ArithmeticError("quantile bracket expansion failed (high side)")
-    return _bisect_cdf(cdf, p, lo, hi)
+    return _bisect_cdf(cdf, p, lo, hi, memo)
 
 
 # Each family's inverse CDF as a factory.  Its keyword-only signature
@@ -91,6 +114,9 @@ def _q_triangular(*, a, b, c):
     if not a <= c <= b:
         raise ValueError("Triangular requires a <= c <= b, got c=%g" % c)
     ca, bc = c - a, b - c
+    if not math.isfinite(ba * max(ca, bc)):
+        raise ValueError("Triangular requires (b - a)(c - a) and (b - a)(b - c) "
+                         "finite, got a=%g b=%g c=%g" % (a, b, c))
     split = ca / ba
 
     def q(p):
@@ -103,7 +129,11 @@ def _q_triangular(*, a, b, c):
 def _q_beta(*, a, b):
     def cdf(x):
         return _k.reg_inc_beta(x, a, b)
-    return lambda p: _bisect_cdf(cdf, p, 0.0, 1.0)
+
+    def q(p):
+        return _bisect_cdf(cdf, p, 0.0, 1.0, memo)
+    q.memo = memo = {}
+    return q
 
 
 def _q_normal(*, m=0.0, sd=1.0):
@@ -119,7 +149,11 @@ def _q_weibull(*, scale=1.0, shape):
 def _q_student(*, df):
     def cdf(t):
         return _student_cdf(t, df)
-    return lambda p: _invert_unbounded(cdf, p)
+
+    def q(p):
+        return _invert_unbounded(cdf, p, memo)
+    q.memo = memo = {}
+    return q
 
 
 def _q_gumbel(*, loc=0.0, scale=1.0):
@@ -154,12 +188,16 @@ def _q_contaminated_normal(*, epsilon, sigma, c):
     contamination weight and the two components' scales, for the sampler."""
     epsilon = _checks.fraction(epsilon, "epsilon of ContaminatedNormal")
     wide = sigma * math.sqrt(c)
+    if not math.isfinite(wide):
+        raise ValueError("ContaminatedNormal requires a finite wide scale "
+                         "sigma * sqrt(c), got sigma=%g c=%g" % (sigma, c))
 
     def cdf(x):
         return (1.0 - epsilon) * _phi(x / sigma) + epsilon * _phi(x / wide)
 
     def q(p):
-        return _invert_unbounded(cdf, p)
+        return _invert_unbounded(cdf, p, memo)
+    q.memo = memo = {}
     q.mixture = (epsilon, sigma, wide)
     return q
 

@@ -6,6 +6,8 @@ the incomplete beta, a brute-force grid search for the HDI, scipy's beta
 CDF for the weight-algorithm transcription, and a naive re-run of the MSE
 protocol.  Agreement between the package and these is the point of the
 tests, so none of this may import package internals beyond the public API.
+The one transcription, of the incomplete beta's plain Lentz loop, is the
+bit-for-bit reference for the kernel's faster, table-driven one.
 """
 
 import math
@@ -99,6 +101,67 @@ def ibeta_oracle(x, a, b, tol=1e-13):
     num = panels(0.0, phi)
     den = num + panels(phi, 0.5 * math.pi)
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# the incomplete beta's continued fraction, one term at a time
+
+def _lentz_cont_frac(a, b, x, max_iter=300, tol=1e-14, fpmin=1e-300):
+    # the modified Lentz evaluation of Numerical Recipes' betacf, every
+    # factor of every term formed afresh on each call
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    m = 0.0
+    for _ in range(max_iter):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < tol:
+            return h
+    raise ArithmeticError("continued fraction did not converge")
+
+
+def lentz_ibeta_oracle(x, a, b):
+    """Regularized incomplete beta by the plain Lentz loop, written term by
+    term; the package's kernel must return the same double, or raise
+    ArithmeticError where this does."""
+    from trimq import log_gamma
+
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+    front = norm + a * math.log(x) + b * math.log1p(-x)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(front) * _lentz_cont_frac(a, b, x) / a
+    return 1.0 - math.exp(front) * _lentz_cont_frac(b, a, 1.0 - x) / b
 
 
 # ---------------------------------------------------------------------------

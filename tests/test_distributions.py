@@ -2,11 +2,13 @@ import bisect
 import hashlib
 import math
 import pickle
+import random
 
 import pytest
 
 from trimq import DistributionSpec, RngStream, sample, true_quantile
 
+from trimq import distributions
 from trimq.distributions import _FAMILIES
 from trimq.estimators import hf7_quantile
 
@@ -100,6 +102,8 @@ def test_parse_errors():
         "Uniform(a=1, b=1)",              # empty support
         "Uniform(a=-1e308, b=1e308)",     # b - a overflows
         "Triangular(a=-1e308, b=1e308, c=0)",
+        "Triangular(a=0, b=1e200, c=1e200)",  # (b - a)(c - a) overflows
+        "Triangular(a=0, b=1e200, c=0)",      # (b - a)(b - c) overflows
         "Normal(m=0, sd=-1)",             # scale must be positive
         "ContaminatedNormal(epsilon=1.5, sigma=1, c=2)",  # weight beyond 1
         "Normal(m=0 sd=1)",               # missing separator
@@ -107,6 +111,16 @@ def test_parse_errors():
     ]:
         with pytest.raises(ValueError):
             parse_distribution(bad)
+
+
+def test_contaminated_normal_rejects_an_overflowing_wide_scale():
+    with pytest.raises(ValueError, match="sigma=1e\\+200 c=1e\\+300"):
+        parse_distribution(
+            "ContaminatedNormal(epsilon=0.5, sigma=1e200, c=1e300)")
+    # a wide scale just inside the double range is kept
+    spec = parse_distribution("ContaminatedNormal(epsilon=0.5, sigma=1e150, "
+                              "c=1e300)")
+    assert spec._q.mixture[2] == 1e150 * math.sqrt(1e300)
 
 
 def test_parameters_follow_the_positive_real_rule():
@@ -272,3 +286,114 @@ def test_inverted_sampler_bytes_are_pinned():
                             for k in range(1, 40)]).encode())
     assert digest.hexdigest() == (
         "d5758ca256f5fd2944997ab2cafccf3c4789b168e983d5e13e31f2531bc6c8cb")
+
+
+# the families that bisect their CDFs, each with a memo of its top levels
+MEMO_SPECS = ("Beta(a=2, b=4)", "Student(df=3)",
+              "ContaminatedNormal(epsilon=0.01, sigma=1, c=1000000)")
+# probabilities probed on fresh and warmed specs: a grid, both far tails
+PROBE_PS = [k / 40.0 for k in range(1, 40)] + [1e-12, 1e-5, 1.0 - 1e-5]
+
+
+def _warm(spec, count, seed):
+    # true_quantile at `count` probabilities other than the probed ones
+    rng = random.Random(seed)
+    for _ in range(count):
+        true_quantile(spec, 0.001 + 0.998 * rng.random())
+    return spec
+
+
+def _bits(text, spec=None):
+    # quantiles and draws, each probed quantile from a spec built for it
+    # unless a spec is given
+    qs = [true_quantile(spec or parse_distribution(text), p)
+          for p in PROBE_PS]
+    draws = distributions.sampler(spec or parse_distribution(text), 200, 11)
+    return repr((qs, draws(7), draws(8)))
+
+
+def test_bisection_memo_does_not_change_bits():
+    # a memo warmed by thousands of other p replays the walk of a fresh one
+    for text in MEMO_SPECS:
+        spec = _warm(parse_distribution(text), 2000, 3)
+        assert len(spec._q.memo) > 100, text
+        assert _bits(text, spec) == _bits(text), text
+
+
+def _tree(lo, hi, depth):
+    # the midpoints of the top `depth` levels of a bisection of [lo, hi]
+    nodes, level = set(), [(lo, hi)]
+    for _ in range(depth):
+        mids = [0.5 * (lo + hi) for lo, hi in level]
+        nodes.update(mids)
+        level = [half for (lo, hi), mid in zip(level, mids)
+                 for half in ((lo, mid), (mid, hi))]
+    return nodes
+
+
+def test_bisection_memo_is_bounded(monkeypatch):
+    depth = distributions._MEMO_DEPTH
+    beta = _warm(parse_distribution("Beta(a=2, b=10)"), 3000, 4)
+    # one starting bracket, [0, 1]: at most its top levels
+    assert set(beta._q.memo) <= _tree(0.0, 1.0, depth)
+    assert 2 ** (depth - 2) < len(beta._q.memo) <= 2 ** depth - 1
+    for text in MEMO_SPECS[1:]:
+        spec = _warm(parse_distribution(text), 1500, 5)
+        memo = spec._q.memo
+        # the expansion points -2**i and 2**j, each making the starting
+        # bracket [-2**i, 1] or [-1, 2**j]; every other entry lies in the
+        # top levels of one of those brackets
+        doublings = {t for t in memo if abs(t) >= 1.0
+                     and math.frexp(abs(t))[0] == 0.5}
+        nodes = set()
+        for t in doublings:
+            nodes |= _tree(min(t, -1.0), max(t, 1.0), depth)
+        assert set(memo) <= doublings | nodes, text
+        assert len(memo) <= distributions._MEMO_SIZE
+    # all brackets together stop at the cap, and a full memo gives the
+    # same bits as an empty one
+    monkeypatch.setattr(distributions, "_MEMO_SIZE", 50)
+    for text in MEMO_SPECS:
+        spec = _warm(parse_distribution(text), 300, 6)
+        assert len(spec._q.memo) == 50, text
+        assert _bits(text, spec) == _bits(text), text
+
+
+def test_shared_tables_and_memos_give_the_same_bits_under_threads():
+    # threads share the kernel's factor tables and a spec's memo; tables
+    # grow and are evicted while other threads read them, memo entries are
+    # written while others walk the same tree
+    import sys
+    import threading
+
+    from trimq import _kernels_py
+
+    texts = ("Beta(a=2500, b=4000)", "Student(df=3)")
+    ps = [0.001 + 0.998 * k / 48.0 for k in range(49)]
+    want = {t: [true_quantile(parse_distribution(t), p) for p in ps]
+            for t in texts}
+    shared = {t: parse_distribution(t) for t in texts}
+    results = []
+
+    def work(offset):
+        for _ in range(3):
+            _kernels_py._lentz_table.cache_clear()
+            for t in texts:
+                order = ps[offset:] + ps[:offset]
+                got = dict(zip(order, (true_quantile(shared[t], p)
+                                       for p in order)))
+                results.append([got[p] for p in ps] == want[t])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(17 * i,))
+                   for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 4 * 3 * len(texts) and all(results)

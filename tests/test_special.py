@@ -5,7 +5,7 @@ import pytest
 
 from trimq import BetaParams, beta_pdf, log_beta, log_gamma, regularized_incomplete_beta
 
-from _oracles import ibeta_oracle, simpson
+from _oracles import ibeta_oracle, lentz_ibeta_oracle, simpson
 
 
 def test_log_gamma_integer_values():
@@ -191,6 +191,21 @@ def test_continued_fraction_nonconvergence_raises(monkeypatch):
         _kernels_py.reg_inc_beta(0.4, 37.0, 41.0)
 
 
+def test_iteration_cap_is_read_at_call_time(monkeypatch):
+    # the pair's factor table already holds more terms than the lowered cap
+    # allows; the cap still bounds the loop, and raising it back restores
+    # the converged value
+    from trimq import _kernels_py
+
+    want = _kernels_py.reg_inc_beta(0.4, 37, 41)
+    assert len(_kernels_py._lentz_table(37, 41)[0]) > 2
+    monkeypatch.setattr(_kernels_py, "_MAX_ITER", 2)
+    with pytest.raises(ArithmeticError):
+        _kernels_py.reg_inc_beta(0.4, 37, 41)
+    monkeypatch.undo()
+    assert _kernels_py.reg_inc_beta(0.4, 37, 41) == want
+
+
 # shapes and points of the pinned incomplete-beta digest: both tails, the
 # middle, and each side of the (a+1)/(a+b+2) switch to the reflected fraction
 PIN_SHAPES = (0.5, 1.0, 1.5, 2.0, 4.0, 10.0, 37.5, 300.0, 2500.0, 1e4)
@@ -226,6 +241,7 @@ def test_shape_caches_do_not_change_bits():
     def clear():
         _kernels_py._log_norm.cache_clear()
         _kernels_py._log_beta_cached.cache_clear()
+        _kernels_py._lentz_table.cache_clear()
 
     # more pairs than the caches keep, interleaved, ints mixed with floats
     shapes = [(2, 4), (1.5, 0.5), (2.0, 4.0)] + [
@@ -247,3 +263,44 @@ def test_shape_caches_do_not_change_bits():
     assert run(cold=False) == cold
     assert run(cold=False) == cold
     assert _kernels_py._log_norm.cache_info().currsize > 0
+    assert _kernels_py._lentz_table.cache_info().currsize > 0
+
+
+def _lentz_oracle_points(rng, pairs):
+    # shapes log-uniform on [10**-0.5, 10**5], half of them rounded to ints;
+    # per pair a uniform x, one near the mean, and the (a+1)/(a+b+2) switch
+    # to the reflected fraction with its two neighbouring doubles
+    def shape():
+        s = 10.0 ** rng.uniform(-0.5, 5.0)
+        return max(1, round(s)) if rng.random() < 0.5 else s
+
+    for _ in range(pairs):
+        a, b = shape(), shape()
+        mean = a / (a + b)
+        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+        near = min(max(mean + sd * rng.gauss(0.0, 3.0), 1e-300), 1.0 - 1e-16)
+        switch = (a + 1.0) / (a + b + 2.0)
+        for x in (rng.random(), near, math.nextafter(switch, 0.0), switch,
+                  math.nextafter(switch, 1.0)):
+            yield x, a, b
+
+
+def test_incomplete_beta_matches_the_plain_lentz_loop_bit_for_bit():
+    # the tabulated Lentz factors must give the doubles the loop that forms
+    # them per term gives, and fail to converge where it fails, at shapes
+    # up to 1e5 (thd at n = 1e5 works near 5e4), past the pinned digest
+    import random
+
+    from trimq import _kernels_py
+
+    def outcome(f, *args):
+        try:
+            return repr(f(*args))
+        except ArithmeticError:
+            return "ArithmeticError"
+
+    points = list(_lentz_oracle_points(random.Random(20261018), 4000))
+    assert len(points) == 20000
+    for x, a, b in points:
+        got = outcome(_kernels_py.reg_inc_beta, x, a, b)
+        assert got == outcome(lentz_ibeta_oracle, x, a, b), (x, a, b)
