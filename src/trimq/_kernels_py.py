@@ -26,9 +26,9 @@ _MAX_ITER = 300
 _CF_TOL = 1e-14
 _FPMIN = 1e-300
 
-# shape pairs whose log-gamma terms are kept: a bisection or a weight vector
-# holds one pair fixed for all of its calls; a caller's threads may run a few
-# at once, and each simulation worker process fills its own
+# shape pairs whose density normalizer is kept, for beta_pdf: the HDI solve
+# holds one pair fixed for all of its calls, and each simulation worker
+# process fills its own
 _SHAPE_CACHE = 64
 
 
@@ -87,111 +87,92 @@ def beta_pdf(x, a, b):
                     - _log_beta_cached(a, b))
 
 
-# shape pairs whose Lentz factor tables are kept: a bisection alternates
-# between one pair and its reflection, and so does a weight vector; a table
-# grows only as far as its pair's fractions have needed, doubling from
-# _FIRST_TERMS, so a few tables cost little memory
-_TABLE_CACHE = 4
-_FIRST_TERMS = 32
+# shape pairs whose incomplete-beta records are kept: a bisection or a
+# weight vector holds one pair fixed, alternating between its fraction and
+# the reflected one, and a simulation cell uses two pairs, its weights' and
+# its Beta or Student spec's
+_TERMS_CACHE = 2
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _lentz_table(a, b):
-    # a one-slot holder: growing the table replaces the tuple in the slot,
-    # so a caller still iterating the old tuple never sees it change, and
-    # threads growing one table at once each store a whole, correct prefix
-    return [()]
-
-
-def _grow_table(holder, a, b, count):
+def _lentz_terms(a, b, count):
     """The first `count` x-free factors (n1, d1, n2, d2) of the Lentz terms
-    of shape pair (a, b), stored in the pair's holder.  Term m of the
-    fraction is n1 * x / d1, then n2 * x / d2, with n1 = m (b - m),
-    d1 = (a - 1 + 2m)(a + 2m), n2 = -(a + m)(a + b + m) and
-    d2 = (a + 2m)(a + 1 + 2m).  A term formed whole, as
-    m * (b - m) * x / ((a - 1 + 2m) * (a + 2m)), rounds m * (b - m) and the
-    divisor's product before x enters, so tabulating them changes no bit."""
-    terms = holder[0]
+    of shape pair (a, b).  Term m of the fraction is n1 * x / d1, then
+    n2 * x / d2, with n1 = m (b - m), d1 = (a - 1 + 2m)(a + 2m),
+    n2 = -(a + m)(a + b + m) and d2 = (a + 2m)(a + 1 + 2m).  A term formed
+    whole, as m * (b - m) * x / ((a - 1 + 2m) * (a + 2m)), rounds
+    m * (b - m) and the divisor's product before x enters, so tabulating
+    them changes no bit."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    m = float(len(terms))
-    more = []
-    for _ in range(count - len(terms)):
-        m += 1.0
+    terms = []
+    for m in map(float, range(1, count + 1)):
         m2 = m + m
         am2 = a + m2
-        more.append((m * (b - m), (qam + m2) * am2,
-                     -(a + m) * (qab + m), am2 * (qap + m2)))
-    terms += tuple(more)
-    holder[0] = terms
-    return terms
+        terms.append((m * (b - m), (qam + m2) * am2,
+                      -(a + m) * (qab + m), am2 * (qap + m2)))
+    return tuple(terms)
 
 
-def _beta_cont_frac(a, b, x):
+@functools.lru_cache(maxsize=_TERMS_CACHE)
+def _shape_terms(a, b, max_iter):
+    """(log_norm, terms_ab, terms_ba) of shape pair (a, b) under a cap of
+    `max_iter` terms: ln(1 / B(a, b)), and the whole factor tables of the
+    fraction of (a, b) and of its reflection (b, a).  The record is
+    immutable, so threads may share it."""
+    # subtracted in this order; -log_beta(a, b) rounds differently for
+    # about half of all shape pairs
+    log_norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+    return (log_norm, _lentz_terms(a, b, max_iter),
+            _lentz_terms(b, a, max_iter))
+
+
+def _beta_cont_frac(a, b, x, terms):
     """Continued-fraction factor of I_x(a, b), by the modified Lentz
-    recurrence over the pair's cached factor table; at most _MAX_ITER terms,
-    read at call time."""
+    recurrence over the factor table `terms` of (a, b)."""
     # the limits as locals, negated once: -fpmin < d < fpmin is abs(d) < fpmin
     fpmin = _FPMIN
     neg_fpmin = -fpmin
     tol = _CF_TOL
     neg_tol = -tol
-    max_iter = _MAX_ITER
     c = 1.0
     d = 1.0 - (a + b) * x / (a + 1.0)
     if neg_fpmin < d < fpmin:
         d = fpmin
     d = 1.0 / d
     h = d
-    holder = _lentz_table(a, b)
-    terms = holder[0]
-    done = 0
-    while True:
-        if len(terms) > max_iter:
-            terms = terms[:max_iter]
-        for n1, d1, n2, d2 in terms[done:] if done else terms:
-            aa = n1 * x / d1
-            d = 1.0 + aa * d
-            if neg_fpmin < d < fpmin:
-                d = fpmin
-            c = 1.0 + aa / c
-            if neg_fpmin < c < fpmin:
-                c = fpmin
-            d = 1.0 / d
-            h *= d * c
-            aa = n2 * x / d2
-            d = 1.0 + aa * d
-            if neg_fpmin < d < fpmin:
-                d = fpmin
-            c = 1.0 + aa / c
-            if neg_fpmin < c < fpmin:
-                c = fpmin
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if neg_tol < delta - 1.0 < tol:
-                return h
-        done = len(terms)
-        if done >= max_iter:
-            raise ArithmeticError(
-                "incomplete beta continued fraction did not converge "
-                "(a=%g, b=%g, x=%g)" % (a, b, x))
-        terms = _grow_table(holder, a, b,
-                            min(max_iter, max(2 * done, _FIRST_TERMS)))
-
-
-@functools.lru_cache(maxsize=_SHAPE_CACHE)
-def _log_norm(a, b):
-    # ln(1 / B(a, b)), subtracted in this order; -log_beta(a, b) rounds
-    # differently for about half of all shape pairs
-    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+    for n1, d1, n2, d2 in terms:
+        aa = n1 * x / d1
+        d = 1.0 + aa * d
+        if neg_fpmin < d < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if neg_fpmin < c < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = n2 * x / d2
+        d = 1.0 + aa * d
+        if neg_fpmin < d < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if neg_fpmin < c < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if neg_tol < delta - 1.0 < tol:
+            return h
+    raise ArithmeticError(
+        "incomplete beta continued fraction did not converge "
+        "(a=%g, b=%g, x=%g)" % (a, b, x))
 
 
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b) for x in [0, 1].
 
-    The log-gamma normalizer is cached per shape pair (a, b), and
+    The log-gamma normalizer and the Lentz factor tables are cached per
+    shape pair (a, b) and per cap _MAX_ITER, read at call time, and
     front = normalizer + a ln x + b ln(1-x) is summed left to right, so a
     cached call returns the same bits as an uncached one.
     """
@@ -199,44 +180,13 @@ def reg_inc_beta(x, a, b):
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = _log_norm(a, b) + a * math.log(x) + b * math.log1p(-x)
+    log_norm, terms_ab, terms_ba = _shape_terms(a, b, _MAX_ITER)
+    front = log_norm + a * math.log(x) + b * math.log1p(-x)
     # the continued fraction converges fast only below the mean;
     # above it, use I_x(a,b) = 1 - I_{1-x}(b,a)
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(front) * _beta_cont_frac(a, b, x) / a
-    return 1.0 - math.exp(front) * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
-def hdi_middle_lower(a, b, width, lo, hi):
-    """Lower endpoint of the middle-case HDI: the root of
-    pdf(t) - pdf(t + width) on the bracket [lo, hi], which the caller
-    takes as [max(0, mode - width), min(mode, 1 - width)] and has checked
-    for a sign change.
-
-    The difference is monotone on that bracket (increasing density left of
-    the mode, decreasing right of it), so plain bisection is safe.  The
-    bracket is bisected until it collapses to machine resolution: when the
-    root hugs an endpoint where the density has unbounded slope, any fixed
-    absolute tolerance in t leaves the endpoint densities visibly unequal.
-    """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if beta_pdf(mid, a, b) - beta_pdf(mid + width, a, b) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # the true root can fall between adjacent doubles; of the surviving
-    # bracket, return the point whose endpoint densities agree best
-    best = 0.5 * (lo + hi)
-    gap = abs(beta_pdf(best, a, b) - beta_pdf(best + width, a, b))
-    for cand in (lo, hi):
-        g = abs(beta_pdf(cand, a, b) - beta_pdf(cand + width, a, b))
-        if g < gap:
-            gap = g
-            best = cand
-    return best
+        return math.exp(front) * _beta_cont_frac(a, b, x, terms_ab) / a
+    return 1.0 - math.exp(front) * _beta_cont_frac(b, a, 1.0 - x, terms_ba) / b
 
 
 def norm_quantile(p):

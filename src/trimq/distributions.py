@@ -72,19 +72,19 @@ def _bisect_cdf(cdf, p, lo, hi, memo):
 
 
 def _invert_unbounded(cdf, p, memo):
+    # double each end until the bracket holds p; an end that overflows to
+    # infinity fails, as does a CDF that reads NaN at every end
     lo, hi = -1.0, 1.0
-    for _ in range(700):
-        if _memo_cdf(cdf, memo, lo) < p:
-            break
+    while not _memo_cdf(cdf, memo, lo) < p:
         lo *= 2.0
-    else:
-        raise ArithmeticError("quantile bracket expansion failed (low side)")
-    for _ in range(700):
-        if _memo_cdf(cdf, memo, hi) >= p:
-            break
+        if lo == -math.inf:
+            raise ArithmeticError(
+                "quantile bracket expansion failed (low side)")
+    while not _memo_cdf(cdf, memo, hi) >= p:
         hi *= 2.0
-    else:
-        raise ArithmeticError("quantile bracket expansion failed (high side)")
+        if hi == math.inf:
+            raise ArithmeticError(
+                "quantile bracket expansion failed (high side)")
     return _bisect_cdf(cdf, p, lo, hi, memo)
 
 

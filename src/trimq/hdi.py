@@ -64,10 +64,25 @@ def beta_mode(params):
 
 
 def _middle_lower(a, b, width, mode):
+    """Lower endpoint of the middle-case HDI: the root of
+    gap(t) = pdf(t) - pdf(t + width) on the bracket
+    [max(0, mode - width), min(mode, 1 - width)].
+
+    The gap is monotone on that bracket (increasing density left of the
+    mode, decreasing right of it), so plain bisection is safe.  The bracket
+    is bisected until it collapses to machine resolution: when the root
+    hugs an endpoint where the density has unbounded slope, any fixed
+    absolute tolerance in t leaves the endpoint densities visibly unequal.
+    """
+    pdf = _k.beta_pdf
+
+    def gap(t):
+        return pdf(t, a, b) - pdf(t + width, a, b)
+
     lo = max(0.0, mode - width)
     hi = min(mode, 1.0 - width)
-    g_lo = _k.beta_pdf(lo, a, b) - _k.beta_pdf(lo + width, a, b)
-    g_hi = _k.beta_pdf(hi, a, b) - _k.beta_pdf(hi + width, a, b)
+    g_lo = gap(lo)
+    g_hi = gap(hi)
     if (g_lo > 0.0 and g_hi > 0.0) or (g_lo < 0.0 and g_hi < 0.0):
         # Floating-point degeneracy at extreme shapes can leave both bracket
         # ends on the same side of the root.  Fall back to whichever end
@@ -81,7 +96,18 @@ def _middle_lower(a, b, width, mode):
             % (a, b, width, pick, max(mass_lo, mass_hi)),
             RuntimeWarning, stacklevel=3)
         return pick
-    return _k.hdi_middle_lower(a, b, width, lo, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if gap(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    # the true root can fall between adjacent doubles; of the surviving
+    # bracket, return the point whose endpoint densities agree best, the
+    # first of midpoint, lo and hi on a tie
+    return min((0.5 * (lo + hi), lo, hi), key=lambda t: abs(gap(t)))
 
 
 def beta_hdi(params, width):

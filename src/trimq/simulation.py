@@ -380,12 +380,14 @@ def estimate_mse(estimator, spec, n, p, samples_per_batch, batches, seed):
 
     `estimator` is an id from ESTIMATORS or a factory callable(n, p) that
     returns an estimate callable over sorted values; `spec` is a
-    DistributionSpec or, as in a config, a spec string.
+    DistributionSpec or, as in a config, a spec string, and `p` reads as a
+    config's p_grid entry does, so equal values draw the same streams.
     """
     factory = (estimator if callable(estimator)
                else ESTIMATORS[_as_estimator_id(estimator, "estimator")])
     spec = _as_spec(spec, "spec")
     n = _as_count(n, "n")
+    p = _as_open_prob(p, "p")
     samples_per_batch = _as_count(samples_per_batch, "samples_per_batch")
     batches = _as_odd_count(batches, "batches")
     mse = _mse_cell(spec, n, p, [("est", factory(n, p))], samples_per_batch,

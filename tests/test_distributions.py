@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import random
+import statistics
 
 import pytest
 
@@ -121,6 +122,24 @@ def test_contaminated_normal_rejects_an_overflowing_wide_scale():
     spec = parse_distribution("ContaminatedNormal(epsilon=0.5, sigma=1e150, "
                               "c=1e300)")
     assert spec._q.mixture[2] == 1e150 * math.sqrt(1e300)
+
+
+def test_quantile_bracket_grows_to_the_double_range():
+    # the bracket doubles past 2**700 until it holds p; both specs have the
+    # wide scale 1e300 at weight 0.5, so q(p) is 1e300 times a standard
+    # normal quantile
+    inv_cdf = statistics.NormalDist().inv_cdf
+    for text, wide_p in [
+            ("ContaminatedNormal(epsilon=0.5, sigma=1e300, c=1)",
+             {0.1: 0.1, 0.9: 0.9}),
+            # the narrow component is a step at this scale, so the wide one
+            # holds all of p beyond its half
+            ("ContaminatedNormal(epsilon=0.5, sigma=1e200, c=1e200)",
+             {0.1: 0.2, 0.9: 0.8})]:
+        spec = parse_distribution(text)
+        for p, q in wide_p.items():
+            assert math.isclose(true_quantile(spec, p), 1e300 * inv_cdf(q),
+                                rel_tol=1e-11), (text, p)
 
 
 def test_parameters_follow_the_positive_real_rule():
@@ -360,9 +379,9 @@ def test_bisection_memo_is_bounded(monkeypatch):
 
 
 def test_shared_tables_and_memos_give_the_same_bits_under_threads():
-    # threads share the kernel's factor tables and a spec's memo; tables
-    # grow and are evicted while other threads read them, memo entries are
-    # written while others walk the same tree
+    # threads share the kernel's shape-pair records and a spec's memo;
+    # records are built and evicted while other threads read them, memo
+    # entries are written while others walk the same tree
     import sys
     import threading
 
@@ -377,7 +396,7 @@ def test_shared_tables_and_memos_give_the_same_bits_under_threads():
 
     def work(offset):
         for _ in range(3):
-            _kernels_py._lentz_table.cache_clear()
+            _kernels_py._shape_terms.cache_clear()
             for t in texts:
                 order = ps[offset:] + ps[:offset]
                 got = dict(zip(order, (true_quantile(shared[t], p)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import fractions
 import hashlib
 import io
 import json
@@ -200,11 +201,14 @@ def test_estimate_mse_agrees_with_sim2_cell():
     report = run_sim2(cfg)
     row = report.rows[0]
     spec = cfg.specs[0]
+    assert row.p == 0.25
     for eid, got in [("hf7", row.mse_hf7), ("hd", row.mse_hd),
                      ("thd-sqrt", row.mse_thd)]:
-        alone = estimate_mse(eid, spec, row.n, row.p,
-                             cfg.samples_per_batch, cfg.batches, cfg.seed)
-        assert alone == got, eid
+        # p reads as a config's p_grid entry does, whatever its type
+        for p in (row.p, fractions.Fraction(1, 4), "0.25"):
+            alone = estimate_mse(eid, spec, row.n, p,
+                                 cfg.samples_per_batch, cfg.batches, cfg.seed)
+            assert alone == got, (eid, p)
 
 
 def test_estimate_mse_validation():

@@ -192,13 +192,24 @@ def test_continued_fraction_nonconvergence_raises(monkeypatch):
 
 
 def test_iteration_cap_is_read_at_call_time(monkeypatch):
-    # the pair's factor table already holds more terms than the lowered cap
+    # the pair's factor tables already hold more terms than the lowered cap
     # allows; the cap still bounds the loop, and raising it back restores
     # the converged value
     from trimq import _kernels_py
 
     want = _kernels_py.reg_inc_beta(0.4, 37, 41)
-    assert len(_kernels_py._lentz_table(37, 41)[0]) > 2
+    hits = _kernels_py._shape_terms.cache_info().hits
+    record = _kernels_py._shape_terms(37, 41, _kernels_py._MAX_ITER)
+    assert _kernels_py._shape_terms.cache_info().hits == hits + 1
+    assert len(record[1]) > 2
+    monkeypatch.setattr(_kernels_py, "_MAX_ITER", 2)
+    with pytest.raises(ArithmeticError):
+        _kernels_py.reg_inc_beta(0.4, 37, 41)
+    monkeypatch.undo()
+    assert _kernels_py.reg_inc_beta(0.4, 37, 41) == want
+    # and in the reverse order: on a cold cache the lowered cap raises
+    # first, then the restored cap gives the pinned value
+    _kernels_py._shape_terms.cache_clear()
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", 2)
     with pytest.raises(ArithmeticError):
         _kernels_py.reg_inc_beta(0.4, 37, 41)
@@ -239,9 +250,8 @@ def test_shape_caches_do_not_change_bits():
     from trimq import _kernels_py
 
     def clear():
-        _kernels_py._log_norm.cache_clear()
+        _kernels_py._shape_terms.cache_clear()
         _kernels_py._log_beta_cached.cache_clear()
-        _kernels_py._lentz_table.cache_clear()
 
     # more pairs than the caches keep, interleaved, ints mixed with floats
     shapes = [(2, 4), (1.5, 0.5), (2.0, 4.0)] + [
@@ -262,8 +272,8 @@ def test_shape_caches_do_not_change_bits():
     cold = run(cold=True)
     assert run(cold=False) == cold
     assert run(cold=False) == cold
-    assert _kernels_py._log_norm.cache_info().currsize > 0
-    assert _kernels_py._lentz_table.cache_info().currsize > 0
+    assert _kernels_py._shape_terms.cache_info().currsize > 0
+    assert _kernels_py._log_beta_cached.cache_info().currsize > 0
 
 
 def _lentz_oracle_points(rng, pairs):
