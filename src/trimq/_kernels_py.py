@@ -1,6 +1,10 @@
 """Pure-Python numeric kernels, the package's one backend
 (``trimq.backend.kernels``).
 
+The normal quantile is not here: the Normal, LogNormal and contaminated
+normal families draw through the standard library's
+``statistics.NormalDist.inv_cdf``, the same PPND16 algorithm.
+
 Arguments are assumed pre-validated by the public wrappers in trimq.special
 and friends.
 """
@@ -189,52 +193,9 @@ def reg_inc_beta(x, a, b):
     return 1.0 - math.exp(front) * _beta_cont_frac(b, a, 1.0 - x, terms_ba) / b
 
 
-def norm_quantile(p):
-    """Standard normal quantile for p in (0, 1).
-
-    Wichura's PPND16 rational approximation; relative error is near the
-    double-precision limit over the whole open interval.
-    """
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r -= 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    val = num / den
-    return -val if q < 0.0 else val
-
-
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
 def _mix64(z):
@@ -276,5 +237,9 @@ def stream_uniforms(seed_mix, stream_id, start, count):
         z = (z * 0x94D049BB133111EB) & _M64
         z ^= z >> 31
         out.append(((z >> 11) + 0.5) * 1.1102230246251565e-16)
+    if 1.0 in out:
+        # z >> 11 == 2**53 - 1 rounds up to 1.0; it takes the largest
+        # double below 1, and every other draw keeps its bits
+        out = [u if u < 1.0 else _BELOW_ONE for u in out]
     return out
 

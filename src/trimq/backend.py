@@ -1,10 +1,12 @@
 """The numeric backend.
 
-Every numeric kernel lives in the pure-Python module trimq._kernels_py;
-``kernels`` is that module and ``BACKEND`` names it, "python".  The
-TRIMQ_BACKEND environment variable may be unset or name it ("python",
-"py" or "pure"); any other value fails at import, so a script that asks
-for the removed compiled backend ("c" or "native") learns it was removed.
+Every numeric kernel but the normal quantile, which the standard
+library's ``statistics.NormalDist.inv_cdf`` supplies, lives in the
+pure-Python module trimq._kernels_py; ``kernels`` is that module and
+``BACKEND`` names it, "python".  The TRIMQ_BACKEND environment variable
+may be unset or name it ("python", "py" or "pure"); any other value fails
+at import, so a script that asks for the removed compiled backend ("c" or
+"native") learns it was removed.
 """
 
 import os

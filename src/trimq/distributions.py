@@ -137,8 +137,9 @@ def _q_beta(*, a, b):
 
 
 def _q_normal(*, m=0.0, sd=1.0):
-    norm_quantile = _k.norm_quantile
-    return lambda p: m + sd * norm_quantile(p)
+    # imported here so that `import trimq` does not load statistics
+    from statistics import NormalDist
+    return NormalDist(m, sd).inv_cdf
 
 
 def _q_weibull(*, scale=1.0, shape):
@@ -174,8 +175,9 @@ def _q_pareto(*, loc, shape):
 
 
 def _q_lognormal(*, mlog=0.0, sdlog=1.0):
-    norm_quantile = _k.norm_quantile
-    return lambda p: math.exp(mlog + sdlog * norm_quantile(p))
+    from statistics import NormalDist
+    inv_cdf = NormalDist(mlog, sdlog).inv_cdf
+    return lambda p: math.exp(inv_cdf(p))
 
 
 def _q_frechet(*, shape):
@@ -335,12 +337,13 @@ def sampler(spec, n, seed):
     q = spec._q
     if spec.kind == "ContaminatedNormal":
         eps, sigma, wide = q.mixture
-        norm_quantile = _k.norm_quantile
+        from statistics import NormalDist
+        inv_cdf = NormalDist().inv_cdf
         count = 2 * n
 
         def draw(stream_id):
             us = uniforms(stream_id, count)
-            return [(wide if pick < eps else sigma) * norm_quantile(u)
+            return [(wide if pick < eps else sigma) * inv_cdf(u)
                     for pick, u in zip(us[::2], us[1::2])]
         return draw
 

@@ -135,9 +135,20 @@ def _field(convert, **default):
     return field(metadata={"convert": convert}, **default)
 
 
+def _convert_fields(self):
+    """Each field through the converter it declares, however the config was
+    built: directly, by from_dict or by dataclasses.replace."""
+    for f in dataclasses.fields(self):
+        try:
+            value = f.metadata["convert"](getattr(self, f.name), f.name)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, f.name, value)
+
+
 def _from_dict(cls, data):
-    """`cls` from a JSON object, each field through the converter it
-    declares; the fields without a default are required."""
+    """`cls` from a JSON object; the fields without a default are
+    required."""
     fields = dataclasses.fields(cls)
     if not isinstance(data, dict):
         raise ConfigError("%s must be a JSON object, got %r"
@@ -147,16 +158,11 @@ def _from_dict(cls, data):
         if key not in known:
             raise ConfigError("%s: unknown field (known: %s)"
                               % (key, ", ".join(sorted(known))))
-    kwargs = {}
     for f in fields:
-        if f.name in data:
-            try:
-                kwargs[f.name] = f.metadata["convert"](data[f.name], f.name)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        elif f.default is MISSING and f.default_factory is MISSING:
+        if (f.name not in data and f.default is MISSING
+                and f.default_factory is MISSING):
             raise ConfigError("%s: required field is missing" % f.name)
-    return cls(**kwargs)
+    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,7 @@ class Sim1Config:
                                default=("hf7", "hd", "thd-sqrt"))
     seed: int = _field(_checks.integer, default=0)
 
+    __post_init__ = _convert_fields
     from_dict = classmethod(_from_dict)
 
 
@@ -188,6 +195,7 @@ class Sim2Config:
     estimators: dict = _field(_as_roles, default_factory=lambda: {
         "hf7": "hf7", "hd": "hd", "thd": "thd-sqrt"})
 
+    __post_init__ = _convert_fields
     from_dict = classmethod(_from_dict)
 
 

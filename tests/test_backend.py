@@ -54,3 +54,13 @@ def test_explicit_c_request_honored_or_errors():
 def test_kernel_module_docs_name_their_role():
     # the pure module must remain importable on its own (no compiled parts)
     assert math.isfinite(_kernels_py.log_gamma(4.2))
+
+
+def test_import_leaves_statistics_unloaded():
+    # the normal-quantile families import statistics when first built, so
+    # start-up does not pay for it (nor for fractions and decimal)
+    proc = _run("", "import sys\n"
+                    "import trimq, trimq.cli\n"
+                    "print('statistics' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

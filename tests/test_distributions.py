@@ -307,6 +307,34 @@ def test_inverted_sampler_bytes_are_pinned():
         "d5758ca256f5fd2944997ab2cafccf3c4789b168e983d5e13e31f2531bc6c8cb")
 
 
+def _neighbours(x, count=5):
+    # x and the `count` doubles on each side of it
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
+def test_normal_quantile_bytes_are_pinned():
+    # every branch of Wichura's PPND16: the centre |p - 0.5| <= 0.425, the
+    # near tails down to e**-25 and the far tails beyond, from the smallest
+    # double to the largest below 1, and the doubles beside each switch
+    ps = ([2.0 ** -k for k in range(1, 1075)]
+          + [1.0 - 2.0 ** -k for k in range(2, 54)]
+          + [k / 40.0 for k in range(1, 40)])
+    for edge in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+        ps += _neighbours(edge)
+    digest = hashlib.sha256()
+    for text in ("Normal(m=1, sd=2)", "LogNormal(mlog=0.5, sdlog=1.5)"):
+        spec = parse_distribution(text)
+        digest.update(repr([true_quantile(spec, p) for p in ps]).encode())
+    spec = parse_distribution("ContaminatedNormal(epsilon=0.1, sigma=2, c=9)")
+    digest.update(repr(sample(spec, RngStream(13, 5), 200)).encode())
+    assert digest.hexdigest() == (
+        "0e49ba4844bef2dd8a05cb226ad246e3066d8cafcd8d20ebb4fb296d283dae5f")
+
+
 # the families that bisect their CDFs, each with a memo of its top levels
 MEMO_SPECS = ("Beta(a=2, b=4)", "Student(df=3)",
               "ContaminatedNormal(epsilon=0.01, sigma=1, c=1000000)")

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from trimq import DistributionSpec, RngStream, fnv1a64, sample
+from trimq import DistributionSpec, RngStream, fnv1a64, sample, true_quantile
 from trimq.backend import kernels
 from trimq.rng import seed_uniforms
+
+from test_distributions import ALL_SPECS
 
 
 def test_streams_are_deterministic():
@@ -114,3 +116,18 @@ def test_stream_uniforms_start_skips_draws():
     assert (RngStream(seed, sid).uniforms(9, start=4)
             == kernels.stream_uniforms(mixed, sid, 4, 9)
             == kernels.stream_uniforms(mixed, sid, 0, 13)[4:])
+
+
+def test_the_top_draw_stays_below_one():
+    # draw `start` of stream (0, 0) has z >> 11 == 2**53 - 1, whose midpoint
+    # (2**53 - 0.5) * 2**-53 rounds to exactly 1.0, where most inverse CDFs
+    # fail; it must take the largest double below 1, its neighbours their
+    # own values
+    start = 4550477438996601597
+    draws = RngStream(0, 0).uniforms(3, start=start - 1)
+    assert draws == [0.9865407410362939, 1.0 - 2.0 ** -53,
+                     0.7523256904853473]
+    u = draws[1]
+    assert kernels.stream_uniforms(kernels.mix_seed(0), 0, start, 1) == [u]
+    for text in ALL_SPECS:
+        assert math.isfinite(true_quantile(DistributionSpec.parse(text), u))

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import fractions
 import hashlib
 import io
@@ -102,6 +103,49 @@ def test_sim2_config_errors_name_the_field(patch, needle):
     with pytest.raises(ConfigError) as err:
         _sim2_cfg(**patch)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("build", ["direct", "replace"])
+@pytest.mark.parametrize("cls,patch,needle", [
+    (Sim2Config, {"batches": 4}, "batches"),
+    (Sim2Config, {"specs": ("Nope()",)}, "specs[0]"),
+    (Sim2Config, {"specs": (3,)}, "specs[0]"),
+    (Sim2Config, {"p_grid": (1.0,)}, "p_grid[0]"),
+    (Sim2Config, {"estimators": {"hf7": "hf7"}}, "estimators"),
+    (Sim1Config, {"sample_size": 0}, "sample_size"),
+    (Sim1Config, {"spec": "Nope(a=1)"}, "spec"),
+    (Sim1Config, {"report_quantiles": (0.5, 1.5)}, "report_quantiles[1]"),
+])
+def test_configs_built_without_from_dict_follow_the_field_rules(
+        build, cls, patch, needle):
+    # the constructor and dataclasses.replace apply the converters that
+    # from_dict applies
+    direct = {
+        Sim1Config: {"spec": DistributionSpec.parse("Normal"),
+                     "sample_size": 10, "replications": 4,
+                     "p_estimated": 0.5},
+        Sim2Config: {"specs": (DistributionSpec.parse("Normal"),),
+                     "sample_sizes": (10,), "p_grid": (0.5,),
+                     "samples_per_batch": 20, "batches": 3},
+    }[cls]
+    with pytest.raises(ConfigError) as err:
+        if build == "direct":
+            cls(**dict(direct, **patch))
+        else:
+            dataclasses.replace(cls(**direct), **patch)
+    assert needle in str(err.value)
+
+
+def test_configs_built_directly_from_spec_strings_match_from_dict():
+    sim2 = Sim2Config(specs=(NORMAL, EXP), sample_sizes=(5,),
+                      p_grid=(0.25, 0.5), samples_per_batch=12, batches=3,
+                      seed=1)
+    assert sim2 == _sim2_cfg()
+    assert run_sim2(sim2).to_csv() == run_sim2(_sim2_cfg()).to_csv()
+    sim1 = Sim1Config(spec=NORMAL, sample_size=5, replications=40,
+                      p_estimated=0.5, seed=3)
+    assert sim1 == _sim1_cfg()
+    assert run_sim1(sim1).to_csv() == run_sim1(_sim1_cfg()).to_csv()
 
 
 # ---------------------------------------------------------------------------
