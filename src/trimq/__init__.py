@@ -5,7 +5,9 @@ trimmed Harrell-Davis estimator whose beta weights are truncated to their
 highest-density interval; plus the deterministic Monte-Carlo harness used
 to study their robustness and efficiency.
 
-The numeric core is pure Python; ``trimq.BACKEND`` names it ("python").
+``trimq.BACKEND`` names the numeric backend: "c" when the incomplete beta's
+C kernels build and load, "python" for the pure-Python reference; both give
+the same bits (see trimq.backend).
 """
 
 __version__ = "0.1.0"

@@ -1,0 +1,238 @@
+/*
+ * The regularized incomplete beta and the bisections that invert the Beta
+ * and Student t CDFs through it, in plain C99 for trimq/_kernels_c.py,
+ * which builds this file and loads it with ctypes.
+ *
+ * Every function is a port of its Python reference: reg_inc_beta and the
+ * Lentz fraction of trimq/_kernels_py.py, and the bisections _bisect_cdf,
+ * _invert_unbounded and _student_cdf of trimq/distributions.py.  Each does
+ * the same operations in the same order, so that, built with
+ * -ffp-contract=off and linked against the libm behind Python's math
+ * module, it returns the same doubles.
+ *
+ * Where the reference raises, the port gives the case back instead: a NaN
+ * from reg_inc_beta, or -1 from a batch entry.  The caller then asks the
+ * reference, which raises the error itself.  That happens when the fraction
+ * does not converge within max_iter terms, when exp(front) is not finite
+ * (math.exp raises OverflowError where C returns inf), and, in the
+ * bisections, when a CDF value is NaN or a bracket end doubles to infinity.
+ *
+ * There is no mutable state outside the stack, so threads may call every
+ * entry point at once.
+ */
+
+#include <math.h>
+
+/* the continued fraction's controls, as in _kernels_py */
+#define CF_TOL 1e-14
+#define FPMIN 1e-300
+
+/* the bisections' controls, as in distributions._bisect_cdf */
+#define BISECT_LEVELS 500
+#define BISECT_TOL 1e-12
+
+/*
+ * Continued-fraction factor of I_x(a, b) by the modified Lentz recurrence.
+ * Term m is n1 * x / d1, then n2 * x / d2, their x-free factors formed as
+ * _kernels_py._lentz_terms tabulates them.  Returns 1 and stores the
+ * factor in *out, or 0 when max_iter terms do not converge.
+ */
+static int beta_cont_frac(double a, double b, double x, long max_iter,
+                          double *out)
+{
+    double qab = a + b;
+    double qap = a + 1.0;
+    double qam = a - 1.0;
+    double c = 1.0;
+    double d = 1.0 - (a + b) * x / (a + 1.0);
+    double h, m, m2, am2, aa, delta;
+    long i;
+
+    if (-FPMIN < d && d < FPMIN)
+        d = FPMIN;
+    d = 1.0 / d;
+    h = d;
+    for (i = 1; i <= max_iter; i++) {
+        m = (double)i;
+        m2 = m + m;
+        am2 = a + m2;
+        aa = m * (b - m) * x / ((qam + m2) * am2);
+        d = 1.0 + aa * d;
+        if (-FPMIN < d && d < FPMIN)
+            d = FPMIN;
+        c = 1.0 + aa / c;
+        if (-FPMIN < c && c < FPMIN)
+            c = FPMIN;
+        d = 1.0 / d;
+        h *= d * c;
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2));
+        d = 1.0 + aa * d;
+        if (-FPMIN < d && d < FPMIN)
+            d = FPMIN;
+        c = 1.0 + aa / c;
+        if (-FPMIN < c && c < FPMIN)
+            c = FPMIN;
+        d = 1.0 / d;
+        delta = d * c;
+        h *= delta;
+        if (-CF_TOL < delta - 1.0 && delta - 1.0 < CF_TOL) {
+            *out = h;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/*
+ * Regularized incomplete beta I_x(a, b) for x in [0, 1], with log_norm =
+ * ln(1 / B(a, b)) as _kernels_py._log_norm computes it.  NaN asks the
+ * caller to use the reference.
+ */
+double reg_inc_beta(double x, double a, double b, double log_norm,
+                    long max_iter)
+{
+    double front, scale, frac;
+
+    if (x <= 0.0)
+        return 0.0;
+    if (x >= 1.0)
+        return 1.0;
+    front = log_norm + a * log(x) + b * log1p(-x);
+    scale = exp(front);
+    if (!isfinite(scale))
+        return NAN;
+    if (x < (a + 1.0) / (a + b + 2.0)) {
+        if (!beta_cont_frac(a, b, x, max_iter, &frac))
+            return NAN;
+        return scale * frac / a;
+    }
+    if (!beta_cont_frac(b, a, 1.0 - x, max_iter, &frac))
+        return NAN;
+    return 1.0 - scale * frac / b;
+}
+
+/* one CDF to invert: Beta(a, b), or Student t with df = 2a and b = 1/2 */
+typedef struct {
+    double a, b, log_norm, df;
+    long max_iter;
+} Cdf;
+
+static double beta_cdf(const Cdf *cdf, double x)
+{
+    return reg_inc_beta(x, cdf->a, cdf->b, cdf->log_norm, cdf->max_iter);
+}
+
+static double student_cdf(const Cdf *cdf, double t)
+{
+    double x = cdf->df / (cdf->df + t * t);
+    double tail = 0.5 * reg_inc_beta(x, cdf->a, cdf->b, cdf->log_norm,
+                                     cdf->max_iter);
+    return t >= 0.0 ? 1.0 - tail : tail;
+}
+
+typedef double (*CdfAt)(const Cdf *cdf, double t);
+
+/*
+ * The point where bisection of [lo, hi] toward cdf(t) = p stops, for
+ * cdf(lo) < p <= cdf(hi).  Returns 1 and stores it in *out, or 0 when a
+ * CDF value is NaN.
+ */
+static int bisect_cdf(CdfAt at, const Cdf *cdf, double p, double lo,
+                      double hi, double *out)
+{
+    double mid, f;
+    int level;
+
+    for (level = 0; level < BISECT_LEVELS; level++) {
+        mid = 0.5 * (lo + hi);
+        if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
+            || mid >= hi) {
+            *out = mid;
+            return 1;
+        }
+        f = at(cdf, mid);
+        if (isnan(f))
+            return 0;
+        if (f < p)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    *out = 0.5 * (lo + hi);
+    return 1;
+}
+
+/*
+ * The quantile of p on the real line: each end of [-1, 1] doubles until
+ * the bracket holds p, then bisection.  Returns 1 and stores it in *out,
+ * or 0 when a CDF value is NaN or an end doubles to infinity.
+ */
+static int invert_unbounded(CdfAt at, const Cdf *cdf, double p, double *out)
+{
+    double lo = -1.0, hi = 1.0, f;
+
+    for (;;) {
+        f = at(cdf, lo);
+        if (isnan(f))
+            return 0;
+        if (f < p)
+            break;
+        lo *= 2.0;
+        if (lo == -INFINITY)
+            return 0;
+    }
+    for (;;) {
+        f = at(cdf, hi);
+        if (isnan(f))
+            return 0;
+        if (f >= p)
+            break;
+        hi *= 2.0;
+        if (hi == INFINITY)
+            return 0;
+    }
+    return bisect_cdf(at, cdf, p, lo, hi, out);
+}
+
+/*
+ * out[i] = the Beta(a, b) quantile of ps[i], bisected on [0, 1], for i <
+ * count.  Returns 0, or -1 to ask the caller to use the reference.
+ */
+int beta_quantiles(const double *ps, long count, double a, double b,
+                   double log_norm, long max_iter, double *out)
+{
+    Cdf cdf;
+    long i;
+
+    cdf.a = a;
+    cdf.b = b;
+    cdf.log_norm = log_norm;
+    cdf.df = 0.0;
+    cdf.max_iter = max_iter;
+    for (i = 0; i < count; i++)
+        if (!bisect_cdf(beta_cdf, &cdf, ps[i], 0.0, 1.0, &out[i]))
+            return -1;
+    return 0;
+}
+
+/*
+ * out[i] = the Student t quantile of ps[i] at df degrees of freedom, for
+ * i < count, with log_norm that of the shape pair (df / 2, 1 / 2).
+ * Returns 0, or -1 to ask the caller to use the reference.
+ */
+int student_quantiles(const double *ps, long count, double df,
+                      double log_norm, long max_iter, double *out)
+{
+    Cdf cdf;
+    long i;
+
+    cdf.a = 0.5 * df;
+    cdf.b = 0.5;
+    cdf.log_norm = log_norm;
+    cdf.df = df;
+    cdf.max_iter = max_iter;
+    for (i = 0; i < count; i++)
+        if (!invert_unbounded(student_cdf, &cdf, ps[i], &out[i]))
+            return -1;
+    return 0;
+}

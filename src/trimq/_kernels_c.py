@@ -1,0 +1,169 @@
+"""The C backend: the incomplete beta and the Beta and Student t bisections
+of trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken
+from the pure-Python reference, trimq._kernels_py.
+
+Importing this module builds the C file once per version of its source, with
+the system ``cc``, into this package's ``__pycache__``, and loads it.  It
+raises ImportError when no library can be built or loaded; trimq.backend then
+falls back to the reference.
+
+Every entry point returns the doubles of its reference.  Where the C code
+gives a case back (a fraction that does not converge, an exp(front) that
+overflows, a bracket that doubles to infinity), the reference is asked, and
+raises its own error.  The library keeps no mutable state and ctypes
+releases the GIL around each call, so threads may call it at once.
+"""
+
+import ctypes
+import functools
+import os
+import sys
+import zlib
+
+from . import _kernels_py as _py
+from ._kernels_py import (beta_pdf, log_beta, log_gamma, mix_seed,
+                          stream_uniforms)
+
+__all__ = ["beta_pdf", "beta_quantiles", "log_beta", "log_gamma",
+           "mix_seed", "reg_inc_beta", "stream_uniforms",
+           "student_quantiles"]
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_HERE, "_kernels_c.c")
+
+# no fused multiply-add, so that each operation rounds as Python's does
+_CFLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_BUILD_TIMEOUT_S = 120
+
+
+def _compile_command(out):
+    """The command that builds the library at `out`."""
+    return ["cc", *_CFLAGS, "-o", out, _SOURCE, "-lm"]
+
+
+def _library_path():
+    """The cached library of this version of the source and of the build
+    flags, for this interpreter."""
+    with open(_SOURCE, "rb") as fh:
+        crc = zlib.crc32(" ".join(_CFLAGS).encode(), zlib.crc32(fh.read()))
+    return os.path.join(_HERE, "__pycache__", "_kernels_c.%s.%08x.so"
+                        % (sys.implementation.cache_tag, crc))
+
+
+def _build(path):
+    """Compile the source to `path`, written whole or not at all."""
+    import subprocess
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    # unique per process; within one, the import lock serializes builds
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        proc = subprocess.run(_compile_command(tmp), capture_output=True,
+                              text=True, timeout=_BUILD_TIMEOUT_S,
+                              check=False)
+        if proc.returncode != 0:
+            raise OSError("cc exited with %d: %s"
+                          % (proc.returncode, proc.stderr.strip()[-500:]))
+        os.replace(tmp, path)
+    except subprocess.TimeoutExpired:
+        raise OSError("cc took more than %d s" % _BUILD_TIMEOUT_S) from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _check_whole(path):
+    """Raise OSError if `path` is an ELF file shorter than its header says:
+    loading a truncated library can kill the process with SIGBUS instead
+    of failing.  The linker writes the section header table last."""
+    with open(path, "rb") as fh:
+        head = fh.read(64)
+        size = os.fstat(fh.fileno()).st_size
+    if len(head) < 52 or head[:4] != b"\x7fELF" or head[4] not in (1, 2):
+        return  # not ELF: the loader's own checks apply
+    order = "little" if head[5] == 1 else "big"
+    # where e_shoff lies and how wide it is, and where e_shentsize lies,
+    # e_shnum following it, in a 32-bit or a 64-bit header
+    at, width, sizes = ((32, 4, 46), (40, 8, 58))[head[4] - 1]
+    end = (int.from_bytes(head[at:at + width], order)
+           + int.from_bytes(head[sizes:sizes + 2], order)
+           * int.from_bytes(head[sizes + 2:sizes + 4], order))
+    if end > size:
+        raise OSError("%s is truncated: %d of %d bytes" % (path, size, end))
+
+
+def _open(path):
+    """The library at `path`, its entry points typed; OSError when it is
+    missing, damaged or lacks them."""
+    _check_whole(path)
+    lib = ctypes.CDLL(path)
+    try:
+        scalar = lib.reg_inc_beta
+        batches = lib.beta_quantiles, lib.student_quantiles
+    except AttributeError as exc:
+        raise OSError("%s is not this library: %s" % (path, exc)) from None
+    double, long = ctypes.c_double, ctypes.c_long
+    vector = ctypes.POINTER(double)
+    scalar.argtypes = (double, double, double, double, long)
+    scalar.restype = double
+    batches[0].argtypes = (vector, long, double, double, double, long, vector)
+    batches[1].argtypes = (vector, long, double, double, long, vector)
+    for entry in batches:
+        entry.restype = ctypes.c_int
+    return scalar, batches[0], batches[1]
+
+
+def _load():
+    path = _library_path()
+    try:
+        return _open(path)
+    except OSError:
+        pass  # not built yet for this source, or damaged: build it afresh
+    try:
+        _build(path)
+        return _open(path)
+    except OSError as exc:
+        raise ImportError("cannot build the C kernels from %s: %s"
+                          % (_SOURCE, exc)) from exc
+
+
+_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles = _load()
+_c_doubles = ctypes.c_double
+
+# ln(1 / B(a, b)) per shape pair, the one shape-only factor the C code takes;
+# a simulation cell uses two pairs, a weight vector or a bisection one
+_log_norm = functools.lru_cache(maxsize=_py._SHAPE_CACHE)(_py._log_norm)
+
+
+def reg_inc_beta(x, a, b):
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1], with the
+    iteration cap of the reference, _kernels_py._MAX_ITER, read at call
+    time."""
+    y = _c_reg_inc_beta(x, a, b, _log_norm(a, b), _py._MAX_ITER)
+    if y != y:  # NaN: the C code gives the case back
+        return _py.reg_inc_beta(x, a, b)
+    return y
+
+
+def beta_quantiles(ps, a, b):
+    """[the Beta(a, b) quantile of p for p in ps], each bisected on [0, 1]
+    as distributions' bisection does it; None where the C code gives the
+    batch back, for the caller to bisect each p itself."""
+    count = len(ps)
+    buf = (_c_doubles * count)(*ps)  # read and overwritten in place
+    if _c_beta_quantiles(buf, count, a, b, _log_norm(a, b), _py._MAX_ITER,
+                         buf):
+        return None
+    return buf[:]
+
+
+def student_quantiles(ps, df):
+    """[the Student t quantile of p at df degrees of freedom for p in ps],
+    each by distributions' bracket doubling and bisection; None where the C
+    code gives the batch back, for the caller to invert each p itself."""
+    count = len(ps)
+    buf = (_c_doubles * count)(*ps)
+    if _c_student_quantiles(buf, count, df, _log_norm(0.5 * df, 0.5),
+                            _py._MAX_ITER, buf):
+        return None
+    return buf[:]

@@ -1,5 +1,8 @@
-"""Pure-Python numeric kernels, the package's one backend
-(``trimq.backend.kernels``).
+"""Pure-Python numeric kernels: the reference every backend matches bit for
+bit, and the backend trimq.backend falls back to when the C kernels of
+trimq._kernels_c cannot be built.  The C backend takes the kernels it does
+not port from here, and asks the incomplete beta here whenever its own
+code gives a case back, so both backends raise the same errors.
 
 The normal quantile is not here: the Normal, LogNormal and contaminated
 normal families draw through the standard library's
@@ -118,16 +121,20 @@ def _lentz_terms(a, b, count):
     return tuple(terms)
 
 
+def _log_norm(a, b):
+    """ln(1 / B(a, b)), the incomplete beta's normalizer."""
+    # subtracted in this order; -log_beta(a, b) rounds differently for
+    # about half of all shape pairs
+    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+
+
 @functools.lru_cache(maxsize=_TERMS_CACHE)
 def _shape_terms(a, b, max_iter):
     """(log_norm, terms_ab, terms_ba) of shape pair (a, b) under a cap of
     `max_iter` terms: ln(1 / B(a, b)), and the whole factor tables of the
     fraction of (a, b) and of its reflection (b, a).  The record is
     immutable, so threads may share it."""
-    # subtracted in this order; -log_beta(a, b) rounds differently for
-    # about half of all shape pairs
-    log_norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-    return (log_norm, _lentz_terms(a, b, max_iter),
+    return (_log_norm(a, b), _lentz_terms(a, b, max_iter),
             _lentz_terms(b, a, max_iter))
 
 
@@ -178,7 +185,9 @@ def reg_inc_beta(x, a, b):
     The log-gamma normalizer and the Lentz factor tables are cached per
     shape pair (a, b) and per cap _MAX_ITER, read at call time, and
     front = normalizer + a ln x + b ln(1-x) is summed left to right, so a
-    cached call returns the same bits as an uncached one.
+    cached call returns the same bits as an uncached one.  An exp(front)
+    past the largest double raises ArithmeticError, as a fraction that
+    does not converge does.
     """
     if x <= 0.0:
         return 0.0
@@ -186,11 +195,17 @@ def reg_inc_beta(x, a, b):
         return 1.0
     log_norm, terms_ab, terms_ba = _shape_terms(a, b, _MAX_ITER)
     front = log_norm + a * math.log(x) + b * math.log1p(-x)
+    try:
+        scale = math.exp(front)
+    except OverflowError:
+        raise ArithmeticError(
+            "incomplete beta overflows (a=%g, b=%g, x=%g)"
+            % (a, b, x)) from None
     # the continued fraction converges fast only below the mean;
     # above it, use I_x(a,b) = 1 - I_{1-x}(b,a)
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(front) * _beta_cont_frac(a, b, x, terms_ab) / a
-    return 1.0 - math.exp(front) * _beta_cont_frac(b, a, 1.0 - x, terms_ba) / b
+        return scale * _beta_cont_frac(a, b, x, terms_ab) / a
+    return 1.0 - scale * _beta_cont_frac(b, a, 1.0 - x, terms_ba) / b
 
 
 _M64 = (1 << 64) - 1

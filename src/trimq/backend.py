@@ -1,25 +1,38 @@
 """The numeric backend.
 
-Every numeric kernel but the normal quantile, which the standard
-library's ``statistics.NormalDist.inv_cdf`` supplies, lives in the
-pure-Python module trimq._kernels_py; ``kernels`` is that module and
-``BACKEND`` names it, "python".  The TRIMQ_BACKEND environment variable
-may be unset or name it ("python", "py" or "pure"); any other value fails
-at import, so a script that asks for the removed compiled backend ("c" or
-"native") learns it was removed.
+``kernels`` is the module every other module calls for the numeric kernels,
+and ``BACKEND`` names it:
+
+- "c": trimq._kernels_c, the incomplete beta and the Beta and Student t
+  bisections in C, built with the system ``cc`` on first import and cached
+  in this package's ``__pycache__``, the other kernels from the reference;
+- "python": trimq._kernels_py, the pure-Python reference.
+
+Both give the same bits and raise the same errors.  The TRIMQ_BACKEND
+environment variable picks one: unset or empty, the C backend when it
+builds and loads, the reference otherwise; "c" or "native", the C backend
+or an ImportError that says why it is not available; "python", "py" or
+"pure", the reference.  Any other value fails at import.  The normal
+quantile is no kernel: the standard library's
+``statistics.NormalDist.inv_cdf`` supplies it.
 """
 
 import os
 
-from . import _kernels_py as kernels
-
-BACKEND = "python"
-
 _choice = os.environ.get("TRIMQ_BACKEND", "").strip().lower()
-if _choice in ("c", "native"):
-    raise ImportError(
-        "TRIMQ_BACKEND=%s: the compiled backend was removed; unset "
-        "TRIMQ_BACKEND or set it to 'python'" % _choice)
-if _choice not in ("", "python", "py", "pure"):
-    raise ValueError(
-        "unrecognized TRIMQ_BACKEND value %r (expected 'python')" % _choice)
+if _choice in ("python", "py", "pure"):
+    from . import _kernels_py as kernels
+    BACKEND = "python"
+elif _choice in ("", "c", "native"):
+    try:
+        from . import _kernels_c as kernels
+        BACKEND = "c"
+    except ImportError as exc:
+        if _choice:
+            raise ImportError("TRIMQ_BACKEND=%s: the C backend is not "
+                              "available: %s" % (_choice, exc)) from exc
+        from . import _kernels_py as kernels
+        BACKEND = "python"
+else:
+    raise ValueError("unrecognized TRIMQ_BACKEND value %r (expected 'c' or "
+                     "'python')" % _choice)

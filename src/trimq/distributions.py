@@ -313,14 +313,40 @@ class DistributionSpec:
         return hash((self.kind, tuple(sorted(self.params.items()))))
 
 
+def _overflow(spec, ps):
+    """The error for a quantile of `spec` past the largest double, which
+    math.exp or ** reports as OverflowError: an ArithmeticError naming the
+    spec and the first p of `ps` whose quantile overflows, for every
+    family."""
+    for p in ps:
+        try:
+            spec._q(p)
+        except OverflowError:
+            break
+    return ArithmeticError("%s: the quantile at p=%r overflows"
+                           % (spec.label, p))
+
+
 def true_quantile(spec, p):
     """Exact quantile theta(p) of the given distribution, 0 < p < 1.
 
     Closed-form inverse CDF where one exists; Beta, Student, and the
     contaminated normal invert their CDFs by bisection (the Student CDF
-    comes from the incomplete-beta relation).
+    comes from the incomplete-beta relation).  A quantile that overflows
+    raises ArithmeticError.
     """
-    return spec._q(_checks.fraction(p, "p", "(0, 1)"))
+    p = _checks.fraction(p, "p", "(0, 1)")
+    try:
+        return spec._q(p)
+    except OverflowError:
+        raise _overflow(spec, (p,)) from None
+
+
+# kind -> the backend kernel that inverts a whole list of p at once, by the
+# same bisection as the family's inverse CDF, given the spec's parameters
+# in label order; a backend without it, the reference, leaves the sampler
+# to map each uniform through the inverse CDF
+_BATCH_QUANTILES = {"Beta": "beta_quantiles", "Student": "student_quantiles"}
 
 
 def sampler(spec, n, seed):
@@ -331,10 +357,22 @@ def sampler(spec, n, seed):
     only the stream's own work is left.  The contaminated normal takes two
     uniforms per variate, the first picking the component and the second
     feeding the normal quantile; every other family maps each uniform
-    through its inverse CDF.
+    through its inverse CDF, Beta and Student in one kernel call per draw
+    where the backend has one.
     """
     uniforms = seed_uniforms(seed)
     q = spec._q
+    kernel = _BATCH_QUANTILES.get(spec.kind)
+    batch = None if kernel is None else getattr(_k, kernel, None)
+    if batch is not None:
+        params = tuple(spec.params.values())
+
+        def draw(stream_id):
+            us = uniforms(stream_id, n)
+            out = batch(us, *params)
+            # None: the kernel gives the batch back to the reference
+            return list(map(q, us)) if out is None else out
+        return draw
     if spec.kind == "ContaminatedNormal":
         eps, sigma, wide = q.mixture
         from statistics import NormalDist
@@ -348,7 +386,11 @@ def sampler(spec, n, seed):
         return draw
 
     def draw(stream_id):
-        return list(map(q, uniforms(stream_id, n)))
+        us = uniforms(stream_id, n)
+        try:
+            return list(map(q, us))
+        except OverflowError:
+            raise _overflow(spec, us) from None
     return draw
 
 

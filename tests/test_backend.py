@@ -1,5 +1,9 @@
+import glob
+import hashlib
+import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -7,32 +11,64 @@ import trimq
 from trimq import backend
 from trimq import _kernels_py
 
+PURE = ("python", "py", "pure")
+SOURCE = os.path.join(os.path.dirname(trimq.__file__), "_kernels_c.c")
 
-def _run(env_value, code):
+
+def _run(env_value, code, src=None, path=None):
+    """`code` run by a fresh interpreter with TRIMQ_BACKEND=`env_value`,
+    importing the trimq under `src`, by default the one this process
+    imported, installed or not, with PATH set to `path` if given."""
     env = dict(os.environ)
     env["TRIMQ_BACKEND"] = env_value
-    # the child imports the trimq this process imported, installed or not
-    src = os.path.dirname(os.path.dirname(trimq.__file__))
+    if src is None:
+        src = os.path.dirname(os.path.dirname(trimq.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    if path is not None:
+        env["PATH"] = str(path)
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, timeout=300)
+
+
+def _fresh_copy(tmp_path):
+    """The directory of a copy of the trimq package with no __pycache__,
+    so with no library built, and an empty directory to serve as a PATH
+    on which no compiler is found."""
+    shutil.copytree(os.path.dirname(trimq.__file__), tmp_path / "trimq",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "empty").mkdir()
+    return tmp_path, tmp_path / "empty"
+
+
+def _libraries(root):
+    return sorted(glob.glob(str(root / "trimq" / "__pycache__" / "*.so")))
 
 
 def test_backend_is_reported():
-    assert trimq.BACKEND == "python"
-    assert backend.kernels is _kernels_py
+    # the C backend wherever it builds, the reference where TRIMQ_BACKEND
+    # asks for it
+    from trimq import _kernels_c
+
+    if os.environ.get("TRIMQ_BACKEND", "").strip().lower() in PURE:
+        assert trimq.BACKEND == "python"
+        assert backend.kernels is _kernels_py
+    else:
+        assert trimq.BACKEND == "c"
+        assert backend.kernels is _kernels_c
 
 
 def test_forced_pure_backend_gives_same_numbers():
+    # unset picks C and any pure value the reference; the numbers agree
     code = ("import trimq\n"
             "print(trimq.BACKEND)\n"
             "print(repr(trimq.thd_quantile([3.0, 1.0, 2.0, 5.0, 4.0], 0.5)))\n")
     here = trimq.thd_quantile([3.0, 1.0, 2.0, 5.0, 4.0], 0.5)
-    for value in ("", "python", "py", "pure"):
+    for value in ("",) + PURE:
         proc = _run(value, code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["python", repr(here)]
+        name = "python" if value else "c"
+        assert proc.stdout.splitlines() == [name, repr(here)]
 
 
 def test_unrecognized_backend_value_fails_fast():
@@ -41,19 +77,28 @@ def test_unrecognized_backend_value_fails_fast():
     assert "TRIMQ_BACKEND" in proc.stderr
 
 
-def test_explicit_c_request_honored_or_errors():
-    # the compiled backend was removed: asking for it fails at import and
-    # the message names the variable
+def test_explicit_c_request_honored_or_errors(tmp_path):
+    # honored where the C file builds; where no compiler is found, the
+    # import fails with a message naming the variable and the cause
+    code = "import trimq\nprint(trimq.BACKEND)\n"
     for value in ("c", "native"):
-        proc = _run(value, "import trimq")
+        proc = _run(value, code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["c"]
+    root, no_cc = _fresh_copy(tmp_path)
+    for value in ("c", "native"):
+        proc = _run(value, code, src=root, path=no_cc)
         assert proc.returncode != 0
-        assert "TRIMQ_BACKEND" in proc.stderr
-        assert "removed" in proc.stderr
+        assert "TRIMQ_BACKEND=%s" % value in proc.stderr
+        assert "cannot build the C kernels" in proc.stderr
+    assert _libraries(root) == []
 
 
 def test_kernel_module_docs_name_their_role():
     # the pure module must remain importable on its own (no compiled parts)
     assert math.isfinite(_kernels_py.log_gamma(4.2))
+    assert "reference" in _kernels_py.__doc__
+    assert "falls back" in _kernels_py.__doc__
 
 
 def test_import_leaves_statistics_unloaded():
@@ -64,3 +109,131 @@ def test_import_leaves_statistics_unloaded():
                     "print('statistics' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_warm_import_loads_no_build_tools():
+    # with the library built, importing trimq loads ctypes and none of the
+    # build's modules; -S keeps site hooks from importing them either
+    from trimq import _kernels_c  # noqa: F401  builds it if need be
+
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\nimport trimq, trimq.cli\n"
+         "print(trimq.BACKEND, [m for m in ('subprocess', 'tempfile', "
+         "'hashlib') if m in sys.modules])\n"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, TRIMQ_BACKEND="",
+                 PYTHONPATH=os.path.dirname(os.path.dirname(trimq.__file__))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["c", "[]"]
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    # a C warning fails tier-1, as does a missing compiler
+    out = tmp_path / "kernels.so"
+    proc = subprocess.run(
+        ["cc", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror",
+         "-ffp-contract=off", "-O2", "-fPIC", "-shared", "-o", str(out),
+         SOURCE, "-lm"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert out.stat().st_size > 0
+
+
+def test_library_build_keeps_every_rounding():
+    # each operation must round as Python's does: no fused multiply-add,
+    # no reassociation
+    from trimq import _kernels_c
+
+    command = _kernels_c._compile_command("out.so")
+    assert command[0] == "cc" and SOURCE in command
+    assert "-ffp-contract=off" in command
+    for flag in command:
+        assert flag not in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                            "-ffp-contract=fast", "-ffp-contract=on"), flag
+
+
+# a small grid of bisected variates, and the command that simulates it
+GRID = {"specs": ["Beta(a=2, b=4)", "Student(df=3)"], "sample_sizes": [5],
+        "p_grid": [0.1, 0.5], "samples_per_batch": 8, "batches": 3}
+SIMULATE = ("import hashlib, sys, trimq, trimq.cli\n"
+            "code = trimq.cli.main(['simulate', '--kind', 'sim2', "
+            "'--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(trimq.BACKEND, code, hashlib.sha256("
+            "open(sys.argv[2], 'rb').read()).hexdigest())\n")
+
+
+def test_no_compiler_falls_back_to_the_same_csv(tmp_path):
+    root, no_cc = _fresh_copy(tmp_path)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(GRID))
+    code = ("import sys\nsys.argv[1:] = [%r, %r]\n" % (
+        str(cfg), str(tmp_path / "out.csv"))) + SIMULATE
+    pure = _run("", code, src=root, path=no_cc)
+    assert pure.returncode == 0, pure.stderr
+    assert _libraries(root) == []
+    native = _run("", code, src=root)
+    assert native.returncode == 0, native.stderr
+    assert len(_libraries(root)) == 1
+    (name, status, digest), (name2, status2, digest2) = (
+        pure.stdout.split(), native.stdout.split())
+    assert (name, status, name2, status2) == ("python", "0", "c", "0")
+    assert digest == digest2
+    # and the same bytes as this process writes, whichever backend it has
+    from trimq.cli import main
+
+    out = tmp_path / "here.csv"
+    assert main(["simulate", "--kind", "sim2", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the C reflected branch at (x, a, b) = (0.9, 2, 4), read past the wrapper
+RAW = ("import trimq._kernels_c as k\n"
+       "print(repr(k._c_reg_inc_beta(0.9, 2.0, 4.0, k._log_norm(2.0, 4.0), "
+       "300)))\n")
+
+
+def test_edited_source_is_rebuilt_and_the_stale_library_never_loaded(
+        tmp_path):
+    root, _ = _fresh_copy(tmp_path)
+    first = _run("", RAW, src=root)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout.strip() == repr(_kernels_py.reg_inc_beta(0.9, 2, 4))
+    built = _libraries(root)
+    assert len(built) == 1
+    source = root / "trimq" / "_kernels_c.c"
+    text = source.read_text()
+    assert text.count("return 1.0 - scale * frac / b;") == 1
+    source.write_text(text.replace("return 1.0 - scale * frac / b;",
+                                   "return 0.25;"))
+    second = _run("", RAW, src=root)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout.strip() == "0.25"
+    assert len(_libraries(root)) == 2 and set(built) < set(_libraries(root))
+    # the edit undone, the first library serves again, unrebuilt
+    source.write_text(text)
+    stamp = os.stat(built[0]).st_mtime_ns
+    third = _run("", RAW, src=root)
+    assert third.stdout == first.stdout
+    assert os.stat(built[0]).st_mtime_ns == stamp
+
+
+def test_damaged_cached_library_is_rebuilt_or_falls_back(tmp_path):
+    # loading a truncated library can die of SIGBUS; the loader checks the
+    # length first, then rebuilds, or falls back when it cannot
+    root, no_cc = _fresh_copy(tmp_path)
+    code = "import trimq\nprint(trimq.BACKEND)\n"
+    assert _run("", code, src=root).stdout.split() == ["c"]
+    (lib,) = _libraries(root)
+    with open(lib, "rb") as fh:
+        whole = fh.read()
+    for size in (0, 100, len(whole) // 2, len(whole) - 100):
+        for path, want in ((no_cc, "python"), (None, "c")):
+            with open(lib, "wb") as fh:
+                fh.write(whole[:size])
+            proc = _run("", code, src=root, path=path)
+            assert proc.returncode == 0, (size, proc.stderr)
+            assert proc.stdout.split() == [want], size
+        assert os.path.getsize(lib) == len(whole)
+    assert _libraries(root) == [lib]

@@ -248,6 +248,25 @@ def test_simulate_beyond_incomplete_beta_range_is_input_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_overflowing_quantile_is_input_error(tmp_path, capsys,
+                                                      threads):
+    # about 8e-4 of the uniforms overflow this Pareto's quantile
+    data = {"specs": ["Normal(m=0, sd=1)", "Pareto(loc=1, shape=0.01)"],
+            "sample_sizes": [5], "p_grid": [0.5], "samples_per_batch": 200,
+            "batches": 3}
+    cfg = tmp_path / "cfg2.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out2.csv"
+    assert main(["simulate", "--kind", "sim2", "--config", str(cfg),
+                 "--out", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot simulate ")
+    assert "Pareto(loc=1, shape=0.01): the quantile at p=" in err
+    assert err.rstrip().endswith(" overflows") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_simulate_config_errors(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

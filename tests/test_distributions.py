@@ -444,3 +444,166 @@ def test_shared_tables_and_memos_give_the_same_bits_under_threads():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert len(results) == 4 * 3 * len(texts) and all(results)
+
+
+# ---------------------------------------------------------------------------
+# the C batch inversion against the Python bisection
+
+# Beta shapes from 0.5 to 1e3 and Student df from 0.5 to 100
+BATCH_SPECS = ("Beta(a=0.5, b=0.5)", "Beta(a=0.5, b=1000)", "Beta(a=2, b=4)",
+               "Beta(a=2, b=10)", "Beta(a=50, b=3)", "Beta(a=1000, b=1000)",
+               "Student(df=0.5)", "Student(df=3)", "Student(df=100)")
+# the extremes of the uniforms and beyond: 2**-54, the largest double below
+# 1 and the far tail, then random p
+_BATCH_RNG = random.Random(42)
+BATCH_PS = [2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300] + [
+    _BATCH_RNG.random() for _ in range(600)]
+
+
+def _reference_kernels(monkeypatch):
+    # the Python bisection over the pure-Python incomplete beta
+    from trimq import _kernels_py
+
+    monkeypatch.setattr(distributions, "_k", _kernels_py)
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except ArithmeticError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_batch_inversion_matches_the_python_bisection(monkeypatch):
+    from trimq import _kernels_c
+
+    got = {}
+    for text in BATCH_SPECS:
+        spec = parse_distribution(text)
+        batch = getattr(_kernels_c, distributions._BATCH_QUANTILES[spec.kind])
+        got[text] = batch(BATCH_PS, *spec.params.values())
+        assert got[text] is not None, text
+    _reference_kernels(monkeypatch)
+    for text in BATCH_SPECS:
+        spec = parse_distribution(text)
+        want = [true_quantile(spec, p) for p in BATCH_PS]
+        assert repr(got[text]) == repr(want), text
+
+
+def test_batch_inversion_gives_back_what_the_bisection_raises(monkeypatch):
+    # shapes past the fraction's reach and past exp's range: the kernel
+    # gives the batch back, and drawing raises the reference's error
+    from trimq import _kernels_c
+
+    texts = ("Beta(a=1000000, b=1000000)", "Beta(a=1e300, b=1e300)")
+    got = {}
+    for text in texts:
+        spec = parse_distribution(text)
+        assert _kernels_c.beta_quantiles([0.5], *spec.params.values()) is None
+        monkeypatch.setattr(distributions, "_k", _kernels_c)
+        got[text] = _outcome(sample, spec, RngStream(3, 4), 5)
+        monkeypatch.undo()
+    _reference_kernels(monkeypatch)
+    for text in texts:
+        want = _outcome(sample, parse_distribution(text), RngStream(3, 4), 5)
+        assert want.startswith("ArithmeticError: incomplete beta "), want
+        assert got[text] == want
+
+
+def test_sampler_makes_one_kernel_call_per_draw(monkeypatch):
+    from trimq import _kernels_c
+
+    calls = []
+
+    def counted(name):
+        kernel = getattr(_kernels_c, name)
+
+        def call(ps, *params):
+            calls.append((name, len(ps), params))
+            return kernel(ps, *params)
+        return call
+
+    monkeypatch.setattr(distributions, "_k", _kernels_c)
+    for name in ("beta_quantiles", "student_quantiles"):
+        monkeypatch.setattr(_kernels_c, name, counted(name))
+    draws = {text: distributions.sampler(parse_distribution(text), 7, 11)
+             for text in ("Beta(a=2, b=4)", "Student(df=3)")}
+    got = {text: (draw(5), draw(6)) for text, draw in draws.items()}
+    assert calls == [("beta_quantiles", 7, (2.0, 4.0))] * 2 + [
+        ("student_quantiles", 7, (3.0,))] * 2
+    monkeypatch.undo()
+    _reference_kernels(monkeypatch)
+    for text, pair in got.items():
+        draw = distributions.sampler(parse_distribution(text), 7, 11)
+        assert repr(pair) == repr((draw(5), draw(6))), text
+
+
+# spec, a p at which its quantile overflows the doubles, and the error
+OVERFLOWS = (
+    ("LogNormal(sdlog=1e8)", 0.99,
+     "LogNormal(mlog=0, sdlog=100000000): the quantile at p=0.99 overflows"),
+    ("Pareto(loc=1, shape=0.01)", 1.0 - 1e-12,
+     "Pareto(loc=1, shape=0.01): the quantile at p=0.999999999999 "
+     "overflows"),
+    ("Frechet(shape=0.01)", 1.0 - 1e-12,
+     "Frechet(shape=0.01): the quantile at p=0.999999999999 overflows"),
+    ("Weibull(shape=0.001)", 0.99,
+     "Weibull(scale=1, shape=0.001): the quantile at p=0.99 overflows"),
+    ("Beta(a=1e300, b=1e300)", 0.5,
+     "incomplete beta overflows (a=1e+300, b=1e+300, x=0.5)"),
+)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_overflowing_quantiles_raise_one_named_error(monkeypatch, backend):
+    # OverflowError from math.exp or ** becomes an ArithmeticError naming
+    # the spec and p; the incomplete beta's names (a, b, x)
+    from trimq import _kernels_c, _kernels_py
+
+    kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
+    monkeypatch.setattr(distributions, "_k", kernels)
+    for text, p, message in OVERFLOWS:
+        spec = parse_distribution(text)
+        with pytest.raises(ArithmeticError) as info:
+            true_quantile(spec, p)
+        assert type(info.value) is ArithmeticError
+        assert str(info.value) == message
+        # a draw names the first of its uniforms that overflows
+        with pytest.raises(ArithmeticError) as info:
+            sample(spec, RngStream(1, 2), 2000)
+        assert type(info.value) is ArithmeticError
+        us = RngStream(1, 2).uniforms(2000)
+        first = next(u for u in us if _outcome(true_quantile, spec, u)
+                     .startswith("ArithmeticError"))
+        assert str(info.value) == _outcome(true_quantile, spec, first)[
+            len("ArithmeticError: "):]
+
+
+def test_batch_draws_give_the_same_bits_under_threads():
+    # the C code runs without the GIL, so draws of threads overlap; they
+    # share the per-pair normalizer cache and nothing else
+    import sys
+    import threading
+
+    texts = ("Beta(a=2, b=10)", "Student(df=3)", "Beta(a=2500, b=4000)")
+    draws = {t: distributions.sampler(parse_distribution(t), 25, 9)
+             for t in texts}
+    want = {t: [draw(i) for i in range(12)] for t, draw in draws.items()}
+    results = []
+
+    def work(offset):
+        for t in texts[offset % 3:] + texts[:offset % 3]:
+            results.append([draws[t](i) for i in range(12)] == want[t])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 6 * len(texts) and all(results)

@@ -295,10 +295,23 @@ def _lentz_oracle_points(rng, pairs):
             yield x, a, b
 
 
+def _c_incomplete_beta(x, a, b):
+    """The C incomplete beta itself, with no fallback to the reference: a
+    case it gives back raises ArithmeticError."""
+    from trimq import _kernels_c, _kernels_py
+
+    y = _kernels_c._c_reg_inc_beta(x, a, b, _kernels_c._log_norm(a, b),
+                                   _kernels_py._MAX_ITER)
+    if math.isnan(y):
+        raise ArithmeticError("given back")
+    return y
+
+
 def test_incomplete_beta_matches_the_plain_lentz_loop_bit_for_bit():
-    # the tabulated Lentz factors must give the doubles the loop that forms
-    # them per term gives, and fail to converge where it fails, at shapes
-    # up to 1e5 (thd at n = 1e5 works near 5e4), past the pinned digest
+    # the tabulated Lentz factors, and the C loop, must give the doubles
+    # the loop that forms them per term gives, and fail to converge where
+    # it fails, at shapes up to 1e5 (thd at n = 1e5 works near 5e4), past
+    # the pinned digest
     import random
 
     from trimq import _kernels_py
@@ -312,5 +325,44 @@ def test_incomplete_beta_matches_the_plain_lentz_loop_bit_for_bit():
     points = list(_lentz_oracle_points(random.Random(20261018), 4000))
     assert len(points) == 20000
     for x, a, b in points:
-        got = outcome(_kernels_py.reg_inc_beta, x, a, b)
-        assert got == outcome(lentz_ibeta_oracle, x, a, b), (x, a, b)
+        want = outcome(lentz_ibeta_oracle, x, a, b)
+        assert outcome(_kernels_py.reg_inc_beta, x, a, b) == want, (x, a, b)
+        assert outcome(_c_incomplete_beta, x, a, b) == want, (x, a, b)
+
+
+def test_c_incomplete_beta_bytes_are_pinned():
+    # the pinned digest of the reference, from the C code itself
+    digest = hashlib.sha256()
+    for x, a, b in _pinned_ibeta_points():
+        digest.update(repr(_c_incomplete_beta(x, a, b)).encode())
+    assert digest.hexdigest() == (
+        "57dcec7dce09798456d5f19058a8bba923e50a1c24f6170a115ed61b881a26fd")
+
+
+def test_c_incomplete_beta_gives_back_what_the_reference_raises(monkeypatch):
+    # a fraction that does not converge and an exp(front) that overflows
+    # come back from the C code as NaN, and the wrapper raises the
+    # reference's own error
+    from trimq import _kernels_c, _kernels_py
+
+    cases = [((0.5, 1e6, 1e6), "incomplete beta continued fraction did not "
+                               "converge (a=1e+06, b=1e+06, x=0.5)"),
+             ((0.5, 1e300, 1e300),
+              "incomplete beta overflows (a=1e+300, b=1e+300, x=0.5)")]
+    for (x, a, b), message in cases:
+        with pytest.raises(ArithmeticError):
+            _c_incomplete_beta(x, a, b)
+        for kernel in (_kernels_py, _kernels_c):
+            with pytest.raises(ArithmeticError) as info:
+                kernel.reg_inc_beta(x, a, b)
+            assert type(info.value) is ArithmeticError
+            assert str(info.value) == message
+    # the reference's cap binds the C loop too, read at call time
+    want = _kernels_c.reg_inc_beta(0.4, 37.0, 41.0)
+    monkeypatch.setattr(_kernels_py, "_MAX_ITER", 2)
+    with pytest.raises(ArithmeticError):
+        _c_incomplete_beta(0.4, 37.0, 41.0)
+    with pytest.raises(ArithmeticError):
+        _kernels_c.reg_inc_beta(0.4, 37.0, 41.0)
+    monkeypatch.undo()
+    assert _kernels_c.reg_inc_beta(0.4, 37.0, 41.0) == want
