@@ -1,21 +1,23 @@
 /*
- * The regularized incomplete beta and the bisections that invert the Beta
+ * The regularized incomplete beta, the loop that turns it into a window of
+ * (trimmed) Harrell-Davis weights, and the bisections that invert the Beta
  * and Student t CDFs through it, in plain C99 for trimq/_kernels_c.py,
  * which builds this file and loads it with ctypes.
  *
- * Every function is a port of its Python reference: reg_inc_beta and the
- * Lentz fraction of trimq/_kernels_py.py, and the bisections _bisect_cdf,
- * _invert_unbounded and _student_cdf of trimq/distributions.py.  Each does
- * the same operations in the same order, so that, built with
- * -ffp-contract=off and linked against the libm behind Python's math
- * module, it returns the same doubles.
+ * Every function is a port of its Python reference: reg_inc_beta, the
+ * Lentz fraction and weight_window of trimq/_kernels_py.py, and the
+ * bisections _bisect_cdf, _invert_unbounded and _student_cdf of
+ * trimq/distributions.py.  Each does the same operations in the same
+ * order, so that, built with -ffp-contract=off and linked against the libm
+ * behind Python's math module, it returns the same doubles.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
- * from reg_inc_beta, or -1 from a batch entry.  The caller then asks the
- * reference, which raises the error itself.  That happens when the fraction
- * does not converge within max_iter terms, when exp(front) is not finite
- * (math.exp raises OverflowError where C returns inf), and, in the
- * bisections, when a CDF value is NaN or a bracket end doubles to infinity.
+ * from reg_inc_beta, or -1 from a batch entry or weight_window.  The caller
+ * then asks the reference, which raises the error itself.  That happens
+ * when the fraction does not converge within max_iter terms, when
+ * exp(front) is not finite (math.exp raises OverflowError where C returns
+ * inf), and, in the bisections, when a CDF value is NaN or a bracket end
+ * doubles to infinity.
  *
  * There is no mutable state outside the stack, so threads may call every
  * entry point at once.
@@ -109,6 +111,56 @@ double reg_inc_beta(double x, double a, double b, double log_norm,
     if (!beta_cont_frac(b, a, 1.0 - x, max_iter, &frac))
         return NAN;
     return 1.0 - scale * frac / b;
+}
+
+/*
+ * The weights of order statistics i_lo + 1 .. i_hi of a sample of n, the
+ * loop of _kernels_py.weight_window: out[i - i_lo - 1] = F(i/n) -
+ * F((i-1)/n), or 0.0 where that is not positive, with F(x) = (I_x(a, b) -
+ * cdf_lower) / denom clamped to [0, 1], 0 at or below lower and 1 at or
+ * above upper.  support[0] and support[1] get the 1-based indices of the
+ * first and last positive weight, 0 and 0 when none is.  i / n rounds as
+ * Python's int division does for n < 2**53.  Returns 0, or -1 to ask the
+ * caller to use the reference.
+ */
+int weight_window(long n, long i_lo, long i_hi, double a, double b,
+                  double lower, double upper, double cdf_lower, double denom,
+                  double log_norm, long max_iter, double *out, long *support)
+{
+    double x, cur, prev = 0.0, w;
+    long i;
+
+    support[0] = support[1] = 0;
+    for (i = i_lo; i <= i_hi; i++) {
+        x = (double)i / (double)n;
+        if (x <= lower) {
+            cur = 0.0;
+        } else if (x >= upper) {
+            cur = 1.0;
+        } else {
+            cur = reg_inc_beta(x, a, b, log_norm, max_iter);
+            if (isnan(cur))
+                return -1;
+            cur = (cur - cdf_lower) / denom;
+            if (cur < 0.0)
+                cur = 0.0;
+            else if (cur > 1.0)
+                cur = 1.0;
+        }
+        if (i > i_lo) {
+            w = cur - prev;
+            if (w > 0.0) {
+                out[i - i_lo - 1] = w;
+                if (!support[0])
+                    support[0] = i;
+                support[1] = i;
+            } else {
+                out[i - i_lo - 1] = 0.0;
+            }
+        }
+        prev = cur;
+    }
+    return 0;
 }
 
 /* one CDF to invert: Beta(a, b), or Student t with df = 2a and b = 1/2 */

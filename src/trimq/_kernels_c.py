@@ -1,6 +1,6 @@
-"""The C backend: the incomplete beta and the Beta and Student t bisections
-of trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken
-from the pure-Python reference, trimq._kernels_py.
+"""The C backend: the incomplete beta, the weight loop and the Beta and
+Student t bisections of trimq/_kernels_c.c, loaded with ctypes, with the
+other kernels taken from the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
 the system ``cc``, into this package's ``__pycache__``, and loads it.  It
@@ -10,8 +10,10 @@ falls back to the reference.
 Every entry point returns the doubles of its reference.  Where the C code
 gives a case back (a fraction that does not converge, an exp(front) that
 overflows, a bracket that doubles to infinity), the reference is asked, and
-raises its own error.  The library keeps no mutable state and ctypes
-releases the GIL around each call, so threads may call it at once.
+raises its own error; a weight window is then built again by the reference
+loop, whose incomplete beta raises.  The library keeps no mutable state
+and ctypes releases the GIL around each call, so threads may call it at
+once.
 """
 
 import ctypes
@@ -26,7 +28,7 @@ from ._kernels_py import (beta_pdf, log_beta, log_gamma, mix_seed,
 
 __all__ = ["beta_pdf", "beta_quantiles", "log_beta", "log_gamma",
            "mix_seed", "reg_inc_beta", "stream_uniforms",
-           "student_quantiles"]
+           "student_quantiles", "weight_window"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernels_c.c")
@@ -100,6 +102,7 @@ def _open(path):
     try:
         scalar = lib.reg_inc_beta
         batches = lib.beta_quantiles, lib.student_quantiles
+        window = lib.weight_window
     except AttributeError as exc:
         raise OSError("%s is not this library: %s" % (path, exc)) from None
     double, long = ctypes.c_double, ctypes.c_long
@@ -108,9 +111,12 @@ def _open(path):
     scalar.restype = double
     batches[0].argtypes = (vector, long, double, double, double, long, vector)
     batches[1].argtypes = (vector, long, double, double, long, vector)
-    for entry in batches:
+    window.argtypes = (long, long, long, double, double, double, double,
+                       double, double, double, long, vector,
+                       ctypes.POINTER(long))
+    for entry in batches + (window,):
         entry.restype = ctypes.c_int
-    return scalar, batches[0], batches[1]
+    return scalar, batches[0], batches[1], window
 
 
 def _load():
@@ -127,8 +133,10 @@ def _load():
                           % (_SOURCE, exc)) from exc
 
 
-_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles = _load()
+(_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles,
+ _c_weight_window) = _load()
 _c_doubles = ctypes.c_double
+_c_support = ctypes.c_long * 2
 
 # ln(1 / B(a, b)) per shape pair, the one shape-only factor the C code takes;
 # a simulation cell uses two pairs, a weight vector or a bisection one
@@ -167,3 +175,17 @@ def student_quantiles(ps, df):
                             _py._MAX_ITER, buf):
         return None
     return buf[:]
+
+
+def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
+    """The reference's weight window of order statistics i_lo + 1 .. i_hi
+    of a sample of n, with its 1-based support, in one C call over a buffer
+    as long as the window; where the C code gives the window back, the
+    reference builds it, and raises its own error."""
+    buf = (_c_doubles * (i_hi - i_lo))()
+    support = _c_support()
+    if _c_weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom,
+                        _log_norm(a, b), _py._MAX_ITER, buf, support):
+        return _py.weight_window(n, i_lo, i_hi, a, b, lower, upper,
+                                 cdf_lower, denom)
+    return buf[:], support[0], support[1]

@@ -1,8 +1,9 @@
 """Pure-Python numeric kernels: the reference every backend matches bit for
 bit, and the backend trimq.backend falls back to when the C kernels of
 trimq._kernels_c cannot be built.  The C backend takes the kernels it does
-not port from here, and asks the incomplete beta here whenever its own
-code gives a case back, so both backends raise the same errors.
+not port from here, and asks the incomplete beta or the weight loop,
+``weight_window``, here whenever its own code gives a case back, so both
+backends raise the same errors.
 
 The normal quantile is not here: the Normal, LogNormal and contaminated
 normal families draw through the standard library's
@@ -14,6 +15,9 @@ and friends.
 
 import functools
 import math
+
+__all__ = ["beta_pdf", "log_beta", "log_gamma", "mix_seed", "reg_inc_beta",
+           "stream_uniforms", "weight_window"]
 
 # ln(2*pi)/2
 _HALF_LN_TWO_PI = 0.9189385332046727
@@ -206,6 +210,40 @@ def reg_inc_beta(x, a, b):
     if x < (a + 1.0) / (a + b + 2.0):
         return scale * _beta_cont_frac(a, b, x, terms_ab) / a
     return 1.0 - scale * _beta_cont_frac(b, a, 1.0 - x, terms_ba) / b
+
+
+def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
+    """The weights of order statistics i_lo + 1 .. i_hi of a sample of n,
+    with the 1-based indices of the first and last positive one (0, 0 when
+    none is): W_i = F(i/n) - F((i-1)/n), F the Beta(a, b) CDF truncated to
+    [lower, upper], F(x) = (I_x(a, b) - cdf_lower) / denom clamped to
+    [0, 1].  A difference that is not positive is written as 0.0."""
+    window = []
+    prev = None
+    lo = hi = 0
+    # F inline, clamped by branches: a call per index slows the width-1 path
+    for i in range(i_lo, i_hi + 1):
+        x = i / n
+        if x <= lower:
+            cur = 0.0
+        elif x >= upper:
+            cur = 1.0
+        else:
+            cur = (reg_inc_beta(x, a, b) - cdf_lower) / denom
+            if cur < 0.0:
+                cur = 0.0
+            elif cur > 1.0:
+                cur = 1.0
+        if prev is not None:
+            w = cur - prev
+            if w > 0.0:
+                window.append(w)
+                lo = lo or i
+                hi = i
+            else:
+                window.append(0.0)
+        prev = cur
+    return window, lo, hi
 
 
 _M64 = (1 << 64) - 1

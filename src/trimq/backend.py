@@ -3,12 +3,15 @@
 ``kernels`` is the module every other module calls for the numeric kernels,
 and ``BACKEND`` names it:
 
-- "c": trimq._kernels_c, the incomplete beta and the Beta and Student t
-  bisections in C, built with the system ``cc`` on first import and cached
-  in this package's ``__pycache__``, the other kernels from the reference;
+- "c": trimq._kernels_c, the incomplete beta, the weight loop
+  (``weight_window``) and the Beta and Student t bisections in C, built
+  with the system ``cc`` on first import and cached in this package's
+  ``__pycache__``, the other kernels from the reference;
 - "python": trimq._kernels_py, the pure-Python reference.
 
-Both give the same bits and raise the same errors.  The TRIMQ_BACKEND
+Both give the same bits and raise the same errors: a case the C code
+cannot finish, an incomplete beta, a weight window or a batch of
+quantiles, is given back to the reference, which raises.  The TRIMQ_BACKEND
 environment variable picks one: unset or empty, the C backend when it
 builds and loads, the reference otherwise; "c" or "native", the C backend
 or an ImportError that says why it is not available; "python", "py" or

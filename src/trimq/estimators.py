@@ -15,6 +15,10 @@ Three estimators share this module:
 Harrell-Davis is the trimmed recipe at width 1, whose interval is all of
 [0, 1], so one builder makes both weight vectors.  They are exposed
 (``hd_weights`` / ``thd_weights``) for reuse across samples of one size.
+The builder solves the interval here and leaves the loop over its order
+statistics to one ``weight_window`` call of the backend's kernels, C or
+the pure-Python reference; the C loop gives a window it cannot finish back
+to the reference, which raises its own ArithmeticError.
 """
 
 import math
@@ -181,31 +185,12 @@ def _trimmed_weights(n, p, width):
             "width=%g" % (a, b, hdi.width))
     i_lo = max(int(math.floor(lower * n)), 0)
     i_hi = min(int(math.ceil(upper * n)), n)
-    weights = [0.0] * n
-    prev = None
-    lo = hi = 0  # 1-based support, tracked as the weights are written
-    # F inline, clamped by branches: a call per index slows the width-1 path
-    for i in range(i_lo, i_hi + 1):
-        x = i / n
-        if x <= lower:
-            cur = 0.0
-        elif x >= upper:
-            cur = 1.0
-        else:
-            cur = (_k.reg_inc_beta(x, a, b) - cdf_lower) / denom
-            if cur < 0.0:
-                cur = 0.0
-            elif cur > 1.0:
-                cur = 1.0
-        if prev is not None:
-            w = cur - prev
-            if w > 0.0:
-                weights[i - 1] = w
-                lo = lo or i
-                hi = i
-        prev = cur
+    window, lo, hi = _k.weight_window(n, i_lo, i_hi, a, b, lower, upper,
+                                      cdf_lower, denom)
     if not hi:
         raise ArithmeticError("weight vector vanished entirely")
+    weights = [0.0] * n
+    weights[i_lo:i_hi] = window
     return WeightVector(tuple(weights), lo, hi)
 
 

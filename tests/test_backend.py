@@ -101,6 +101,17 @@ def test_kernel_module_docs_name_their_role():
     assert "falls back" in _kernels_py.__doc__
 
 
+def test_c_backend_serves_every_reference_kernel():
+    # estimators and distributions call whichever module backend picked,
+    # so the C one must answer every name the reference exports
+    from trimq import _kernels_c
+
+    assert set(_kernels_py.__all__) <= set(_kernels_c.__all__)
+    for module in (_kernels_py, _kernels_c):
+        for name in module.__all__:
+            assert callable(getattr(module, name)), (module, name)
+
+
 def test_import_leaves_statistics_unloaded():
     # the normal-quantile families import statistics when first built, so
     # start-up does not pay for it (nor for fractions and decimal)
@@ -186,6 +197,37 @@ def test_no_compiler_falls_back_to_the_same_csv(tmp_path):
     assert main(["simulate", "--kind", "sim2", "--config", str(cfg),
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+ESTIMATE = ("import sys, trimq, trimq.cli\n"
+            "print(trimq.BACKEND)\n"
+            "for method in ('hd', 'thd'):\n"
+            "    print(trimq.cli.main(['estimate', sys.argv[1], '--method', "
+            "method, '--p', '0.001,0.05,0.37,0.5,0.95']))\n")
+
+
+def test_no_compiler_estimates_the_same_quantiles(tmp_path):
+    # the whole weight vectors of hd and thd, from the reference loop in
+    # the copy without a compiler and from the C loop once it builds
+    import random
+
+    root, no_cc = _fresh_copy(tmp_path)
+    rng = random.Random(14)
+    data = tmp_path / "data.txt"
+    data.write_text("".join("%r\n" % rng.lognormvariate(0.0, 1.5)
+                            for _ in range(3000)))
+    code = "import sys\nsys.argv[1:] = [%r]\n" % str(data) + ESTIMATE
+    pure = _run("", code, src=root, path=no_cc)
+    assert pure.returncode == 0, pure.stderr
+    assert _libraries(root) == []
+    native = _run("", code, src=root)
+    assert native.returncode == 0, native.stderr
+    assert len(_libraries(root)) == 1
+    pure_lines, native_lines = (pure.stdout.splitlines(),
+                                native.stdout.splitlines())
+    assert (pure_lines[0], native_lines[0]) == ("python", "c")
+    assert len(pure_lines) == 1 + 2 * 6 and pure_lines[6::6] == ["0", "0"]
+    assert pure_lines[1:] == native_lines[1:]
 
 
 # the C reflected branch at (x, a, b) = (0.9, 2, 4), read past the wrapper

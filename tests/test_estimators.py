@@ -310,9 +310,29 @@ PIN_PS = (1e-4, 0.001, 0.01, 0.05, 0.25, 0.5, 0.77, 0.95, 0.99, 0.999,
           1 - 1e-4)
 
 
-def test_weight_bytes_are_pinned():
+def _use_kernels(monkeypatch, backend):
+    # the weight builder over one kernel module, whichever backend.kernels is
+    from trimq import _kernels_c, _kernels_py, estimators
+
+    kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
+    monkeypatch.setattr(estimators, "_k", kernels)
+    return kernels
+
+
+def _weights_outcome(n, p, width):
+    try:
+        wv = thd_weights(n, p, width)
+    except ArithmeticError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return repr((wv.weights, wv.support_lo, wv.support_hi))
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_weight_bytes_are_pinned(monkeypatch, backend):
     # exact guard on every bit of the weight vectors, tails and n = 1
-    # included: a rewrite of the builder or of its kernels must keep it
+    # included: a rewrite of the builder or of its kernels must keep it,
+    # the reference weight loop as well as the C one
+    _use_kernels(monkeypatch, backend)
     digest = hashlib.sha256()
     for n in list(range(1, 61)) + [100, 333, 1000]:
         for p in PIN_PS:
@@ -323,3 +343,90 @@ def test_weight_bytes_are_pinned():
                                     wv.support_hi)).encode())
     assert digest.hexdigest() == (
         "29f28ee0ea77d683881444e0e8cf5b7e713931f81a8573bc3e66dc797e485643")
+
+
+# a grid wider than the pin: every n to 80, larger n, far tails of p
+PARITY_NS = list(range(1, 81)) + [333, 1000, 4321, 10000]
+PARITY_PS = (1e-300, 1e-17, 1e-4, 0.05, 0.37, 0.5, 0.95, 1 - 1e-4,
+             1 - 1e-16)
+
+
+def _parity_grid():
+    for n in PARITY_NS:
+        for p in PARITY_PS:
+            for width in (1.0 / math.sqrt(n), 0.3, 1.0):
+                yield n, p, width
+    for p in PARITY_PS:
+        yield 100000, p, 1.0 / math.sqrt(100000)
+
+
+def test_c_weight_window_matches_the_reference_bit_for_bit(monkeypatch):
+    from trimq import _kernels_py
+
+    _use_kernels(monkeypatch, "c")
+    gave_back = []
+
+    def reference(*args):
+        gave_back.append(args)
+        raise AssertionError("the C weight loop gave %r back" % (args,))
+
+    # the C wrapper reaches the reference loop only to give a window back
+    monkeypatch.setattr(_kernels_py, "weight_window", reference)
+    got = {key: _weights_outcome(*key) for key in _parity_grid()}
+    assert gave_back == []
+    monkeypatch.undo()
+    _use_kernels(monkeypatch, "python")
+    for key, outcome in got.items():
+        assert outcome == _weights_outcome(*key), key
+
+
+def test_c_weight_window_gives_back_what_the_reference_raises(monkeypatch):
+    # a fraction capped below its need: the C loop gives the window back,
+    # and the reference loop raises its own error at the same x
+    from trimq import _kernels_py
+
+    monkeypatch.setattr(_kernels_py, "_MAX_ITER", 5)
+    loop = _kernels_py.weight_window
+    ran = []
+
+    def reference(*args):
+        ran.append(args[:3])
+        return loop(*args)
+
+    monkeypatch.setattr(_kernels_py, "weight_window", reference)
+    got = {}
+    for backend in ("c", "python"):
+        _use_kernels(monkeypatch, backend)
+        with pytest.raises(ArithmeticError) as info:
+            hd_weights(1000, 0.37)
+        got[backend] = (type(info.value), str(info.value))
+    assert ran == [(1000, 0, 1000)] * 2
+    assert got["c"] == got["python"]
+    assert got["c"][0] is ArithmeticError
+    assert got["c"][1].startswith(
+        "incomplete beta continued fraction did not converge"), got
+
+
+def test_weights_make_one_kernel_call_per_vector(monkeypatch):
+    # the loop crosses into C once; the interval ends are the only scalar
+    # incomplete betas
+    kernels = _use_kernels(monkeypatch, "c")
+    calls = []
+
+    def counted(name):
+        kernel = getattr(kernels, name)
+
+        def call(*args):
+            calls.append(name)
+            return kernel(*args)
+        return call
+
+    for name in ("weight_window", "reg_inc_beta"):
+        monkeypatch.setattr(kernels, name, counted(name))
+    got = repr(hd_weights(10000, 0.37))
+    assert calls.count("weight_window") == 1
+    assert calls.count("reg_inc_beta") <= 2
+    assert len(calls) <= 3
+    monkeypatch.undo()
+    _use_kernels(monkeypatch, "python")
+    assert got == repr(hd_weights(10000, 0.37))
