@@ -4,20 +4,20 @@
  * and Student t CDFs through it, in plain C99 for trimq/_kernels_c.py,
  * which builds this file and loads it with ctypes.
  *
- * Every function is a port of its Python reference: reg_inc_beta, the
- * Lentz fraction and weight_window of trimq/_kernels_py.py, and the
- * bisections _bisect_cdf, _invert_unbounded and _student_cdf of
- * trimq/distributions.py.  Each does the same operations in the same
- * order, so that, built with -ffp-contract=off and linked against the libm
- * behind Python's math module, it returns the same doubles.
+ * Every function is a port of its reference in trimq/_kernels_py.py:
+ * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window, and
+ * beta_quantiles and student_quantiles with their bisections _bisect_cdf
+ * and _invert_unbounded.  Each does the same operations in the same order,
+ * so that, built with -ffp-contract=off and linked against the libm behind
+ * Python's math module, it returns the same doubles.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
- * from reg_inc_beta, or -1 from a batch entry or weight_window.  The caller
- * then asks the reference, which raises the error itself.  That happens
- * when the fraction does not converge within max_iter terms, when
- * exp(front) is not finite (math.exp raises OverflowError where C returns
- * inf), and, in the bisections, when a CDF value is NaN or a bracket end
- * doubles to infinity.
+ * from reg_inc_beta, or -1 from a batch entry or weight_window.  The
+ * caller then hands the whole call to the namesake reference kernel, which
+ * raises the error itself.  That happens when the fraction does not
+ * converge within max_iter terms, when exp(front) is not finite (math.exp
+ * raises OverflowError where C returns inf), and, in the bisections, when
+ * a CDF value is NaN or a bracket end doubles to infinity.
  *
  * There is no mutable state outside the stack, so threads may call every
  * entry point at once.
@@ -29,15 +29,16 @@
 #define CF_TOL 1e-14
 #define FPMIN 1e-300
 
-/* the bisections' controls, as in distributions._bisect_cdf */
+/* the bisections' controls, as in _kernels_py._bisect_cdf */
 #define BISECT_LEVELS 500
 #define BISECT_TOL 1e-12
 
 /*
  * Continued-fraction factor of I_x(a, b) by the modified Lentz recurrence.
- * Term m is n1 * x / d1, then n2 * x / d2, their x-free factors formed as
- * _kernels_py._lentz_terms tabulates them.  Returns 1 and stores the
- * factor in *out, or 0 when max_iter terms do not converge.
+ * Term m is m (b - m) x / ((a - 1 + 2m)(a + 2m)), then
+ * -(a + m)(a + b + m) x / ((a + 2m)(a + 1 + 2m)), each formed as
+ * _kernels_py._beta_cont_frac forms it.  Returns 1 and stores the factor
+ * in *out, or 0 when max_iter terms do not converge.
  */
 static int beta_cont_frac(double a, double b, double x, long max_iter,
                           double *out)

@@ -1,5 +1,5 @@
 """The C backend: the incomplete beta, the weight loop and the Beta and
-Student t bisections of trimq/_kernels_c.c, loaded with ctypes, with the
+Student t inversions of trimq/_kernels_c.c, loaded with ctypes, with the
 other kernels taken from the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
@@ -7,24 +7,22 @@ the system ``cc``, into this package's ``__pycache__``, and loads it.  It
 raises ImportError when no library can be built or loaded; trimq.backend then
 falls back to the reference.
 
-Every entry point returns the doubles of its reference.  Where the C code
-gives a case back (a fraction that does not converge, an exp(front) that
-overflows, a bracket that doubles to infinity), the reference is asked, and
-raises its own error; a weight window is then built again by the reference
-loop, whose incomplete beta raises.  The library keeps no mutable state
-and ctypes releases the GIL around each call, so threads may call it at
-once.
+Every entry point returns the doubles of its namesake in the reference.
+Where the C code gives a case back (a fraction that does not converge, an
+exp(front) that overflows, a bracket that doubles to infinity), the wrapper
+hands the whole call to that namesake, which raises its own error.  The
+library keeps no mutable state and ctypes releases the GIL around each
+call, so threads may call it at once.
 """
 
 import ctypes
-import functools
 import os
 import sys
 import zlib
 
 from . import _kernels_py as _py
-from ._kernels_py import (beta_pdf, log_beta, log_gamma, mix_seed,
-                          stream_uniforms)
+from ._kernels_py import (_log_norm, beta_pdf, log_beta, log_gamma,
+                          mix_seed, stream_uniforms)
 
 __all__ = ["beta_pdf", "beta_quantiles", "log_beta", "log_gamma",
            "mix_seed", "reg_inc_beta", "stream_uniforms",
@@ -138,10 +136,6 @@ def _load():
 _c_doubles = ctypes.c_double
 _c_support = ctypes.c_long * 2
 
-# ln(1 / B(a, b)) per shape pair, the one shape-only factor the C code takes;
-# a simulation cell uses two pairs, a weight vector or a bisection one
-_log_norm = functools.lru_cache(maxsize=_py._SHAPE_CACHE)(_py._log_norm)
-
 
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b) for x in [0, 1], with the
@@ -154,34 +148,31 @@ def reg_inc_beta(x, a, b):
 
 
 def beta_quantiles(ps, a, b):
-    """[the Beta(a, b) quantile of p for p in ps], each bisected on [0, 1]
-    as distributions' bisection does it; None where the C code gives the
-    batch back, for the caller to bisect each p itself."""
+    """[the Beta(a, b) quantile of p for p in ps], each bisected on
+    [0, 1]."""
     count = len(ps)
     buf = (_c_doubles * count)(*ps)  # read and overwritten in place
     if _c_beta_quantiles(buf, count, a, b, _log_norm(a, b), _py._MAX_ITER,
                          buf):
-        return None
+        return _py.beta_quantiles(ps, a, b)
     return buf[:]
 
 
 def student_quantiles(ps, df):
     """[the Student t quantile of p at df degrees of freedom for p in ps],
-    each by distributions' bracket doubling and bisection; None where the C
-    code gives the batch back, for the caller to invert each p itself."""
+    each by bracket doubling and bisection."""
     count = len(ps)
     buf = (_c_doubles * count)(*ps)
     if _c_student_quantiles(buf, count, df, _log_norm(0.5 * df, 0.5),
                             _py._MAX_ITER, buf):
-        return None
+        return _py.student_quantiles(ps, df)
     return buf[:]
 
 
 def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
-    """The reference's weight window of order statistics i_lo + 1 .. i_hi
-    of a sample of n, with its 1-based support, in one C call over a buffer
-    as long as the window; where the C code gives the window back, the
-    reference builds it, and raises its own error."""
+    """The weight window of order statistics i_lo + 1 .. i_hi of a sample
+    of n, with its 1-based support, in one C call over a buffer as long as
+    the window."""
     buf = (_c_doubles * (i_hi - i_lo))()
     support = _c_support()
     if _c_weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom,

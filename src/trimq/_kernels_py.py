@@ -1,9 +1,14 @@
 """Pure-Python numeric kernels: the reference every backend matches bit for
 bit, and the backend trimq.backend falls back to when the C kernels of
-trimq._kernels_c cannot be built.  The C backend takes the kernels it does
-not port from here, and asks the incomplete beta or the weight loop,
-``weight_window``, here whenever its own code gives a case back, so both
-backends raise the same errors.
+trimq._kernels_c cannot be built.
+
+Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
+the incomplete beta, the weight loop and the Beta and Student t inversions
+from here statement for statement, and is the only place that adds speed.
+Both modules export the same names; the C backend takes the kernels it
+does not port from here, and hands every case its own code gives back to
+the namesake kernel here, so both backends raise the same errors.  The
+only caches are the two normalizers per shape pair.
 
 The normal quantile is not here: the Normal, LogNormal and contaminated
 normal families draw through the standard library's
@@ -16,8 +21,9 @@ and friends.
 import functools
 import math
 
-__all__ = ["beta_pdf", "log_beta", "log_gamma", "mix_seed", "reg_inc_beta",
-           "stream_uniforms", "weight_window"]
+__all__ = ["beta_pdf", "beta_quantiles", "log_beta", "log_gamma",
+           "mix_seed", "reg_inc_beta", "stream_uniforms",
+           "student_quantiles", "weight_window"]
 
 # ln(2*pi)/2
 _HALF_LN_TWO_PI = 0.9189385332046727
@@ -37,9 +43,10 @@ _MAX_ITER = 300
 _CF_TOL = 1e-14
 _FPMIN = 1e-300
 
-# shape pairs whose density normalizer is kept, for beta_pdf: the HDI solve
-# holds one pair fixed for all of its calls, and each simulation worker
-# process fills its own
+# shape pairs whose normalizers are kept, for beta_pdf and the incomplete
+# beta: the HDI solve, a weight vector and a bisection each hold one pair
+# fixed for all of their calls, and each simulation worker process fills
+# its own
 _SHAPE_CACHE = 64
 
 
@@ -98,85 +105,52 @@ def beta_pdf(x, a, b):
                     - _log_beta_cached(a, b))
 
 
-# shape pairs whose incomplete-beta records are kept: a bisection or a
-# weight vector holds one pair fixed, alternating between its fraction and
-# the reflected one, and a simulation cell uses two pairs, its weights' and
-# its Beta or Student spec's
-_TERMS_CACHE = 2
-
-
-def _lentz_terms(a, b, count):
-    """The first `count` x-free factors (n1, d1, n2, d2) of the Lentz terms
-    of shape pair (a, b).  Term m of the fraction is n1 * x / d1, then
-    n2 * x / d2, with n1 = m (b - m), d1 = (a - 1 + 2m)(a + 2m),
-    n2 = -(a + m)(a + b + m) and d2 = (a + 2m)(a + 1 + 2m).  A term formed
-    whole, as m * (b - m) * x / ((a - 1 + 2m) * (a + 2m)), rounds
-    m * (b - m) and the divisor's product before x enters, so tabulating
-    them changes no bit."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    terms = []
-    for m in map(float, range(1, count + 1)):
-        m2 = m + m
-        am2 = a + m2
-        terms.append((m * (b - m), (qam + m2) * am2,
-                      -(a + m) * (qab + m), am2 * (qap + m2)))
-    return tuple(terms)
-
-
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
 def _log_norm(a, b):
-    """ln(1 / B(a, b)), the incomplete beta's normalizer."""
+    """ln(1 / B(a, b)), the incomplete beta's normalizer, computed once per
+    shape pair."""
     # subtracted in this order; -log_beta(a, b) rounds differently for
     # about half of all shape pairs
     return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
 
 
-@functools.lru_cache(maxsize=_TERMS_CACHE)
-def _shape_terms(a, b, max_iter):
-    """(log_norm, terms_ab, terms_ba) of shape pair (a, b) under a cap of
-    `max_iter` terms: ln(1 / B(a, b)), and the whole factor tables of the
-    fraction of (a, b) and of its reflection (b, a).  The record is
-    immutable, so threads may share it."""
-    return (_log_norm(a, b), _lentz_terms(a, b, max_iter),
-            _lentz_terms(b, a, max_iter))
-
-
-def _beta_cont_frac(a, b, x, terms):
+def _beta_cont_frac(a, b, x, max_iter):
     """Continued-fraction factor of I_x(a, b), by the modified Lentz
-    recurrence over the factor table `terms` of (a, b)."""
-    # the limits as locals, negated once: -fpmin < d < fpmin is abs(d) < fpmin
-    fpmin = _FPMIN
-    neg_fpmin = -fpmin
-    tol = _CF_TOL
-    neg_tol = -tol
+    recurrence over at most `max_iter` terms.  Term m is
+    m (b - m) x / ((a - 1 + 2m)(a + 2m)), then
+    -(a + m)(a + b + m) x / ((a + 2m)(a + 1 + 2m))."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
     c = 1.0
     d = 1.0 - (a + b) * x / (a + 1.0)
-    if neg_fpmin < d < fpmin:
-        d = fpmin
+    if -_FPMIN < d < _FPMIN:
+        d = _FPMIN
     d = 1.0 / d
     h = d
-    for n1, d1, n2, d2 in terms:
-        aa = n1 * x / d1
+    for m in map(float, range(1, max_iter + 1)):
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if neg_fpmin < d < fpmin:
-            d = fpmin
+        if -_FPMIN < d < _FPMIN:
+            d = _FPMIN
         c = 1.0 + aa / c
-        if neg_fpmin < c < fpmin:
-            c = fpmin
+        if -_FPMIN < c < _FPMIN:
+            c = _FPMIN
         d = 1.0 / d
         h *= d * c
-        aa = n2 * x / d2
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if neg_fpmin < d < fpmin:
-            d = fpmin
+        if -_FPMIN < d < _FPMIN:
+            d = _FPMIN
         c = 1.0 + aa / c
-        if neg_fpmin < c < fpmin:
-            c = fpmin
+        if -_FPMIN < c < _FPMIN:
+            c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if neg_tol < delta - 1.0 < tol:
+        if -_CF_TOL < delta - 1.0 < _CF_TOL:
             return h
     raise ArithmeticError(
         "incomplete beta continued fraction did not converge "
@@ -186,19 +160,15 @@ def _beta_cont_frac(a, b, x, terms):
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b) for x in [0, 1].
 
-    The log-gamma normalizer and the Lentz factor tables are cached per
-    shape pair (a, b) and per cap _MAX_ITER, read at call time, and
-    front = normalizer + a ln x + b ln(1-x) is summed left to right, so a
-    cached call returns the same bits as an uncached one.  An exp(front)
-    past the largest double raises ArithmeticError, as a fraction that
-    does not converge does.
+    The continued fraction runs at most _MAX_ITER terms, read at call
+    time.  An exp(front) past the largest double raises ArithmeticError,
+    as a fraction that does not converge does.
     """
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    log_norm, terms_ab, terms_ba = _shape_terms(a, b, _MAX_ITER)
-    front = log_norm + a * math.log(x) + b * math.log1p(-x)
+    front = _log_norm(a, b) + a * math.log(x) + b * math.log1p(-x)
     try:
         scale = math.exp(front)
     except OverflowError:
@@ -208,8 +178,8 @@ def reg_inc_beta(x, a, b):
     # the continued fraction converges fast only below the mean;
     # above it, use I_x(a,b) = 1 - I_{1-x}(b,a)
     if x < (a + 1.0) / (a + b + 2.0):
-        return scale * _beta_cont_frac(a, b, x, terms_ab) / a
-    return 1.0 - scale * _beta_cont_frac(b, a, 1.0 - x, terms_ba) / b
+        return scale * _beta_cont_frac(a, b, x, _MAX_ITER) / a
+    return 1.0 - scale * _beta_cont_frac(b, a, 1.0 - x, _MAX_ITER) / b
 
 
 def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
@@ -244,6 +214,59 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
                 window.append(0.0)
         prev = cur
     return window, lo, hi
+
+
+def _bisect_cdf(cdf, p, lo, hi):
+    """The point where bisection of [lo, hi] toward cdf(t) = p stops, for
+    cdf(lo) < p <= cdf(hi)."""
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 + 1e-12 * abs(mid) or mid <= lo or mid >= hi:
+            return mid
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _invert_unbounded(cdf, p):
+    """The quantile of p of a CDF on the real line: each end of [-1, 1]
+    doubles until the bracket holds p, then bisection.  An end that
+    overflows to infinity fails, as does a CDF that reads NaN at every
+    end."""
+    lo, hi = -1.0, 1.0
+    while not cdf(lo) < p:
+        lo *= 2.0
+        if lo == -math.inf:
+            raise ArithmeticError(
+                "quantile bracket expansion failed (low side)")
+    while not cdf(hi) >= p:
+        hi *= 2.0
+        if hi == math.inf:
+            raise ArithmeticError(
+                "quantile bracket expansion failed (high side)")
+    return _bisect_cdf(cdf, p, lo, hi)
+
+
+def beta_quantiles(ps, a, b):
+    """[the Beta(a, b) quantile of p for p in ps], each bisected on
+    [0, 1]."""
+    def cdf(x):
+        return reg_inc_beta(x, a, b)
+    return [_bisect_cdf(cdf, p, 0.0, 1.0) for p in ps]
+
+
+def student_quantiles(ps, df):
+    """[the Student t quantile of p at df degrees of freedom for p in ps],
+    through the incomplete beta: the tail beyond |t| is
+    I_{df / (df + t^2)}(df / 2, 1 / 2) / 2."""
+    a = 0.5 * df
+
+    def cdf(t):
+        tail = 0.5 * reg_inc_beta(df / (df + t * t), a, 0.5)
+        return 1.0 - tail if t >= 0.0 else tail
+    return [_invert_unbounded(cdf, p) for p in ps]
 
 
 _M64 = (1 << 64) - 1

@@ -4,29 +4,29 @@
 and ``BACKEND`` names it:
 
 - "c": trimq._kernels_c, the incomplete beta, the weight loop
-  (``weight_window``) and the Beta and Student t bisections in C, built
+  (``weight_window``) and the Beta and Student t inversions in C, built
   with the system ``cc`` on first import and cached in this package's
   ``__pycache__``, the other kernels from the reference;
-- "python": trimq._kernels_py, the pure-Python reference.
+- "python": trimq._kernels_py, the pure-Python reference, the plain
+  algorithm of each kernel.
 
-Both give the same bits and raise the same errors: a case the C code
-cannot finish, an incomplete beta, a weight window or a batch of
-quantiles, is given back to the reference, which raises.  The TRIMQ_BACKEND
-environment variable picks one: unset or empty, the C backend when it
-builds and loads, the reference otherwise; "c" or "native", the C backend
-or an ImportError that says why it is not available; "python", "py" or
-"pure", the reference.  Any other value fails at import.  The normal
-quantile is no kernel: the standard library's
+Both export the same kernels, give the same bits and raise the same
+errors: a call the C code cannot finish is handed to its namesake in the
+reference, which raises.  The TRIMQ_BACKEND environment variable picks
+one: unset or empty, the C backend when it builds and loads, the reference
+otherwise; "c", the C backend or an ImportError that says why it is not
+available; "python", the reference.  Any other value fails at import.  The
+normal quantile is no kernel: the standard library's
 ``statistics.NormalDist.inv_cdf`` supplies it.
 """
 
 import os
 
 _choice = os.environ.get("TRIMQ_BACKEND", "").strip().lower()
-if _choice in ("python", "py", "pure"):
+if _choice == "python":
     from . import _kernels_py as kernels
     BACKEND = "python"
-elif _choice in ("", "c", "native"):
+elif _choice in ("", "c"):
     try:
         from . import _kernels_c as kernels
         BACKEND = "c"

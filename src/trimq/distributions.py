@@ -6,10 +6,12 @@ of its inverse CDF: the factory's signature lists the family's parameters
 and its body checks the rules between them.  That inverse CDF gives both the
 exact quantile theta(p) and the sampler, which maps the uniforms of the
 (seed, stream_id) stream through it, so identical (seed, stream_id) give
-identical variates on every platform and thread count.  The contaminated
-normal samples compositionally (one uniform picks the mixture component,
-one feeds the normal quantile) and therefore consumes exactly two uniforms
-per variate.
+identical variates on every platform and thread count.  Beta and Student
+invert their CDFs in the backend kernels beta_quantiles and
+student_quantiles, one call per list of p, so the exact quantile and the
+sampler run the same inversion.  The contaminated normal samples
+compositionally (one uniform picks the mixture component, one feeds the
+normal quantile) and therefore consumes exactly two uniforms per variate.
 """
 
 import inspect
@@ -17,6 +19,7 @@ import math
 import re
 
 from . import _checks
+from ._kernels_py import _invert_unbounded
 from .backend import kernels as _k
 from .rng import seed_uniforms
 
@@ -27,65 +30,6 @@ _SQRT2 = math.sqrt(2.0)
 
 def _phi(z):
     return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def _student_cdf(t, df):
-    x = df / (df + t * t)
-    tail = 0.5 * _k.reg_inc_beta(x, 0.5 * df, 0.5)
-    return 1.0 - tail if t >= 0.0 else tail
-
-
-# The first _MEMO_DEPTH midpoints of a bisection depend on its starting
-# bracket only, not on p, so each bisecting family keeps a memo t -> cdf(t)
-# of them and of its bracket-expansion points: at most 2**_MEMO_DEPTH - 1
-# midpoints per starting bracket and _MEMO_SIZE entries in all.  A walk
-# through the memo makes the same comparisons on the same values as one
-# without it, so the quantiles keep their bits.
-_MEMO_DEPTH = 12
-_MEMO_SIZE = 4 << _MEMO_DEPTH
-
-
-def _memo_cdf(cdf, memo, t):
-    f = memo.get(t)
-    if f is None:
-        f = cdf(t)
-        if len(memo) < _MEMO_SIZE:
-            memo[t] = f
-    return f
-
-
-def _bisect_cdf(cdf, p, lo, hi, memo):
-    # expects cdf(lo) < p <= cdf(hi)
-    for level in range(500):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 + 1e-12 * abs(mid) or mid <= lo or mid >= hi:
-            return mid
-        if level < _MEMO_DEPTH:
-            f = _memo_cdf(cdf, memo, mid)
-        else:
-            f = cdf(mid)
-        if f < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _invert_unbounded(cdf, p, memo):
-    # double each end until the bracket holds p; an end that overflows to
-    # infinity fails, as does a CDF that reads NaN at every end
-    lo, hi = -1.0, 1.0
-    while not _memo_cdf(cdf, memo, lo) < p:
-        lo *= 2.0
-        if lo == -math.inf:
-            raise ArithmeticError(
-                "quantile bracket expansion failed (low side)")
-    while not _memo_cdf(cdf, memo, hi) >= p:
-        hi *= 2.0
-        if hi == math.inf:
-            raise ArithmeticError(
-                "quantile bracket expansion failed (high side)")
-    return _bisect_cdf(cdf, p, lo, hi, memo)
 
 
 # Each family's inverse CDF as a factory.  Its keyword-only signature
@@ -126,14 +70,17 @@ def _q_triangular(*, a, b, c):
     return q
 
 
-def _q_beta(*, a, b):
-    def cdf(x):
-        return _k.reg_inc_beta(x, a, b)
-
+def _batched(batch):
+    """q(p) as one call of `batch`, which inverts a list of p at once: the
+    quantile and the sampler run the same kernel.  q.batch is `batch`."""
     def q(p):
-        return _bisect_cdf(cdf, p, 0.0, 1.0, memo)
-    q.memo = memo = {}
+        return batch((p,))[0]
+    q.batch = batch
     return q
+
+
+def _q_beta(*, a, b):
+    return _batched(lambda ps: _k.beta_quantiles(ps, a, b))
 
 
 def _q_normal(*, m=0.0, sd=1.0):
@@ -148,13 +95,7 @@ def _q_weibull(*, scale=1.0, shape):
 
 
 def _q_student(*, df):
-    def cdf(t):
-        return _student_cdf(t, df)
-
-    def q(p):
-        return _invert_unbounded(cdf, p, memo)
-    q.memo = memo = {}
-    return q
+    return _batched(lambda ps: _k.student_quantiles(ps, df))
 
 
 def _q_gumbel(*, loc=0.0, scale=1.0):
@@ -198,8 +139,7 @@ def _q_contaminated_normal(*, epsilon, sigma, c):
         return (1.0 - epsilon) * _phi(x / sigma) + epsilon * _phi(x / wide)
 
     def q(p):
-        return _invert_unbounded(cdf, p, memo)
-    q.memo = memo = {}
+        return _invert_unbounded(cdf, p)
     q.mixture = (epsilon, sigma, wide)
     return q
 
@@ -330,23 +270,15 @@ def _overflow(spec, ps):
 def true_quantile(spec, p):
     """Exact quantile theta(p) of the given distribution, 0 < p < 1.
 
-    Closed-form inverse CDF where one exists; Beta, Student, and the
-    contaminated normal invert their CDFs by bisection (the Student CDF
-    comes from the incomplete-beta relation).  A quantile that overflows
-    raises ArithmeticError.
+    Closed-form inverse CDF where one exists; Beta and Student invert
+    their CDFs by one kernel call on (p,), and the contaminated normal
+    bisects its CDF.  A quantile that overflows raises ArithmeticError.
     """
     p = _checks.fraction(p, "p", "(0, 1)")
     try:
         return spec._q(p)
     except OverflowError:
         raise _overflow(spec, (p,)) from None
-
-
-# kind -> the backend kernel that inverts a whole list of p at once, by the
-# same bisection as the family's inverse CDF, given the spec's parameters
-# in label order; a backend without it, the reference, leaves the sampler
-# to map each uniform through the inverse CDF
-_BATCH_QUANTILES = {"Beta": "beta_quantiles", "Student": "student_quantiles"}
 
 
 def sampler(spec, n, seed):
@@ -357,21 +289,15 @@ def sampler(spec, n, seed):
     only the stream's own work is left.  The contaminated normal takes two
     uniforms per variate, the first picking the component and the second
     feeding the normal quantile; every other family maps each uniform
-    through its inverse CDF, Beta and Student in one kernel call per draw
-    where the backend has one.
+    through its inverse CDF, Beta and Student in one kernel call per draw.
     """
     uniforms = seed_uniforms(seed)
     q = spec._q
-    kernel = _BATCH_QUANTILES.get(spec.kind)
-    batch = None if kernel is None else getattr(_k, kernel, None)
-    if batch is not None:
-        params = tuple(spec.params.values())
+    if hasattr(q, "batch"):
+        batch = q.batch
 
         def draw(stream_id):
-            us = uniforms(stream_id, n)
-            out = batch(us, *params)
-            # None: the kernel gives the batch back to the reference
-            return list(map(q, us)) if out is None else out
+            return batch(uniforms(stream_id, n))
         return draw
     if spec.kind == "ContaminatedNormal":
         eps, sigma, wide = q.mixture

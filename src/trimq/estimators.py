@@ -40,7 +40,6 @@ __all__ = [
     "thd_quantile",
 ]
 
-
 class Sample:
     """Sorted, finite, non-empty observations.
 
@@ -53,6 +52,9 @@ class Sample:
     __slots__ = ("values",)
 
     def __init__(self, values, presorted=False):
+        if isinstance(values, (str, bytes, bytearray)):
+            raise ValueError("sample values must be a sequence of numbers, "
+                             "not %s" % type(values).__name__)
         vals = [float(v) for v in values]
         if not vals:
             raise ValueError("sample must contain at least one value")
@@ -117,7 +119,11 @@ def _hf7(n, p):
 
     def est(xs):
         lo = xs[j - 1]
-        return lo + g * (xs[j] - lo)
+        step = xs[j] - lo
+        if step < math.inf:
+            return lo + g * step
+        # the gap overflows: weigh the two ends instead
+        return (1.0 - g) * lo + g * xs[j]
 
     return est
 

@@ -6,8 +6,9 @@ the incomplete beta, a brute-force grid search for the HDI, scipy's beta
 CDF for the weight-algorithm transcription, and a naive re-run of the MSE
 protocol.  Agreement between the package and these is the point of the
 tests, so none of this may import package internals beyond the public API.
-The one transcription, of the incomplete beta's plain Lentz loop, is the
-bit-for-bit reference for the kernel's faster, table-driven one.
+The one transcription, of the incomplete beta's plain Lentz loop (Numerical
+Recipes' betacf), is written independently of the package's reference
+kernel and of its C port, and both must return its doubles bit for bit.
 """
 
 import math

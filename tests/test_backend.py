@@ -11,7 +11,7 @@ import trimq
 from trimq import backend
 from trimq import _kernels_py
 
-PURE = ("python", "py", "pure")
+PURE = ("python",)
 SOURCE = os.path.join(os.path.dirname(trimq.__file__), "_kernels_c.c")
 
 
@@ -59,7 +59,7 @@ def test_backend_is_reported():
 
 
 def test_forced_pure_backend_gives_same_numbers():
-    # unset picks C and any pure value the reference; the numbers agree
+    # unset picks C and "python" the reference; the numbers agree
     code = ("import trimq\n"
             "print(trimq.BACKEND)\n"
             "print(repr(trimq.thd_quantile([3.0, 1.0, 2.0, 5.0, 4.0], 0.5)))\n")
@@ -72,25 +72,26 @@ def test_forced_pure_backend_gives_same_numbers():
 
 
 def test_unrecognized_backend_value_fails_fast():
-    proc = _run("fortran", "import trimq")
-    assert proc.returncode != 0
-    assert "TRIMQ_BACKEND" in proc.stderr
+    # one spelling per backend: the old aliases are unrecognized too
+    for value in ("fortran", "native", "py", "pure"):
+        proc = _run(value, "import trimq")
+        assert proc.returncode != 0, value
+        assert ("unrecognized TRIMQ_BACKEND value %r" % value
+                in proc.stderr), value
 
 
 def test_explicit_c_request_honored_or_errors(tmp_path):
     # honored where the C file builds; where no compiler is found, the
     # import fails with a message naming the variable and the cause
     code = "import trimq\nprint(trimq.BACKEND)\n"
-    for value in ("c", "native"):
-        proc = _run(value, code)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["c"]
+    proc = _run("c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["c"]
     root, no_cc = _fresh_copy(tmp_path)
-    for value in ("c", "native"):
-        proc = _run(value, code, src=root, path=no_cc)
-        assert proc.returncode != 0
-        assert "TRIMQ_BACKEND=%s" % value in proc.stderr
-        assert "cannot build the C kernels" in proc.stderr
+    proc = _run("c", code, src=root, path=no_cc)
+    assert proc.returncode != 0
+    assert "TRIMQ_BACKEND=c" in proc.stderr
+    assert "cannot build the C kernels" in proc.stderr
     assert _libraries(root) == []
 
 
@@ -103,10 +104,10 @@ def test_kernel_module_docs_name_their_role():
 
 def test_c_backend_serves_every_reference_kernel():
     # estimators and distributions call whichever module backend picked,
-    # so the C one must answer every name the reference exports
+    # so both export the same kernels, each with its reference
     from trimq import _kernels_c
 
-    assert set(_kernels_py.__all__) <= set(_kernels_c.__all__)
+    assert _kernels_c.__all__ == _kernels_py.__all__
     for module in (_kernels_py, _kernels_c):
         for name in module.__all__:
             assert callable(getattr(module, name)), (module, name)

@@ -58,6 +58,13 @@ def test_estimate_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "0.5,2.5\n"
 
 
+def test_estimate_hf7_across_the_double_range(monkeypatch, capsys):
+    # the gap between the two values overflows; the estimate does not
+    monkeypatch.setattr("sys.stdin", io.StringIO("-1.7e308 1.7e308\n"))
+    assert main(["estimate", "--method", "hf7", "--p", "0.5,1"]) == 0
+    assert capsys.readouterr().out == "0.5,0\n1,1.7e+308\n"
+
+
 def test_estimate_integers_print_bare(sample_file, capsys):
     assert main(["estimate", sample_file, "--method", "hf7", "--p", "1"]) == 0
     assert capsys.readouterr().out == "1,100000\n"

@@ -335,101 +335,35 @@ def test_normal_quantile_bytes_are_pinned():
         "0e49ba4844bef2dd8a05cb226ad246e3066d8cafcd8d20ebb4fb296d283dae5f")
 
 
-# the families that bisect their CDFs, each with a memo of its top levels
-MEMO_SPECS = ("Beta(a=2, b=4)", "Student(df=3)",
-              "ContaminatedNormal(epsilon=0.01, sigma=1, c=1000000)")
-# probabilities probed on fresh and warmed specs: a grid, both far tails
-PROBE_PS = [k / 40.0 for k in range(1, 40)] + [1e-12, 1e-5, 1.0 - 1e-5]
-
-
-def _warm(spec, count, seed):
-    # true_quantile at `count` probabilities other than the probed ones
-    rng = random.Random(seed)
-    for _ in range(count):
-        true_quantile(spec, 0.001 + 0.998 * rng.random())
-    return spec
-
-
-def _bits(text, spec=None):
-    # quantiles and draws, each probed quantile from a spec built for it
-    # unless a spec is given
-    qs = [true_quantile(spec or parse_distribution(text), p)
-          for p in PROBE_PS]
-    draws = distributions.sampler(spec or parse_distribution(text), 200, 11)
-    return repr((qs, draws(7), draws(8)))
-
-
-def test_bisection_memo_does_not_change_bits():
-    # a memo warmed by thousands of other p replays the walk of a fresh one
-    for text in MEMO_SPECS:
-        spec = _warm(parse_distribution(text), 2000, 3)
-        assert len(spec._q.memo) > 100, text
-        assert _bits(text, spec) == _bits(text), text
-
-
-def _tree(lo, hi, depth):
-    # the midpoints of the top `depth` levels of a bisection of [lo, hi]
-    nodes, level = set(), [(lo, hi)]
-    for _ in range(depth):
-        mids = [0.5 * (lo + hi) for lo, hi in level]
-        nodes.update(mids)
-        level = [half for (lo, hi), mid in zip(level, mids)
-                 for half in ((lo, mid), (mid, hi))]
-    return nodes
-
-
-def test_bisection_memo_is_bounded(monkeypatch):
-    depth = distributions._MEMO_DEPTH
-    beta = _warm(parse_distribution("Beta(a=2, b=10)"), 3000, 4)
-    # one starting bracket, [0, 1]: at most its top levels
-    assert set(beta._q.memo) <= _tree(0.0, 1.0, depth)
-    assert 2 ** (depth - 2) < len(beta._q.memo) <= 2 ** depth - 1
-    for text in MEMO_SPECS[1:]:
-        spec = _warm(parse_distribution(text), 1500, 5)
-        memo = spec._q.memo
-        # the expansion points -2**i and 2**j, each making the starting
-        # bracket [-2**i, 1] or [-1, 2**j]; every other entry lies in the
-        # top levels of one of those brackets
-        doublings = {t for t in memo if abs(t) >= 1.0
-                     and math.frexp(abs(t))[0] == 0.5}
-        nodes = set()
-        for t in doublings:
-            nodes |= _tree(min(t, -1.0), max(t, 1.0), depth)
-        assert set(memo) <= doublings | nodes, text
-        assert len(memo) <= distributions._MEMO_SIZE
-    # all brackets together stop at the cap, and a full memo gives the
-    # same bits as an empty one
-    monkeypatch.setattr(distributions, "_MEMO_SIZE", 50)
-    for text in MEMO_SPECS:
-        spec = _warm(parse_distribution(text), 300, 6)
-        assert len(spec._q.memo) == 50, text
-        assert _bits(text, spec) == _bits(text), text
-
-
 def test_shared_tables_and_memos_give_the_same_bits_under_threads():
-    # threads share the kernel's shape-pair records and a spec's memo;
-    # records are built and evicted while other threads read them, memo
-    # entries are written while others walk the same tree
+    # threads share the kernels' per-shape-pair normalizers, _log_norm and
+    # _log_beta_cached; entries are built and evicted while other threads
+    # read them
     import sys
     import threading
 
     from trimq import _kernels_py
+    from trimq.estimators import thd_weights
 
     texts = ("Beta(a=2500, b=4000)", "Student(df=3)")
     ps = [0.001 + 0.998 * k / 48.0 for k in range(49)]
-    want = {t: [true_quantile(parse_distribution(t), p) for p in ps]
-            for t in texts}
+
+    def run(order):
+        # the quantiles of each spec and the weights of n = 40 at each p
+        got = {t: dict(zip(order, (true_quantile(shared[t], p)
+                                   for p in order))) for t in texts}
+        got["weights"] = {p: thd_weights(40, p, 0.5) for p in order}
+        return {key: [values[p] for p in ps] for key, values in got.items()}
+
     shared = {t: parse_distribution(t) for t in texts}
+    want = run(ps)
     results = []
 
     def work(offset):
         for _ in range(3):
-            _kernels_py._shape_terms.cache_clear()
-            for t in texts:
-                order = ps[offset:] + ps[:offset]
-                got = dict(zip(order, (true_quantile(shared[t], p)
-                                       for p in order)))
-                results.append([got[p] for p in ps] == want[t])
+            _kernels_py._log_norm.cache_clear()
+            _kernels_py._log_beta_cached.cache_clear()
+            results.append(run(ps[offset:] + ps[:offset]) == want)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -443,7 +377,7 @@ def test_shared_tables_and_memos_give_the_same_bits_under_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
-    assert len(results) == 4 * 3 * len(texts) and all(results)
+    assert len(results) == 4 * 3 and all(results)
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +408,21 @@ def _outcome(f, *args):
         return "%s: %s" % (type(exc).__name__, exc)
 
 
-def test_batch_inversion_matches_the_python_bisection(monkeypatch):
-    from trimq import _kernels_c
+def _given_back(*args):
+    raise AssertionError("the C code gave the batch back: %r" % (args[1:],))
 
-    got = {}
-    for text in BATCH_SPECS:
-        spec = parse_distribution(text)
-        batch = getattr(_kernels_c, distributions._BATCH_QUANTILES[spec.kind])
-        got[text] = batch(BATCH_PS, *spec.params.values())
-        assert got[text] is not None, text
+
+def test_batch_inversion_matches_the_python_bisection(monkeypatch):
+    from trimq import _kernels_c, _kernels_py
+
+    # a batch the C code gives back fails here instead of being inverted
+    # by the reference
+    for name in ("beta_quantiles", "student_quantiles"):
+        monkeypatch.setattr(_kernels_py, name, _given_back)
+    monkeypatch.setattr(distributions, "_k", _kernels_c)
+    got = {text: parse_distribution(text)._q.batch(BATCH_PS)
+           for text in BATCH_SPECS}
+    monkeypatch.undo()
     _reference_kernels(monkeypatch)
     for text in BATCH_SPECS:
         spec = parse_distribution(text)
@@ -491,23 +431,44 @@ def test_batch_inversion_matches_the_python_bisection(monkeypatch):
 
 
 def test_batch_inversion_gives_back_what_the_bisection_raises(monkeypatch):
-    # shapes past the fraction's reach and past exp's range: the kernel
-    # gives the batch back, and drawing raises the reference's error
-    from trimq import _kernels_c
+    # shapes past the fraction's reach and past exp's range: the C code
+    # gives the batch back, and the C entry raises the reference's error,
+    # as drawing does
+    from trimq import _kernels_c, _kernels_py
 
-    texts = ("Beta(a=1000000, b=1000000)", "Beta(a=1e300, b=1e300)")
+    texts = ("Beta(a=1000000, b=1000000)", "Beta(a=1e300, b=1e300)",
+             "Student(df=1e300)")
+    kernels = {"Beta": "beta_quantiles", "Student": "student_quantiles"}
+    given_back = []
+
+    def recorded(name):
+        kernel = getattr(_kernels_py, name)
+
+        def call(ps, *params):
+            given_back.append((name, params))
+            return kernel(ps, *params)
+        return call
+
     got = {}
     for text in texts:
         spec = parse_distribution(text)
-        assert _kernels_c.beta_quantiles([0.5], *spec.params.values()) is None
-        monkeypatch.setattr(distributions, "_k", _kernels_c)
-        got[text] = _outcome(sample, spec, RngStream(3, 4), 5)
-        monkeypatch.undo()
+        name = kernels[spec.kind]
+        params = tuple(spec.params.values())
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels_py, name, recorded(name))
+            patch.setattr(distributions, "_k", _kernels_c)
+            got[text] = (_outcome(getattr(_kernels_c, name), [0.5], *params),
+                         _outcome(sample, spec, RngStream(3, 4), 5))
+        assert given_back == [(name, params)] * 2, text
+        given_back.clear()
     _reference_kernels(monkeypatch)
     for text in texts:
-        want = _outcome(sample, parse_distribution(text), RngStream(3, 4), 5)
-        assert want.startswith("ArithmeticError: incomplete beta "), want
-        assert got[text] == want
+        spec = parse_distribution(text)
+        want = (_outcome(getattr(_kernels_py, kernels[spec.kind]), [0.5],
+                         *spec.params.values()),
+                _outcome(sample, spec, RngStream(3, 4), 5))
+        assert want[0].startswith("ArithmeticError: incomplete beta "), want
+        assert got[text] == want, text
 
 
 def test_sampler_makes_one_kernel_call_per_draw(monkeypatch):

@@ -52,6 +52,18 @@ def test_sample_rejects_empty_and_nonfinite():
         Sample([math.inf, 1.0])
 
 
+def test_sample_rejects_text_and_bytes():
+    # a str or bytes is a sequence of characters or byte values, not of
+    # numbers: "19" must not read as the sample (1, 9)
+    for values in ("19", b"19", bytearray(b"19")):
+        name = type(values).__name__
+        with pytest.raises(ValueError, match="not %s$" % name):
+            Sample(values)
+        for estimate in (hf7_quantile, hd_quantile, thd_quantile):
+            with pytest.raises(ValueError, match="not %s$" % name):
+                estimate(values, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # classic interpolation estimator
 
@@ -67,6 +79,19 @@ def test_hf7_single_element():
     s = Sample([42.0])
     for p in [0.0, 0.3, 1.0]:
         assert hf7_quantile(s, p) == 42.0
+
+
+def test_hf7_interpolates_across_a_gap_past_the_largest_double():
+    # the gap between the two order statistics overflows to inf; the
+    # estimate stays finite, between them and monotone in p
+    big = 1.7e308
+    assert hf7_quantile([-big, big], 0.5) == 0.0
+    assert hf7_quantile([-big, 0.0, big], 0.5) == 0.0
+    ps = [k / 20.0 for k in range(21)]
+    for xs in ([-big, big], [-big, -1.0, big], [-big, 1.0, 2.0, big]):
+        got = [hf7_quantile(xs, p) for p in ps]
+        assert got[0] == -big and got[-1] == big
+        assert all(a <= b for a, b in zip(got, got[1:])), got
 
 
 def test_hf7_matches_linear_interpolation():

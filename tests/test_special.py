@@ -192,16 +192,11 @@ def test_continued_fraction_nonconvergence_raises(monkeypatch):
 
 
 def test_iteration_cap_is_read_at_call_time(monkeypatch):
-    # the pair's factor tables already hold more terms than the lowered cap
-    # allows; the cap still bounds the loop, and raising it back restores
-    # the converged value
+    # with the pair's normalizer cached, a lowered cap still bounds the
+    # loop, and raising it back restores the converged value
     from trimq import _kernels_py
 
     want = _kernels_py.reg_inc_beta(0.4, 37, 41)
-    hits = _kernels_py._shape_terms.cache_info().hits
-    record = _kernels_py._shape_terms(37, 41, _kernels_py._MAX_ITER)
-    assert _kernels_py._shape_terms.cache_info().hits == hits + 1
-    assert len(record[1]) > 2
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", 2)
     with pytest.raises(ArithmeticError):
         _kernels_py.reg_inc_beta(0.4, 37, 41)
@@ -209,7 +204,7 @@ def test_iteration_cap_is_read_at_call_time(monkeypatch):
     assert _kernels_py.reg_inc_beta(0.4, 37, 41) == want
     # and in the reverse order: on a cold cache the lowered cap raises
     # first, then the restored cap gives the pinned value
-    _kernels_py._shape_terms.cache_clear()
+    _kernels_py._log_norm.cache_clear()
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", 2)
     with pytest.raises(ArithmeticError):
         _kernels_py.reg_inc_beta(0.4, 37, 41)
@@ -245,12 +240,13 @@ def test_incomplete_beta_bytes_are_pinned():
 
 
 def test_shape_caches_do_not_change_bits():
-    # the per-shape-pair caches behind reg_inc_beta and beta_pdf: a warm
-    # cache, a cold one and one that evicted in between give the same bits
+    # the per-shape-pair normalizers behind reg_inc_beta and beta_pdf: a
+    # warm cache, a cold one and one that evicted in between give the same
+    # bits
     from trimq import _kernels_py
 
     def clear():
-        _kernels_py._shape_terms.cache_clear()
+        _kernels_py._log_norm.cache_clear()
         _kernels_py._log_beta_cached.cache_clear()
 
     # more pairs than the caches keep, interleaved, ints mixed with floats
@@ -272,7 +268,7 @@ def test_shape_caches_do_not_change_bits():
     cold = run(cold=True)
     assert run(cold=False) == cold
     assert run(cold=False) == cold
-    assert _kernels_py._shape_terms.cache_info().currsize > 0
+    assert _kernels_py._log_norm.cache_info().currsize > 0
     assert _kernels_py._log_beta_cached.cache_info().currsize > 0
 
 
@@ -308,8 +304,8 @@ def _c_incomplete_beta(x, a, b):
 
 
 def test_incomplete_beta_matches_the_plain_lentz_loop_bit_for_bit():
-    # the tabulated Lentz factors, and the C loop, must give the doubles
-    # the loop that forms them per term gives, and fail to converge where
+    # the reference's Lentz loop and the C loop must give the doubles the
+    # oracle's independent transcription gives, and fail to converge where
     # it fails, at shapes up to 1e5 (thd at n = 1e5 works near 5e4), past
     # the pinned digest
     import random
