@@ -1,15 +1,19 @@
 /*
  * The regularized incomplete beta, the loop that turns it into a window of
- * (trimmed) Harrell-Davis weights, and the bisections that invert the Beta
- * and Student t CDFs through it, in plain C99 for trimq/_kernels_c.py,
- * which builds this file and loads it with ctypes.
+ * (trimmed) Harrell-Davis weights, the bisections that invert the Beta and
+ * Student t CDFs through it, and the counter-based uniforms of the random
+ * streams, one stream or a whole simulation batch of them, in plain C99
+ * for trimq/_kernels_c.py, which builds this file and loads it with ctypes.
  *
  * Every function is a port of its reference in trimq/_kernels_py.py:
- * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window, and
+ * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
  * beta_quantiles and student_quantiles with their bisections _bisect_cdf
- * and _invert_unbounded.  Each does the same operations in the same order,
- * so that, built with -ffp-contract=off and linked against the libm behind
- * Python's math module, it returns the same doubles.
+ * and _invert_unbounded, and stream_uniforms and batch_uniforms with the
+ * FNV-1a fold fnv1a64 and the finalizer _mix64.  Each does the same
+ * operations in the same order, so that, built with -ffp-contract=off and
+ * linked against the libm behind Python's math module, it returns the
+ * same doubles; the uniforms are 64-bit integer work and the reference's
+ * two floating-point steps.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, or -1 from a batch entry or weight_window.  The
@@ -24,6 +28,7 @@
  */
 
 #include <math.h>
+#include <stdint.h>
 
 /* the continued fraction's controls, as in _kernels_py */
 #define CF_TOL 1e-14
@@ -288,4 +293,85 @@ int student_quantiles(const double *ps, long count, double df,
         if (!invert_unbounded(student_cdf, &cdf, ps[i], &out[i]))
             return -1;
     return 0;
+}
+
+/* SplitMix64's increment, and FNV-1a's prime, as in _kernels_py */
+#define GOLDEN UINT64_C(0x9E3779B97F4A7C15)
+#define FNV_PRIME UINT64_C(0x100000001B3)
+
+/* 64-bit finalizer, _kernels_py._mix64 */
+static uint64_t mix64(uint64_t z)
+{
+    z ^= z >> 33;
+    z *= UINT64_C(0xFF51AFD7ED558CCD);
+    z ^= z >> 33;
+    z *= UINT64_C(0xC4CEB9FE1A85EC53);
+    z ^= z >> 33;
+    return z;
+}
+
+/*
+ * out[k] = draw start + k of the (seed, stream_id) stream, for k < count,
+ * with seed_mix = mix_seed(seed): the counter-based SplitMix64 loop of
+ * _kernels_py.stream_uniforms.  A draw whose midpoint rounds up to 1.0
+ * takes 1 - 2**-53, the largest double below 1.  Static, so that the batch
+ * loop may inline it: an exported function is interposable under -fPIC.
+ */
+static void draw_uniforms(uint64_t seed_mix, uint64_t stream_id,
+                          uint64_t start, long count, double *out)
+{
+    uint64_t state = (seed_mix ^ mix64(stream_id ^ GOLDEN)) + start * GOLDEN;
+    uint64_t z;
+    double u;
+    long k;
+
+    for (k = 0; k < count; k++) {
+        state += GOLDEN;
+        z = state;
+        z ^= z >> 30;
+        z *= UINT64_C(0xBF58476D1CE4E5B9);
+        z ^= z >> 27;
+        z *= UINT64_C(0x94D049BB133111EB);
+        z ^= z >> 31;
+        u = ((double)(z >> 11) + 0.5) * 0x1p-53;
+        out[k] = u < 1.0 ? u : 1.0 - 0x1p-53;
+    }
+}
+
+/*
+ * `count` uniforms of the (seed, stream_id) stream from draw `start` on,
+ * start taken modulo 2**64 as the reference's state arithmetic takes it.
+ */
+void stream_uniforms(uint64_t seed_mix, uint64_t stream_id, uint64_t start,
+                     long count, double *out)
+{
+    draw_uniforms(seed_mix, stream_id, start, count, out);
+}
+
+/*
+ * The per_sample uniforms of stream fnv1a64("%d" % s, batch_hash), for s
+ * = first .. first + count - 1, one after the other in out: the loop of
+ * _kernels_py.batch_uniforms, folding the decimal digits of each s into
+ * the batch's hash here.
+ */
+void batch_uniforms(uint64_t seed_mix, uint64_t batch_hash, uint64_t first,
+                    long count, long per_sample, double *out)
+{
+    char digits[20]; /* 2**64 - 1 has 20 */
+    uint64_t s, h;
+    int len;
+    long k;
+
+    for (k = 0; k < count; k++) {
+        s = first + (uint64_t)k;
+        len = 0;
+        do {
+            digits[len++] = (char)('0' + s % 10);
+            s /= 10;
+        } while (s);
+        h = batch_hash;
+        while (len)
+            h = (h ^ (uint64_t)digits[--len]) * FNV_PRIME;
+        draw_uniforms(seed_mix, h, 0, per_sample, out + k * per_sample);
+    }
 }

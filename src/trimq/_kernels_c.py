@@ -1,11 +1,14 @@
-"""The C backend: the incomplete beta, the weight loop and the Beta and
-Student t inversions of trimq/_kernels_c.c, loaded with ctypes, with the
+"""The C backend: the incomplete beta, the weight loop, the Beta and Student
+t inversions and the uniforms of the random streams (``stream_uniforms``,
+and ``batch_uniforms``, the streams of consecutive samples of a simulation
+batch in one call) of trimq/_kernels_c.c, loaded with ctypes, with the
 other kernels taken from the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
-the system ``cc``, into this package's ``__pycache__``, and loads it.  It
-raises ImportError when no library can be built or loaded; trimq.backend then
-falls back to the reference.
+the system ``cc``, into this package's ``__pycache__``, loads it, and deletes
+the libraries built from other versions.  It raises ImportError when no
+library can be built or loaded; trimq.backend then falls back to the
+reference.
 
 Every entry point returns the doubles of its namesake in the reference.
 Where the C code gives a case back (a fraction that does not converge, an
@@ -21,11 +24,11 @@ import sys
 import zlib
 
 from . import _kernels_py as _py
-from ._kernels_py import (_log_norm, beta_pdf, log_beta, log_gamma,
-                          mix_seed, stream_uniforms)
+from ._kernels_py import (_M64, _log_norm, beta_pdf, log_beta, log_gamma,
+                          mix_seed)
 
-__all__ = ["beta_pdf", "beta_quantiles", "log_beta", "log_gamma",
-           "mix_seed", "reg_inc_beta", "stream_uniforms",
+__all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
+           "log_gamma", "mix_seed", "reg_inc_beta", "stream_uniforms",
            "student_quantiles", "weight_window"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -41,17 +44,34 @@ def _compile_command(out):
     return ["cc", *_CFLAGS, "-o", out, _SOURCE, "-lm"]
 
 
+# the cached libraries of this interpreter: the prefix, then the crc
+_PREFIX = "_kernels_c.%s." % sys.implementation.cache_tag
+
+
 def _library_path():
     """The cached library of this version of the source and of the build
     flags, for this interpreter."""
     with open(_SOURCE, "rb") as fh:
         crc = zlib.crc32(" ".join(_CFLAGS).encode(), zlib.crc32(fh.read()))
-    return os.path.join(_HERE, "__pycache__", "_kernels_c.%s.%08x.so"
-                        % (sys.implementation.cache_tag, crc))
+    return os.path.join(_HERE, "__pycache__", "%s%08x.so" % (_PREFIX, crc))
+
+
+def _remove_stale(path):
+    """Delete this interpreter's libraries of other versions of the source
+    or flags, which no import of this version loads again."""
+    folder, name = os.path.split(path)
+    for other in os.listdir(folder):
+        if (other.startswith(_PREFIX) and other.endswith(".so")
+                and other != name):
+            try:
+                os.remove(os.path.join(folder, other))
+            except OSError:
+                pass  # removed by another process, or not ours to remove
 
 
 def _build(path):
-    """Compile the source to `path`, written whole or not at all."""
+    """Compile the source to `path`, written whole or not at all, then
+    delete the libraries it supersedes."""
     import subprocess
 
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -65,6 +85,7 @@ def _build(path):
             raise OSError("cc exited with %d: %s"
                           % (proc.returncode, proc.stderr.strip()[-500:]))
         os.replace(tmp, path)
+        _remove_stale(path)
     except subprocess.TimeoutExpired:
         raise OSError("cc took more than %d s" % _BUILD_TIMEOUT_S) from None
     finally:
@@ -101,9 +122,10 @@ def _open(path):
         scalar = lib.reg_inc_beta
         batches = lib.beta_quantiles, lib.student_quantiles
         window = lib.weight_window
+        streams = lib.stream_uniforms, lib.batch_uniforms
     except AttributeError as exc:
         raise OSError("%s is not this library: %s" % (path, exc)) from None
-    double, long = ctypes.c_double, ctypes.c_long
+    double, long, u64 = ctypes.c_double, ctypes.c_long, ctypes.c_uint64
     vector = ctypes.POINTER(double)
     scalar.argtypes = (double, double, double, double, long)
     scalar.restype = double
@@ -114,7 +136,11 @@ def _open(path):
                        ctypes.POINTER(long))
     for entry in batches + (window,):
         entry.restype = ctypes.c_int
-    return scalar, batches[0], batches[1], window
+    streams[0].argtypes = (u64, u64, u64, long, vector)
+    streams[1].argtypes = (u64, u64, u64, long, long, vector)
+    for entry in streams:
+        entry.restype = None
+    return (scalar, batches[0], batches[1], window) + streams
 
 
 def _load():
@@ -132,7 +158,7 @@ def _load():
 
 
 (_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles,
- _c_weight_window) = _load()
+ _c_weight_window, _c_stream_uniforms, _c_batch_uniforms) = _load()
 _c_doubles = ctypes.c_double
 _c_support = ctypes.c_long * 2
 
@@ -180,3 +206,25 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
         return _py.weight_window(n, i_lo, i_hi, a, b, lower, upper,
                                  cdf_lower, denom)
     return buf[:], support[0], support[1]
+
+
+def stream_uniforms(seed_mix, stream_id, start, count):
+    """`count` uniforms from the (seed, stream_id) stream, skipping `start`,
+    for seed_mix = mix_seed(seed); a start of 2**64 or more draws as its
+    remainder modulo 2**64 does, as in the reference."""
+    buf = (_c_doubles * count)()
+    _c_stream_uniforms(seed_mix, stream_id, start & _M64, count, buf)
+    return buf[:]
+
+
+def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
+    """The `per_sample` uniforms of stream fnv1a64("%d" % s, batch_hash)
+    for s = first .. first + count - 1, in one list, from one C call; an
+    s outside [0, 2**64), whose digits the C code cannot fold, hands the
+    call to the reference."""
+    if first < 0 or first + count > _M64 + 1:
+        return _py.batch_uniforms(seed_mix, batch_hash, first, count,
+                                  per_sample)
+    buf = (_c_doubles * (count * per_sample))()
+    _c_batch_uniforms(seed_mix, batch_hash, first, count, per_sample, buf)
+    return buf[:]

@@ -3,8 +3,9 @@ bit, and the backend trimq.backend falls back to when the C kernels of
 trimq._kernels_c cannot be built.
 
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
-the incomplete beta, the weight loop and the Beta and Student t inversions
-from here statement for statement, and is the only place that adds speed.
+the incomplete beta, the weight loop, the Beta and Student t inversions
+and the stream uniforms, one stream or a batch of them, from here
+statement for statement, and is the only place that adds speed.
 Both modules export the same names; the C backend takes the kernels it
 does not port from here, and hands every case its own code gives back to
 the namesake kernel here, so both backends raise the same errors.  The
@@ -21,8 +22,8 @@ and friends.
 import functools
 import math
 
-__all__ = ["beta_pdf", "beta_quantiles", "log_beta", "log_gamma",
-           "mix_seed", "reg_inc_beta", "stream_uniforms",
+__all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
+           "log_gamma", "mix_seed", "reg_inc_beta", "stream_uniforms",
            "student_quantiles", "weight_window"]
 
 # ln(2*pi)/2
@@ -154,7 +155,7 @@ def _beta_cont_frac(a, b, x, max_iter):
             return h
     raise ArithmeticError(
         "incomplete beta continued fraction did not converge "
-        "(a=%g, b=%g, x=%g)" % (a, b, x))
+        "(a=%g, b=%g, x=%r)" % (a, b, x))
 
 
 def reg_inc_beta(x, a, b):
@@ -173,7 +174,7 @@ def reg_inc_beta(x, a, b):
         scale = math.exp(front)
     except OverflowError:
         raise ArithmeticError(
-            "incomplete beta overflows (a=%g, b=%g, x=%g)"
+            "incomplete beta overflows (a=%g, b=%g, x=%r)"
             % (a, b, x)) from None
     # the continued fraction converges fast only below the mean;
     # above it, use I_x(a,b) = 1 - I_{1-x}(b,a)
@@ -272,6 +273,20 @@ def student_quantiles(ps, df):
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BELOW_ONE = 1.0 - 2.0 ** -53
+_FNV_OFFSET = 0xCBF29CE484222325
+
+
+def fnv1a64(text, h=_FNV_OFFSET):
+    """FNV-1a 64-bit hash of a string, for deriving stream ids from labels.
+
+    The hash is a left fold over the UTF-8 bytes that starts from `h`, the
+    offset basis unless given.  Starting from the hash of a prefix
+    continues it: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+    """
+    for byte in text.encode("utf-8"):
+        h ^= byte
+        h = (h * 0x100000001B3) & _M64
+    return h
 
 
 def _mix64(z):
@@ -319,3 +334,14 @@ def stream_uniforms(seed_mix, stream_id, start, count):
         out = [u if u < 1.0 else _BELOW_ONE for u in out]
     return out
 
+
+def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
+    """The `per_sample` uniforms of stream fnv1a64("%d" % s, batch_hash) of
+    the seed, for s = first .. first + count - 1, in one list, for
+    seed_mix = mix_seed(seed) and batch_hash in [0, 2**64): the draws of
+    `count` consecutive samples of one simulation batch."""
+    out = []
+    for s in range(first, first + count):
+        out += stream_uniforms(seed_mix, fnv1a64("%d" % s, batch_hash), 0,
+                               per_sample)
+    return out

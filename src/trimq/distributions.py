@@ -4,14 +4,16 @@ A DistributionSpec names a family and its parameters, e.g.
 ``Pareto(loc=1, shape=0.5)``.  Each family is declared once, as the factory
 of its inverse CDF: the factory's signature lists the family's parameters
 and its body checks the rules between them.  That inverse CDF gives both the
-exact quantile theta(p) and the sampler, which maps the uniforms of the
-(seed, stream_id) stream through it, so identical (seed, stream_id) give
-identical variates on every platform and thread count.  Beta and Student
-invert their CDFs in the backend kernels beta_quantiles and
-student_quantiles, one call per list of p, so the exact quantile and the
-sampler run the same inversion.  The contaminated normal samples
-compositionally (one uniform picks the mixture component, one feeds the
-normal quantile) and therefore consumes exactly two uniforms per variate.
+exact quantile theta(p) and the sampler, whose one mapping from uniforms to
+variates, ``transform``, serves both a single stream (``sampler``) and the
+simulation's batches of streams, so identical (seed, stream_id) give
+identical variates on every platform with the same libm, and at every
+thread count.  Beta and Student invert their CDFs in the backend kernels
+beta_quantiles and student_quantiles, one call per list of p, so the exact
+quantile and the sampler run the same inversion.  The contaminated normal
+samples compositionally (one uniform picks the mixture component, one feeds
+the normal quantile) and therefore consumes exactly two uniforms per
+variate.
 """
 
 import inspect
@@ -281,42 +283,52 @@ def true_quantile(spec, p):
         raise _overflow(spec, (p,)) from None
 
 
+def transform(spec):
+    """(per, variates): variates(us) maps a list of uniforms to the variates
+    of `spec`, taking `per` uniforms for each.
+
+    Built once per spec or cell, and the one mapping that every draw runs.
+    The contaminated normal takes two uniforms per variate, the first
+    picking the component and the second feeding the normal quantile; every
+    other family maps each uniform through its inverse CDF, Beta and
+    Student in one kernel call per list.  A variate that overflows raises
+    the ArithmeticError of true_quantile.
+    """
+    q = spec._q
+    if hasattr(q, "batch"):
+        return 1, q.batch
+    if spec.kind == "ContaminatedNormal":
+        eps, sigma, wide = q.mixture
+        from statistics import NormalDist
+        inv_cdf = NormalDist().inv_cdf
+
+        def variates(us):
+            return [(wide if pick < eps else sigma) * inv_cdf(u)
+                    for pick, u in zip(us[::2], us[1::2])]
+        return 2, variates
+
+    def variates(us):
+        try:
+            return list(map(q, us))
+        except OverflowError:
+            raise _overflow(spec, us) from None
+    return 1, variates
+
+
 def sampler(spec, n, seed):
     """draw(stream_id) -> the `n` variates of `spec` on the (seed, stream_id)
     stream, for stream ids in [0, 2**64).
 
     Built once per cell: the seed is checked and mixed here, so per sample
-    only the stream's own work is left.  The contaminated normal takes two
-    uniforms per variate, the first picking the component and the second
-    feeding the normal quantile; every other family maps each uniform
-    through its inverse CDF, Beta and Student in one kernel call per draw.
+    only the stream's own work is left: one kernel call for its uniforms
+    and the spec's transform.
     """
     uniforms = seed_uniforms(seed)
-    q = spec._q
-    if hasattr(q, "batch"):
-        batch = q.batch
-
-        def draw(stream_id):
-            return batch(uniforms(stream_id, n))
-        return draw
-    if spec.kind == "ContaminatedNormal":
-        eps, sigma, wide = q.mixture
-        from statistics import NormalDist
-        inv_cdf = NormalDist().inv_cdf
-        count = 2 * n
-
-        def draw(stream_id):
-            us = uniforms(stream_id, count)
-            return [(wide if pick < eps else sigma) * inv_cdf(u)
-                    for pick, u in zip(us[::2], us[1::2])]
-        return draw
+    per, variates = transform(spec)
+    count = per * n
 
     def draw(stream_id):
-        us = uniforms(stream_id, n)
-        try:
-            return list(map(q, us))
-        except OverflowError:
-            raise _overflow(spec, us) from None
+        return variates(uniforms(stream_id, count))
     return draw
 
 

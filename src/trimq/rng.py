@@ -10,12 +10,12 @@ independent streams as there are 64-bit ids.
 from dataclasses import dataclass
 
 from . import _checks
+from ._kernels_py import fnv1a64
 from .backend import kernels as _k
 
-__all__ = ["RngStream", "fnv1a64", "seed_uniforms"]
+__all__ = ["RngStream", "fnv1a64", "seed_batch_uniforms", "seed_uniforms"]
 
 _M64 = (1 << 64) - 1
-_FNV_OFFSET = 0xCBF29CE484222325
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,17 @@ class RngStream:
                                   _checks.integer(count, "count", 0))
 
 
+def _seed_mix(seed):
+    """The seed checked, masked to 64 bits and mixed, once for all of its
+    streams."""
+    return _k.mix_seed(_checks.integer(seed, "seed") & _M64)
+
+
 def seed_uniforms(seed):
     """uniforms(stream_id, count) -> RngStream(seed, stream_id).uniforms(count)
     for a stream id already in [0, 2**64), with the seed checked, masked
     and mixed here, once for all of its streams."""
-    seed_mix = _k.mix_seed(_checks.integer(seed, "seed") & _M64)
+    seed_mix = _seed_mix(seed)
     draw = _k.stream_uniforms
 
     def uniforms(stream_id, count):
@@ -48,14 +54,15 @@ def seed_uniforms(seed):
     return uniforms
 
 
-def fnv1a64(text, h=_FNV_OFFSET):
-    """FNV-1a 64-bit hash of a string, for deriving stream ids from labels.
+def seed_batch_uniforms(seed):
+    """uniforms(batch_hash, first, count, per_sample) -> the concatenated
+    RngStream(seed, fnv1a64("%d" % s, batch_hash)).uniforms(per_sample)
+    for s = first .. first + count - 1, in one kernel call, for a batch
+    hash already in [0, 2**64), with the seed checked, masked and mixed
+    here, once."""
+    seed_mix = _seed_mix(seed)
+    draw = _k.batch_uniforms
 
-    The hash is a left fold over the UTF-8 bytes that starts from `h`, the
-    offset basis unless given.  Starting from the hash of a prefix
-    continues it: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
-    """
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x100000001B3) & _M64
-    return h
+    def uniforms(batch_hash, first, count, per_sample):
+        return draw(seed_mix, batch_hash, first, count, per_sample)
+    return uniforms

@@ -17,9 +17,14 @@ Two studies, both reproducible to the byte given a seed:
   exactly 1.  The hash is a left fold, so a cell hashes "label|n|p|" once,
   each batch continues it over "batch|", and each sample over "sample".
 
-Both studies draw a cell's samples through one sampler built per cell or
-block (``distributions.sampler``), which mixes the seed once; per sample
-the loop derives the stream id, draws and sorts.
+Both studies mix the seed once per cell or block and map uniforms to
+variates through the spec's one transform (``distributions.transform``).
+``run_sim1`` draws each replication's stream through
+``distributions.sampler``.  ``run_sim2`` draws a batch's samples in pieces
+of about ``_PIECE`` uniforms: one kernel call (``batch_uniforms``) derives
+the stream ids of the piece's samples from the batch's hash and draws their
+uniforms, one transform maps them all, and per sample the loop slices its
+n values, sorts them and runs the estimators.
 
 The ``threads`` argument counts worker processes.  Where the ``fork``
 start method exists and the calling process runs no other Python thread,
@@ -38,10 +43,11 @@ from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
 
 from . import _checks
-from .distributions import DistributionSpec, sampler, true_quantile
+from .distributions import (DistributionSpec, sampler, transform,
+                            true_quantile)
 from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
                          thd_weights)
-from .rng import fnv1a64
+from .rng import fnv1a64, seed_batch_uniforms
 
 __all__ = [
     "ConfigError",
@@ -57,6 +63,10 @@ __all__ = [
 ]
 
 _CHUNK = 512
+# uniforms the sim2 cell loop draws per kernel call: large enough that the
+# call's cost is spread over many samples, small enough that a cell's
+# memory does not grow with samples_per_batch * n
+_PIECE = 4096
 _ROLES = ("hf7", "hd", "thd")
 
 
@@ -339,23 +349,33 @@ def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
 
     `estimators` is an ordered list of (key, estimate callable).  One stream
     per (cell, batch, sample), derived by hashing, so results do not depend
-    on which estimators or cells run together.
+    on which estimators or cells run together.  A batch's samples are drawn
+    in pieces: one kernel call for the uniforms of a piece's streams, one
+    transform, then per sample a slice, a sort and the estimates.
     """
     theta = true_quantile(spec, p)
-    draw = sampler(spec, n, seed)
+    per, variates = transform(spec)
+    uniforms = seed_batch_uniforms(seed)
+    # samples per piece: about _PIECE uniforms, and at least one sample
+    step = max(1, _PIECE // (per * n))
     cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
-    means = {key: [] for key, _ in estimators}
+    means = [[] for _ in estimators]
     for b in range(batches):
         batch = fnv1a64("%d|" % b, cell)
-        sq = {key: [] for key, _ in estimators}
-        for s in range(samples_per_batch):
-            xs = sorted(draw(fnv1a64("%d" % s, batch)))
-            for key, est in estimators:
-                err = est(xs) - theta
-                sq[key].append(err * err)
-        for key, _ in estimators:
-            means[key].append(math.fsum(sq[key]) / samples_per_batch)
-    return {key: sorted(means[key])[batches // 2] for key, _ in estimators}
+        sq = [[] for _ in estimators]
+        pairs = [(errs.append, est) for errs, (_, est) in zip(sq, estimators)]
+        for first in range(0, samples_per_batch, step):
+            count = min(step, samples_per_batch - first)
+            values = variates(uniforms(batch, first, count, per * n))
+            for i in range(0, count * n, n):
+                xs = sorted(values[i:i + n])
+                for add, est in pairs:
+                    err = est(xs) - theta
+                    add(err * err)
+        for m, errs in zip(means, sq):
+            m.append(math.fsum(errs) / samples_per_batch)
+    return {key: sorted(m)[batches // 2]
+            for (key, _), m in zip(estimators, means)}
 
 
 def _ratio(num, den):

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from trimq import DistributionSpec, RngStream, fnv1a64, sample, true_quantile
+from trimq import _kernels_c, _kernels_py
 from trimq.backend import kernels
-from trimq.rng import seed_uniforms
+from trimq.rng import seed_batch_uniforms, seed_uniforms
 
 from test_distributions import ALL_SPECS
 
@@ -110,6 +111,20 @@ def test_seed_uniforms_equal_the_stream_uniforms():
             seed_uniforms(bad)
 
 
+def test_seed_batch_uniforms_equal_the_concatenated_streams():
+    batch = fnv1a64("2|", fnv1a64("Exp(rate=1)|4|0.5|"))
+    for seed in (0, -1, 2 ** 70 + 5):
+        uniforms = seed_batch_uniforms(seed)
+        want = []
+        for s in range(8, 12):
+            want += RngStream(seed, fnv1a64("%d" % s, batch)).uniforms(3)
+        assert uniforms(batch, 8, 4, 3) == want
+        assert uniforms(batch, 8, 0, 3) == uniforms(batch, 8, 4, 0) == []
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            seed_batch_uniforms(bad)
+
+
 def test_stream_uniforms_start_skips_draws():
     seed, sid = 2 ** 64 - 3, 12345
     mixed = kernels.mix_seed(seed)
@@ -118,12 +133,16 @@ def test_stream_uniforms_start_skips_draws():
             == kernels.stream_uniforms(mixed, sid, 0, 13)[4:])
 
 
+# draw TOP_DRAW of stream (0, 0) is the one whose midpoint rounds to 1.0
+TOP_DRAW = 4550477438996601597
+
+
 def test_the_top_draw_stays_below_one():
     # draw `start` of stream (0, 0) has z >> 11 == 2**53 - 1, whose midpoint
     # (2**53 - 0.5) * 2**-53 rounds to exactly 1.0, where most inverse CDFs
     # fail; it must take the largest double below 1, its neighbours their
     # own values
-    start = 4550477438996601597
+    start = TOP_DRAW
     draws = RngStream(0, 0).uniforms(3, start=start - 1)
     assert draws == [0.9865407410362939, 1.0 - 2.0 ** -53,
                      0.7523256904853473]
@@ -131,3 +150,50 @@ def test_the_top_draw_stays_below_one():
     assert kernels.stream_uniforms(kernels.mix_seed(0), 0, start, 1) == [u]
     for text in ALL_SPECS:
         assert math.isfinite(true_quantile(DistributionSpec.parse(text), u))
+
+
+# (seed, stream id, start, count): start 0, starts of 2**64 and more, which
+# the state arithmetic takes modulo 2**64, and the top draw with its
+# neighbours
+STREAM_CASES = ((0, 0, 0, 40), (7, 2 ** 64 - 1, 0, 5), (7, 99, 2 ** 63, 4),
+                (7, 99, 2 ** 64 - 2, 4), (7, 99, 2 ** 64, 6),
+                (7, 99, 2 ** 70 + 3, 9), (7, 99, 3 * 2 ** 64 - 5, 3),
+                (0, 0, TOP_DRAW - 1, 3), (0, 0, TOP_DRAW + 2 ** 64, 1),
+                (5, 9, 11, 0))
+
+
+def test_c_stream_uniforms_match_the_reference():
+    for seed, sid, start, count in STREAM_CASES:
+        mixed = _kernels_py.mix_seed(seed)
+        want = _kernels_py.stream_uniforms(mixed, sid, start, count)
+        assert len(want) == count
+        assert _kernels_c.stream_uniforms(mixed, sid, start, count) == want
+        assert want == _kernels_py.stream_uniforms(mixed, sid,
+                                                   start % 2 ** 64, count)
+    top = _kernels_c.stream_uniforms(_kernels_py.mix_seed(0), 0, TOP_DRAW, 1)
+    assert top == [1.0 - 2.0 ** -53]
+
+
+# (first, count, per_sample) for samples of n = 4: s crossing 9 -> 10 and
+# 99 -> 100, first > 0, two uniforms per variate, one sample, none, the
+# twenty-digit samples below 2**64, and s outside [0, 2**64), which the C
+# wrapper hands to the reference
+BATCH_CASES = ((0, 12, 4), (5, 7, 8), (95, 10, 8), (100, 1, 4), (3, 0, 4),
+               (10 ** 18 - 2, 4, 4), (2 ** 64 - 3, 3, 2), (-3, 5, 2),
+               (2 ** 64 - 2, 4, 2))
+
+
+@pytest.mark.parametrize("module", [_kernels_py, _kernels_c],
+                         ids=["python", "c"])
+def test_batch_uniforms_are_the_concatenated_streams(module):
+    batch = fnv1a64("3|", fnv1a64("Exp(rate=1)|4|0.5|"))
+    for seed in (0, 31337):
+        mixed = _kernels_py.mix_seed(seed)
+        for first, count, per_sample in BATCH_CASES:
+            want = []
+            for s in range(first, first + count):
+                want += _kernels_py.stream_uniforms(
+                    mixed, fnv1a64("%d" % s, batch), 0, per_sample)
+            got = module.batch_uniforms(mixed, batch, first, count,
+                                        per_sample)
+            assert got == want, (seed, first, count, per_sample)

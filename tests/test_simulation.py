@@ -355,6 +355,23 @@ def test_cell_sampler_draws_what_sample_draws():
                 assert draw(sid) == sample(spec, RngStream(seed, sid), n)
 
 
+@pytest.mark.parametrize("piece", [1, 7, 13, 37])
+def test_cell_mse_does_not_depend_on_the_piece_size(monkeypatch, piece):
+    # pieces of one sample, of fewer uniforms than one sample (n = 8, and
+    # 16 for the contaminated normal), and of a few samples, including a
+    # last piece shorter than the others, against the default pieces
+    n, p = 8, 0.3
+    ests = [(eid, ESTIMATORS[eid](n, p)) for eid in sorted(ESTIMATORS)]
+    want = {text: simulation._mse_cell(DistributionSpec.parse(text), n, p,
+                                       ests, 11, 3, 5)
+            for text in ALL_FAMILIES}
+    monkeypatch.setattr(simulation, "_PIECE", piece)
+    for text in ALL_FAMILIES:
+        got = simulation._mse_cell(DistributionSpec.parse(text), n, p, ests,
+                                   11, 3, 5)
+        assert repr(got) == repr(want[text]), text
+
+
 def test_more_workers_than_chunks_give_the_same_bytes():
     cfg2 = _sim2_cfg(specs=[NORMAL], p_grid=[0.25, 0.5])  # two cells
     assert (run_sim2(cfg2, threads=8).to_csv()

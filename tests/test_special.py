@@ -362,3 +362,20 @@ def test_c_incomplete_beta_gives_back_what_the_reference_raises(monkeypatch):
         _kernels_c.reg_inc_beta(0.4, 37.0, 41.0)
     monkeypatch.undo()
     assert _kernels_c.reg_inc_beta(0.4, 37.0, 41.0) == want
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_errors_print_x_in_full(backend):
+    # x is printed to the last digit: the Student t tail at df = 1e300
+    # fails at an x just below 1, where x = 1 itself returns 1.0 without a
+    # fraction; %g printed that x as 1
+    from trimq import _kernels_c, _kernels_py
+
+    kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
+    with pytest.raises(ArithmeticError) as info:
+        kernels.student_quantiles([0.5], 1e300)
+    assert type(info.value) is ArithmeticError
+    assert str(info.value) == (
+        "incomplete beta continued fraction did not converge "
+        "(a=5e+299, b=0.5, x=0.9999999999999999)")
+    assert kernels.reg_inc_beta(1.0, 5e299, 0.5) == 1.0
