@@ -1,19 +1,19 @@
 /*
  * The regularized incomplete beta, the loop that turns it into a window of
  * (trimmed) Harrell-Davis weights, the bisections that invert the Beta and
- * Student t CDFs through it, and the counter-based uniforms of the random
- * streams, one stream or a whole simulation batch of them, in plain C99
- * for trimq/_kernels_c.py, which builds this file and loads it with ctypes.
+ * Student t CDFs through it, and the counter-based uniforms of a whole
+ * simulation batch of random streams, in plain C99 for
+ * trimq/_kernels_c.py, which builds this file and loads it with ctypes.
  *
  * Every function is a port of its reference in trimq/_kernels_py.py:
  * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
  * beta_quantiles and student_quantiles with their bisections _bisect_cdf
- * and _invert_unbounded, and stream_uniforms and batch_uniforms with the
- * FNV-1a fold fnv1a64 and the finalizer _mix64.  Each does the same
- * operations in the same order, so that, built with -ffp-contract=off and
- * linked against the libm behind Python's math module, it returns the
- * same doubles; the uniforms are 64-bit integer work and the reference's
- * two floating-point steps.
+ * and _invert_unbounded, and batch_uniforms with the draw loop of
+ * stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer _mix64.  Each
+ * does the same operations in the same order, so that, built with
+ * -ffp-contract=off and linked against the libm behind Python's math
+ * module, it returns the same doubles; the uniforms are 64-bit integer
+ * work and the reference's two floating-point steps.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, or -1 from a batch entry or weight_window.  The
@@ -311,16 +311,15 @@ static uint64_t mix64(uint64_t z)
 }
 
 /*
- * out[k] = draw start + k of the (seed, stream_id) stream, for k < count,
- * with seed_mix = mix_seed(seed): the counter-based SplitMix64 loop of
- * _kernels_py.stream_uniforms.  A draw whose midpoint rounds up to 1.0
- * takes 1 - 2**-53, the largest double below 1.  Static, so that the batch
- * loop may inline it: an exported function is interposable under -fPIC.
+ * out[k] = draw k of the (seed, stream_id) stream, for k < count, with
+ * seed_mix = mix_seed(seed): the counter-based SplitMix64 loop of
+ * _kernels_py.stream_uniforms from start 0.  A draw whose midpoint rounds
+ * up to 1.0 takes 1 - 2**-53, the largest double below 1.
  */
-static void draw_uniforms(uint64_t seed_mix, uint64_t stream_id,
-                          uint64_t start, long count, double *out)
+static void draw_uniforms(uint64_t seed_mix, uint64_t stream_id, long count,
+                          double *out)
 {
-    uint64_t state = (seed_mix ^ mix64(stream_id ^ GOLDEN)) + start * GOLDEN;
+    uint64_t state = seed_mix ^ mix64(stream_id ^ GOLDEN);
     uint64_t z;
     double u;
     long k;
@@ -336,16 +335,6 @@ static void draw_uniforms(uint64_t seed_mix, uint64_t stream_id,
         u = ((double)(z >> 11) + 0.5) * 0x1p-53;
         out[k] = u < 1.0 ? u : 1.0 - 0x1p-53;
     }
-}
-
-/*
- * `count` uniforms of the (seed, stream_id) stream from draw `start` on,
- * start taken modulo 2**64 as the reference's state arithmetic takes it.
- */
-void stream_uniforms(uint64_t seed_mix, uint64_t stream_id, uint64_t start,
-                     long count, double *out)
-{
-    draw_uniforms(seed_mix, stream_id, start, count, out);
 }
 
 /*
@@ -372,6 +361,6 @@ void batch_uniforms(uint64_t seed_mix, uint64_t batch_hash, uint64_t first,
         h = batch_hash;
         while (len)
             h = (h ^ (uint64_t)digits[--len]) * FNV_PRIME;
-        draw_uniforms(seed_mix, h, 0, per_sample, out + k * per_sample);
+        draw_uniforms(seed_mix, h, per_sample, out + k * per_sample);
     }
 }

@@ -1,8 +1,8 @@
 """The C backend: the incomplete beta, the weight loop, the Beta and Student
-t inversions and the uniforms of the random streams (``stream_uniforms``,
-and ``batch_uniforms``, the streams of consecutive samples of a simulation
-batch in one call) of trimq/_kernels_c.c, loaded with ctypes, with the
-other kernels taken from the pure-Python reference, trimq._kernels_py.
+t inversions and ``batch_uniforms`` (the uniforms of the streams of
+consecutive samples of a simulation batch, in one call) of
+trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken from
+the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
 the system ``cc``, into this package's ``__pycache__``, loads it, and deletes
@@ -25,7 +25,7 @@ import zlib
 
 from . import _kernels_py as _py
 from ._kernels_py import (_M64, _log_norm, beta_pdf, log_beta, log_gamma,
-                          mix_seed)
+                          mix_seed, stream_uniforms)
 
 __all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
            "log_gamma", "mix_seed", "reg_inc_beta", "stream_uniforms",
@@ -122,7 +122,7 @@ def _open(path):
         scalar = lib.reg_inc_beta
         batches = lib.beta_quantiles, lib.student_quantiles
         window = lib.weight_window
-        streams = lib.stream_uniforms, lib.batch_uniforms
+        uniforms = lib.batch_uniforms
     except AttributeError as exc:
         raise OSError("%s is not this library: %s" % (path, exc)) from None
     double, long, u64 = ctypes.c_double, ctypes.c_long, ctypes.c_uint64
@@ -136,11 +136,9 @@ def _open(path):
                        ctypes.POINTER(long))
     for entry in batches + (window,):
         entry.restype = ctypes.c_int
-    streams[0].argtypes = (u64, u64, u64, long, vector)
-    streams[1].argtypes = (u64, u64, u64, long, long, vector)
-    for entry in streams:
-        entry.restype = None
-    return (scalar, batches[0], batches[1], window) + streams
+    uniforms.argtypes = (u64, u64, u64, long, long, vector)
+    uniforms.restype = None
+    return scalar, batches[0], batches[1], window, uniforms
 
 
 def _load():
@@ -158,7 +156,7 @@ def _load():
 
 
 (_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles,
- _c_weight_window, _c_stream_uniforms, _c_batch_uniforms) = _load()
+ _c_weight_window, _c_batch_uniforms) = _load()
 _c_doubles = ctypes.c_double
 _c_support = ctypes.c_long * 2
 
@@ -206,15 +204,6 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
         return _py.weight_window(n, i_lo, i_hi, a, b, lower, upper,
                                  cdf_lower, denom)
     return buf[:], support[0], support[1]
-
-
-def stream_uniforms(seed_mix, stream_id, start, count):
-    """`count` uniforms from the (seed, stream_id) stream, skipping `start`,
-    for seed_mix = mix_seed(seed); a start of 2**64 or more draws as its
-    remainder modulo 2**64 does, as in the reference."""
-    buf = (_c_doubles * count)()
-    _c_stream_uniforms(seed_mix, stream_id, start & _M64, count, buf)
-    return buf[:]
 
 
 def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):

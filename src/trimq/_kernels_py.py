@@ -4,8 +4,8 @@ trimq._kernels_c cannot be built.
 
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
 the incomplete beta, the weight loop, the Beta and Student t inversions
-and the stream uniforms, one stream or a batch of them, from here
-statement for statement, and is the only place that adds speed.
+and the uniforms of a simulation batch's streams from here statement for
+statement, and is the only place that adds speed.
 Both modules export the same names; the C backend takes the kernels it
 does not port from here, and hands every case its own code gives back to
 the namesake kernel here, so both backends raise the same errors.  The

@@ -5,10 +5,9 @@ and ``BACKEND`` names it:
 
 - "c": trimq._kernels_c, the incomplete beta, the weight loop
   (``weight_window``), the Beta and Student t inversions and the uniforms
-  of the random streams (``stream_uniforms``, and ``batch_uniforms`` for
-  the streams of a run of simulation samples) in C, built with the system
-  ``cc`` on first import and cached in this package's ``__pycache__``, the
-  other kernels from the reference;
+  of the streams of a run of simulation samples (``batch_uniforms``) in C,
+  built with the system ``cc`` on first import and cached in this
+  package's ``__pycache__``, the other kernels from the reference;
 - "python": trimq._kernels_py, the pure-Python reference, the plain
   algorithm of each kernel.
 

@@ -13,7 +13,7 @@ from . import _checks
 from ._kernels_py import fnv1a64
 from .backend import kernels as _k
 
-__all__ = ["RngStream", "fnv1a64", "seed_batch_uniforms", "seed_uniforms"]
+__all__ = ["RngStream", "fnv1a64", "seed_uniforms"]
 
 _M64 = (1 << 64) - 1
 
@@ -53,16 +53,3 @@ def seed_uniforms(seed):
         return draw(seed_mix, stream_id, 0, count)
     return uniforms
 
-
-def seed_batch_uniforms(seed):
-    """uniforms(batch_hash, first, count, per_sample) -> the concatenated
-    RngStream(seed, fnv1a64("%d" % s, batch_hash)).uniforms(per_sample)
-    for s = first .. first + count - 1, in one kernel call, for a batch
-    hash already in [0, 2**64), with the seed checked, masked and mixed
-    here, once."""
-    seed_mix = _seed_mix(seed)
-    draw = _k.batch_uniforms
-
-    def uniforms(batch_hash, first, count, per_sample):
-        return draw(seed_mix, batch_hash, first, count, per_sample)
-    return uniforms

@@ -43,11 +43,12 @@ from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
 
 from . import _checks
+from .backend import kernels as _k
 from .distributions import (DistributionSpec, sampler, transform,
                             true_quantile)
 from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
                          thd_weights)
-from .rng import fnv1a64, seed_batch_uniforms
+from .rng import _seed_mix, fnv1a64
 
 __all__ = [
     "ConfigError",
@@ -355,7 +356,7 @@ def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
     """
     theta = true_quantile(spec, p)
     per, variates = transform(spec)
-    uniforms = seed_batch_uniforms(seed)
+    seed_mix = _seed_mix(seed)
     # samples per piece: about _PIECE uniforms, and at least one sample
     step = max(1, _PIECE // (per * n))
     cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
@@ -366,7 +367,8 @@ def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
         pairs = [(errs.append, est) for errs, (_, est) in zip(sq, estimators)]
         for first in range(0, samples_per_batch, step):
             count = min(step, samples_per_batch - first)
-            values = variates(uniforms(batch, first, count, per * n))
+            values = variates(_k.batch_uniforms(seed_mix, batch, first,
+                                                count, per * n))
             for i in range(0, count * n, n):
                 xs = sorted(values[i:i + n])
                 for add, est in pairs:

@@ -279,6 +279,12 @@ def test_estimate_mse_validation():
                 estimate_mse(eid, spec, n, 0.5, 8, 3, 0)
         assert (estimate_mse(eid, spec, 10.0, 0.5, 8, 3, 0)
                 == estimate_mse(eid, spec, 10, 0.5, 8, 3, 0))
+    # the seed is checked, then taken modulo 2**64
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_mse("hd", spec, 5, 0.5, 3, 3, bad)
+    assert (estimate_mse("hd", spec, 5, 0.5, 3, 3, -1)
+            == estimate_mse("hd", spec, 5, 0.5, 3, 3, 2 ** 64 - 1))
 
 
 def test_sim2_row_grid_order_and_labels():
