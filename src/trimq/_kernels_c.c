@@ -1,27 +1,35 @@
 /*
  * The regularized incomplete beta, the loop that turns it into a window of
  * (trimmed) Harrell-Davis weights, the bisections that invert the Beta and
- * Student t CDFs through it, and the counter-based uniforms of a whole
- * simulation batch of random streams, in plain C99 for
- * trimq/_kernels_c.py, which builds this file and loads it with ctypes.
+ * Student t CDFs through it, the counter-based uniforms of a whole
+ * simulation batch of random streams, and the sort and scoring of a
+ * piece of simulation samples, in plain C99 for trimq/_kernels_c.py,
+ * which builds this file and loads it with ctypes.
  *
  * Every function is a port of its reference in trimq/_kernels_py.py:
  * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
  * beta_quantiles and student_quantiles with their bisections _bisect_cdf
- * and _invert_unbounded, and batch_uniforms with the draw loop of
- * stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer _mix64.  Each
- * does the same operations in the same order, so that, built with
- * -ffp-contract=off and linked against the libm behind Python's math
- * module, it returns the same doubles; the uniforms are 64-bit integer
- * work and the reference's two floating-point steps.
+ * and _invert_unbounded, batch_uniforms with the draw loop of
+ * stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer _mix64, and
+ * piece_errors with HF7 (_hf7) and the weighted sum (_weighted_sum), its
+ * math.fsum a port of CPython 3.11's, and a stable sort in place of
+ * sorted().  Each does the same operations in the same order, so that,
+ * built with -ffp-contract=off and linked against the libm behind
+ * Python's math module, it returns the same doubles; the uniforms are
+ * 64-bit integer work and the reference's two floating-point steps.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
- * from reg_inc_beta, or -1 from a batch entry or weight_window.  The
- * caller then hands the whole call to the namesake reference kernel, which
- * raises the error itself.  That happens when the fraction does not
- * converge within max_iter terms, when exp(front) is not finite (math.exp
- * raises OverflowError where C returns inf), and, in the bisections, when
- * a CDF value is NaN or a bracket end doubles to infinity.
+ * from reg_inc_beta, -1 from weight_window or piece_errors, or, from a
+ * batch inversion, the index of the first p it could not invert.  The
+ * caller then hands the call, or the rest of the batch, to the namesake
+ * reference kernel, which raises the error itself.  That happens when the
+ * fraction does not converge within max_iter terms, when exp(front) is
+ * not finite (math.exp raises OverflowError where C returns inf), in the
+ * bisections when a CDF value is NaN or a bracket end doubles to
+ * infinity, and in piece_errors when a value is NaN (its place in sorted
+ * order depends on the sort) or a weighted sum meets a product that is
+ * not finite or overflows (math.fsum's special values and
+ * OverflowError).
  *
  * There is no mutable state outside the stack, so threads may call every
  * entry point at once.
@@ -29,6 +37,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* the continued fraction's controls, as in _kernels_py */
 #define CF_TOL 1e-14
@@ -254,10 +264,11 @@ static int invert_unbounded(CdfAt at, const Cdf *cdf, double p, double *out)
 
 /*
  * out[i] = the Beta(a, b) quantile of ps[i], bisected on [0, 1], for i <
- * count.  Returns 0, or -1 to ask the caller to use the reference.
+ * count.  Returns the number of quantiles done: count, or the index of
+ * the first p whose bisection it gives back to the caller.
  */
-int beta_quantiles(const double *ps, long count, double a, double b,
-                   double log_norm, long max_iter, double *out)
+long beta_quantiles(const double *ps, long count, double a, double b,
+                    double log_norm, long max_iter, double *out)
 {
     Cdf cdf;
     long i;
@@ -269,17 +280,17 @@ int beta_quantiles(const double *ps, long count, double a, double b,
     cdf.max_iter = max_iter;
     for (i = 0; i < count; i++)
         if (!bisect_cdf(beta_cdf, &cdf, ps[i], 0.0, 1.0, &out[i]))
-            return -1;
-    return 0;
+            break;
+    return i;
 }
 
 /*
  * out[i] = the Student t quantile of ps[i] at df degrees of freedom, for
  * i < count, with log_norm that of the shape pair (df / 2, 1 / 2).
- * Returns 0, or -1 to ask the caller to use the reference.
+ * Returns the number of quantiles done, as beta_quantiles does.
  */
-int student_quantiles(const double *ps, long count, double df,
-                      double log_norm, long max_iter, double *out)
+long student_quantiles(const double *ps, long count, double df,
+                       double log_norm, long max_iter, double *out)
 {
     Cdf cdf;
     long i;
@@ -291,8 +302,8 @@ int student_quantiles(const double *ps, long count, double df,
     cdf.max_iter = max_iter;
     for (i = 0; i < count; i++)
         if (!invert_unbounded(student_cdf, &cdf, ps[i], &out[i]))
-            return -1;
-    return 0;
+            break;
+    return i;
 }
 
 /* SplitMix64's increment, and FNV-1a's prime, as in _kernels_py */
@@ -363,4 +374,202 @@ void batch_uniforms(uint64_t seed_mix, uint64_t batch_hash, uint64_t first,
             h = (h ^ (uint64_t)digits[--len]) * FNV_PRIME;
         draw_uniforms(seed_mix, h, per_sample, out + k * per_sample);
     }
+}
+
+/* the slices that insertion sort takes whole, and the runs merge sort
+   starts from */
+#define INSERTION_MAX 32
+
+/* sort xs[0 .. n) by <, stably */
+static void insertion_sort(double *xs, long n)
+{
+    double x;
+    long i, k;
+
+    for (i = 1; i < n; i++) {
+        x = xs[i];
+        for (k = i; k > 0 && x < xs[k - 1]; k--)
+            xs[k] = xs[k - 1];
+        xs[k] = x;
+    }
+}
+
+/* the sorted a[0 .. na) and b[0 .. nb) merged into out, a's item first
+   where two are equal */
+static void merge(const double *a, long na, const double *b, long nb,
+                  double *out)
+{
+    long i = 0, j = 0, k = 0;
+
+    while (i < na && j < nb)
+        out[k++] = b[j] < a[i] ? b[j++] : a[i++];
+    while (i < na)
+        out[k++] = a[i++];
+    while (j < nb)
+        out[k++] = b[j++];
+}
+
+/*
+ * Sort xs[0 .. n) by <, stably, through tmp, n doubles when n >
+ * INSERTION_MAX: insertion sort on runs of INSERTION_MAX, then bottom-up
+ * merges.  For values without NaN a stable sort gives exactly the order
+ * of Python's sorted(), equal values (-0.0 and 0.0 among them) keeping
+ * their order.
+ */
+static void stable_sort(double *xs, long n, double *tmp)
+{
+    double *src = xs, *dst = tmp, *swap;
+    long run, lo, mid, hi;
+
+    for (lo = 0; lo < n; lo += INSERTION_MAX)
+        insertion_sort(xs + lo, n - lo < INSERTION_MAX ? n - lo
+                                                       : INSERTION_MAX);
+    for (run = INSERTION_MAX; run < n; run *= 2) {
+        for (lo = 0; lo < n; lo += 2 * run) {
+            mid = n - lo < run ? n : lo + run;
+            hi = n - mid < run ? n : mid + run;
+            merge(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
+        }
+        swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != xs)
+        memcpy(xs, src, (size_t)n * sizeof *xs);
+}
+
+/* HF7 over the n sorted xs between the 1-based order statistics j and
+   j + 1 at fraction g, the largest value when j >= n: _kernels_py._hf7 */
+static double hf7(const double *xs, long n, long j, double g)
+{
+    double lo, step;
+
+    if (j >= n)
+        return xs[n - 1];
+    lo = xs[j - 1];
+    step = xs[j] - lo;
+    if (step < INFINITY)
+        return lo + g * step;
+    /* the gap overflows: weigh the two ends instead */
+    return (1.0 - g) * lo + g * xs[j];
+}
+
+/*
+ * The correctly rounded sum of ws[k] * xs[k] for k < len, as math.fsum
+ * returns it: a statement-for-statement port of CPython 3.11's
+ * math_fsum, Shewchuk's partials and the final half-even correction,
+ * over finite products, with room for len partials in p, each product
+ * adding at most one.  Returns 1 and stores the sum in *out, or 0 to
+ * give the sum back: a product that is not finite (fsum's special
+ * values) or an intermediate overflow (fsum's OverflowError).
+ */
+static int fsum_products(const double *ws, const double *xs, long len,
+                         double *p, double *out)
+{
+    double x, y, t, hi, yr, lo = 0.0;
+    long i, j, k, n = 0;
+
+    for (k = 0; k < len; k++) {
+        x = ws[k] * xs[k];
+        if (!isfinite(x))
+            return 0;
+        for (i = j = 0; j < n; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            lo = y - (hi - x);
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        n = i;
+        if (x != 0.0) {
+            if (!isfinite(x))
+                return 0;
+            p[n++] = x;
+        }
+    }
+    hi = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        /* sum the partials from the top, stopping where it is inexact */
+        while (n > 0) {
+            x = hi;
+            y = p[--n];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* half-even rounding across the partials left below */
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0)
+                      || (lo > 0.0 && p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    *out = hi;
+    return 1;
+}
+
+/*
+ * The squared errors (estimate - theta)^2 of the count samples of n
+ * values each in values, per scorer, the loop of
+ * _kernels_py.piece_errors: each sample is copied, sorted, then scored.
+ * Scorer k is HF7 at (j, g) = (at[k], coef[c]) when width[k] < 0, taking
+ * one coef, or else the weighted sum of order statistics at[k] + 1 ..
+ * at[k] + width[k] by the next width[k] coefs, scorer k's coefs
+ * following scorer k - 1's.  out[k * count + i] gets sample i's error
+ * under scorer k.  Returns 0, or -1 to ask the caller to use the
+ * reference: a NaN among the values, whose place in sorted order depends
+ * on the sort, a scorer outside the sample, a sum that fsum_products
+ * gives back, or no memory for the sample.
+ */
+int piece_errors(const double *values, long count, long n, double theta,
+                 long scorers, const long *at, const long *width,
+                 const double *coef, double *out)
+{
+    double *xs, est, err;
+    const double *c;
+    long i, k;
+    int status = 0;
+
+    for (i = 0; i < count * n; i++)
+        if (isnan(values[i]))
+            return -1;
+    for (k = 0; k < scorers; k++)
+        if (width[k] < 0 ? at[k] < 1 : at[k] < 0 || at[k] > n - width[k])
+            return -1;
+    /* the sample, the merge sort's buffer, then the partials of a sum */
+    xs = malloc(3 * (size_t)n * sizeof *xs);
+    if (xs == NULL)
+        return -1;
+    for (i = 0; i < count && status == 0; i++) {
+        memcpy(xs, values + i * n, (size_t)n * sizeof *xs);
+        stable_sort(xs, n, xs + n);
+        for (k = 0, c = coef; k < scorers; k++) {
+            if (width[k] < 0) {
+                est = hf7(xs, n, at[k], *c++);
+            } else {
+                if (!fsum_products(c, xs + at[k], width[k], xs + 2 * n,
+                                   &est)) {
+                    status = -1;
+                    break;
+                }
+                c += width[k];
+            }
+            err = est - theta;
+            out[k * count + i] = err * err;
+        }
+    }
+    free(xs);
+    return status;
 }

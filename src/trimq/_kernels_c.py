@@ -1,8 +1,10 @@
 """The C backend: the incomplete beta, the weight loop, the Beta and Student
-t inversions and ``batch_uniforms`` (the uniforms of the streams of
-consecutive samples of a simulation batch, in one call) of
-trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken from
-the pure-Python reference, trimq._kernels_py.
+t inversions, ``batch_uniforms`` (the uniforms of the streams of
+consecutive samples of a simulation batch, in one call) and
+``piece_errors`` (the sort and the estimators' squared errors of a piece of
+simulation samples, in one call) of trimq/_kernels_c.c, loaded with
+ctypes, with the other kernels taken from the pure-Python reference,
+trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
 the system ``cc``, into this package's ``__pycache__``, loads it, and deletes
@@ -12,24 +14,30 @@ reference.
 
 Every entry point returns the doubles of its namesake in the reference.
 Where the C code gives a case back (a fraction that does not converge, an
-exp(front) that overflows, a bracket that doubles to infinity), the wrapper
-hands the whole call to that namesake, which raises its own error.  The
-library keeps no mutable state and ctypes releases the GIL around each
-call, so threads may call it at once.
+exp(front) that overflows, a bracket that doubles to infinity, a NaN to
+sort, a weighted sum that math.fsum would not return finite), the wrapper
+hands the call to that namesake, which raises its own error or returns
+what it returns; a batch inversion hands over only its p from the first
+one the C code gave back, keeping the quantiles before it.  A scorer that
+is a callable is Python to run, so ``piece_errors`` hands such a call to
+the reference whole.  The library keeps no mutable state and ctypes
+releases the GIL around each call, so threads may call it at once.
 """
 
 import ctypes
 import os
 import sys
 import zlib
+from array import array
+from struct import pack as _pack
 
 from . import _kernels_py as _py
 from ._kernels_py import (_M64, _log_norm, beta_pdf, log_beta, log_gamma,
                           mix_seed, stream_uniforms)
 
 __all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
-           "log_gamma", "mix_seed", "reg_inc_beta", "stream_uniforms",
-           "student_quantiles", "weight_window"]
+           "log_gamma", "mix_seed", "piece_errors", "reg_inc_beta",
+           "stream_uniforms", "student_quantiles", "weight_window"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernels_c.c")
@@ -123,6 +131,7 @@ def _open(path):
         batches = lib.beta_quantiles, lib.student_quantiles
         window = lib.weight_window
         uniforms = lib.batch_uniforms
+        errors = lib.piece_errors
     except AttributeError as exc:
         raise OSError("%s is not this library: %s" % (path, exc)) from None
     double, long, u64 = ctypes.c_double, ctypes.c_long, ctypes.c_uint64
@@ -134,11 +143,16 @@ def _open(path):
     window.argtypes = (long, long, long, double, double, double, double,
                        double, double, double, long, vector,
                        ctypes.POINTER(long))
-    for entry in batches + (window,):
-        entry.restype = ctypes.c_int
+    for entry in batches:
+        entry.restype = long
+    window.restype = ctypes.c_int
     uniforms.argtypes = (u64, u64, u64, long, long, vector)
     uniforms.restype = None
-    return scalar, batches[0], batches[1], window, uniforms
+    longs = ctypes.POINTER(long)
+    errors.argtypes = (ctypes.c_char_p, long, long, double, long, longs,
+                       longs, vector, ctypes.c_void_p)
+    errors.restype = ctypes.c_int
+    return scalar, batches[0], batches[1], window, uniforms, errors
 
 
 def _load():
@@ -156,8 +170,10 @@ def _load():
 
 
 (_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles,
- _c_weight_window, _c_batch_uniforms) = _load()
+ _c_weight_window, _c_batch_uniforms, _c_piece_errors) = _load()
 _c_doubles = ctypes.c_double
+_c_longs = ctypes.c_long
+_ZERO = array("d", (0.0,))
 _c_support = ctypes.c_long * 2
 
 
@@ -176,9 +192,11 @@ def beta_quantiles(ps, a, b):
     [0, 1]."""
     count = len(ps)
     buf = (_c_doubles * count)(*ps)  # read and overwritten in place
-    if _c_beta_quantiles(buf, count, a, b, _log_norm(a, b), _py._MAX_ITER,
-                         buf):
-        return _py.beta_quantiles(ps, a, b)
+    done = _c_beta_quantiles(buf, count, a, b, _log_norm(a, b),
+                             _py._MAX_ITER, buf)
+    if done < count:
+        # the reference inverts the rest, from the p the C code gave back
+        return buf[:done] + _py.beta_quantiles(ps[done:], a, b)
     return buf[:]
 
 
@@ -187,9 +205,10 @@ def student_quantiles(ps, df):
     each by bracket doubling and bisection."""
     count = len(ps)
     buf = (_c_doubles * count)(*ps)
-    if _c_student_quantiles(buf, count, df, _log_norm(0.5 * df, 0.5),
-                            _py._MAX_ITER, buf):
-        return _py.student_quantiles(ps, df)
+    done = _c_student_quantiles(buf, count, df, _log_norm(0.5 * df, 0.5),
+                                _py._MAX_ITER, buf)
+    if done < count:
+        return buf[:done] + _py.student_quantiles(ps[done:], df)
     return buf[:]
 
 
@@ -217,3 +236,35 @@ def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
     buf = (_c_doubles * (count * per_sample))()
     _c_batch_uniforms(seed_mix, batch_hash, first, count, per_sample, buf)
     return buf[:]
+
+
+def piece_errors(values, n, theta, scorers):
+    """Per scorer, the squared errors of the samples of n values in
+    `values`, each sorted and scored in one C call; a callable scorer, or
+    a case the C code gives back, hands the call to the reference."""
+    count, rest = divmod(len(values), n)
+    if rest:  # a short last sample, as the reference slices it
+        return _py.piece_errors(values, n, theta, scorers)
+    at = []
+    width = []
+    coef = []
+    for scorer in scorers:
+        if callable(scorer):
+            return _py.piece_errors(values, n, theta, scorers)
+        start, c = scorer
+        at.append(start)
+        if isinstance(c, tuple):
+            width.append(len(c))
+            coef += c
+        else:
+            width.append(-1)
+            coef.append(c)
+    k = len(at)
+    out = _ZERO * (k * count)
+    # struct packs a list of floats several times faster than array does
+    if _c_piece_errors(_pack("%dd" % len(values), *values), count, n, theta,
+                       k, (_c_longs * k)(*at), (_c_longs * k)(*width),
+                       (_c_doubles * len(coef))(*coef),
+                       out.buffer_info()[0]):
+        return _py.piece_errors(values, n, theta, scorers)
+    return [out[i * count:(i + 1) * count].tolist() for i in range(k)]

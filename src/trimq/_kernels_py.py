@@ -3,9 +3,12 @@ bit, and the backend trimq.backend falls back to when the C kernels of
 trimq._kernels_c cannot be built.
 
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
-the incomplete beta, the weight loop, the Beta and Student t inversions
-and the uniforms of a simulation batch's streams from here statement for
-statement, and is the only place that adds speed.
+the incomplete beta, the weight loop, the Beta and Student t inversions,
+the uniforms of a simulation batch's streams and the sort and scoring of a
+piece of simulation samples from here statement for statement, and is the
+only place that adds speed.  HF7 and the weighted sum are written here
+once, over the scorer data of piece_errors; the public estimators and the
+simulation's callables run them through _estimator.
 Both modules export the same names; the C backend takes the kernels it
 does not port from here, and hands every case its own code gives back to
 the namesake kernel here, so both backends raise the same errors.  The
@@ -21,10 +24,11 @@ and friends.
 
 import functools
 import math
+import operator
 
 __all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
-           "log_gamma", "mix_seed", "reg_inc_beta", "stream_uniforms",
-           "student_quantiles", "weight_window"]
+           "log_gamma", "mix_seed", "piece_errors", "reg_inc_beta",
+           "stream_uniforms", "student_quantiles", "weight_window"]
 
 # ln(2*pi)/2
 _HALF_LN_TWO_PI = 0.9189385332046727
@@ -344,4 +348,56 @@ def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
     for s in range(first, first + count):
         out += stream_uniforms(seed_mix, fnv1a64("%d" % s, batch_hash), 0,
                                per_sample)
+    return out
+
+
+def _hf7(j, g, xs):
+    """HF7 over the sorted xs: linear interpolation between the 1-based
+    order statistics j and j + 1 at fraction g; the largest value when
+    j >= len(xs)."""
+    if j >= len(xs):
+        return xs[-1]
+    lo = xs[j - 1]
+    step = xs[j] - lo
+    if step < math.inf:
+        return lo + g * step
+    # the gap overflows: weigh the two ends instead
+    return (1.0 - g) * lo + g * xs[j]
+
+
+def _weighted_sum(lo, ws, xs):
+    """The correctly rounded sum of ws[k] times xs[lo + k], the sorted xs'
+    order statistic lo + k + 1."""
+    return math.fsum(map(operator.mul, ws, xs[lo:lo + len(ws)]))
+
+
+def _estimator(scorer):
+    """The estimate that `scorer` defines, as a callable over sorted values
+    (see piece_errors); a callable scorer is returned as it is."""
+    if callable(scorer):
+        return scorer
+    at, coef = scorer
+    formula = _weighted_sum if isinstance(coef, tuple) else _hf7
+    return functools.partial(formula, at, coef)
+
+
+def piece_errors(values, n, theta, scorers):
+    """Per scorer, the squared errors (estimate - theta) ** 2 of the samples
+    of `values`, in sample order: sample i is values[i * n:(i + 1) * n],
+    sorted.
+
+    A scorer is the data of one estimate over n sorted values: (j, g), HF7
+    between the 1-based order statistics j and j + 1 at fraction g, the
+    largest value when j >= n; (lo, ws), ws a tuple, the correctly rounded
+    sum of ws[k] times order statistic lo + k + 1; or a callable over the
+    sorted values.
+    """
+    out = [[] for _ in scorers]
+    pairs = [(errs.append, _estimator(scorer))
+             for errs, scorer in zip(out, scorers)]
+    for i in range(0, len(values), n):
+        xs = sorted(values[i:i + n])
+        for add, est in pairs:
+            err = est(xs) - theta
+            add(err * err)
     return out

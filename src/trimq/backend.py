@@ -4,8 +4,9 @@
 and ``BACKEND`` names it:
 
 - "c": trimq._kernels_c, the incomplete beta, the weight loop
-  (``weight_window``), the Beta and Student t inversions and the uniforms
-  of the streams of a run of simulation samples (``batch_uniforms``) in C,
+  (``weight_window``), the Beta and Student t inversions, the uniforms
+  of the streams of a run of simulation samples (``batch_uniforms``) and
+  the sort and scoring of those samples (``piece_errors``) in C,
   built with the system ``cc`` on first import and cached in this
   package's ``__pycache__``, the other kernels from the reference;
 - "python": trimq._kernels_py, the pure-Python reference, the plain

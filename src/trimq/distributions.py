@@ -292,7 +292,8 @@ def transform(spec):
     picking the component and the second feeding the normal quantile; every
     other family maps each uniform through its inverse CDF, Beta and
     Student in one kernel call per list.  A variate that overflows raises
-    the ArithmeticError of true_quantile.
+    an ArithmeticError naming the spec and the p it came from, as
+    true_quantile does.
     """
     q = spec._q
     if hasattr(q, "batch"):
@@ -303,8 +304,17 @@ def transform(spec):
         inv_cdf = NormalDist().inv_cdf
 
         def variates(us):
-            return [(wide if pick < eps else sigma) * inv_cdf(u)
-                    for pick, u in zip(us[::2], us[1::2])]
+            out = [(wide if pick < eps else sigma) * inv_cdf(u)
+                   for pick, u in zip(us[::2], us[1::2])]
+            # a sum that is not finite is cheap to find, and holds every
+            # variate that overflowed
+            if not math.isfinite(sum(out)):
+                for i, x in enumerate(out):
+                    if not math.isfinite(x):
+                        raise ArithmeticError(
+                            "%s: the variate at p=%r overflows"
+                            % (spec.label, us[2 * i + 1]))
+            return out
         return 2, variates
 
     def variates(us):

@@ -18,14 +18,17 @@ Harrell-Davis is the trimmed recipe at width 1, whose interval is all of
 The builder solves the interval here and leaves the loop over its order
 statistics to one ``weight_window`` call of the backend's kernels, C or
 the pure-Python reference; the C loop gives a window it cannot finish back
-to the reference, which raises its own ArithmeticError.
+to the reference, which raises its own ArithmeticError.  An estimate is
+the data of a scorer, the HF7 index and fraction or the weight window,
+and HF7 and the weighted sum over it are written once, in
+trimq._kernels_py, which the simulation's C scoring kernel ports.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 from . import _checks
+from ._kernels_py import _estimator
 from .backend import kernels as _k
 from .hdi import HdiCase, beta_hdi
 from .special import BetaParams
@@ -109,34 +112,19 @@ class WeightVector:
 
 
 def _hf7(n, p):
-    """HF7 over n sorted values as a callable: linear interpolation at
-    h = (n-1)p + 1 (1-based), with the index and fraction fixed here."""
+    """The HF7 scorer of n sorted values: (j, g), interpolating at
+    h = (n-1)p + 1 = j + g (1-based), worked out once per (n, p)."""
     h = (n - 1) * p + 1.0
     j = int(math.floor(h))
-    if j >= n:
-        return lambda xs: xs[n - 1]
-    g = h - j
-
-    def est(xs):
-        lo = xs[j - 1]
-        step = xs[j] - lo
-        if step < math.inf:
-            return lo + g * step
-        # the gap overflows: weigh the two ends instead
-        return (1.0 - g) * lo + g * xs[j]
-
-    return est
+    return j, h - j
 
 
 def _weighted_sum(wv):
-    """The estimate that WeightVector `wv` defines, as a callable over n
-    sorted values: the correctly rounded sum of weight times value over the
-    support.  Weights outside it are exactly 0 and are skipped."""
+    """The window scorer of WeightVector `wv`: (lo, ws), its weights over
+    the support, which start at order statistic lo + 1.  Weights outside
+    it are exactly 0 and are skipped."""
     lo = wv.support_lo - 1
-    hi = wv.support_hi
-    ws = wv.weights[lo:hi]
-    mul = operator.mul
-    return lambda xs: math.fsum(map(mul, ws, xs[lo:hi]))
+    return lo, wv.weights[lo:wv.support_hi]
 
 
 def _sqrt_width(n):
@@ -149,7 +137,7 @@ def hf7_quantile(sample, p):
     """Linear-interpolation quantile at h = (n-1)p + 1 (1-based)."""
     sample = _as_sample(sample)
     p = _checks.fraction(p, "p")
-    return _hf7(sample.n, p)(sample.values)
+    return _estimator(_hf7(sample.n, p))(sample.values)
 
 
 def _shape_params(n, p):
@@ -243,4 +231,4 @@ def thd_quantile(sample, p, width=None):
     n = len(x)
     if width is None:
         width = _sqrt_width(n)
-    return _weighted_sum(thd_weights(n, p, width))(x)
+    return _estimator(_weighted_sum(thd_weights(n, p, width)))(x)

@@ -23,8 +23,12 @@ variates through the spec's one transform (``distributions.transform``).
 ``distributions.sampler``.  ``run_sim2`` draws a batch's samples in pieces
 of about ``_PIECE`` uniforms: one kernel call (``batch_uniforms``) derives
 the stream ids of the piece's samples from the batch's hash and draws their
-uniforms, one transform maps them all, and per sample the loop slices its
-n values, sorts them and runs the estimators.
+uniforms, one transform maps them all, and one more kernel call
+(``piece_errors``) sorts each sample's n values and scores it by every
+estimator.  The estimators reach that kernel as data, not as callables:
+each id of ``ESTIMATORS`` has a scorer, the HF7 index and fraction or a
+window of weights, built once per (n, p); a callable estimator, such as a
+factory passed to ``estimate_mse``, runs per sample in Python.
 
 The ``threads`` argument counts worker processes.  Where the ``fork``
 start method exists and the calling process runs no other Python thread,
@@ -43,6 +47,7 @@ from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
 
 from . import _checks
+from ._kernels_py import _estimator
 from .backend import kernels as _k
 from .distributions import (DistributionSpec, sampler, transform,
                             true_quantile)
@@ -75,14 +80,23 @@ class ConfigError(ValueError):
     """Invalid simulation config; the message names the offending field."""
 
 
-# estimator id -> factory(n, p) -> callable(sorted values) -> estimate; the
-# weights and the HF7 index are built once per (n, p), not per sample
-ESTIMATORS = {
+# estimator id -> scorer(n, p): the data of its estimate over n sorted
+# values (see _kernels_py.piece_errors); the weights and the HF7 index are
+# built once per (n, p), not per sample
+_SCORERS = {
     "hf7": _hf7,
     "hd": lambda n, p: _weighted_sum(hd_weights(n, p)),
     "thd-sqrt": lambda n, p: _weighted_sum(
         thd_weights(n, p, _sqrt_width(n))),
 }
+
+
+def _factory(scorer):
+    return lambda n, p: _estimator(scorer(n, p))
+
+
+# estimator id -> factory(n, p) -> callable(sorted values) -> estimate
+ESTIMATORS = {eid: _factory(scorer) for eid, scorer in _SCORERS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +353,7 @@ def run_sim1(config, threads=1):
         estimates[eid] = vals
         sorted_estimates[eid] = sorted(vals)
     rows = tuple(
-        (q, eid, _hf7(reps, q)(sorted_estimates[eid]))
+        (q, eid, _estimator(_hf7(reps, q))(sorted_estimates[eid]))
         for q in config.report_quantiles
         for eid, _ in factories)
     return Sim1Result(rows, estimates)
@@ -348,11 +362,13 @@ def run_sim1(config, threads=1):
 def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
     """Median-over-batches MSE for each named estimator on shared samples.
 
-    `estimators` is an ordered list of (key, estimate callable).  One stream
-    per (cell, batch, sample), derived by hashing, so results do not depend
-    on which estimators or cells run together.  A batch's samples are drawn
-    in pieces: one kernel call for the uniforms of a piece's streams, one
-    transform, then per sample a slice, a sort and the estimates.
+    `estimators` is an ordered list of (key, scorer), a scorer being the
+    data of one estimate or a callable over sorted values (see
+    _kernels_py.piece_errors).  One stream per (cell, batch, sample),
+    derived by hashing, so results do not depend on which estimators or
+    cells run together.  A batch's samples are drawn in pieces: one kernel
+    call for the uniforms of a piece's streams, one transform, then one
+    kernel call that sorts each sample and scores it by every estimator.
     """
     theta = true_quantile(spec, p)
     per, variates = transform(spec)
@@ -360,24 +376,23 @@ def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
     # samples per piece: about _PIECE uniforms, and at least one sample
     step = max(1, _PIECE // (per * n))
     cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
+    scorers = [scorer for _, scorer in estimators]
     means = [[] for _ in estimators]
     for b in range(batches):
         batch = fnv1a64("%d|" % b, cell)
         sq = [[] for _ in estimators]
-        pairs = [(errs.append, est) for errs, (_, est) in zip(sq, estimators)]
         for first in range(0, samples_per_batch, step):
             count = min(step, samples_per_batch - first)
             values = variates(_k.batch_uniforms(seed_mix, batch, first,
                                                 count, per * n))
-            for i in range(0, count * n, n):
-                xs = sorted(values[i:i + n])
-                for add, est in pairs:
-                    err = est(xs) - theta
-                    add(err * err)
+            for errs, new in zip(sq, _k.piece_errors(values, n, theta,
+                                                     scorers)):
+                errs += new
         for m, errs in zip(means, sq):
             m.append(math.fsum(errs) / samples_per_batch)
-    return {key: sorted(m)[batches // 2]
-            for (key, _), m in zip(estimators, means)}
+    for m in means:
+        m.sort()
+    return {key: m[batches // 2] for (key, _), m in zip(estimators, means)}
 
 
 def _ratio(num, den):
@@ -390,7 +405,9 @@ def run_sim2(config, threads=1):
 
     def cell_row(cell):
         spec, n, p = cell
-        ests = [(role, ESTIMATORS[roles[role]](n, p)) for role in _ROLES]
+        # each role's scorer from its id: the callables of ESTIMATORS can
+        # only be called, so their estimates could not run in one kernel
+        ests = [(role, _SCORERS[roles[role]](n, p)) for role in _ROLES]
         mse = _mse_cell(spec, n, p, ests, config.samples_per_batch,
                         config.batches, config.seed)
         return Sim2Row(spec.label, n, p, mse["hf7"], mse["hd"], mse["thd"],
@@ -409,12 +426,13 @@ def estimate_mse(estimator, spec, n, p, samples_per_batch, batches, seed):
     """MSE of one estimator under the run_sim2 protocol (same streams).
 
     `estimator` is an id from ESTIMATORS or a factory callable(n, p) that
-    returns an estimate callable over sorted values; `spec` is a
+    returns an estimate callable over sorted values, which runs per sample
+    in Python; `spec` is a
     DistributionSpec or, as in a config, a spec string, and `p` reads as a
     config's p_grid entry does, so equal values draw the same streams.
     """
     factory = (estimator if callable(estimator)
-               else ESTIMATORS[_as_estimator_id(estimator, "estimator")])
+               else _SCORERS[_as_estimator_id(estimator, "estimator")])
     spec = _as_spec(spec, "spec")
     n = _as_count(n, "n")
     p = _as_open_prob(p, "p")

@@ -124,6 +124,24 @@ def test_contaminated_normal_rejects_an_overflowing_wide_scale():
     assert spec._q.mixture[2] == 1e150 * math.sqrt(1e300)
 
 
+def test_contaminated_draws_that_overflow_raise_a_named_error():
+    # the wide component at 1e308 overflows on 132 of 2,000 draws of this
+    # stream, the first at draw 102; draws before it keep their bits
+    spec = parse_distribution("ContaminatedNormal(epsilon=0.5, sigma=1e308, "
+                              "c=1)")
+    us = RngStream(1, 2).uniforms(4000)
+    with pytest.raises(ArithmeticError) as info:
+        sample(spec, RngStream(1, 2), 2000)
+    assert type(info.value) is ArithmeticError
+    assert str(info.value) == "%s: the variate at p=%r overflows" % (
+        spec.label, us[2 * 102 + 1])
+    inv_cdf = statistics.NormalDist().inv_cdf
+    # both components have the scale 1e308, so the pick does not matter
+    want = [1e308 * inv_cdf(u) for u in us[1:204:2]]
+    assert all(map(math.isfinite, want))
+    assert repr(sample(spec, RngStream(1, 2), 102)) == repr(want)
+
+
 def test_quantile_bracket_grows_to_the_double_range():
     # the bracket doubles past 2**700 until it holds p; both specs have the
     # wide scale 1e300 at weight 0.5, so q(p) is 1e300 times a standard
@@ -538,6 +556,46 @@ def test_overflowing_quantiles_raise_one_named_error(monkeypatch, backend):
                      .startswith("ArithmeticError"))
         assert str(info.value) == _outcome(true_quantile, spec, first)[
             len("ArithmeticError: "):]
+
+
+def test_batch_inversion_gives_back_only_the_rest(monkeypatch):
+    # a term cap that some p outlive: the C code keeps the quantiles it
+    # finished, and the reference receives only the p from the first one
+    # the C code gave back, then raises the error of the whole batch
+    from trimq import _kernels_c, _kernels_py
+
+    for name, params, cap, ps in (
+            ("beta_quantiles", (2.0, 4.0), 3, [0.9, 0.99, 0.3, 0.999]),
+            ("student_quantiles", (100.0,), 12, [0.5, 0.7, 0.1, 0.3])):
+        kernel = getattr(_kernels_py, name)
+        received = []
+
+        def recorded(rest, *args, kernel=kernel):
+            received.append(list(rest))
+            return kernel(rest, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels_py, "_MAX_ITER", cap)
+            want = _outcome(kernel, ps, *params)
+            patch.setattr(_kernels_py, name, recorded)
+            got = _outcome(getattr(_kernels_c, name), ps, *params)
+            assert received == [ps[2:]], name
+            assert got == want, name
+            assert want.startswith("ArithmeticError: incomplete beta "), want
+            # with the cap lifted for the reference alone, the batch is the
+            # C quantiles before the give-back, then the reference's
+            received.clear()
+
+            def uncapped(rest, *args, kernel=kernel):
+                received.append(list(rest))
+                with monkeypatch.context() as lifted:
+                    lifted.setattr(_kernels_py, "_MAX_ITER", 300)
+                    return kernel(rest, *args)
+
+            patch.setattr(_kernels_py, name, uncapped)
+            got = getattr(_kernels_c, name)(ps, *params)
+            assert received == [ps[2:]], name
+        assert repr(got) == repr(kernel(ps, *params)), name
 
 
 def test_batch_draws_give_the_same_bits_under_threads():

@@ -492,6 +492,25 @@ def test_sim2_csv_round_trips():
             assert float(got) == want
 
 
+@pytest.mark.parametrize("piece", [1, 7, 13, 37])
+def test_cell_mse_from_scorers_is_the_mse_from_callables(monkeypatch, piece):
+    # each estimator's scorer, which the kernel sorts and scores a piece
+    # with, against its callable, which runs per sample in Python, at
+    # every piece size
+    n, p = 8, 0.3
+    calls = [(eid, ESTIMATORS[eid](n, p)) for eid in sorted(ESTIMATORS)]
+    scorers = [(eid, simulation._SCORERS[eid](n, p))
+               for eid in sorted(ESTIMATORS)]
+    want = {text: simulation._mse_cell(DistributionSpec.parse(text), n, p,
+                                       calls, 11, 3, 5)
+            for text in ALL_FAMILIES}
+    monkeypatch.setattr(simulation, "_PIECE", piece)
+    for text in ALL_FAMILIES:
+        got = simulation._mse_cell(DistributionSpec.parse(text), n, p,
+                                   scorers, 11, 3, 5)
+        assert repr(got) == repr(want[text]), text
+
+
 def test_sim2_mse_positive_for_real_estimators():
     for row in run_sim2(_sim2_cfg()).rows:
         for v in (row.mse_hf7, row.mse_hd, row.mse_thd):
