@@ -2,39 +2,45 @@
  * The regularized incomplete beta, the loop that turns it into a window of
  * (trimmed) Harrell-Davis weights, the bisections that invert the Beta and
  * Student t CDFs through it, the counter-based uniforms of a whole
- * simulation batch of random streams, and the sort and scoring of a
- * piece of simulation samples, in plain C99 for trimq/_kernels_c.py,
- * which builds this file and loads it with ctypes.
+ * simulation batch of random streams, the sort and scoring of a piece of
+ * simulation samples, and the parse and sort of the numbers that
+ * `trimq estimate` reads, in plain C99 for trimq/_kernels_c.py, which
+ * builds this file and loads it with ctypes.
  *
  * Every function is a port of its reference in trimq/_kernels_py.py:
  * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
  * beta_quantiles and student_quantiles with their bisections _bisect_cdf
  * and _invert_unbounded, batch_uniforms with the draw loop of
- * stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer _mix64, and
+ * stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer _mix64,
  * piece_errors with HF7 (_hf7) and the weighted sum (_weighted_sum), its
  * math.fsum a port of CPython 3.11's, and a stable sort in place of
- * sorted().  Each does the same operations in the same order, so that,
- * built with -ffp-contract=off and linked against the libm behind
- * Python's math module, it returns the same doubles; the uniforms are
- * 64-bit integer work and the reference's two floating-point steps.
+ * sorted(), which sort_floats exports on its own, and parse_floats, whose
+ * strtod rounds correctly as float() does.  Each does the same operations
+ * in the same order, so that, built with -ffp-contract=off and linked
+ * against the libm behind Python's math module, it returns the same
+ * doubles; the uniforms are 64-bit integer work and the reference's two
+ * floating-point steps.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
- * from reg_inc_beta, -1 from weight_window or piece_errors, or, from a
- * batch inversion, the index of the first p it could not invert.  The
- * caller then hands the call, or the rest of the batch, to the namesake
- * reference kernel, which raises the error itself.  That happens when the
- * fraction does not converge within max_iter terms, when exp(front) is
- * not finite (math.exp raises OverflowError where C returns inf), in the
- * bisections when a CDF value is NaN or a bracket end doubles to
- * infinity, and in piece_errors when a value is NaN (its place in sorted
+ * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
+ * or, from weight_window and a batch inversion, the index it stopped at.
+ * The caller then hands the call, the rest of the batch, or the one
+ * incomplete beta the window stopped at, to the namesake reference, which
+ * raises the error itself.  That happens when the fraction does not
+ * converge within max_iter terms, when exp(front) is not finite (math.exp
+ * raises OverflowError where C returns inf), in the bisections when a CDF
+ * value is NaN or a bracket end passes the largest double, in
+ * piece_errors and sort_floats when a value is NaN (its place in sorted
  * order depends on the sort) or a weighted sum meets a product that is
  * not finite or overflows (math.fsum's special values and
- * OverflowError).
+ * OverflowError), and in parse_floats on any input but plain ASCII
+ * decimal numbers that are finite.
  *
  * There is no mutable state outside the stack, so threads may call every
  * entry point at once.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -136,12 +142,14 @@ double reg_inc_beta(double x, double a, double b, double log_norm,
  * cdf_lower) / denom clamped to [0, 1], 0 at or below lower and 1 at or
  * above upper.  support[0] and support[1] get the 1-based indices of the
  * first and last positive weight, 0 and 0 when none is.  i / n rounds as
- * Python's int division does for n < 2**53.  Returns 0, or -1 to ask the
- * caller to use the reference.
+ * Python's int division does for n < 2**53.  Returns i_hi + 1 when the
+ * window is done, or else the index i whose I_{i/n}(a, b) it gives back to
+ * the caller, every index before it having converged.
  */
-int weight_window(long n, long i_lo, long i_hi, double a, double b,
-                  double lower, double upper, double cdf_lower, double denom,
-                  double log_norm, long max_iter, double *out, long *support)
+long weight_window(long n, long i_lo, long i_hi, double a, double b,
+                   double lower, double upper, double cdf_lower,
+                   double denom, double log_norm, long max_iter, double *out,
+                   long *support)
 {
     double x, cur, prev = 0.0, w;
     long i;
@@ -156,7 +164,7 @@ int weight_window(long n, long i_lo, long i_hi, double a, double b,
         } else {
             cur = reg_inc_beta(x, a, b, log_norm, max_iter);
             if (isnan(cur))
-                return -1;
+                return i;
             cur = (cur - cdf_lower) / denom;
             if (cur < 0.0)
                 cur = 0.0;
@@ -176,7 +184,7 @@ int weight_window(long n, long i_lo, long i_hi, double a, double b,
         }
         prev = cur;
     }
-    return 0;
+    return i_hi + 1;
 }
 
 /* one CDF to invert: Beta(a, b), or Student t with df = 2a and b = 1/2 */
@@ -202,8 +210,9 @@ typedef double (*CdfAt)(const Cdf *cdf, double t);
 
 /*
  * The point where bisection of [lo, hi] toward cdf(t) = p stops, for
- * cdf(lo) < p <= cdf(hi).  Returns 1 and stores it in *out, or 0 when a
- * CDF value is NaN.
+ * cdf(lo) < p <= cdf(hi).  A midpoint whose sum overflows, between ends
+ * near the largest double, is taken from the halves.  Returns 1 and stores
+ * it in *out, or 0 when a CDF value is NaN.
  */
 static int bisect_cdf(CdfAt at, const Cdf *cdf, double p, double lo,
                       double hi, double *out)
@@ -213,6 +222,8 @@ static int bisect_cdf(CdfAt at, const Cdf *cdf, double p, double lo,
 
     for (level = 0; level < BISECT_LEVELS; level++) {
         mid = 0.5 * (lo + hi);
+        if (isinf(mid))
+            mid = 0.5 * lo + 0.5 * hi;
         if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
             || mid >= hi) {
             *out = mid;
@@ -232,8 +243,10 @@ static int bisect_cdf(CdfAt at, const Cdf *cdf, double p, double lo,
 
 /*
  * The quantile of p on the real line: each end of [-1, 1] doubles until
- * the bracket holds p, then bisection.  Returns 1 and stores it in *out,
- * or 0 when a CDF value is NaN or an end doubles to infinity.
+ * the bracket holds p, then bisection.  An end whose next doubling would
+ * be infinite takes the largest double instead, once.  Returns 1 and
+ * stores the quantile in *out, or 0 when a CDF value is NaN or an end
+ * passes the largest double.
  */
 static int invert_unbounded(CdfAt at, const Cdf *cdf, double p, double *out)
 {
@@ -245,9 +258,11 @@ static int invert_unbounded(CdfAt at, const Cdf *cdf, double p, double *out)
             return 0;
         if (f < p)
             break;
+        if (lo == -DBL_MAX)
+            return 0;
         lo *= 2.0;
         if (lo == -INFINITY)
-            return 0;
+            lo = -DBL_MAX;
     }
     for (;;) {
         f = at(cdf, hi);
@@ -255,9 +270,11 @@ static int invert_unbounded(CdfAt at, const Cdf *cdf, double p, double *out)
             return 0;
         if (f >= p)
             break;
+        if (hi == DBL_MAX)
+            return 0;
         hi *= 2.0;
         if (hi == INFINITY)
-            return 0;
+            hi = DBL_MAX;
     }
     return bisect_cdf(at, cdf, p, lo, hi, out);
 }
@@ -438,6 +455,26 @@ static void stable_sort(double *xs, long n, double *tmp)
         memcpy(xs, src, (size_t)n * sizeof *xs);
 }
 
+/*
+ * Sort xs[0 .. n) in place by stable_sort, the order of
+ * _kernels_py.sort_floats.  Returns 0, or -1, leaving xs as it is, to give
+ * the values back: a NaN among them, or no memory for the merge buffer.
+ */
+int sort_floats(double *xs, long n)
+{
+    double *tmp = NULL;
+    long i;
+
+    for (i = 0; i < n; i++)
+        if (isnan(xs[i]))
+            return -1;
+    if (n > INSERTION_MAX && (tmp = malloc((size_t)n * sizeof *tmp)) == NULL)
+        return -1;
+    stable_sort(xs, n, tmp);
+    free(tmp);
+    return 0;
+}
+
 /* HF7 over the n sorted xs between the 1-based order statistics j and
    j + 1 at fraction g, the largest value when j >= n: _kernels_py._hf7 */
 static double hf7(const double *xs, long n, long j, double g)
@@ -572,4 +609,76 @@ int piece_errors(const double *values, long count, long n, double theta,
     }
     free(xs);
     return status;
+}
+
+/* the six ASCII whitespace bytes, the only separators the C parse takes */
+static int is_space(unsigned char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/* the end of the run of decimal digits that starts at s */
+static const char *skip_digits(const char *s, const char *end)
+{
+    while (s < end && *s >= '0' && *s <= '9')
+        s++;
+    return s;
+}
+
+/*
+ * The numbers of the whitespace-separated tokens of data[0 .. len), the
+ * fast path of _kernels_py.parse_floats, stored in out unless out is NULL,
+ * which only counts them.  It takes only tokens of the form
+ * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, ASCII digits d, separated by the six
+ * ASCII whitespace bytes, and converts each with strtod, which rounds
+ * correctly as Python's float() does.  data[len] must be readable and
+ * must not be part of a number, as the NUL that ends a Python bytes
+ * object is.  Returns the number of tokens, or -1 to give the input back
+ * to the reference, which returns or raises what it does: any other byte
+ * (non-ASCII, a control byte, a letter of inf, nan or hex, an
+ * underscore), a token outside the form, a value that is not finite, or
+ * a strtod that stops elsewhere than the token's end (a locale whose
+ * decimal point is not '.').
+ */
+long parse_floats(const char *data, long len, double *out)
+{
+    const char *s = data, *end = data + len, *token, *mantissa;
+    char *stop;
+    long count = 0;
+    double x;
+
+    while (s < end) {
+        if (is_space((unsigned char)*s)) {
+            s++;
+            continue;
+        }
+        token = s;
+        if (*s == '+' || *s == '-')
+            s++;
+        mantissa = s;
+        s = skip_digits(s, end);
+        if (s < end && *s == '.')
+            s = skip_digits(s + 1, end);
+        /* no digit before or after the point */
+        if (s == mantissa || (s == mantissa + 1 && *mantissa == '.'))
+            return -1;
+        if (s < end && (*s == 'e' || *s == 'E')) {
+            s++;
+            if (s < end && (*s == '+' || *s == '-'))
+                s++;
+            if (s == end || *s < '0' || *s > '9')
+                return -1;
+            s = skip_digits(s, end);
+        }
+        if (s < end && !is_space((unsigned char)*s))
+            return -1;
+        if (out != NULL) {
+            x = strtod(token, &stop);
+            if (stop != s || !isfinite(x))
+                return -1;
+            out[count] = x;
+        }
+        count++;
+    }
+    return count;
 }

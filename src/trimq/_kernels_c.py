@@ -1,10 +1,11 @@
 """The C backend: the incomplete beta, the weight loop, the Beta and Student
 t inversions, ``batch_uniforms`` (the uniforms of the streams of
-consecutive samples of a simulation batch, in one call) and
-``piece_errors`` (the sort and the estimators' squared errors of a piece of
-simulation samples, in one call) of trimq/_kernels_c.c, loaded with
-ctypes, with the other kernels taken from the pure-Python reference,
-trimq._kernels_py.
+consecutive samples of a simulation batch, in one call), ``piece_errors``
+(the sort and the estimators' squared errors of a piece of simulation
+samples, in one call), ``parse_floats`` (the numbers of an input's bytes)
+and ``sort_floats`` (a stable sort of an array('d'), in place) of
+trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken from
+the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
 the system ``cc``, into this package's ``__pycache__``, loads it, and deletes
@@ -14,14 +15,17 @@ reference.
 
 Every entry point returns the doubles of its namesake in the reference.
 Where the C code gives a case back (a fraction that does not converge, an
-exp(front) that overflows, a bracket that doubles to infinity, a NaN to
-sort, a weighted sum that math.fsum would not return finite), the wrapper
-hands the call to that namesake, which raises its own error or returns
-what it returns; a batch inversion hands over only its p from the first
-one the C code gave back, keeping the quantiles before it.  A scorer that
-is a callable is Python to run, so ``piece_errors`` hands such a call to
-the reference whole.  The library keeps no mutable state and ctypes
-releases the GIL around each call, so threads may call it at once.
+exp(front) that overflows, a bracket end past the largest double, a NaN to
+sort, a weighted sum that math.fsum would not return finite, input that is
+not plain ASCII decimal numbers, finite ones), the wrapper hands the call
+to that namesake, which raises its own error or returns what it returns.
+A batch inversion hands over only its p from the first one the C code gave
+back, keeping the quantiles before it; a weight window hands over only
+the incomplete beta it stopped at, whose reference raises, and the whole
+window only if that one does not.  A scorer that is a callable is Python
+to run, so ``piece_errors`` hands such a call to the reference whole.  The
+library keeps no mutable state and ctypes releases the GIL around each
+call, so threads may call it at once.
 """
 
 import ctypes
@@ -36,8 +40,9 @@ from ._kernels_py import (_M64, _log_norm, beta_pdf, log_beta, log_gamma,
                           mix_seed, stream_uniforms)
 
 __all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
-           "log_gamma", "mix_seed", "piece_errors", "reg_inc_beta",
-           "stream_uniforms", "student_quantiles", "weight_window"]
+           "log_gamma", "mix_seed", "parse_floats", "piece_errors",
+           "reg_inc_beta", "sort_floats", "stream_uniforms",
+           "student_quantiles", "weight_window"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernels_c.c")
@@ -132,6 +137,7 @@ def _open(path):
         window = lib.weight_window
         uniforms = lib.batch_uniforms
         errors = lib.piece_errors
+        sort, parse = lib.sort_floats, lib.parse_floats
     except AttributeError as exc:
         raise OSError("%s is not this library: %s" % (path, exc)) from None
     double, long, u64 = ctypes.c_double, ctypes.c_long, ctypes.c_uint64
@@ -143,16 +149,20 @@ def _open(path):
     window.argtypes = (long, long, long, double, double, double, double,
                        double, double, double, long, vector,
                        ctypes.POINTER(long))
-    for entry in batches:
+    for entry in (*batches, window):
         entry.restype = long
-    window.restype = ctypes.c_int
     uniforms.argtypes = (u64, u64, u64, long, long, vector)
     uniforms.restype = None
     longs = ctypes.POINTER(long)
     errors.argtypes = (ctypes.c_char_p, long, long, double, long, longs,
                        longs, vector, ctypes.c_void_p)
     errors.restype = ctypes.c_int
-    return scalar, batches[0], batches[1], window, uniforms, errors
+    sort.argtypes = (ctypes.c_void_p, long)
+    sort.restype = ctypes.c_int
+    parse.argtypes = (ctypes.c_char_p, long, ctypes.c_void_p)
+    parse.restype = long
+    return (scalar, batches[0], batches[1], window, uniforms, errors, sort,
+            parse)
 
 
 def _load():
@@ -170,7 +180,8 @@ def _load():
 
 
 (_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles,
- _c_weight_window, _c_batch_uniforms, _c_piece_errors) = _load()
+ _c_weight_window, _c_batch_uniforms, _c_piece_errors, _c_sort_floats,
+ _c_parse_floats) = _load()
 _c_doubles = ctypes.c_double
 _c_longs = ctypes.c_long
 _ZERO = array("d", (0.0,))
@@ -218,8 +229,13 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
     the window."""
     buf = (_c_doubles * (i_hi - i_lo))()
     support = _c_support()
-    if _c_weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom,
-                        _log_norm(a, b), _py._MAX_ITER, buf, support):
+    stop = _c_weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower,
+                            denom, _log_norm(a, b), _py._MAX_ITER, buf,
+                            support)
+    if stop <= i_hi:
+        # every index before stop converged in C as in the reference, whose
+        # loop raises at stop; the whole window only if it does not
+        _py.reg_inc_beta(stop / n, a, b)
         return _py.weight_window(n, i_lo, i_hi, a, b, lower, upper,
                                  cdf_lower, denom)
     return buf[:], support[0], support[1]
@@ -268,3 +284,25 @@ def piece_errors(values, n, theta, scorers):
                        out.buffer_info()[0]):
         return _py.piece_errors(values, n, theta, scorers)
     return [out[i * count:(i + 1) * count].tolist() for i in range(k)]
+
+
+def sort_floats(xs):
+    """Sort the array('d') `xs` in place, equal values keeping their order,
+    in one C call; a NaN among them, or an array of another type, hands
+    the call to the reference."""
+    if xs.typecode != "d" or _c_sort_floats(xs.buffer_info()[0], len(xs)):
+        _py.sort_floats(xs)
+
+
+def parse_floats(data):
+    """The numbers of the whitespace-separated tokens of the bytes `data`,
+    in an array('d'), from one C pass that counts them and one that
+    converts them; anything but plain ASCII decimal numbers that are
+    finite hands the call to the reference, which returns or raises what
+    it does."""
+    count = _c_parse_floats(data, len(data), None)
+    if count >= 0:
+        out = _ZERO * count
+        if _c_parse_floats(data, len(data), out.buffer_info()[0]) == count:
+            return out
+    return _py.parse_floats(data)

@@ -4,11 +4,12 @@ trimq._kernels_c cannot be built.
 
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
 the incomplete beta, the weight loop, the Beta and Student t inversions,
-the uniforms of a simulation batch's streams and the sort and scoring of a
-piece of simulation samples from here statement for statement, and is the
-only place that adds speed.  HF7 and the weighted sum are written here
-once, over the scorer data of piece_errors; the public estimators and the
-simulation's callables run them through _estimator.
+the uniforms of a simulation batch's streams, the sort and scoring of a
+piece of simulation samples, and the parse (of plain ASCII decimal input)
+and sort of `trimq estimate`'s numbers from here statement for statement,
+and is the only place that adds speed.  HF7 and the weighted sum are
+written here once, over the scorer data of piece_errors; the public
+estimators and the simulation's callables run them through _estimator.
 Both modules export the same names; the C backend takes the kernels it
 does not port from here, and hands every case its own code gives back to
 the namesake kernel here, so both backends raise the same errors.  The
@@ -23,12 +24,16 @@ and friends.
 """
 
 import functools
+import io
 import math
 import operator
+import sys
+from array import array
 
 __all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
-           "log_gamma", "mix_seed", "piece_errors", "reg_inc_beta",
-           "stream_uniforms", "student_quantiles", "weight_window"]
+           "log_gamma", "mix_seed", "parse_floats", "piece_errors",
+           "reg_inc_beta", "sort_floats", "stream_uniforms",
+           "student_quantiles", "weight_window"]
 
 # ln(2*pi)/2
 _HALF_LN_TWO_PI = 0.9189385332046727
@@ -221,11 +226,17 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
     return window, lo, hi
 
 
+_DBL_MAX = sys.float_info.max
+
+
 def _bisect_cdf(cdf, p, lo, hi):
     """The point where bisection of [lo, hi] toward cdf(t) = p stops, for
-    cdf(lo) < p <= cdf(hi)."""
+    cdf(lo) < p <= cdf(hi).  A midpoint whose sum overflows, between ends
+    near the largest double, is taken from the halves."""
     for _ in range(500):
         mid = 0.5 * (lo + hi)
+        if math.isinf(mid):
+            mid = 0.5 * lo + 0.5 * hi
         if hi - lo <= 1e-12 + 1e-12 * abs(mid) or mid <= lo or mid >= hi:
             return mid
         if cdf(mid) < p:
@@ -237,20 +248,21 @@ def _bisect_cdf(cdf, p, lo, hi):
 
 def _invert_unbounded(cdf, p):
     """The quantile of p of a CDF on the real line: each end of [-1, 1]
-    doubles until the bracket holds p, then bisection.  An end that
-    overflows to infinity fails, as does a CDF that reads NaN at every
-    end."""
+    doubles until the bracket holds p, then bisection.  An end whose next
+    doubling would be infinite takes the largest double instead, once;
+    past it the expansion fails, as it does on a CDF that reads NaN at
+    every end."""
     lo, hi = -1.0, 1.0
     while not cdf(lo) < p:
-        lo *= 2.0
-        if lo == -math.inf:
+        if lo == -_DBL_MAX:
             raise ArithmeticError(
                 "quantile bracket expansion failed (low side)")
+        lo = max(2.0 * lo, -_DBL_MAX)
     while not cdf(hi) >= p:
-        hi *= 2.0
-        if hi == math.inf:
+        if hi == _DBL_MAX:
             raise ArithmeticError(
                 "quantile bracket expansion failed (high side)")
+        hi = min(2.0 * hi, _DBL_MAX)
     return _bisect_cdf(cdf, p, lo, hi)
 
 
@@ -379,6 +391,33 @@ def _estimator(scorer):
     at, coef = scorer
     formula = _weighted_sum if isinstance(coef, tuple) else _hf7
     return functools.partial(formula, at, coef)
+
+
+def parse_floats(data):
+    """The numbers of the whitespace-separated tokens of `data`, UTF-8
+    bytes read as a text file is (universal newlines, strict decoding, its
+    UnicodeDecodeError a ValueError), in an array('d').  A token that
+    float() rejects, or reads as infinite or NaN, raises ValueError naming
+    it and its line."""
+    values = []
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for lineno, line in enumerate(lines, 1):
+        for token in line.split():
+            try:
+                value = float(token)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    "non-numeric token %r on line %d" % (token, lineno))
+            values.append(value)
+    return array("d", values)
+
+
+def sort_floats(xs):
+    """Sort the array('d') `xs` in place, in ascending order, equal values
+    keeping their order: the order of sorted()."""
+    xs[:] = array("d", sorted(xs))
 
 
 def piece_errors(values, n, theta, scorers):

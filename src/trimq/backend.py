@@ -5,21 +5,24 @@ and ``BACKEND`` names it:
 
 - "c": trimq._kernels_c, the incomplete beta, the weight loop
   (``weight_window``), the Beta and Student t inversions, the uniforms
-  of the streams of a run of simulation samples (``batch_uniforms``) and
-  the sort and scoring of those samples (``piece_errors``) in C,
-  built with the system ``cc`` on first import and cached in this
-  package's ``__pycache__``, the other kernels from the reference;
+  of the streams of a run of simulation samples (``batch_uniforms``),
+  the sort and scoring of those samples (``piece_errors``), and the
+  parse and sort of `trimq estimate`'s input (``parse_floats``,
+  ``sort_floats``) in C, built with the system ``cc`` on first import and
+  cached in this package's ``__pycache__``, the other kernels from the
+  reference;
 - "python": trimq._kernels_py, the pure-Python reference, the plain
   algorithm of each kernel.
 
 Both export the same kernels, give the same bits and raise the same
 errors: a call the C code cannot finish is handed to its namesake in the
-reference, which raises.  The TRIMQ_BACKEND environment variable picks
-one: unset or empty, the C backend when it builds and loads, the reference
-otherwise; "c", the C backend or an ImportError that says why it is not
-available; "python", the reference.  Any other value fails at import.  The
-normal quantile is no kernel: the standard library's
-``statistics.NormalDist.inv_cdf`` supplies it.
+reference, which raises or returns what it does (the parse of input that
+is not plain ASCII decimal numbers among them).  The TRIMQ_BACKEND
+environment variable picks one: unset or empty, the C backend when it
+builds and loads, the reference otherwise; "c", the C backend or an
+ImportError that says why it is not available; "python", the reference.
+Any other value fails at import.  The normal quantile is no kernel: the
+standard library's ``statistics.NormalDist.inv_cdf`` supplies it.
 """
 
 import os

@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import __version__, _checks
+from .backend import kernels as _k
 from .estimators import Sample, hd_quantile, hf7_quantile, thd_quantile
 from .hdi import beta_hdi
 from .simulation import (ConfigError, Sim1Config, Sim2Config, run_sim1,
@@ -80,25 +81,16 @@ def _build_parser():
 
 
 def _read_numbers(path):
+    """The numbers of `path`, or of stdin for "-" (its binary buffer, or its
+    text encoded as UTF-8 where it has none), in an array('d')."""
     if path == "-":
-        return _parse_numbers(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_numbers(fh)
-
-
-def _parse_numbers(lines):
-    values = []
-    for lineno, line in enumerate(lines, 1):
-        for token in line.split():
-            try:
-                value = float(token)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(
-                    "non-numeric token %r on line %d" % (token, lineno))
-            values.append(value)
-    return values
+        buffer = getattr(sys.stdin, "buffer", None)
+        data = (sys.stdin.read().encode("utf-8") if buffer is None
+                else buffer.read())
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return _k.parse_floats(data)
 
 
 def _cmd_estimate(args):

@@ -236,7 +236,10 @@ class DistributionSpec:
 
     @property
     def label(self):
-        parts = ["%s=%s" % (name, int(v) if v == int(v) else repr(v))
+        # integral values bare below 1e16, as the CLI prints them; the rest,
+        # 1e+308 among them, as repr writes them
+        parts = ["%s=%s" % (name, int(v) if v == int(v) and abs(v) < 1e16
+                            else repr(v))
                  for name, v in self.params.items()]
         return "%s(%s)" % (self.kind, ", ".join(parts))
 

@@ -17,15 +17,18 @@ Harrell-Davis is the trimmed recipe at width 1, whose interval is all of
 (``hd_weights`` / ``thd_weights``) for reuse across samples of one size.
 The builder solves the interval here and leaves the loop over its order
 statistics to one ``weight_window`` call of the backend's kernels, C or
-the pure-Python reference; the C loop gives a window it cannot finish back
-to the reference, which raises its own ArithmeticError.  An estimate is
+the pure-Python reference; where the C loop's incomplete beta gives out,
+the reference's raises its own ArithmeticError.  An estimate is
 the data of a scorer, the HF7 index and fraction or the weight window,
 and HF7 and the weighted sum over it are written once, in
 trimq._kernels_py, which the simulation's C scoring kernel ports.
 """
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import compress, count, islice
 
 from . import _checks
 from ._kernels_py import _estimator
@@ -46,10 +49,12 @@ __all__ = [
 class Sample:
     """Sorted, finite, non-empty observations.
 
-    Values are sorted at construction; input already in ascending order is
-    kept as it is, found so by the same linear scan that checks each value
-    is finite.  presorted=True does not skip work: it turns out-of-order
-    input into a ValueError instead of sorting it.
+    Values are sorted at construction by the backend's stable sort, the
+    order of sorted().  One sum checks that every value is finite: only a
+    sum that is not finite, from a value that is not or from finite values
+    that overflow it, scans them to name the first that is not.
+    presorted=True skips the sort but not a scan for order: it turns
+    out-of-order input into a ValueError instead of sorting it.
     """
 
     __slots__ = ("values",)
@@ -58,24 +63,26 @@ class Sample:
         if isinstance(values, (str, bytes, bytearray)):
             raise ValueError("sample values must be a sequence of numbers, "
                              "not %s" % type(values).__name__)
-        vals = [float(v) for v in values]
+        vals = array("d", map(float, values))
         if not vals:
             raise ValueError("sample must contain at least one value")
-        prev = -math.inf
-        ascending = True
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ValueError(
-                    "sample values must be finite, got %r at position %d"
-                    % (v, i))
-            if v < prev:
-                ascending = False
-                if presorted:
+        drop = None
+        if presorted:  # the first position below its predecessor, if any
+            drops = map(operator.lt, islice(vals, 1, None), vals)
+            drop = next(compress(count(1), drops), None)
+        if not math.isfinite(sum(vals)):
+            for i, v in enumerate(vals):
+                if not math.isfinite(v):
                     raise ValueError(
-                        "presorted sample is out of order at position %d" % i)
-            prev = v
-        if not ascending:
-            vals.sort()
+                        "sample values must be finite, got %r at position %d"
+                        % (v, i))
+                if i == drop:
+                    break
+        if drop is not None:
+            raise ValueError(
+                "presorted sample is out of order at position %d" % drop)
+        if not presorted:
+            _k.sort_floats(vals)
         self.values = tuple(vals)
 
     @property

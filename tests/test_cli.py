@@ -147,6 +147,28 @@ def test_estimate_beyond_incomplete_beta_range_is_input_error(tmp_path,
     assert "continued fraction did not converge" in lines[0]
 
 
+def test_estimate_beyond_incomplete_beta_range_is_the_same_error_under_both(
+        tmp_path, capsys, monkeypatch):
+    # the C weight loop stops where the fraction gives out, and the
+    # reference raises its own error there
+    from trimq import _kernels_c, _kernels_py, estimators
+
+    path = tmp_path / "big.txt"
+    path.write_text("".join("%d\n" % (i % 1000) for i in range(340000)))
+    lines = {}
+    for kernels in (_kernels_c, _kernels_py):
+        monkeypatch.setattr(estimators, "_k", kernels)
+        assert main(["estimate", str(path), "--method", "hd",
+                     "--p", "0.37"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines[kernels.__name__] = captured.err
+    assert set(lines.values()) == {
+        "error: cannot estimate at n=340000: incomplete beta continued "
+        "fraction did not converge (a=214201, b=125800, "
+        "x=0.629985294117647)\n"}
+
+
 def test_estimate_missing_file_is_io_error(capsys):
     assert main(["estimate", "/no/such/file.txt"]) == 3
 

@@ -1,15 +1,19 @@
 import bisect
+import ctypes
 import hashlib
 import math
 import pickle
 import random
 import statistics
+import sys
 
 import pytest
 
+import _cshim
+
 from trimq import DistributionSpec, RngStream, sample, true_quantile
 
-from trimq import distributions
+from trimq import _kernels_py, distributions
 from trimq.distributions import _FAMILIES
 from trimq.estimators import hf7_quantile
 
@@ -89,6 +93,13 @@ def test_label_renders_integers_bare():
     spec = parse_distribution("Pareto(loc=1, shape=0.5)")
     assert spec.label == "Pareto(loc=1, shape=0.5)"
     assert parse_distribution("Normal(m=0.0, sd=1.0)").label == "Normal(m=0, sd=1)"
+    # integral values from 1e16 on are written as repr writes them
+    text = "ContaminatedNormal(epsilon=0.5, sigma=1e+308, c=1)"
+    huge = parse_distribution(text)
+    assert huge.label == text
+    assert parse_distribution(huge.label) == huge
+    assert parse_distribution("Normal(m=9999999999999998, sd=1e16)").label \
+        == "Normal(m=9999999999999998, sd=1e+16)"
 
 
 def test_parse_errors():
@@ -158,6 +169,64 @@ def test_quantile_bracket_grows_to_the_double_range():
         for p, q in wide_p.items():
             assert math.isclose(true_quantile(spec, p), 1e300 * inv_cdf(q),
                                 rel_tol=1e-11), (text, p)
+
+
+def test_quantile_bracket_reaches_the_largest_double():
+    # the high end doubles to 2**1023, where the CDF is 0.815; its next
+    # doubling is infinite, so it takes the largest double instead, and the
+    # bisection halves ends whose sum overflows
+    spec = parse_distribution("ContaminatedNormal(epsilon=0.5, sigma=1e308, "
+                              "c=1)")
+    cdf = statistics.NormalDist(0.0, 1e308).cdf  # both components alike
+    for p in (0.9, 0.1):
+        q = true_quantile(spec, p)
+        assert 2.0 ** 1023 < abs(q) < math.inf
+        assert abs(cdf(q) - p) < 1e-12, (p, q)
+    # past the largest double the expansion still fails
+    for p, side in ((0.99, "high"), (0.01, "low")):
+        with pytest.raises(ArithmeticError,
+                           match="bracket expansion failed \\(%s side" % side):
+            true_quantile(spec, p)
+
+
+@pytest.fixture(scope="module")
+def c_bracket(tmp_path_factory):
+    """The C inversion of a normal CDF of scale sigma, phi(x / sigma) as
+    distributions._phi writes it, behind an exported wrapper."""
+    lib = _cshim.build(
+        tmp_path_factory.mktemp("bracket"), "bracket",
+        "static double scaled_phi(const Cdf *cdf, double x)\n"
+        "{ return 0.5 * erfc(-(x / cdf->a) / sqrt(2.0)); }\n"
+        "int invert_scaled_phi(double sigma, double p, double *out)\n"
+        "{\n"
+        "    Cdf cdf = {sigma, 0.0, 0.0, 0.0, 0};\n"
+        "    return invert_unbounded(scaled_phi, &cdf, p, out);\n"
+        "}\n")
+    lib.invert_scaled_phi.argtypes = (ctypes.c_double, ctypes.c_double,
+                                      ctypes.POINTER(ctypes.c_double))
+    lib.invert_scaled_phi.restype = ctypes.c_int
+    return lib
+
+
+def test_c_bracket_matches_the_reference_near_the_double_range(c_bracket):
+    # the C twin of _invert_unbounded takes the largest double where the
+    # reference does, and gives back exactly where the reference raises
+    sqrt2 = math.sqrt(2.0)
+    gave_back = 0
+    for sigma in (1.0, 1e300, 1e307, 1e308, 1.5e308, sys.float_info.max):
+        for p in (1e-300, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999):
+            def cdf(x):
+                return 0.5 * math.erfc(-(x / sigma) / sqrt2)
+            out = ctypes.c_double()
+            done = c_bracket.invert_scaled_phi(sigma, p, ctypes.byref(out))
+            try:
+                want = _kernels_py._invert_unbounded(cdf, p)
+            except ArithmeticError:
+                assert not done, (sigma, p, out.value)
+                gave_back += 1
+                continue
+            assert done and repr(out.value) == repr(want), (sigma, p)
+    assert gave_back >= 8  # the tails of the widest scales
 
 
 def test_parameters_follow_the_positive_real_rule():

@@ -406,8 +406,9 @@ def test_c_weight_window_matches_the_reference_bit_for_bit(monkeypatch):
 
 
 def test_c_weight_window_gives_back_what_the_reference_raises(monkeypatch):
-    # a fraction capped below its need: the C loop gives the window back,
-    # and the reference loop raises its own error at the same x
+    # a fraction capped below its need: the C loop stops where it fails,
+    # and the reference raises its own error at the same x, without
+    # running the loop the C code already ran
     from trimq import _kernels_py
 
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", 5)
@@ -425,11 +426,36 @@ def test_c_weight_window_gives_back_what_the_reference_raises(monkeypatch):
         with pytest.raises(ArithmeticError) as info:
             hd_weights(1000, 0.37)
         got[backend] = (type(info.value), str(info.value))
-    assert ran == [(1000, 0, 1000)] * 2
+    assert ran == [(1000, 0, 1000)]  # the python backend's own loop
     assert got["c"] == got["python"]
     assert got["c"][0] is ArithmeticError
     assert got["c"][1].startswith(
         "incomplete beta continued fraction did not converge"), got
+
+
+def test_c_weight_window_raises_where_it_stops(monkeypatch):
+    # at n = 1e6 the fraction gives out near the mean: the C loop reports
+    # the index, and the reference incomplete beta raises there, without
+    # running the reference loop up to it
+    from trimq import _kernels_py
+
+    got = {}
+    _use_kernels(monkeypatch, "python")
+    with pytest.raises(ArithmeticError) as info:
+        hd_weights(10 ** 6, 0.37)
+    got["python"] = (type(info.value), str(info.value))
+
+    def reference(*args):
+        raise AssertionError("the C weight loop gave the window back")
+
+    monkeypatch.setattr(_kernels_py, "weight_window", reference)
+    _use_kernels(monkeypatch, "c")
+    with pytest.raises(ArithmeticError) as info:
+        hd_weights(10 ** 6, 0.37)
+    got["c"] = (type(info.value), str(info.value))
+    assert got["c"] == got["python"] == (
+        ArithmeticError, "incomplete beta continued fraction did not "
+        "converge (a=370000, b=630001, x=0.369856)")
 
 
 def test_weights_make_one_kernel_call_per_vector(monkeypatch):

@@ -6,9 +6,10 @@ import ctypes
 import math
 import random
 import struct
-import subprocess
 
 import pytest
+
+import _cshim
 
 from trimq import (DistributionSpec, ESTIMATORS, Sim2Config, estimate_mse,
                    hd_quantile, hf7_quantile, run_sim2, simulation,
@@ -50,24 +51,13 @@ def _recorded_give_backs(monkeypatch):
 def c_parts(tmp_path_factory):
     """The C sort and sum on their own: the kernel source, built with the
     package's flags behind two exported wrappers."""
-    from trimq import _kernels_c
-
-    folder = tmp_path_factory.mktemp("parts")
-    shim = folder / "parts.c"
-    shim.write_text(
-        '#include "%s"\n'
+    lib = _cshim.build(
+        tmp_path_factory.mktemp("parts"), "parts",
         "void sort_doubles(double *xs, long n, double *tmp)\n"
         "{ stable_sort(xs, n, tmp); }\n"
         "int sum_products(const double *ws, const double *xs, long len,\n"
         "                 double *partials, double *out)\n"
-        "{ return fsum_products(ws, xs, len, partials, out); }\n"
-        % _kernels_c._SOURCE)
-    out = folder / "parts.so"
-    proc = subprocess.run(["cc", *_kernels_c._CFLAGS, "-o", str(out),
-                           str(shim), "-lm"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lib = ctypes.CDLL(str(out))
+        "{ return fsum_products(ws, xs, len, partials, out); }\n")
     vector = ctypes.POINTER(ctypes.c_double)
     lib.sort_doubles.argtypes = (vector, ctypes.c_long, vector)
     lib.sort_doubles.restype = None
