@@ -1,4 +1,5 @@
-"""The input rules of every public entry point, each written once.
+"""The input rules of every public entry point, each written once, and the
+one number format that spec labels and the CLI write.
 
 A rule returns its argument converted to the type the caller computes with,
 or raises ValueError with a message that starts with `what`: the argument,
@@ -7,7 +8,7 @@ config field or command-line flag being checked.
 
 import math
 
-__all__ = ["fraction", "integer", "real"]
+__all__ = ["fraction", "integer", "number_text", "real"]
 
 # interval -> its test on a float; NaN fails every one
 _INTERVALS = {
@@ -72,3 +73,10 @@ def integer(value, what, low=None):
         raise ValueError("%s must be %s, got %r"
                          % (what, _INTEGERS[low], value))
     return k
+
+
+def number_text(x):
+    """The float `x` as trimq writes it: integral values below 1e16 bare,
+    the rest, 1e+308, inf and nan among them, as repr writes them, so that
+    float() reads each back to `x`."""
+    return str(int(x)) if abs(x) < 1e16 and x == int(x) else repr(x)

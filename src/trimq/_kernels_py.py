@@ -98,21 +98,24 @@ _log_beta_cached = functools.lru_cache(maxsize=_SHAPE_CACHE)(log_beta)
 
 
 def beta_pdf(x, a, b):
-    """Beta density at x in [0, 1], evaluated in log space."""
-    if x == 0.0:
-        if a > 1.0:
+    """Beta density at x in [0, 1], evaluated in log space.  A density past
+    the largest double raises ArithmeticError, as the incomplete beta's
+    exp(front) does."""
+    if x == 0.0 or x == 1.0:
+        shape = a if x == 0.0 else b
+        if shape > 1.0:
             return 0.0
-        if a == 1.0:
-            return math.exp(-_log_beta_cached(a, b))
-        return math.inf
-    if x == 1.0:
-        if b > 1.0:
-            return 0.0
-        if b == 1.0:
-            return math.exp(-_log_beta_cached(a, b))
-        return math.inf
-    return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
-                    - _log_beta_cached(a, b))
+        if shape < 1.0:
+            return math.inf
+        log_pdf = -_log_beta_cached(a, b)
+    else:
+        log_pdf = ((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+                   - _log_beta_cached(a, b))
+    try:
+        return math.exp(log_pdf)
+    except OverflowError:
+        raise ArithmeticError("beta density overflows (a=%g, b=%g, x=%r)"
+                              % (a, b, x)) from None
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)

@@ -10,11 +10,11 @@ codes: 0 success, 2 usage, input or configuration error, 3 I/O error.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 
 from . import __version__, _checks
+from ._checks import number_text
 from .backend import kernels as _k
 from .estimators import Sample, hd_quantile, hf7_quantile, thd_quantile
 from .hdi import beta_hdi
@@ -23,15 +23,6 @@ from .simulation import (ConfigError, Sim1Config, Sim2Config, run_sim1,
 from .special import BetaParams
 
 __all__ = ["main"]
-
-
-def _fmt(x):
-    # shortest round-trip representation, integers without a trailing .0
-    if x != x:
-        return "nan"
-    if x == math.floor(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
 
 
 def _fail(code, message):
@@ -125,7 +116,7 @@ def _cmd_estimate(args):
                 est = hd_quantile(sample, p)
             else:
                 est = thd_quantile(sample, p, width)
-            rows.append("%s,%s\n" % (_fmt(p), _fmt(est)))
+            rows.append("%s,%s\n" % (number_text(p), number_text(est)))
     except ArithmeticError as exc:
         return _fail(2, "cannot estimate at n=%d: %s" % (sample.n, exc))
     sys.stdout.write("".join(rows))
@@ -140,8 +131,12 @@ def _cmd_hdi(args):
                             _checks.fraction(args.width, "--width", "(0, 1]"))
     except ValueError as exc:
         return _fail(2, str(exc))
-    print("%s,%s,%s" % (_fmt(interval.lower), _fmt(interval.upper),
-                        interval.case.value))
+    except ArithmeticError as exc:  # e.g. a density past the largest double
+        return _fail(2, "cannot find the HDI of Beta(%s, %s): %s"
+                     % (number_text(params.alpha), number_text(params.beta),
+                        exc))
+    print("%s,%s,%s" % (number_text(interval.lower),
+                        number_text(interval.upper), interval.case.value))
     return 0
 
 

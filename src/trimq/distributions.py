@@ -3,19 +3,19 @@
 A DistributionSpec names a family and its parameters, e.g.
 ``Pareto(loc=1, shape=0.5)``.  Each family is declared once, as the factory
 of its inverse CDF: the factory's signature lists the family's parameters
-and its body checks the rules between them.  That inverse CDF gives both the
-exact quantile theta(p) and the sampler, whose one mapping from uniforms to
-variates, ``transform``, serves both a single stream (``sampler``) and the
-simulation's batches of streams, so identical (seed, stream_id) give
-identical variates on every platform with the same libm, and at every
-thread count.  Beta and Student invert their CDFs in the backend kernels
-beta_quantiles and student_quantiles, one call per list of p, so the exact
-quantile and the sampler run the same inversion.  The contaminated normal
-samples compositionally (one uniform picks the mixture component, one feeds
-the normal quantile) and therefore consumes exactly two uniforms per
-variate.
+and its body checks the rules between them.  Every inverse CDF has one call
+shape, q(ps) -> the list of the quantiles of a sequence of p, and gives both
+the exact quantile theta(p), q on (p,), and the variates, through
+``transform``, the one mapping from uniforms to variates that ``sample`` and
+both simulation studies run, so identical (seed, stream_id) give identical
+variates on every platform with the same libm, and at every thread count.
+Beta and Student invert their CDFs in the backend kernels beta_quantiles and
+student_quantiles, one call per list of p.  The contaminated normal samples
+compositionally (one uniform picks the mixture component, one feeds the
+normal quantile) and therefore consumes exactly two uniforms per variate.
 """
 
+import functools
 import inspect
 import math
 import re
@@ -23,7 +23,6 @@ import re
 from . import _checks
 from ._kernels_py import _invert_unbounded
 from .backend import kernels as _k
-from .rng import seed_uniforms
 
 __all__ = ["DistributionSpec", "true_quantile", "sample"]
 
@@ -37,8 +36,9 @@ def _phi(z):
 # Each family's inverse CDF as a factory.  Its keyword-only signature
 # declares the family's parameters, in label order, a default making one
 # optional.  Called with the parameters checked one by one, it raises
-# ValueError when a rule between them fails, and otherwise returns q(p),
-# with what does not depend on p worked out once.
+# ValueError when a rule between them fails, and otherwise returns q(ps),
+# the list of the quantiles of the p of ps, with what does not depend on p
+# worked out once.
 
 def _span(kind, a, b):
     """b - a of a family supported on [a, b]: positive, and finite so that
@@ -52,7 +52,7 @@ def _span(kind, a, b):
 
 def _q_uniform(*, a=0.0, b=1.0):
     span = _span("Uniform", a, b)
-    return lambda p: a + span * p
+    return lambda ps: [a + span * p for p in ps]
 
 
 def _q_triangular(*, a, b, c):
@@ -64,73 +64,63 @@ def _q_triangular(*, a, b, c):
         raise ValueError("Triangular requires (b - a)(c - a) and (b - a)(b - c) "
                          "finite, got a=%g b=%g c=%g" % (a, b, c))
     split = ca / ba
-
-    def q(p):
-        if p < split:
-            return a + math.sqrt(p * ba * ca)
-        return b - math.sqrt((1.0 - p) * ba * bc)
-    return q
-
-
-def _batched(batch):
-    """q(p) as one call of `batch`, which inverts a list of p at once: the
-    quantile and the sampler run the same kernel.  q.batch is `batch`."""
-    def q(p):
-        return batch((p,))[0]
-    q.batch = batch
-    return q
+    return lambda ps: [a + math.sqrt(p * ba * ca) if p < split
+                       else b - math.sqrt((1.0 - p) * ba * bc) for p in ps]
 
 
 def _q_beta(*, a, b):
-    return _batched(lambda ps: _k.beta_quantiles(ps, a, b))
+    return lambda ps: _k.beta_quantiles(ps, a, b)
 
 
 def _q_normal(*, m=0.0, sd=1.0):
     # imported here so that `import trimq` does not load statistics
     from statistics import NormalDist
-    return NormalDist(m, sd).inv_cdf
+    inv_cdf = NormalDist(m, sd).inv_cdf
+    return lambda ps: list(map(inv_cdf, ps))
 
 
 def _q_weibull(*, scale=1.0, shape):
     power = 1.0 / shape
-    return lambda p: scale * (-math.log1p(-p)) ** power
+    return lambda ps: [scale * (-math.log1p(-p)) ** power for p in ps]
 
 
 def _q_student(*, df):
-    return _batched(lambda ps: _k.student_quantiles(ps, df))
+    return lambda ps: _k.student_quantiles(ps, df)
 
 
 def _q_gumbel(*, loc=0.0, scale=1.0):
-    return lambda p: loc - scale * math.log(-math.log(p))
+    return lambda ps: [loc - scale * math.log(-math.log(p)) for p in ps]
 
 
 def _q_exp(*, rate=1.0):
-    return lambda p: -math.log1p(-p) / rate
+    return lambda ps: [-math.log1p(-p) / rate for p in ps]
 
 
 def _q_cauchy(*, x0=0.0, gamma=1.0):
-    return lambda p: x0 + gamma * math.tan(math.pi * (p - 0.5))
+    return lambda ps: [x0 + gamma * math.tan(math.pi * (p - 0.5))
+                       for p in ps]
 
 
 def _q_pareto(*, loc, shape):
     power = -1.0 / shape
-    return lambda p: loc * (1.0 - p) ** power
+    return lambda ps: [loc * (1.0 - p) ** power for p in ps]
 
 
 def _q_lognormal(*, mlog=0.0, sdlog=1.0):
     from statistics import NormalDist
     inv_cdf = NormalDist(mlog, sdlog).inv_cdf
-    return lambda p: math.exp(inv_cdf(p))
+    return lambda ps: [math.exp(inv_cdf(p)) for p in ps]
 
 
 def _q_frechet(*, shape):
     power = -1.0 / shape
-    return lambda p: (-math.log(p)) ** power
+    return lambda ps: [(-math.log(p)) ** power for p in ps]
 
 
 def _q_contaminated_normal(*, epsilon, sigma, c):
-    """q(p) by CDF inversion; q.mixture is (epsilon, sigma, wide), the
-    contamination weight and the two components' scales, for the sampler."""
+    """q(ps) by CDF inversion; q.mixture is (epsilon, sigma, wide), the
+    contamination weight and the two components' scales, for the
+    variates."""
     epsilon = _checks.fraction(epsilon, "epsilon of ContaminatedNormal")
     wide = sigma * math.sqrt(c)
     if not math.isfinite(wide):
@@ -140,8 +130,8 @@ def _q_contaminated_normal(*, epsilon, sigma, c):
     def cdf(x):
         return (1.0 - epsilon) * _phi(x / sigma) + epsilon * _phi(x / wide)
 
-    def q(p):
-        return _invert_unbounded(cdf, p)
+    def q(ps):
+        return [_invert_unbounded(cdf, p) for p in ps]
     q.mixture = (epsilon, sigma, wide)
     return q
 
@@ -236,10 +226,7 @@ class DistributionSpec:
 
     @property
     def label(self):
-        # integral values bare below 1e16, as the CLI prints them; the rest,
-        # 1e+308 among them, as repr writes them
-        parts = ["%s=%s" % (name, int(v) if v == int(v) and abs(v) < 1e16
-                            else repr(v))
+        parts = ["%s=%s" % (name, _checks.number_text(v))
                  for name, v in self.params.items()]
         return "%s(%s)" % (self.kind, ", ".join(parts))
 
@@ -258,18 +245,38 @@ class DistributionSpec:
         return hash((self.kind, tuple(sorted(self.params.items()))))
 
 
-def _overflow(spec, ps):
-    """The error for a quantile of `spec` past the largest double, which
-    math.exp or ** reports as OverflowError: an ArithmeticError naming the
-    spec and the first p of `ps` whose quantile overflows, for every
-    family."""
-    for p in ps:
-        try:
-            spec._q(p)
-        except OverflowError:
-            break
-    return ArithmeticError("%s: the quantile at p=%r overflows"
-                           % (spec.label, p))
+def _finite(spec, values, ps, what):
+    """`values`, the quantiles or variates of `spec` from the p of `ps`, if
+    every one is finite; otherwise an ArithmeticError naming the spec and
+    the first p whose `what` is not."""
+    # a sum that is not finite is cheap to find, and holds every value that
+    # overflowed
+    if not math.isfinite(sum(values)):
+        for p, x in zip(ps, values):
+            if not math.isfinite(x):
+                raise ArithmeticError("%s: the %s at p=%r overflows"
+                                      % (spec.label, what, p))
+    return values
+
+
+def _quantiles(spec, ps):
+    """The quantiles of `spec` at the p of `ps`, one call of its inverse
+    CDF.  A quantile past the largest double, whether math.exp or ** raises
+    OverflowError or plain arithmetic gives an infinity, raises an
+    ArithmeticError naming the spec and the first such p."""
+    q = spec._q
+    try:
+        values = q(ps)
+    except OverflowError:
+        # up to the p that raised, one at a time, that p standing as inf
+        values = []
+        for p in ps:
+            try:
+                values += q((p,))
+            except OverflowError:
+                values.append(math.inf)
+                break
+    return _finite(spec, values, ps, "quantile")
 
 
 def true_quantile(spec, p):
@@ -277,13 +284,10 @@ def true_quantile(spec, p):
 
     Closed-form inverse CDF where one exists; Beta and Student invert
     their CDFs by one kernel call on (p,), and the contaminated normal
-    bisects its CDF.  A quantile that overflows raises ArithmeticError.
+    bisects its CDF.  A quantile past the largest double raises
+    ArithmeticError.
     """
-    p = _checks.fraction(p, "p", "(0, 1)")
-    try:
-        return spec._q(p)
-    except OverflowError:
-        raise _overflow(spec, (p,)) from None
+    return _quantiles(spec, (_checks.fraction(p, "p", "(0, 1)"),))[0]
 
 
 def transform(spec):
@@ -293,59 +297,25 @@ def transform(spec):
     Built once per spec or cell, and the one mapping that every draw runs.
     The contaminated normal takes two uniforms per variate, the first
     picking the component and the second feeding the normal quantile; every
-    other family maps each uniform through its inverse CDF, Beta and
-    Student in one kernel call per list.  A variate that overflows raises
-    an ArithmeticError naming the spec and the p it came from, as
-    true_quantile does.
+    other family maps the list through its inverse CDF in one call.  A
+    variate past the largest double raises an ArithmeticError naming the
+    spec and the p it came from, as true_quantile does.
     """
-    q = spec._q
-    if hasattr(q, "batch"):
-        return 1, q.batch
     if spec.kind == "ContaminatedNormal":
-        eps, sigma, wide = q.mixture
+        eps, sigma, wide = spec._q.mixture
         from statistics import NormalDist
         inv_cdf = NormalDist().inv_cdf
 
         def variates(us):
-            out = [(wide if pick < eps else sigma) * inv_cdf(u)
-                   for pick, u in zip(us[::2], us[1::2])]
-            # a sum that is not finite is cheap to find, and holds every
-            # variate that overflowed
-            if not math.isfinite(sum(out)):
-                for i, x in enumerate(out):
-                    if not math.isfinite(x):
-                        raise ArithmeticError(
-                            "%s: the variate at p=%r overflows"
-                            % (spec.label, us[2 * i + 1]))
-            return out
+            ps = us[1::2]
+            return _finite(spec, [(wide if pick < eps else sigma) * inv_cdf(u)
+                                  for pick, u in zip(us[::2], ps)],
+                           ps, "variate")
         return 2, variates
-
-    def variates(us):
-        try:
-            return list(map(q, us))
-        except OverflowError:
-            raise _overflow(spec, us) from None
-    return 1, variates
-
-
-def sampler(spec, n, seed):
-    """draw(stream_id) -> the `n` variates of `spec` on the (seed, stream_id)
-    stream, for stream ids in [0, 2**64).
-
-    Built once per cell: the seed is checked and mixed here, so per sample
-    only the stream's own work is left: one kernel call for its uniforms
-    and the spec's transform.
-    """
-    uniforms = seed_uniforms(seed)
-    per, variates = transform(spec)
-    count = per * n
-
-    def draw(stream_id):
-        return variates(uniforms(stream_id, count))
-    return draw
+    return 1, functools.partial(_quantiles, spec)
 
 
 def sample(spec, rng, count):
     """Draw `count` variates from the given distribution on `rng`."""
-    count = _checks.integer(count, "count", 0)
-    return sampler(spec, count, rng.seed)(rng.stream_id)
+    per, variates = transform(spec)
+    return variates(rng.uniforms(per * _checks.integer(count, "count", 0)))

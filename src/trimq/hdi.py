@@ -54,7 +54,9 @@ def _shape_case(a, b):
         return HdiCase.LEFT_BORDER, 0.0
     if b < 1.0 + _EPS:
         return HdiCase.RIGHT_BORDER, 1.0
-    return HdiCase.MIDDLE, (a - 1.0) / (a + b - 2.0)
+    # halved, which is exact for shapes above 1, so that a + b cannot
+    # overflow
+    return HdiCase.MIDDLE, (0.5 * a - 0.5) / (0.5 * a + 0.5 * b - 1.0)
 
 
 def beta_mode(params):

@@ -5,6 +5,10 @@ function of (seed, stream_id, k).  That gives three properties the
 simulation harness leans on: bitwise reproducibility across platforms and
 thread counts, cheap random access (no fast-forward replay), and as many
 independent streams as there are 64-bit ids.
+
+RngStream.uniforms mixes the seed on each call.  The simulation studies,
+which draw many streams of one seed, mix it once with _seed_mix and call
+the backend's stream_uniforms or batch_uniforms kernel directly.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,7 @@ from . import _checks
 from ._kernels_py import fnv1a64
 from .backend import kernels as _k
 
-__all__ = ["RngStream", "fnv1a64", "seed_uniforms"]
+__all__ = ["RngStream", "fnv1a64"]
 
 _M64 = (1 << 64) - 1
 
@@ -38,18 +42,8 @@ class RngStream:
 
 def _seed_mix(seed):
     """The seed checked, masked to 64 bits and mixed, once for all of its
-    streams."""
+    streams: _k.stream_uniforms(_seed_mix(seed), stream_id, 0, count) is
+    RngStream(seed, stream_id).uniforms(count) for a stream id already in
+    [0, 2**64)."""
     return _k.mix_seed(_checks.integer(seed, "seed") & _M64)
-
-
-def seed_uniforms(seed):
-    """uniforms(stream_id, count) -> RngStream(seed, stream_id).uniforms(count)
-    for a stream id already in [0, 2**64), with the seed checked, masked
-    and mixed here, once for all of its streams."""
-    seed_mix = _seed_mix(seed)
-    draw = _k.stream_uniforms
-
-    def uniforms(stream_id, count):
-        return draw(seed_mix, stream_id, 0, count)
-    return uniforms
 

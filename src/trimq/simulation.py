@@ -17,18 +17,20 @@ Two studies, both reproducible to the byte given a seed:
   exactly 1.  The hash is a left fold, so a cell hashes "label|n|p|" once,
   each batch continues it over "batch|", and each sample over "sample".
 
-Both studies mix the seed once per cell or block and map uniforms to
-variates through the spec's one transform (``distributions.transform``).
-``run_sim1`` draws each replication's stream through
-``distributions.sampler``.  ``run_sim2`` draws a batch's samples in pieces
-of about ``_PIECE`` uniforms: one kernel call (``batch_uniforms``) derives
-the stream ids of the piece's samples from the batch's hash and draws their
-uniforms, one transform maps them all, and one more kernel call
-(``piece_errors``) sorts each sample's n values and scores it by every
-estimator.  The estimators reach that kernel as data, not as callables:
-each id of ``ESTIMATORS`` has a scorer, the HF7 index and fraction or a
-window of weights, built once per (n, p); a callable estimator, such as a
-factory passed to ``estimate_mse``, runs per sample in Python.
+Both studies mix the seed once per run or cell and map uniforms to
+variates through the spec's one transform (``distributions.transform``),
+which calls the family's inverse CDF once per list of uniforms.
+``run_sim1`` draws each replication's stream in one kernel call
+(``stream_uniforms``) and maps it in one transform.  ``run_sim2`` draws a
+batch's samples in pieces of about ``_PIECE`` uniforms: one kernel call
+(``batch_uniforms``) derives the stream ids of the piece's samples from the
+batch's hash and draws their uniforms, one transform maps them all, and one
+more kernel call (``piece_errors``) sorts each sample's n values and scores
+it by every estimator.  The estimators reach that kernel as data, not as
+callables: each id of ``ESTIMATORS`` has a scorer, the HF7 index and
+fraction or a window of weights, built once per (n, p); a callable
+estimator, such as a factory passed to ``estimate_mse``, runs per sample in
+Python.
 
 The ``threads`` argument counts worker processes.  Where the ``fork``
 start method exists and the calling process runs no other Python thread,
@@ -49,8 +51,7 @@ from typing import NamedTuple
 from . import _checks
 from ._kernels_py import _estimator
 from .backend import kernels as _k
-from .distributions import (DistributionSpec, sampler, transform,
-                            true_quantile)
+from .distributions import DistributionSpec, transform, true_quantile
 from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
                          thd_weights)
 from .rng import _seed_mix, fnv1a64
@@ -330,13 +331,14 @@ def run_sim1(config, threads=1):
     n = config.sample_size
     factories = [(eid, ESTIMATORS[eid](n, config.p_estimated))
                  for eid in config.estimators]
+    per, variates = transform(spec)
+    seed_mix = _seed_mix(config.seed)
 
     def block(bounds):
         lo, hi = bounds
-        draw = sampler(spec, n, config.seed)
         out = []
         for r in range(lo, hi):
-            xs = sorted(draw(r))
+            xs = sorted(variates(_k.stream_uniforms(seed_mix, r, 0, per * n)))
             out.append(tuple(est(xs) for _, est in factories))
         return out
 

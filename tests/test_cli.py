@@ -208,6 +208,17 @@ def test_hdi_validates_inputs(capsys):
     assert main(["hdi", "--alpha", "2", "--beta", "2"]) == 2  # missing flag
 
 
+def test_hdi_past_the_double_range_is_input_error(capsys):
+    # the density at the mode of these shapes is past the largest double
+    assert main(["hdi", "--alpha", "1e100", "--beta", "1e100",
+                 "--width", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot find the HDI of Beta(1e+100, 1e+100): beta density "
+        "overflows (a=1e+100, b=1e+100, x=0.5)\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -300,14 +300,19 @@ def test_quantile_contaminated_median_is_zero():
     assert true_quantile(spec, 0.999) > 100.0
 
 
-def test_quantile_monotone_in_p():
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_quantile_monotone_in_p(monkeypatch, backend):
+    # and the inverse CDF of a list is its quantiles one by one
+    from trimq import _kernels_c
+
+    monkeypatch.setattr(distributions, "_k",
+                        {"python": _kernels_py, "c": _kernels_c}[backend])
+    ps = [k / 100.0 for k in range(1, 100)]
     for text in ALL_SPECS:
         spec = parse_distribution(text)
-        prev = -math.inf
-        for k in range(1, 100):
-            cur = true_quantile(spec, k / 100.0)
-            assert cur >= prev, (text, k)
-            prev = cur
+        qs = [true_quantile(spec, p) for p in ps]
+        assert qs == sorted(qs), text
+        assert repr(spec._q(ps)) == repr(qs), text
 
 
 def test_quantile_rejects_boundary_p():
@@ -507,7 +512,7 @@ def test_batch_inversion_matches_the_python_bisection(monkeypatch):
     for name in ("beta_quantiles", "student_quantiles"):
         monkeypatch.setattr(_kernels_py, name, _given_back)
     monkeypatch.setattr(distributions, "_k", _kernels_c)
-    got = {text: parse_distribution(text)._q.batch(BATCH_PS)
+    got = {text: parse_distribution(text)._q(BATCH_PS)
            for text in BATCH_SPECS}
     monkeypatch.undo()
     _reference_kernels(monkeypatch)
@@ -558,7 +563,7 @@ def test_batch_inversion_gives_back_what_the_bisection_raises(monkeypatch):
         assert got[text] == want, text
 
 
-def test_sampler_makes_one_kernel_call_per_draw(monkeypatch):
+def test_sample_makes_one_kernel_call_per_draw(monkeypatch):
     from trimq import _kernels_c
 
     calls = []
@@ -574,16 +579,19 @@ def test_sampler_makes_one_kernel_call_per_draw(monkeypatch):
     monkeypatch.setattr(distributions, "_k", _kernels_c)
     for name in ("beta_quantiles", "student_quantiles"):
         monkeypatch.setattr(_kernels_c, name, counted(name))
-    draws = {text: distributions.sampler(parse_distribution(text), 7, 11)
-             for text in ("Beta(a=2, b=4)", "Student(df=3)")}
-    got = {text: (draw(5), draw(6)) for text, draw in draws.items()}
+
+    def draws(text):
+        spec = parse_distribution(text)
+        return [sample(spec, RngStream(11, sid), 7) for sid in (5, 6)]
+
+    texts = ("Beta(a=2, b=4)", "Student(df=3)")
+    got = {text: draws(text) for text in texts}
     assert calls == [("beta_quantiles", 7, (2.0, 4.0))] * 2 + [
         ("student_quantiles", 7, (3.0,))] * 2
     monkeypatch.undo()
     _reference_kernels(monkeypatch)
-    for text, pair in got.items():
-        draw = distributions.sampler(parse_distribution(text), 7, 11)
-        assert repr(pair) == repr((draw(5), draw(6))), text
+    for text in texts:
+        assert repr(got[text]) == repr(draws(text)), text
 
 
 # spec, a p at which its quantile overflows the doubles, and the error
@@ -599,13 +607,23 @@ OVERFLOWS = (
      "Weibull(scale=1, shape=0.001): the quantile at p=0.99 overflows"),
     ("Beta(a=1e300, b=1e300)", 0.5,
      "incomplete beta overflows (a=1e+300, b=1e+300, x=0.5)"),
+    # plain arithmetic past the largest double, which gives inf silently
+    ("Exp(rate=1e-310)", 0.5,
+     "Exp(rate=1e-310): the quantile at p=0.5 overflows"),
+    ("Normal(sd=1e308)", 0.999,
+     "Normal(m=0, sd=1e+308): the quantile at p=0.999 overflows"),
+    ("Cauchy(x0=1e308, gamma=1e308)", 0.9,
+     "Cauchy(x0=1e+308, gamma=1e+308): the quantile at p=0.9 overflows"),
+    ("Gumbel(loc=1e308, scale=1e308)", 0.9,
+     "Gumbel(loc=1e+308, scale=1e+308): the quantile at p=0.9 overflows"),
 )
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_overflowing_quantiles_raise_one_named_error(monkeypatch, backend):
-    # OverflowError from math.exp or ** becomes an ArithmeticError naming
-    # the spec and p; the incomplete beta's names (a, b, x)
+    # OverflowError from math.exp or **, or an infinity from arithmetic,
+    # becomes an ArithmeticError naming the spec and p; the incomplete
+    # beta's names (a, b, x)
     from trimq import _kernels_c, _kernels_py
 
     kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
@@ -674,14 +692,17 @@ def test_batch_draws_give_the_same_bits_under_threads():
     import threading
 
     texts = ("Beta(a=2, b=10)", "Student(df=3)", "Beta(a=2500, b=4000)")
-    draws = {t: distributions.sampler(parse_distribution(t), 25, 9)
-             for t in texts}
-    want = {t: [draw(i) for i in range(12)] for t, draw in draws.items()}
+    specs = {t: parse_distribution(t) for t in texts}
+
+    def draws(t):
+        return [sample(specs[t], RngStream(9, i), 25) for i in range(12)]
+
+    want = {t: draws(t) for t in texts}
     results = []
 
     def work(offset):
         for t in texts[offset % 3:] + texts[:offset % 3]:
-            results.append([draws[t](i) for i in range(12)] == want[t])
+            results.append(draws(t) == want[t])
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -11,6 +11,8 @@ from _oracles import hdi_lower_grid_oracle, interval_mass
 def test_mode_interior():
     assert abs(beta_mode(BetaParams(5.5, 5.5)) - 0.5) <= 1e-15
     assert abs(beta_mode(BetaParams(3, 7)) - 0.25) <= 1e-15
+    # a + b overflows; its half does not
+    assert beta_mode(BetaParams(9e307, 9e307)) == 0.5
 
 
 def test_mode_at_borders():

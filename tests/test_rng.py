@@ -6,7 +6,7 @@ import pytest
 from trimq import DistributionSpec, RngStream, fnv1a64, sample, true_quantile
 from trimq import _kernels_py
 from trimq.backend import kernels
-from trimq.rng import seed_uniforms
+from trimq.rng import _seed_mix
 
 from test_distributions import ALL_SPECS
 
@@ -99,16 +99,18 @@ def test_fnv1a64_continues_from_a_prefix_hash():
             assert fnv1a64(text[i:], fnv1a64(text[:i])) == whole
 
 
-def test_seed_uniforms_equal_the_stream_uniforms():
+def test_seed_mix_draws_the_stream_uniforms():
+    # the seed mixed once, as the simulation studies mix it, then the
+    # kernel per stream
     for seed in (0, 7, -1, 2 ** 70 + 5):
-        uniforms = seed_uniforms(seed)
+        seed_mix = _seed_mix(seed)
         for sid in (0, 1, 2 ** 63 + 11, 2 ** 64 - 1):
             for count in (0, 1, 10, 33):
-                assert (uniforms(sid, count)
+                assert (kernels.stream_uniforms(seed_mix, sid, 0, count)
                         == RngStream(seed, sid).uniforms(count))
     for bad in (2.5, True, "3"):
         with pytest.raises(ValueError, match="seed"):
-            seed_uniforms(bad)
+            _seed_mix(bad)
 
 
 def test_stream_uniforms_start_skips_draws():

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from trimq import simulation
-from trimq.distributions import sampler
+from trimq.backend import kernels
+from trimq.distributions import transform
+from trimq.rng import _seed_mix
 from trimq import (
     ESTIMATORS,
     ConfigError,
@@ -345,20 +347,28 @@ def test_sim2_every_family_bytes_are_pinned():
         "6bea1823d9d7b28f18b23e77789e7883182c1e657dff17c0566701ad867c8c5f")
 
 
-def test_cell_sampler_draws_what_sample_draws():
-    # the cell loop's sampler and prefix-folded stream ids against the
+def test_cell_draws_what_sample_draws():
+    # the cell loop's prefix-folded stream ids and batch draws against the
     # public one-shot path, list for list, for every family
     seed, n, p = 13, 6, 0.3
+    seed_mix = _seed_mix(seed)
     for text in ALL_FAMILIES:
         spec = DistributionSpec.parse(text)
-        draw = sampler(spec, n, seed)
+        per, variates = transform(spec)
         cell = fnv1a64("%s|%d|%r|" % (spec.label, n, p))
         for b in (0, 1, 10):
             batch = fnv1a64("%d|" % b, cell)
-            for s in (0, 7, 123):
+            want = []
+            for s in (0, 1, 2, 7, 123):
                 sid = fnv1a64("%s|%d|%r|%d|%d" % (spec.label, n, p, b, s))
                 assert fnv1a64("%d" % s, batch) == sid
-                assert draw(sid) == sample(spec, RngStream(seed, sid), n)
+                one = sample(spec, RngStream(seed, sid), n)
+                assert variates(kernels.batch_uniforms(
+                    seed_mix, batch, s, 1, per * n)) == one
+                want += one
+            # a piece of samples 0 to 2 is theirs end to end
+            assert variates(kernels.batch_uniforms(
+                seed_mix, batch, 0, 3, per * n)) == want[:3 * n]
 
 
 @pytest.mark.parametrize("piece", [1, 7, 13, 37])
