@@ -9,17 +9,27 @@
  *
  * Every function is a port of its reference in trimq/_kernels_py.py:
  * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
- * beta_quantiles and student_quantiles with their bisections _bisect_cdf
- * and _invert_unbounded, batch_uniforms with the draw loop of
- * stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer _mix64,
- * piece_errors with HF7 (_hf7) and the weighted sum (_weighted_sum), its
- * math.fsum a port of CPython 3.11's, and a stable sort in place of
+ * beta_quantiles and student_quantiles with their bisection _bisect_cdf, the
+ * bracket of _invert_unbounded and the Student t bounds, batch_uniforms with
+ * the draw loop of stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer
+ * _mix64, piece_errors with HF7 (_hf7) and the weighted sum (_weighted_sum),
+ * its math.fsum a port of CPython 3.11's, and a stable sort in place of
  * sorted(), which sort_floats exports on its own, and parse_floats, whose
- * strtod rounds correctly as float() does.  Each does the same operations
- * in the same order, so that, built with -ffp-contract=off and linked
- * against the libm behind Python's math module, it returns the same
- * doubles; the uniforms are 64-bit integer work and the reference's two
- * floating-point steps.
+ * strtod rounds correctly as float() does.  Each does the same operations in
+ * the same order, so that, built with -ffp-contract=off and linked against the
+ * libm behind Python's math module, it returns the same doubles; the uniforms
+ * are 64-bit integer work and the reference's two floating-point steps.
+ *
+ * The incomplete beta has one implementation, a lane core that evaluates
+ * it at up to LANES points at once, each lane running the reference's
+ * statements in their order, so that the chains of divisions of the
+ * points overlap: reg_inc_beta is the core at one lane, weight_window
+ * takes its indices LANES at a time, and the batch inversions hold one p
+ * per lane, as a state machine of bracket doubling and bisection, a lane
+ * that is done taking the next p.  An inversion of more than one p keeps
+ * a memo for the call: the CDF values of each p's first evaluations, which
+ * the p of a batch share, keyed by the bits of the point, so that a value
+ * found there is the double the core would return.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
@@ -29,15 +39,18 @@
  * raises the error itself.  That happens when the fraction does not
  * converge within max_iter terms, when exp(front) is not finite (math.exp
  * raises OverflowError where C returns inf), in the bisections when a CDF
- * value is NaN or a bracket end passes the largest double, in
+ * value is NaN or a bracket end passes the largest double, at a Student
+ * t p whose quantile lies past the square root of the largest double, in
  * piece_errors and sort_floats when a value is NaN (its place in sorted
  * order depends on the sort) or a weighted sum meets a product that is
  * not finite or overflows (math.fsum's special values and
  * OverflowError), and in parse_floats on any input but plain ASCII
  * decimal numbers that are finite.
  *
- * There is no mutable state outside the stack, so threads may call every
- * entry point at once.
+ * No state outlives a call: the inversions' memo, the only heap state of
+ * the incomplete beta, and the sort and scoring buffers are allocated and
+ * freed by the call that uses them, so threads may call every entry point
+ * at once.
  */
 
 #include <float.h>
@@ -54,85 +67,108 @@
 #define BISECT_LEVELS 500
 #define BISECT_TOL 1e-12
 
-/*
- * Continued-fraction factor of I_x(a, b) by the modified Lentz recurrence.
- * Term m is m (b - m) x / ((a - 1 + 2m)(a + 2m)), then
- * -(a + m)(a + b + m) x / ((a + 2m)(a + 1 + 2m)), each formed as
- * _kernels_py._beta_cont_frac forms it.  Returns 1 and stores the factor
- * in *out, or 0 when max_iter terms do not converge.
- */
-static int beta_cont_frac(double a, double b, double x, long max_iter,
-                          double *out)
-{
-    double qab = a + b;
-    double qap = a + 1.0;
-    double qam = a - 1.0;
-    double c = 1.0;
-    double d = 1.0 - (a + b) * x / (a + 1.0);
-    double h, m, m2, am2, aa, delta;
-    long i;
+/* the points the incomplete-beta core evaluates at once; at least the two
+   Student t bounds of a batch inversion */
+#define LANES 4
 
-    if (-FPMIN < d && d < FPMIN)
-        d = FPMIN;
-    d = 1.0 / d;
-    h = d;
-    for (i = 1; i <= max_iter; i++) {
+/*
+ * I_x(a, b) at the count <= LANES points x[k], into out[k], with log_norm =
+ * ln(1 / B(a, b)) as _kernels_py._log_norm computes it.  Each lane runs the
+ * statements of _kernels_py.reg_inc_beta and of its modified Lentz
+ * recurrence, _beta_cont_frac, in their order, so out[k] is the double that
+ * reg_inc_beta(x[k], a, b) returns; the lanes' chains of divisions, each
+ * waiting on the one before, overlap.  The fraction of (a', b', x') is
+ * (a, b, x) below the mean and (b, a, 1 - x) above it, its term m being
+ * m (b' - m) x' / ((a' - 1 + 2m)(a' + 2m)), then
+ * -(a' + m)(a' + b' + m) x' / ((a' + 2m)(a' + 1 + 2m)).  NaN asks the
+ * caller to use the reference: a fraction that does not converge within
+ * max_iter terms, or an exp(front) that is not finite.
+ */
+static void inc_beta_lanes(int count, const double *x, double a, double b,
+                           double log_norm, long max_iter, double *out)
+{
+    double fa[LANES], fb[LANES], fx[LANES], qab[LANES], qap[LANES];
+    double qam[LANES], scale[LANES], c[LANES], d[LANES], h[LANES];
+    double m, m2, am2, aa, delta;
+    unsigned todo = 0, upper = 0;
+    long i;
+    int k;
+
+    for (k = 0; k < count; k++) {
+        out[k] = x[k] <= 0.0 ? 0.0 : x[k] >= 1.0 ? 1.0 : NAN;
+        if (!isnan(out[k]))
+            continue;
+        scale[k] = exp(log_norm + a * log(x[k]) + b * log1p(-x[k]));
+        if (!isfinite(scale[k]))
+            continue;
+        if (x[k] < (a + 1.0) / (a + b + 2.0)) {
+            fa[k] = a;
+            fb[k] = b;
+            fx[k] = x[k];
+        } else {
+            /* I_x(a, b) = 1 - I_{1-x}(b, a) */
+            fa[k] = b;
+            fb[k] = a;
+            fx[k] = 1.0 - x[k];
+            upper |= 1u << k;
+        }
+        qab[k] = fa[k] + fb[k];
+        qap[k] = fa[k] + 1.0;
+        qam[k] = fa[k] - 1.0;
+        c[k] = 1.0;
+        d[k] = 1.0 - qab[k] * fx[k] / qap[k];
+        if (-FPMIN < d[k] && d[k] < FPMIN)
+            d[k] = FPMIN;
+        d[k] = 1.0 / d[k];
+        h[k] = d[k];
+        todo |= 1u << k;
+    }
+    for (i = 1; todo && i <= max_iter; i++) {
         m = (double)i;
         m2 = m + m;
-        am2 = a + m2;
-        aa = m * (b - m) * x / ((qam + m2) * am2);
-        d = 1.0 + aa * d;
-        if (-FPMIN < d && d < FPMIN)
-            d = FPMIN;
-        c = 1.0 + aa / c;
-        if (-FPMIN < c && c < FPMIN)
-            c = FPMIN;
-        d = 1.0 / d;
-        h *= d * c;
-        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2));
-        d = 1.0 + aa * d;
-        if (-FPMIN < d && d < FPMIN)
-            d = FPMIN;
-        c = 1.0 + aa / c;
-        if (-FPMIN < c && c < FPMIN)
-            c = FPMIN;
-        d = 1.0 / d;
-        delta = d * c;
-        h *= delta;
-        if (-CF_TOL < delta - 1.0 && delta - 1.0 < CF_TOL) {
-            *out = h;
-            return 1;
+        for (k = 0; k < count; k++) {
+            if (!(todo >> k & 1u))
+                continue;
+            am2 = fa[k] + m2;
+            aa = m * (fb[k] - m) * fx[k] / ((qam[k] + m2) * am2);
+            d[k] = 1.0 + aa * d[k];
+            if (-FPMIN < d[k] && d[k] < FPMIN)
+                d[k] = FPMIN;
+            c[k] = 1.0 + aa / c[k];
+            if (-FPMIN < c[k] && c[k] < FPMIN)
+                c[k] = FPMIN;
+            d[k] = 1.0 / d[k];
+            h[k] *= d[k] * c[k];
+            aa = -(fa[k] + m) * (qab[k] + m) * fx[k] / (am2 * (qap[k] + m2));
+            d[k] = 1.0 + aa * d[k];
+            if (-FPMIN < d[k] && d[k] < FPMIN)
+                d[k] = FPMIN;
+            c[k] = 1.0 + aa / c[k];
+            if (-FPMIN < c[k] && c[k] < FPMIN)
+                c[k] = FPMIN;
+            d[k] = 1.0 / d[k];
+            delta = d[k] * c[k];
+            h[k] *= delta;
+            if (-CF_TOL < delta - 1.0 && delta - 1.0 < CF_TOL) {
+                out[k] = upper >> k & 1u ? 1.0 - scale[k] * h[k] / fa[k]
+                                         : scale[k] * h[k] / fa[k];
+                todo &= ~(1u << k);
+            }
         }
     }
-    return 0;
 }
 
 /*
- * Regularized incomplete beta I_x(a, b) for x in [0, 1], with log_norm =
- * ln(1 / B(a, b)) as _kernels_py._log_norm computes it.  NaN asks the
- * caller to use the reference.
+ * Regularized incomplete beta I_x(a, b) for x in [0, 1]: the core at one
+ * lane.  NaN asks the caller to use the reference.
  */
 double reg_inc_beta(double x, double a, double b, double log_norm,
                     long max_iter)
 {
-    double front, scale, frac;
+    double y;
 
-    if (x <= 0.0)
-        return 0.0;
-    if (x >= 1.0)
-        return 1.0;
-    front = log_norm + a * log(x) + b * log1p(-x);
-    scale = exp(front);
-    if (!isfinite(scale))
-        return NAN;
-    if (x < (a + 1.0) / (a + b + 2.0)) {
-        if (!beta_cont_frac(a, b, x, max_iter, &frac))
-            return NAN;
-        return scale * frac / a;
-    }
-    if (!beta_cont_frac(b, a, 1.0 - x, max_iter, &frac))
-        return NAN;
-    return 1.0 - scale * frac / b;
+    inc_beta_lanes(1, &x, a, b, log_norm, max_iter, &y);
+    return y;
 }
 
 /*
@@ -142,7 +178,8 @@ double reg_inc_beta(double x, double a, double b, double log_norm,
  * cdf_lower) / denom clamped to [0, 1], 0 at or below lower and 1 at or
  * above upper.  support[0] and support[1] get the 1-based indices of the
  * first and last positive weight, 0 and 0 when none is.  i / n rounds as
- * Python's int division does for n < 2**53.  Returns i_hi + 1 when the
+ * Python's int division does for n < 2**53.  The incomplete betas of each
+ * LANES consecutive indices are one core call.  Returns i_hi + 1 when the
  * window is done, or else the index i whose I_{i/n}(a, b) it gives back to
  * the caller, every index before it having converged.
  */
@@ -151,132 +188,339 @@ long weight_window(long n, long i_lo, long i_hi, double a, double b,
                    double denom, double log_norm, long max_iter, double *out,
                    long *support)
 {
-    double x, cur, prev = 0.0, w;
-    long i;
+    double x[LANES], inside[LANES], inc[LANES], cur, prev = 0.0, w;
+    long i, base;
+    int k, width, used;
 
     support[0] = support[1] = 0;
-    for (i = i_lo; i <= i_hi; i++) {
-        x = (double)i / (double)n;
-        if (x <= lower) {
-            cur = 0.0;
-        } else if (x >= upper) {
-            cur = 1.0;
-        } else {
-            cur = reg_inc_beta(x, a, b, log_norm, max_iter);
-            if (isnan(cur))
-                return i;
-            cur = (cur - cdf_lower) / denom;
-            if (cur < 0.0)
+    for (base = i_lo; base <= i_hi; base += LANES) {
+        width = i_hi - base < LANES ? (int)(i_hi - base + 1) : LANES;
+        used = 0;
+        for (k = 0; k < width; k++) {
+            x[k] = (double)(base + k) / (double)n;
+            if (!(x[k] <= lower) && !(x[k] >= upper))
+                inside[used++] = x[k];
+        }
+        inc_beta_lanes(used, inside, a, b, log_norm, max_iter, inc);
+        used = 0;
+        for (k = 0; k < width; k++) {
+            i = base + k;
+            if (x[k] <= lower) {
                 cur = 0.0;
-            else if (cur > 1.0)
+            } else if (x[k] >= upper) {
                 cur = 1.0;
-        }
-        if (i > i_lo) {
-            w = cur - prev;
-            if (w > 0.0) {
-                out[i - i_lo - 1] = w;
-                if (!support[0])
-                    support[0] = i;
-                support[1] = i;
             } else {
-                out[i - i_lo - 1] = 0.0;
+                cur = inc[used++];
+                if (isnan(cur))
+                    return i;
+                cur = (cur - cdf_lower) / denom;
+                if (cur < 0.0)
+                    cur = 0.0;
+                else if (cur > 1.0)
+                    cur = 1.0;
             }
+            if (i > i_lo) {
+                w = cur - prev;
+                if (w > 0.0) {
+                    out[i - i_lo - 1] = w;
+                    if (!support[0])
+                        support[0] = i;
+                    support[1] = i;
+                } else {
+                    out[i - i_lo - 1] = 0.0;
+                }
+            }
+            prev = cur;
         }
-        prev = cur;
     }
     return i_hi + 1;
 }
 
-/* one CDF to invert: Beta(a, b), or Student t with df = 2a and b = 1/2 */
+/*
+ * One p of a batch inversion, as a state machine: on the real line (the
+ * Student t) each end of [-1, 1] doubles until the bracket holds p, the low
+ * end first, then [lo, hi] is bisected, as _kernels_py._invert_unbounded
+ * and _bisect_cdf do; a Beta bisects [0, 1] at once.  `at` is the point
+ * whose CDF value the lane needs next, and its quantile once it is done.
+ */
 typedef struct {
-    double a, b, log_norm, df;
-    long max_iter;
-} Cdf;
+    double p, lo, hi, at;
+    long index;         /* of p in the batch */
+    int phase;          /* LANE_LOW, LANE_HIGH or LANE_BISECT */
+    int levels;         /* bisection steps taken */
+    int evals;          /* CDF values taken */
+} Lane;
 
-static double beta_cdf(const Cdf *cdf, double x)
-{
-    return reg_inc_beta(x, cdf->a, cdf->b, cdf->log_norm, cdf->max_iter);
-}
+enum { LANE_LOW, LANE_HIGH, LANE_BISECT };
 
-static double student_cdf(const Cdf *cdf, double t)
-{
-    double x = cdf->df / (cdf->df + t * t);
-    double tail = 0.5 * reg_inc_beta(x, cdf->a, cdf->b, cdf->log_norm,
-                                     cdf->max_iter);
-    return t >= 0.0 ? 1.0 - tail : tail;
-}
-
-typedef double (*CdfAt)(const Cdf *cdf, double t);
+/* what a lane asks for: the CDF value at `at`, nothing (`at` is its
+   quantile), or the reference (a NaN CDF value, or an end past the largest
+   double) */
+enum { LANE_NEEDS, LANE_DONE, LANE_GIVES_BACK };
 
 /*
- * The point where bisection of [lo, hi] toward cdf(t) = p stops, for
- * cdf(lo) < p <= cdf(hi).  A midpoint whose sum overflows, between ends
- * near the largest double, is taken from the halves.  Returns 1 and stores
- * it in *out, or 0 when a CDF value is NaN.
+ * The lane's next bisection midpoint, for cdf(lo) < p <= cdf(hi), or its
+ * quantile where the bisection stops.  A midpoint whose sum overflows,
+ * between ends near the largest double, is taken from the halves.
  */
-static int bisect_cdf(CdfAt at, const Cdf *cdf, double p, double lo,
-                      double hi, double *out)
+static inline int bisect_next(Lane *lane)
 {
-    double mid, f;
-    int level;
+    double lo = lane->lo, hi = lane->hi, mid;
 
-    for (level = 0; level < BISECT_LEVELS; level++) {
-        mid = 0.5 * (lo + hi);
-        if (isinf(mid))
-            mid = 0.5 * lo + 0.5 * hi;
-        if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
-            || mid >= hi) {
-            *out = mid;
-            return 1;
+    if (lane->levels == BISECT_LEVELS) {
+        lane->at = 0.5 * (lo + hi);
+        return LANE_DONE;
+    }
+    mid = 0.5 * (lo + hi);
+    if (isinf(mid))
+        mid = 0.5 * lo + 0.5 * hi;
+    lane->at = mid;
+    if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
+        || mid >= hi)
+        return LANE_DONE;
+    return LANE_NEEDS;
+}
+
+/* start the lane on ps[index] = p, on the real line when unbounded, else on
+   [0, 1] */
+static int lane_start(Lane *lane, double p, long index, int unbounded)
+{
+    lane->p = p;
+    lane->index = index;
+    lane->levels = lane->evals = 0;
+    lane->hi = 1.0;
+    if (unbounded) {
+        lane->phase = LANE_LOW;
+        lane->at = lane->lo = -1.0;
+        return LANE_NEEDS;
+    }
+    lane->phase = LANE_BISECT;
+    lane->lo = 0.0;
+    return bisect_next(lane);
+}
+
+/* one step of the lane, given f = the CDF value at its point.  An end
+   whose next doubling would be infinite takes the largest double instead,
+   once; past it the lane gives p back. */
+static inline int lane_step(Lane *lane, double f)
+{
+    if (isnan(f))
+        return LANE_GIVES_BACK;
+    lane->evals++;
+    switch (lane->phase) {
+    case LANE_LOW:
+        if (f < lane->p) {
+            lane->phase = LANE_HIGH;
+            lane->at = lane->hi;
+            return LANE_NEEDS;
         }
-        f = at(cdf, mid);
-        if (isnan(f))
-            return 0;
-        if (f < p)
-            lo = mid;
+        if (lane->lo == -DBL_MAX)
+            return LANE_GIVES_BACK;
+        lane->lo *= 2.0;
+        if (lane->lo == -INFINITY)
+            lane->lo = -DBL_MAX;
+        lane->at = lane->lo;
+        return LANE_NEEDS;
+    case LANE_HIGH:
+        if (f >= lane->p) {
+            lane->phase = LANE_BISECT;
+            return bisect_next(lane);
+        }
+        if (lane->hi == DBL_MAX)
+            return LANE_GIVES_BACK;
+        lane->hi *= 2.0;
+        if (lane->hi == INFINITY)
+            lane->hi = DBL_MAX;
+        lane->at = lane->hi;
+        return LANE_NEEDS;
+    default:
+        if (f < lane->p)
+            lane->lo = lane->at;
         else
-            hi = mid;
+            lane->hi = lane->at;
+        lane->levels++;
+        return bisect_next(lane);
     }
-    *out = 0.5 * (lo + hi);
-    return 1;
+}
+
+/* whether the lane still needs a CDF value, after a start or step that
+   returned `state`: its quantile goes to out when it is done, and its
+   index to *stop when it gives p back before any other */
+static int lane_busy(const Lane *lane, int state, double *out, long *stop)
+{
+    if (state == LANE_DONE)
+        out[lane->index] = lane->at;
+    else if (state == LANE_GIVES_BACK && lane->index < *stop)
+        *stop = lane->index;
+    return state == LANE_NEEDS;
 }
 
 /*
- * The quantile of p on the real line: each end of [-1, 1] doubles until
- * the bracket holds p, then bisection.  An end whose next doubling would
- * be infinite takes the largest double instead, once.  Returns 1 and
- * stores the quantile in *out, or 0 when a CDF value is NaN or an end
- * passes the largest double.
+ * The CDF values f[k] at the count <= LANES points t[k], in one core call:
+ * I_t(a, b) when df is 0, or else the Student t CDF at df degrees of
+ * freedom of _kernels_py.student_quantiles (a = df / 2, b = 1 / 2), the
+ * tail beyond |t| being I_{df / (df + t^2)}(a, b) / 2.
  */
-static int invert_unbounded(CdfAt at, const Cdf *cdf, double p, double *out)
+static void cdf_lanes(int count, const double *t, double df, double a,
+                      double b, double log_norm, long max_iter, double *f)
 {
-    double lo = -1.0, hi = 1.0, f;
+    double x[LANES], tail;
+    int k;
 
-    for (;;) {
-        f = at(cdf, lo);
-        if (isnan(f))
-            return 0;
-        if (f < p)
-            break;
-        if (lo == -DBL_MAX)
-            return 0;
-        lo *= 2.0;
-        if (lo == -INFINITY)
-            lo = -DBL_MAX;
+    if (df == 0.0) {
+        inc_beta_lanes(count, t, a, b, log_norm, max_iter, f);
+        return;
     }
-    for (;;) {
-        f = at(cdf, hi);
-        if (isnan(f))
-            return 0;
-        if (f >= p)
-            break;
-        if (hi == DBL_MAX)
-            return 0;
-        hi *= 2.0;
-        if (hi == INFINITY)
-            hi = DBL_MAX;
+    for (k = 0; k < count; k++)
+        x[k] = df / (df + t[k] * t[k]);
+    inc_beta_lanes(count, x, a, b, log_norm, max_iter, f);
+    for (k = 0; k < count; k++) {
+        tail = 0.5 * f[k];
+        f[k] = t[k] >= 0.0 ? 1.0 - tail : tail;
     }
-    return bisect_cdf(at, cdf, p, lo, hi, out);
+}
+
+/*
+ * The per-call memo of CDF values: an open-addressed table, keyed by the
+ * bits of the point, of each p's first MEMO_DEPTH evaluations, which the
+ * p of a batch share (the top of the bisection tree, the bracket's
+ * doublings); deeper points rarely repeat.  A value found is the double
+ * the core would return, so no output bit depends on the memo.  Inserts
+ * stop at three quarters full, so that every probe ends.
+ */
+#define MEMO_DEPTH 12
+#define MEMO_BITS 12
+#define MEMO_SLOTS (1L << MEMO_BITS)
+#define MEMO_FULL (MEMO_SLOTS / 4 * 3)
+/* no point is NaN, so this NaN's bits mark an empty slot */
+#define MEMO_EMPTY UINT64_MAX
+
+typedef struct {
+    uint64_t key[MEMO_SLOTS];
+    double value[MEMO_SLOTS];
+    long used;
+} Memo;
+
+static uint64_t point_bits(double t)
+{
+    uint64_t bits;
+
+    memcpy(&bits, &t, sizeof bits);
+    return bits;
+}
+
+/* the slot that holds `key`, or the empty one where it would go */
+static long memo_slot(const Memo *memo, uint64_t key)
+{
+    long slot = (long)((key * UINT64_C(0x9E3779B97F4A7C15))
+                       >> (64 - MEMO_BITS));
+
+    while (memo->key[slot] != key && memo->key[slot] != MEMO_EMPTY)
+        slot = (slot + 1) & (MEMO_SLOTS - 1);
+    return slot;
+}
+
+/*
+ * out[i] = the quantile of ps[i] for i < count, ps and out possibly the
+ * same buffer: of the Beta(a, b) when df is 0, or else of the Student t at
+ * df degrees of freedom.  LANES lanes each hold one p, taken in batch
+ * order, a lane that is done taking the next.  Each round steps every lane
+ * through the CDF values the memo holds, then evaluates the points the
+ * lanes still need in one core call.  Past |t| = sqrt(DBL_MAX), t * t
+ * overflows and the Student t CDF saturates, so a Student p outside
+ * [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back, as is every p when
+ * those two CDF values are.  Returns count, or the index of the first p
+ * given back: the lanes holding lower indices finish, and no p starts
+ * after one is given back.  The memo is allocated per call, for more than
+ * one p; without memory the call runs without it.
+ */
+static long invert(const double *ps, long count, double a, double b,
+                   double df, double log_norm, long max_iter, double *out)
+{
+    Lane lane[LANES];
+    Memo *memo = NULL;
+    double bounds[2] = {0.0, 1.0}, t[LANES], value[LANES], f;
+    double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)};
+    uint64_t key[LANES];
+    int busy[LANES] = {0}, from[LANES], used, state, k, j;
+    long next = 0, stop = count, slot[LANES];
+
+    if (count == 0)
+        return 0;
+    if (df != 0.0) {
+        cdf_lanes(2, roots, df, a, b, log_norm, max_iter, bounds);
+        if (isnan(bounds[0]) || isnan(bounds[1]))
+            return 0;
+    }
+    if (count > 1 && (memo = malloc(sizeof *memo)) != NULL) {
+        memset(memo->key, 0xff, sizeof memo->key);
+        memo->used = 0;
+    }
+    do {
+        used = 0;
+        for (k = 0; k < LANES; k++) {
+            /* until lane k needs the core: a free lane takes the next p,
+               and a busy one steps through the memo's values */
+            for (;;) {
+                if (busy[k] && lane[k].index > stop)
+                    busy[k] = 0;
+                if (!busy[k]) {
+                    if (next >= stop)
+                        break;
+                    if (df != 0.0 && !(bounds[0] <= ps[next]
+                                       && ps[next] <= bounds[1])) {
+                        stop = next;
+                        break;
+                    }
+                    state = lane_start(&lane[k], ps[next], next, df != 0.0);
+                    next++;
+                } else {
+                    slot[k] = -1;
+                    if (memo == NULL || lane[k].evals >= MEMO_DEPTH)
+                        break;
+                    key[k] = point_bits(lane[k].at);
+                    slot[k] = memo_slot(memo, key[k]);
+                    if (memo->key[slot[k]] != key[k])
+                        break;
+                    state = lane_step(&lane[k], memo->value[slot[k]]);
+                }
+                busy[k] = lane_busy(&lane[k], state, out, &stop);
+            }
+            if (!busy[k])
+                continue;
+            /* each distinct point of the memo's depth once: the lanes
+               share those */
+            j = 0;
+            if (slot[k] >= 0)
+                while (j < used && point_bits(t[j]) != key[k])
+                    j++;
+            else
+                j = used;
+            if (j == used)
+                t[used++] = lane[k].at;
+            from[k] = j;
+        }
+        cdf_lanes(used, t, df, a, b, log_norm, max_iter, value);
+        for (k = 0; k < LANES; k++) {
+            if (!busy[k])
+                continue;
+            f = value[from[k]];
+            if (slot[k] >= 0 && memo->used < MEMO_FULL) {
+                /* a lane before this one may have taken the slot */
+                if (memo->key[slot[k]] != MEMO_EMPTY)
+                    slot[k] = memo_slot(memo, key[k]);
+                if (memo->key[slot[k]] == MEMO_EMPTY) {
+                    memo->key[slot[k]] = key[k];
+                    memo->value[slot[k]] = f;
+                    memo->used++;
+                }
+            }
+            state = lane_step(&lane[k], f);
+            busy[k] = lane_busy(&lane[k], state, out, &stop);
+        }
+    } while (used > 0);
+    free(memo);
+    return stop;
 }
 
 /*
@@ -287,18 +531,7 @@ static int invert_unbounded(CdfAt at, const Cdf *cdf, double p, double *out)
 long beta_quantiles(const double *ps, long count, double a, double b,
                     double log_norm, long max_iter, double *out)
 {
-    Cdf cdf;
-    long i;
-
-    cdf.a = a;
-    cdf.b = b;
-    cdf.log_norm = log_norm;
-    cdf.df = 0.0;
-    cdf.max_iter = max_iter;
-    for (i = 0; i < count; i++)
-        if (!bisect_cdf(beta_cdf, &cdf, ps[i], 0.0, 1.0, &out[i]))
-            break;
-    return i;
+    return invert(ps, count, a, b, 0.0, log_norm, max_iter, out);
 }
 
 /*
@@ -309,18 +542,7 @@ long beta_quantiles(const double *ps, long count, double a, double b,
 long student_quantiles(const double *ps, long count, double df,
                        double log_norm, long max_iter, double *out)
 {
-    Cdf cdf;
-    long i;
-
-    cdf.a = 0.5 * df;
-    cdf.b = 0.5;
-    cdf.log_norm = log_norm;
-    cdf.df = df;
-    cdf.max_iter = max_iter;
-    for (i = 0; i < count; i++)
-        if (!invert_unbounded(student_cdf, &cdf, ps[i], &out[i]))
-            break;
-    return i;
+    return invert(ps, count, 0.5 * df, 0.5, df, log_norm, max_iter, out);
 }
 
 /* SplitMix64's increment, and FNV-1a's prime, as in _kernels_py */

@@ -15,17 +15,21 @@ reference.
 
 Every entry point returns the doubles of its namesake in the reference.
 Where the C code gives a case back (a fraction that does not converge, an
-exp(front) that overflows, a bracket end past the largest double, a NaN to
-sort, a weighted sum that math.fsum would not return finite, input that is
-not plain ASCII decimal numbers, finite ones), the wrapper hands the call
-to that namesake, which raises its own error or returns what it returns.
-A batch inversion hands over only its p from the first one the C code gave
-back, keeping the quantiles before it; a weight window hands over only
-the incomplete beta it stopped at, whose reference raises, and the whole
-window only if that one does not.  A scorer that is a callable is Python
-to run, so ``piece_errors`` hands such a call to the reference whole.  The
-library keeps no mutable state and ctypes releases the GIL around each
-call, so threads may call it at once.
+exp(front) that overflows, a bracket end past the largest double, a Student
+t p whose quantile lies past the square root of the largest double, a NaN
+to sort, a weighted sum that math.fsum would not return finite, input that
+is not plain ASCII decimal numbers, finite ones), the wrapper hands the
+call to that namesake, which raises its own error or returns what it
+returns.  A batch inversion inverts several p at once, one per lane, yet
+returns the index of the first p that a one-at-a-time loop would have
+given back, the lanes holding earlier p having finished; the wrapper keeps
+the quantiles before that index and hands over only the p from it.  A
+weight window hands over only the incomplete beta it stopped at, whose
+reference raises, and the whole window only if that one does not.  A
+scorer that is a callable is Python to run, so ``piece_errors`` hands such
+a call to the reference whole.  The library keeps no state between calls
+(a batch inversion's memo lives for its call) and ctypes releases the GIL
+around each call, so threads may call it at once.
 """
 
 import ctypes

@@ -100,7 +100,8 @@ _log_beta_cached = functools.lru_cache(maxsize=_SHAPE_CACHE)(log_beta)
 def beta_pdf(x, a, b):
     """Beta density at x in [0, 1], evaluated in log space.  A density past
     the largest double raises ArithmeticError, as the incomplete beta's
-    exp(front) does."""
+    exp(front) does, and so does a log density that is NaN (ln B(a, b)
+    where a + b overflows)."""
     if x == 0.0 or x == 1.0:
         shape = a if x == 0.0 else b
         if shape > 1.0:
@@ -111,6 +112,9 @@ def beta_pdf(x, a, b):
     else:
         log_pdf = ((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
                    - _log_beta_cached(a, b))
+    if log_pdf != log_pdf:
+        raise ArithmeticError("beta density is not a number (a=%g, b=%g, "
+                              "x=%r)" % (a, b, x))
     try:
         return math.exp(log_pdf)
     except OverflowError:
@@ -230,6 +234,7 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
 
 
 _DBL_MAX = sys.float_info.max
+_ROOT_DBL_MAX = math.sqrt(_DBL_MAX)
 
 
 def _bisect_cdf(cdf, p, lo, hi):
@@ -280,13 +285,24 @@ def beta_quantiles(ps, a, b):
 def student_quantiles(ps, df):
     """[the Student t quantile of p at df degrees of freedom for p in ps],
     through the incomplete beta: the tail beyond |t| is
-    I_{df / (df + t^2)}(df / 2, 1 / 2) / 2."""
+    I_{df / (df + t^2)}(df / 2, 1 / 2) / 2.  Past |t| = sqrt of the largest
+    double, t * t overflows and the CDF saturates, so a p outside the CDF
+    values there raises ArithmeticError."""
     a = 0.5 * df
 
     def cdf(t):
         tail = 0.5 * reg_inc_beta(df / (df + t * t), a, 0.5)
         return 1.0 - tail if t >= 0.0 else tail
-    return [_invert_unbounded(cdf, p) for p in ps]
+    if not ps:
+        return []
+    low, high = cdf(-_ROOT_DBL_MAX), cdf(_ROOT_DBL_MAX)
+    out = []
+    for p in ps:
+        if not low <= p <= high:
+            raise ArithmeticError("Student t quantile overflows (df=%g, p=%r)"
+                                  % (df, p))
+        out.append(_invert_unbounded(cdf, p))
+    return out
 
 
 _M64 = (1 << 64) - 1

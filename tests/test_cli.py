@@ -219,6 +219,17 @@ def test_hdi_past_the_double_range_is_input_error(capsys):
         "overflows (a=1e+100, b=1e+100, x=0.5)\n")
 
 
+def test_hdi_with_a_nan_log_density_is_input_error(capsys):
+    # a + b overflows, so ln B(a, b) and the log density are NaN
+    assert main(["hdi", "--alpha", "1.5e308", "--beta", "1e308",
+                 "--width", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot find the HDI of Beta(1.5e+308, 1e+308): beta density "
+        "is not a number (a=1.5e+308, b=1e+308, x=0.09999999999999998)\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -192,15 +192,20 @@ def test_quantile_bracket_reaches_the_largest_double():
 @pytest.fixture(scope="module")
 def c_bracket(tmp_path_factory):
     """The C inversion of a normal CDF of scale sigma, phi(x / sigma) as
-    distributions._phi writes it, behind an exported wrapper."""
+    distributions._phi writes it: one lane of the batch inversion on the
+    real line, stepped with that CDF's values, behind an exported
+    wrapper."""
     lib = _cshim.build(
         tmp_path_factory.mktemp("bracket"), "bracket",
-        "static double scaled_phi(const Cdf *cdf, double x)\n"
-        "{ return 0.5 * erfc(-(x / cdf->a) / sqrt(2.0)); }\n"
         "int invert_scaled_phi(double sigma, double p, double *out)\n"
         "{\n"
-        "    Cdf cdf = {sigma, 0.0, 0.0, 0.0, 0};\n"
-        "    return invert_unbounded(scaled_phi, &cdf, p, out);\n"
+        "    Lane lane;\n"
+        "    int state = lane_start(&lane, p, 0, 1);\n"
+        "    while (state == LANE_NEEDS)\n"
+        "        state = lane_step(\n"
+        "            &lane, 0.5 * erfc(-(lane.at / sigma) / sqrt(2.0)));\n"
+        "    *out = lane.at;\n"
+        "    return state == LANE_DONE;\n"
         "}\n")
     lib.invert_scaled_phi.argtypes = (ctypes.c_double, ctypes.c_double,
                                       ctypes.POINTER(ctypes.c_double))
@@ -209,8 +214,9 @@ def c_bracket(tmp_path_factory):
 
 
 def test_c_bracket_matches_the_reference_near_the_double_range(c_bracket):
-    # the C twin of _invert_unbounded takes the largest double where the
-    # reference does, and gives back exactly where the reference raises
+    # the C lane's bracket and bisection, the twin of _invert_unbounded,
+    # take the largest double where the reference does, and give back
+    # exactly where the reference raises
     sqrt2 = math.sqrt(2.0)
     gave_back = 0
     for sigma in (1.0, 1e300, 1e307, 1e308, 1.5e308, sys.float_info.max):
@@ -486,6 +492,15 @@ BATCH_PS = [2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300] + [
     _BATCH_RNG.random() for _ in range(600)]
 
 
+def _batch_ps(text):
+    # at df = 0.5, 1e-300 lies below the CDF at -sqrt(largest double), where
+    # the Student t quantile raises; see
+    # test_student_quantile_past_the_overflow_point_raises
+    if text == "Student(df=0.5)":
+        return [p for p in BATCH_PS if p != 1e-300]
+    return BATCH_PS
+
+
 def _reference_kernels(monkeypatch):
     # the Python bisection over the pure-Python incomplete beta
     from trimq import _kernels_py
@@ -512,13 +527,13 @@ def test_batch_inversion_matches_the_python_bisection(monkeypatch):
     for name in ("beta_quantiles", "student_quantiles"):
         monkeypatch.setattr(_kernels_py, name, _given_back)
     monkeypatch.setattr(distributions, "_k", _kernels_c)
-    got = {text: parse_distribution(text)._q(BATCH_PS)
+    got = {text: parse_distribution(text)._q(_batch_ps(text))
            for text in BATCH_SPECS}
     monkeypatch.undo()
     _reference_kernels(monkeypatch)
     for text in BATCH_SPECS:
         spec = parse_distribution(text)
-        want = [true_quantile(spec, p) for p in BATCH_PS]
+        want = [true_quantile(spec, p) for p in _batch_ps(text)]
         assert repr(got[text]) == repr(want), text
 
 
@@ -643,6 +658,34 @@ def test_overflowing_quantiles_raise_one_named_error(monkeypatch, backend):
                      .startswith("ArithmeticError"))
         assert str(info.value) == _outcome(true_quantile, spec, first)[
             len("ArithmeticError: "):]
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_student_quantile_past_the_overflow_point_raises(monkeypatch,
+                                                         backend):
+    # past |t| = sqrt(largest double), t * t overflows and the CDF reads 1
+    # or 0, so a p beyond the CDF there raises instead of settling at the
+    # overflow point; the true quantile at p = 0.99 is about 1e169
+    from trimq import _kernels_c, _kernels_py
+
+    kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
+    monkeypatch.setattr(distributions, "_k", kernels)
+    spec = parse_distribution("Student(df=0.01)")
+    for p in (0.99, 0.01):
+        with pytest.raises(ArithmeticError) as info:
+            true_quantile(spec, p)
+        assert type(info.value) is ArithmeticError
+        assert str(info.value) == (
+            "Student t quantile overflows (df=0.01, p=%r)" % p)
+    # a p inside keeps its bits
+    assert repr(true_quantile(spec, 0.985)) == "9.741314114552754e+150"
+    # a batch raises at its first p outside, as the scalar loop would
+    with pytest.raises(ArithmeticError, match=r"p=0\.995\)$"):
+        kernels.student_quantiles([0.5, 0.985, 0.995, 0.001], 0.01)
+    # and df of 1 or more never saturates at a p the sampler draws
+    for df in (1.0, 3.0, 1e6):
+        assert kernels.student_quantiles([2.0 ** -54, 1.0 - 2.0 ** -53],
+                                         df)[0] < 0.0
 
 
 def test_batch_inversion_gives_back_only_the_rest(monkeypatch):
