@@ -9,16 +9,17 @@
  *
  * Every function is a port of its reference in trimq/_kernels_py.py:
  * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
- * beta_quantiles and student_quantiles with their bisection _bisect_cdf, the
- * bracket of _invert_unbounded and the Student t bounds, batch_uniforms with
- * the draw loop of stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer
- * _mix64, piece_errors with HF7 (_hf7) and the weighted sum (_weighted_sum),
- * its math.fsum a port of CPython 3.11's, and a stable sort in place of
- * sorted(), which sort_floats exports on its own, and parse_floats, whose
- * strtod rounds correctly as float() does.  Each does the same operations in
- * the same order, so that, built with -ffp-contract=off and linked against the
- * libm behind Python's math module, it returns the same doubles; the uniforms
- * are 64-bit integer work and the reference's two floating-point steps.
+ * quantiles, the one inversion behind beta_quantiles and student_quantiles,
+ * with their bisection _bisect_cdf, the bracket of _invert_unbounded and the
+ * Student t bounds, batch_uniforms with the draw loop of stream_uniforms,
+ * the FNV-1a fold fnv1a64 and the finalizer _mix64, piece_errors with HF7
+ * (_hf7) and the weighted sum (_weighted_sum), its math.fsum a port of
+ * CPython 3.11's, and a stable sort in place of sorted(), which sort_floats
+ * exports on its own, and parse_floats, whose strtod rounds correctly as
+ * float() does.  Each does the same operations in the same order, so that,
+ * built with -ffp-contract=off and linked against the libm behind Python's
+ * math module, it returns the same doubles; the uniforms are 64-bit integer
+ * work and the reference's two floating-point steps.
  *
  * The incomplete beta has one implementation, a lane core that evaluates
  * it at up to LANES points at once, each lane running the reference's
@@ -28,8 +29,9 @@
  * per lane, as a state machine of bracket doubling and bisection, a lane
  * that is done taking the next p.  An inversion of more than one p keeps
  * a memo for the call: the CDF values of each p's first evaluations, which
- * the p of a batch share, keyed by the bits of the point, so that a value
- * found there is the double the core would return.
+ * the p of a batch share, indexed by the lane's path, the outcomes of its
+ * comparisons so far, which fix the point, so that a value found there is
+ * the double the core would return.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
@@ -47,10 +49,9 @@
  * OverflowError), and in parse_floats on any input but plain ASCII
  * decimal numbers that are finite.
  *
- * No state outlives a call: the inversions' memo, the only heap state of
- * the incomplete beta, and the sort and scoring buffers are allocated and
- * freed by the call that uses them, so threads may call every entry point
- * at once.
+ * No state outlives a call: the inversions' memo lives on the stack of
+ * its call, and the sort and scoring buffers are allocated and freed by
+ * the call that uses them, so threads may call every entry point at once.
  */
 
 #include <float.h>
@@ -70,6 +71,9 @@
 /* the points the incomplete-beta core evaluates at once; at least the two
    Student t bounds of a batch inversion */
 #define LANES 4
+
+/* the evaluations of each p that a batch inversion's memo holds */
+#define MEMO_DEPTH 12
 
 /*
  * I_x(a, b) at the count <= LANES points x[k], into out[k], with log_norm =
@@ -242,6 +246,10 @@ long weight_window(long n, long i_lo, long i_hi, double a, double b,
  * end first, then [lo, hi] is bisected, as _kernels_py._invert_unbounded
  * and _bisect_cdf do; a Beta bisects [0, 1] at once.  `at` is the point
  * whose CDF value the lane needs next, and its quantile once it is done.
+ * Every lane of a call starts in the same state, and each step's branch
+ * is decided by that state and f < p alone, so a lane's points are fixed
+ * by its path: `node` is 1 followed by the bits f < p of its first
+ * MEMO_DEPTH steps, a node of the binary tree of those outcomes.
  */
 typedef struct {
     double p, lo, hi, at;
@@ -249,6 +257,7 @@ typedef struct {
     int phase;          /* LANE_LOW, LANE_HIGH or LANE_BISECT */
     int levels;         /* bisection steps taken */
     int evals;          /* CDF values taken */
+    int node;           /* the path of the first MEMO_DEPTH values */
 } Lane;
 
 enum { LANE_LOW, LANE_HIGH, LANE_BISECT };
@@ -288,6 +297,7 @@ static int lane_start(Lane *lane, double p, long index, int unbounded)
     lane->p = p;
     lane->index = index;
     lane->levels = lane->evals = 0;
+    lane->node = 1;
     lane->hi = 1.0;
     if (unbounded) {
         lane->phase = LANE_LOW;
@@ -306,7 +316,8 @@ static inline int lane_step(Lane *lane, double f)
 {
     if (isnan(f))
         return LANE_GIVES_BACK;
-    lane->evals++;
+    if (lane->evals++ < MEMO_DEPTH)
+        lane->node = 2 * lane->node + (f < lane->p);
     switch (lane->phase) {
     case LANE_LOW:
         if (f < lane->p) {
@@ -381,69 +392,32 @@ static void cdf_lanes(int count, const double *t, double df, double a,
 }
 
 /*
- * The per-call memo of CDF values: an open-addressed table, keyed by the
- * bits of the point, of each p's first MEMO_DEPTH evaluations, which the
- * p of a batch share (the top of the bisection tree, the bracket's
- * doublings); deeper points rarely repeat.  A value found is the double
- * the core would return, so no output bit depends on the memo.  Inserts
- * stop at three quarters full, so that every probe ends.
- */
-#define MEMO_DEPTH 12
-#define MEMO_BITS 12
-#define MEMO_SLOTS (1L << MEMO_BITS)
-#define MEMO_FULL (MEMO_SLOTS / 4 * 3)
-/* no point is NaN, so this NaN's bits mark an empty slot */
-#define MEMO_EMPTY UINT64_MAX
-
-typedef struct {
-    uint64_t key[MEMO_SLOTS];
-    double value[MEMO_SLOTS];
-    long used;
-} Memo;
-
-static uint64_t point_bits(double t)
-{
-    uint64_t bits;
-
-    memcpy(&bits, &t, sizeof bits);
-    return bits;
-}
-
-/* the slot that holds `key`, or the empty one where it would go */
-static long memo_slot(const Memo *memo, uint64_t key)
-{
-    long slot = (long)((key * UINT64_C(0x9E3779B97F4A7C15))
-                       >> (64 - MEMO_BITS));
-
-    while (memo->key[slot] != key && memo->key[slot] != MEMO_EMPTY)
-        slot = (slot + 1) & (MEMO_SLOTS - 1);
-    return slot;
-}
-
-/*
  * out[i] = the quantile of ps[i] for i < count, ps and out possibly the
  * same buffer: of the Beta(a, b) when df is 0, or else of the Student t at
- * df degrees of freedom.  LANES lanes each hold one p, taken in batch
+ * df degrees of freedom, with a = df / 2, b = 1 / 2.  log_norm is that of
+ * the shape pair (a, b).  LANES lanes each hold one p, taken in batch
  * order, a lane that is done taking the next.  Each round steps every lane
  * through the CDF values the memo holds, then evaluates the points the
- * lanes still need in one core call.  Past |t| = sqrt(DBL_MAX), t * t
- * overflows and the Student t CDF saturates, so a Student p outside
+ * lanes still need in one core call.  The memo, for calls of more than one
+ * p, is the table of the CDF values at each node of the paths of the p's
+ * first MEMO_DEPTH evaluations, which the p of a batch share (the top of
+ * the bisection tree, the bracket's doublings), NaN where not yet known; a
+ * value found is the double the core would return at the node's point, so
+ * no output bit depends on it.  Past |t| = sqrt(DBL_MAX), t * t overflows
+ * and the Student t CDF saturates, so a Student p outside
  * [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back, as is every p when
  * those two CDF values are.  Returns count, or the index of the first p
  * given back: the lanes holding lower indices finish, and no p starts
- * after one is given back.  The memo is allocated per call, for more than
- * one p; without memory the call runs without it.
+ * after one is given back.
  */
-static long invert(const double *ps, long count, double a, double b,
-                   double df, double log_norm, long max_iter, double *out)
+long quantiles(const double *ps, long count, double a, double b, double df,
+               double log_norm, long max_iter, double *out)
 {
     Lane lane[LANES];
-    Memo *memo = NULL;
-    double bounds[2] = {0.0, 1.0}, t[LANES], value[LANES], f;
-    double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)};
-    uint64_t key[LANES];
-    int busy[LANES] = {0}, from[LANES], used, state, k, j;
-    long next = 0, stop = count, slot[LANES];
+    double table[1 << MEMO_DEPTH], bounds[2] = {0.0, 1.0}, t[LANES];
+    double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)}, f[LANES];
+    int memo = count > 1, busy[LANES] = {0}, used, state, k;
+    long next = 0, stop = count;
 
     if (count == 0)
         return 0;
@@ -452,10 +426,9 @@ static long invert(const double *ps, long count, double a, double b,
         if (isnan(bounds[0]) || isnan(bounds[1]))
             return 0;
     }
-    if (count > 1 && (memo = malloc(sizeof *memo)) != NULL) {
-        memset(memo->key, 0xff, sizeof memo->key);
-        memo->used = 0;
-    }
+    if (memo)
+        for (k = 0; k < 1 << MEMO_DEPTH; k++)
+            table[k] = NAN;
     do {
         used = 0;
         for (k = 0; k < LANES; k++) {
@@ -475,74 +448,28 @@ static long invert(const double *ps, long count, double a, double b,
                     state = lane_start(&lane[k], ps[next], next, df != 0.0);
                     next++;
                 } else {
-                    slot[k] = -1;
-                    if (memo == NULL || lane[k].evals >= MEMO_DEPTH)
+                    if (!memo || lane[k].evals >= MEMO_DEPTH
+                        || isnan(table[lane[k].node]))
                         break;
-                    key[k] = point_bits(lane[k].at);
-                    slot[k] = memo_slot(memo, key[k]);
-                    if (memo->key[slot[k]] != key[k])
-                        break;
-                    state = lane_step(&lane[k], memo->value[slot[k]]);
+                    state = lane_step(&lane[k], table[lane[k].node]);
                 }
                 busy[k] = lane_busy(&lane[k], state, out, &stop);
             }
-            if (!busy[k])
-                continue;
-            /* each distinct point of the memo's depth once: the lanes
-               share those */
-            j = 0;
-            if (slot[k] >= 0)
-                while (j < used && point_bits(t[j]) != key[k])
-                    j++;
-            else
-                j = used;
-            if (j == used)
+            if (busy[k])
                 t[used++] = lane[k].at;
-            from[k] = j;
         }
-        cdf_lanes(used, t, df, a, b, log_norm, max_iter, value);
+        cdf_lanes(used, t, df, a, b, log_norm, max_iter, f);
+        used = 0;
         for (k = 0; k < LANES; k++) {
             if (!busy[k])
                 continue;
-            f = value[from[k]];
-            if (slot[k] >= 0 && memo->used < MEMO_FULL) {
-                /* a lane before this one may have taken the slot */
-                if (memo->key[slot[k]] != MEMO_EMPTY)
-                    slot[k] = memo_slot(memo, key[k]);
-                if (memo->key[slot[k]] == MEMO_EMPTY) {
-                    memo->key[slot[k]] = key[k];
-                    memo->value[slot[k]] = f;
-                    memo->used++;
-                }
-            }
-            state = lane_step(&lane[k], f);
+            if (memo && lane[k].evals < MEMO_DEPTH)
+                table[lane[k].node] = f[used];
+            state = lane_step(&lane[k], f[used++]);
             busy[k] = lane_busy(&lane[k], state, out, &stop);
         }
     } while (used > 0);
-    free(memo);
     return stop;
-}
-
-/*
- * out[i] = the Beta(a, b) quantile of ps[i], bisected on [0, 1], for i <
- * count.  Returns the number of quantiles done: count, or the index of
- * the first p whose bisection it gives back to the caller.
- */
-long beta_quantiles(const double *ps, long count, double a, double b,
-                    double log_norm, long max_iter, double *out)
-{
-    return invert(ps, count, a, b, 0.0, log_norm, max_iter, out);
-}
-
-/*
- * out[i] = the Student t quantile of ps[i] at df degrees of freedom, for
- * i < count, with log_norm that of the shape pair (df / 2, 1 / 2).
- * Returns the number of quantiles done, as beta_quantiles does.
- */
-long student_quantiles(const double *ps, long count, double df,
-                       double log_norm, long max_iter, double *out)
-{
-    return invert(ps, count, 0.5 * df, 0.5, df, log_norm, max_iter, out);
 }
 
 /* SplitMix64's increment, and FNV-1a's prime, as in _kernels_py */

@@ -1,11 +1,11 @@
 """The C backend: the incomplete beta, the weight loop, the Beta and Student
-t inversions, ``batch_uniforms`` (the uniforms of the streams of
-consecutive samples of a simulation batch, in one call), ``piece_errors``
-(the sort and the estimators' squared errors of a piece of simulation
-samples, in one call), ``parse_floats`` (the numbers of an input's bytes)
-and ``sort_floats`` (a stable sort of an array('d'), in place) of
-trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken from
-the pure-Python reference, trimq._kernels_py.
+t inversions (one C entry point, ``quantiles``), ``batch_uniforms`` (the
+uniforms of the streams of consecutive samples of a simulation batch, in
+one call), ``piece_errors`` (the sort and the estimators' squared errors of
+a piece of simulation samples, in one call), ``parse_floats`` (the numbers
+of an input's bytes) and ``sort_floats`` (a stable sort of an array('d'),
+in place) of trimq/_kernels_c.c, loaded with ctypes, with the other kernels
+taken from the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
 the system ``cc``, into this package's ``__pycache__``, loads it, and deletes
@@ -28,8 +28,8 @@ weight window hands over only the incomplete beta it stopped at, whose
 reference raises, and the whole window only if that one does not.  A
 scorer that is a callable is Python to run, so ``piece_errors`` hands such
 a call to the reference whole.  The library keeps no state between calls
-(a batch inversion's memo lives for its call) and ctypes releases the GIL
-around each call, so threads may call it at once.
+(a batch inversion's memo is a table on the stack of its call) and ctypes
+releases the GIL around each call, so threads may call it at once.
 """
 
 import ctypes
@@ -137,7 +137,7 @@ def _open(path):
     lib = ctypes.CDLL(path)
     try:
         scalar = lib.reg_inc_beta
-        batches = lib.beta_quantiles, lib.student_quantiles
+        batch = lib.quantiles
         window = lib.weight_window
         uniforms = lib.batch_uniforms
         errors = lib.piece_errors
@@ -148,13 +148,12 @@ def _open(path):
     vector = ctypes.POINTER(double)
     scalar.argtypes = (double, double, double, double, long)
     scalar.restype = double
-    batches[0].argtypes = (vector, long, double, double, double, long, vector)
-    batches[1].argtypes = (vector, long, double, double, long, vector)
+    batch.argtypes = (vector, long, double, double, double, double, long,
+                      vector)
     window.argtypes = (long, long, long, double, double, double, double,
                        double, double, double, long, vector,
                        ctypes.POINTER(long))
-    for entry in (*batches, window):
-        entry.restype = long
+    batch.restype = window.restype = long
     uniforms.argtypes = (u64, u64, u64, long, long, vector)
     uniforms.restype = None
     longs = ctypes.POINTER(long)
@@ -165,8 +164,7 @@ def _open(path):
     sort.restype = ctypes.c_int
     parse.argtypes = (ctypes.c_char_p, long, ctypes.c_void_p)
     parse.restype = long
-    return (scalar, batches[0], batches[1], window, uniforms, errors, sort,
-            parse)
+    return scalar, batch, window, uniforms, errors, sort, parse
 
 
 def _load():
@@ -183,9 +181,8 @@ def _load():
                           % (_SOURCE, exc)) from exc
 
 
-(_c_reg_inc_beta, _c_beta_quantiles, _c_student_quantiles,
- _c_weight_window, _c_batch_uniforms, _c_piece_errors, _c_sort_floats,
- _c_parse_floats) = _load()
+(_c_reg_inc_beta, _c_quantiles, _c_weight_window, _c_batch_uniforms,
+ _c_piece_errors, _c_sort_floats, _c_parse_floats) = _load()
 _c_doubles = ctypes.c_double
 _c_longs = ctypes.c_long
 _ZERO = array("d", (0.0,))
@@ -202,29 +199,30 @@ def reg_inc_beta(x, a, b):
     return y
 
 
+def _quantiles(ps, a, b, df, reference, *params):
+    """The quantiles of ps from the one C inversion, of the Beta(a, b)
+    when df is 0, else of the Student t at df = 2a degrees of freedom;
+    reference(rest, *params) inverts the rest, from the first p that the
+    C code gives back."""
+    count = len(ps)
+    buf = (_c_doubles * count)(*ps)  # read and overwritten in place
+    done = _c_quantiles(buf, count, a, b, df, _log_norm(a, b), _py._MAX_ITER,
+                        buf)
+    if done < count:
+        return buf[:done] + reference(ps[done:], *params)
+    return buf[:]
+
+
 def beta_quantiles(ps, a, b):
     """[the Beta(a, b) quantile of p for p in ps], each bisected on
     [0, 1]."""
-    count = len(ps)
-    buf = (_c_doubles * count)(*ps)  # read and overwritten in place
-    done = _c_beta_quantiles(buf, count, a, b, _log_norm(a, b),
-                             _py._MAX_ITER, buf)
-    if done < count:
-        # the reference inverts the rest, from the p the C code gave back
-        return buf[:done] + _py.beta_quantiles(ps[done:], a, b)
-    return buf[:]
+    return _quantiles(ps, a, b, 0.0, _py.beta_quantiles, a, b)
 
 
 def student_quantiles(ps, df):
     """[the Student t quantile of p at df degrees of freedom for p in ps],
     each by bracket doubling and bisection."""
-    count = len(ps)
-    buf = (_c_doubles * count)(*ps)
-    done = _c_student_quantiles(buf, count, df, _log_norm(0.5 * df, 0.5),
-                                _py._MAX_ITER, buf)
-    if done < count:
-        return buf[:done] + _py.student_quantiles(ps[done:], df)
-    return buf[:]
+    return _quantiles(ps, 0.5 * df, 0.5, df, _py.student_quantiles, df)
 
 
 def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):

@@ -1,9 +1,11 @@
 """The C batch inversion's lanes and per-call memo against the Python
-bisection, its give-back index, and the C kernels under AddressSanitizer and
-UndefinedBehaviorSanitizer."""
+bisection, its give-back index, the lane paths that index the memo, and
+the C kernels under AddressSanitizer and UndefinedBehaviorSanitizer."""
 
+import ctypes
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -16,8 +18,9 @@ from trimq import _kernels_c, _kernels_py
 from test_distributions import _given_back, _outcome
 
 SPECS = (("beta_quantiles", (2.0, 4.0)), ("beta_quantiles", (0.5, 0.5)),
-         ("beta_quantiles", (0.05, 7.0)), ("student_quantiles", (0.7,)),
-         ("student_quantiles", (3.0,)), ("student_quantiles", (50.0,)))
+         ("beta_quantiles", (0.05, 7.0)), ("beta_quantiles", (1.0, 1.0)),
+         ("student_quantiles", (0.7,)), ("student_quantiles", (3.0,)),
+         ("student_quantiles", (50.0,)))
 
 # the extremes of the uniforms, the centre, repeats (memo hits in one call)
 # and Student p whose low or high end doubles 0, 1, 2, 4 or many times
@@ -34,14 +37,16 @@ def _batch(size, seed):
     return ps
 
 
-BATCHES = [_SMALL[:size] for size in range(10)] + [_batch(100, 1),
-                                                    _batch(400, 2)]
+# the sim2 call sizes: 100 and 400 p, and 4,096, a piece at n = 1
+BATCHES = [_SMALL[:size] for size in range(10)] + [
+    _batch(100, 1), _batch(400, 2), _batch(4096, 3)]
 
 
 @pytest.mark.parametrize("name, params", SPECS)
 def test_lanes_give_the_reference_bits(monkeypatch, name, params):
     # batches of 0 to 9 p, fewer and more than the lanes, and the sim2
-    # call sizes, each p the double the scalar reference returns
+    # call sizes up to the largest, each p the double the scalar reference
+    # returns
     want = [getattr(_kernels_py, name)(ps, *params) for ps in BATCHES]
     monkeypatch.setattr(_kernels_py, name, _given_back)
     got = [getattr(_kernels_c, name)(ps, *params) for ps in BATCHES]
@@ -85,18 +90,78 @@ def test_lanes_give_back_from_the_first_failing_p(monkeypatch, name, params,
     assert want.startswith("ArithmeticError: incomplete beta "), want
 
 
+@pytest.fixture(scope="module")
+def c_path(tmp_path_factory):
+    """One lane of the batch inversion, stepped with the core's CDF values
+    behind an exported wrapper that records the node and the point of each
+    of its first MEMO_DEPTH evaluations, and returns how many it made."""
+    lib = _cshim.build(
+        tmp_path_factory.mktemp("path"), "path",
+        "const int memo_depth = MEMO_DEPTH;\n"
+        "int lane_path(double p, double a, double b, double df,\n"
+        "              double log_norm, long max_iter, int *node,\n"
+        "              double *at)\n"
+        "{\n"
+        "    Lane lane;\n"
+        "    double f;\n"
+        "    int state = lane_start(&lane, p, 0, df != 0.0), e = 0;\n"
+        "    for (; state == LANE_NEEDS && e < MEMO_DEPTH; e++) {\n"
+        "        node[e] = lane.node;\n"
+        "        at[e] = lane.at;\n"
+        "        cdf_lanes(1, &lane.at, df, a, b, log_norm, max_iter, &f);\n"
+        "        state = lane_step(&lane, f);\n"
+        "    }\n"
+        "    return e;\n"
+        "}\n")
+    double = ctypes.c_double
+    lib.lane_path.argtypes = (double, double, double, double, double,
+                              ctypes.c_long, ctypes.POINTER(ctypes.c_int),
+                              ctypes.POINTER(double))
+    lib.lane_path.restype = ctypes.c_int
+    return lib
+
+
+# (a, b, df): Beta(a, b) when df is 0, else Student(df) with a = df / 2
+PATH_SHAPES = ((2.0, 4.0, 0.0), (0.05, 7.0, 0.0), (1.0, 1.0, 0.0),
+               (0.35, 0.5, 0.7), (1.5, 0.5, 3.0), (25.0, 0.5, 50.0))
+
+
+@pytest.mark.parametrize("a, b, df", PATH_SHAPES)
+def test_a_lanes_path_fixes_the_points_the_memo_holds(c_path, a, b, df):
+    # the memo keeps the CDF value at each node of the outcomes f < p of
+    # the lanes' first evaluations: every p whose lane reaches a node
+    # evaluates the same point there, and a node after e outcomes lies in
+    # [2**e, 2**(e + 1)), inside the table
+    depth = ctypes.c_int.in_dll(c_path, "memo_depth").value
+    node = (ctypes.c_int * depth)()
+    at = (ctypes.c_double * depth)()
+    log_norm = _kernels_py._log_norm(a, b)
+    rng = random.Random(11)
+    ps = _SMALL + [1e-300, 1.0 - 1e-16] + [rng.random() for _ in range(10000)]
+    points = {}
+    for p in ps:
+        for e in range(c_path.lane_path(p, a, b, df, log_norm,
+                                        _kernels_py._MAX_ITER, node, at)):
+            assert node[e] >> e == 1, (p, e, node[e])
+            points.setdefault(node[e], set()).add(struct.pack("<d", at[e]))
+    assert len(points) > 2 ** (depth // 2)
+    shared = {n: bits for n, bits in points.items() if len(bits) > 1}
+    assert not shared, sorted(shared)[:5]
+
+
 _SANITIZED_RUN = """
 import random, sys
 from trimq import _kernels_c as c, _kernels_py as py
 
-(c._c_reg_inc_beta, c._c_beta_quantiles, c._c_student_quantiles,
- c._c_weight_window, c._c_batch_uniforms, c._c_piece_errors,
- c._c_sort_floats, c._c_parse_floats) = c._open(sys.argv[1])
+(c._c_reg_inc_beta, c._c_quantiles, c._c_weight_window,
+ c._c_batch_uniforms, c._c_piece_errors, c._c_sort_floats,
+ c._c_parse_floats) = c._open(sys.argv[1])
 rng = random.Random(5)
-for size in (0, 1, 2, 3, 4, 5, 9, 100, 400):
+for size in (0, 1, 2, 3, 4, 5, 9, 100, 400, 4096):
     ps = [rng.random() for _ in range(size)] + [0.5, 2.0 ** -54]
     for name, params in (("beta_quantiles", (2.0, 4.0)),
                          ("beta_quantiles", (0.05, 7.0)),
+                         ("beta_quantiles", (1.0, 1.0)),
                          ("student_quantiles", (0.7,)),
                          ("student_quantiles", (3.0,))):
         got = getattr(c, name)(ps, *params)
