@@ -27,8 +27,8 @@
  * points overlap: reg_inc_beta is the core at one lane, weight_window
  * takes its indices LANES at a time, and the batch inversions hold one p
  * per lane, as a state machine of bracket doubling and bisection, a lane
- * that is done taking the next p.  An inversion of more than one p keeps
- * a memo for the call: the CDF values of each p's first evaluations, which
+ * that is done taking the next p.  Every batch inversion keeps a memo
+ * for the call: the CDF values of each p's first evaluations, which
  * the p of a batch share, indexed by the lane's path, the outcomes of its
  * comparisons so far, which fix the point, so that a value found there is
  * the double the core would return.
@@ -398,10 +398,10 @@ static void cdf_lanes(int count, const double *t, double df, double a,
  * the shape pair (a, b).  LANES lanes each hold one p, taken in batch
  * order, a lane that is done taking the next.  Each round steps every lane
  * through the CDF values the memo holds, then evaluates the points the
- * lanes still need in one core call.  The memo, for calls of more than one
- * p, is the table of the CDF values at each node of the paths of the p's
- * first MEMO_DEPTH evaluations, which the p of a batch share (the top of
- * the bisection tree, the bracket's doublings), NaN where not yet known; a
+ * lanes still need in one core call.  The memo is the table of the CDF
+ * values at each node of the paths of the p's first MEMO_DEPTH
+ * evaluations, which the p of a batch share (the top of the bisection
+ * tree, the bracket's doublings), NaN where not yet known; a
  * value found is the double the core would return at the node's point, so
  * no output bit depends on it.  Past |t| = sqrt(DBL_MAX), t * t overflows
  * and the Student t CDF saturates, so a Student p outside
@@ -416,7 +416,7 @@ long quantiles(const double *ps, long count, double a, double b, double df,
     Lane lane[LANES];
     double table[1 << MEMO_DEPTH], bounds[2] = {0.0, 1.0}, t[LANES];
     double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)}, f[LANES];
-    int memo = count > 1, busy[LANES] = {0}, used, state, k;
+    int busy[LANES] = {0}, used, state, k;
     long next = 0, stop = count;
 
     if (count == 0)
@@ -426,9 +426,7 @@ long quantiles(const double *ps, long count, double a, double b, double df,
         if (isnan(bounds[0]) || isnan(bounds[1]))
             return 0;
     }
-    if (memo)
-        for (k = 0; k < 1 << MEMO_DEPTH; k++)
-            table[k] = NAN;
+    memset(table, 0xff, sizeof table); /* all bits set: a NaN */
     do {
         used = 0;
         for (k = 0; k < LANES; k++) {
@@ -448,7 +446,7 @@ long quantiles(const double *ps, long count, double a, double b, double df,
                     state = lane_start(&lane[k], ps[next], next, df != 0.0);
                     next++;
                 } else {
-                    if (!memo || lane[k].evals >= MEMO_DEPTH
+                    if (lane[k].evals >= MEMO_DEPTH
                         || isnan(table[lane[k].node]))
                         break;
                     state = lane_step(&lane[k], table[lane[k].node]);
@@ -463,7 +461,7 @@ long quantiles(const double *ps, long count, double a, double b, double df,
         for (k = 0; k < LANES; k++) {
             if (!busy[k])
                 continue;
-            if (memo && lane[k].evals < MEMO_DEPTH)
+            if (lane[k].evals < MEMO_DEPTH)
                 table[lane[k].node] = f[used];
             state = lane_step(&lane[k], f[used++]);
             busy[k] = lane_busy(&lane[k], state, out, &stop);

@@ -13,6 +13,12 @@ the libraries built from other versions.  It raises ImportError when no
 library can be built or loaded; trimq.backend then falls back to the
 reference.
 
+The table _ENTRIES declares each entry point of the library once, its
+return type and its parameters' types; _open types the library from it and
+the wrappers call the entry points on that one object, _lib.  Every buffer
+crosses as a c_void_p: the address of an array('d') or array('l'), which
+the C code reads or writes, or the bytes of one, which it only reads.
+
 Every entry point returns the doubles of its namesake in the reference.
 Where the C code gives a case back (a fraction that does not converge, an
 exp(front) that overflows, a bracket end past the largest double, a Student
@@ -43,10 +49,7 @@ from . import _kernels_py as _py
 from ._kernels_py import (_M64, _log_norm, beta_pdf, log_beta, log_gamma,
                           mix_seed, stream_uniforms)
 
-__all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
-           "log_gamma", "mix_seed", "parse_floats", "piece_errors",
-           "reg_inc_beta", "sort_floats", "stream_uniforms",
-           "student_quantiles", "weight_window"]
+__all__ = _py.__all__
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernels_c.c")
@@ -130,41 +133,37 @@ def _check_whole(path):
         raise OSError("%s is truncated: %d of %d bytes" % (path, size, end))
 
 
+_double, _long, _buffer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
+
+# each entry point of the library: its return type, then its parameters'
+_ENTRIES = {
+    "reg_inc_beta": (_double, (_double, _double, _double, _double, _long)),
+    "quantiles": (_long, (_buffer, _long, _double, _double, _double, _double,
+                          _long, _buffer)),
+    "weight_window": (_long, (_long, _long, _long, _double, _double, _double,
+                              _double, _double, _double, _double, _long,
+                              _buffer, _buffer)),
+    "batch_uniforms": (None, (ctypes.c_uint64, ctypes.c_uint64,
+                              ctypes.c_uint64, _long, _long, _buffer)),
+    "piece_errors": (ctypes.c_int, (_buffer, _long, _long, _double, _long,
+                                    _buffer, _buffer, _buffer, _buffer)),
+    "sort_floats": (ctypes.c_int, (_buffer, _long)),
+    "parse_floats": (_long, (_buffer, _long, _buffer)),
+}
+
+
 def _open(path):
     """The library at `path`, its entry points typed; OSError when it is
     missing, damaged or lacks them."""
     _check_whole(path)
     lib = ctypes.CDLL(path)
     try:
-        scalar = lib.reg_inc_beta
-        batch = lib.quantiles
-        window = lib.weight_window
-        uniforms = lib.batch_uniforms
-        errors = lib.piece_errors
-        sort, parse = lib.sort_floats, lib.parse_floats
+        for name, (restype, argtypes) in _ENTRIES.items():
+            entry = getattr(lib, name)
+            entry.restype, entry.argtypes = restype, argtypes
     except AttributeError as exc:
         raise OSError("%s is not this library: %s" % (path, exc)) from None
-    double, long, u64 = ctypes.c_double, ctypes.c_long, ctypes.c_uint64
-    vector = ctypes.POINTER(double)
-    scalar.argtypes = (double, double, double, double, long)
-    scalar.restype = double
-    batch.argtypes = (vector, long, double, double, double, double, long,
-                      vector)
-    window.argtypes = (long, long, long, double, double, double, double,
-                       double, double, double, long, vector,
-                       ctypes.POINTER(long))
-    batch.restype = window.restype = long
-    uniforms.argtypes = (u64, u64, u64, long, long, vector)
-    uniforms.restype = None
-    longs = ctypes.POINTER(long)
-    errors.argtypes = (ctypes.c_char_p, long, long, double, long, longs,
-                       longs, vector, ctypes.c_void_p)
-    errors.restype = ctypes.c_int
-    sort.argtypes = (ctypes.c_void_p, long)
-    sort.restype = ctypes.c_int
-    parse.argtypes = (ctypes.c_char_p, long, ctypes.c_void_p)
-    parse.restype = long
-    return scalar, batch, window, uniforms, errors, sort, parse
+    return lib
 
 
 def _load():
@@ -181,19 +180,15 @@ def _load():
                           % (_SOURCE, exc)) from exc
 
 
-(_c_reg_inc_beta, _c_quantiles, _c_weight_window, _c_batch_uniforms,
- _c_piece_errors, _c_sort_floats, _c_parse_floats) = _load()
-_c_doubles = ctypes.c_double
-_c_longs = ctypes.c_long
+_lib = _load()
 _ZERO = array("d", (0.0,))
-_c_support = ctypes.c_long * 2
 
 
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b) for x in [0, 1], with the
     iteration cap of the reference, _kernels_py._MAX_ITER, read at call
     time."""
-    y = _c_reg_inc_beta(x, a, b, _log_norm(a, b), _py._MAX_ITER)
+    y = _lib.reg_inc_beta(x, a, b, _log_norm(a, b), _py._MAX_ITER)
     if y != y:  # NaN: the C code gives the case back
         return _py.reg_inc_beta(x, a, b)
     return y
@@ -205,12 +200,13 @@ def _quantiles(ps, a, b, df, reference, *params):
     reference(rest, *params) inverts the rest, from the first p that the
     C code gives back."""
     count = len(ps)
-    buf = (_c_doubles * count)(*ps)  # read and overwritten in place
-    done = _c_quantiles(buf, count, a, b, df, _log_norm(a, b), _py._MAX_ITER,
-                        buf)
+    buf = array("d", ps)  # read and overwritten in place
+    at = buf.buffer_info()[0]
+    done = _lib.quantiles(at, count, a, b, df, _log_norm(a, b), _py._MAX_ITER,
+                          at)
     if done < count:
-        return buf[:done] + reference(ps[done:], *params)
-    return buf[:]
+        return buf[:done].tolist() + reference(ps[done:], *params)
+    return buf.tolist()
 
 
 def beta_quantiles(ps, a, b):
@@ -229,18 +225,18 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
     """The weight window of order statistics i_lo + 1 .. i_hi of a sample
     of n, with its 1-based support, in one C call over a buffer as long as
     the window."""
-    buf = (_c_doubles * (i_hi - i_lo))()
-    support = _c_support()
-    stop = _c_weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower,
-                            denom, _log_norm(a, b), _py._MAX_ITER, buf,
-                            support)
+    buf = _ZERO * (i_hi - i_lo)
+    support = array("l", (0, 0))
+    stop = _lib.weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower,
+                              denom, _log_norm(a, b), _py._MAX_ITER,
+                              buf.buffer_info()[0], support.buffer_info()[0])
     if stop <= i_hi:
         # every index before stop converged in C as in the reference, whose
         # loop raises at stop; the whole window only if it does not
         _py.reg_inc_beta(stop / n, a, b)
         return _py.weight_window(n, i_lo, i_hi, a, b, lower, upper,
                                  cdf_lower, denom)
-    return buf[:], support[0], support[1]
+    return buf.tolist(), support[0], support[1]
 
 
 def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
@@ -251,9 +247,10 @@ def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
     if first < 0 or first + count > _M64 + 1:
         return _py.batch_uniforms(seed_mix, batch_hash, first, count,
                                   per_sample)
-    buf = (_c_doubles * (count * per_sample))()
-    _c_batch_uniforms(seed_mix, batch_hash, first, count, per_sample, buf)
-    return buf[:]
+    buf = _ZERO * (count * per_sample)
+    _lib.batch_uniforms(seed_mix, batch_hash, first, count, per_sample,
+                        buf.buffer_info()[0])
+    return buf.tolist()
 
 
 def piece_errors(values, n, theta, scorers):
@@ -263,9 +260,9 @@ def piece_errors(values, n, theta, scorers):
     count, rest = divmod(len(values), n)
     if rest:  # a short last sample, as the reference slices it
         return _py.piece_errors(values, n, theta, scorers)
-    at = []
-    width = []
-    coef = []
+    at = array("l")
+    width = array("l")
+    coef = array("d")
     for scorer in scorers:
         if callable(scorer):
             return _py.piece_errors(values, n, theta, scorers)
@@ -273,17 +270,16 @@ def piece_errors(values, n, theta, scorers):
         at.append(start)
         if isinstance(c, tuple):
             width.append(len(c))
-            coef += c
+            coef.extend(c)
         else:
             width.append(-1)
             coef.append(c)
     k = len(at)
     out = _ZERO * (k * count)
     # struct packs a list of floats several times faster than array does
-    if _c_piece_errors(_pack("%dd" % len(values), *values), count, n, theta,
-                       k, (_c_longs * k)(*at), (_c_longs * k)(*width),
-                       (_c_doubles * len(coef))(*coef),
-                       out.buffer_info()[0]):
+    if _lib.piece_errors(_pack("%dd" % len(values), *values), count, n,
+                         theta, k, at.buffer_info()[0], width.buffer_info()[0],
+                         coef.buffer_info()[0], out.buffer_info()[0]):
         return _py.piece_errors(values, n, theta, scorers)
     return [out[i * count:(i + 1) * count].tolist() for i in range(k)]
 
@@ -292,7 +288,7 @@ def sort_floats(xs):
     """Sort the array('d') `xs` in place, equal values keeping their order,
     in one C call; a NaN among them, or an array of another type, hands
     the call to the reference."""
-    if xs.typecode != "d" or _c_sort_floats(xs.buffer_info()[0], len(xs)):
+    if xs.typecode != "d" or _lib.sort_floats(xs.buffer_info()[0], len(xs)):
         _py.sort_floats(xs)
 
 
@@ -302,9 +298,9 @@ def parse_floats(data):
     converts them; anything but plain ASCII decimal numbers that are
     finite hands the call to the reference, which returns or raises what
     it does."""
-    count = _c_parse_floats(data, len(data), None)
+    count = _lib.parse_floats(data, len(data), None)
     if count >= 0:
         out = _ZERO * count
-        if _c_parse_floats(data, len(data), out.buffer_info()[0]) == count:
+        if _lib.parse_floats(data, len(data), out.buffer_info()[0]) == count:
             return out
     return _py.parse_floats(data)

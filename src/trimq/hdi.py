@@ -47,7 +47,8 @@ class HdiInterval:
 
 def _shape_case(a, b):
     """(case, mode) of Beta(a, b) before any width applies.  The case comes
-    from the shapes alone: at a ~ 1e7, b just above 1 a MIDDLE mode is 1.0."""
+    from the shapes alone: at a ~ 1e7, b just above 1 a MIDDLE mode is 1.0,
+    and at a ~ 1e16 its quotient can round above 1, so it is clamped."""
     if a < 1.0 + _EPS and b < 1.0 + _EPS:
         return HdiCase.DEGENERATE, None
     if a < 1.0 + _EPS:
@@ -56,7 +57,8 @@ def _shape_case(a, b):
         return HdiCase.RIGHT_BORDER, 1.0
     # halved, which is exact for shapes above 1, so that a + b cannot
     # overflow
-    return HdiCase.MIDDLE, (0.5 * a - 0.5) / (0.5 * a + 0.5 * b - 1.0)
+    return HdiCase.MIDDLE, min(1.0,
+                               (0.5 * a - 0.5) / (0.5 * a + 0.5 * b - 1.0))
 
 
 def beta_mode(params):
@@ -83,6 +85,8 @@ def _middle_lower(a, b, width, mode):
 
     lo = max(0.0, mode - width)
     hi = min(mode, 1.0 - width)
+    if lo == hi:  # the only feasible lower end, whatever the gap's signs
+        return lo
     g_lo = gap(lo)
     g_hi = gap(hi)
     if (g_lo > 0.0 and g_hi > 0.0) or (g_lo < 0.0 and g_hi < 0.0):

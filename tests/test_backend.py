@@ -1,8 +1,10 @@
+import ctypes
 import glob
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -155,6 +157,37 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert out.stat().st_size > 0
 
 
+# the C types of the entry points' returns and parameters, as ctypes names
+# them; a pointer parameter crosses as a c_void_p
+_CTYPES = {"double": ctypes.c_double, "long": ctypes.c_long,
+           "int": ctypes.c_int, "uint64_t": ctypes.c_uint64, "void": None}
+
+
+def test_entry_table_matches_the_c_definitions():
+    # an entry point missing from the table would be called with ctypes'
+    # default int types, silently; so every function the C file exports is
+    # in the table, with its return type and one type per parameter
+    from trimq import _kernels_c
+
+    with open(SOURCE) as fh:
+        source = fh.read()
+    found = re.findall(r"^([A-Za-z_][^;{}()]*?)(\w+)\(([^)]*)\)\n\{",
+                       source, re.M)
+    assert len(found) == source.count("\n{")  # every definition is read
+    exported = {name: (head.split(), params.split(","))
+                for head, name, params in found
+                if "static" not in head.split()}
+    assert sorted(exported) == sorted(_kernels_c._ENTRIES)
+    for name, (restype, argtypes) in _kernels_c._ENTRIES.items():
+        (declared,), params = exported[name]
+        assert restype is _CTYPES[declared], name
+        assert len(argtypes) == len(params), name
+        for argtype, param in zip(argtypes, params):
+            want = (ctypes.c_void_p if "*" in param
+                    else _CTYPES[param.split()[0]])
+            assert argtype is want, (name, param)
+
+
 def test_library_build_keeps_every_rounding():
     # each operation must round as Python's does: no fused multiply-add,
     # no reassociation
@@ -236,7 +269,7 @@ def test_no_compiler_estimates_the_same_quantiles(tmp_path):
 
 # the C reflected branch at (x, a, b) = (0.9, 2, 4), read past the wrapper
 RAW = ("import trimq._kernels_c as k\n"
-       "print(repr(k._c_reg_inc_beta(0.9, 2.0, 4.0, k._log_norm(2.0, 4.0), "
+       "print(repr(k._lib.reg_inc_beta(0.9, 2.0, 4.0, k._log_norm(2.0, 4.0), "
        "300)))\n")
 
 

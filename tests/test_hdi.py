@@ -151,3 +151,23 @@ def test_no_warning_on_normal_middle_solve():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         beta_hdi(BetaParams(5.5, 5.5), 0.3162278)
+
+
+def test_mode_above_one_is_clamped():
+    # at a ~ 2e16 and b just above 1, the mode's quotient rounds to
+    # 1 + 2**-52, past which the bracket is empty
+    params = BetaParams(2.3240640591461596e16, 1.0000018405430644)
+    assert beta_mode(params) == 1.0
+    hdi = beta_hdi(params, 0.01)
+    assert (hdi.lower, hdi.upper, hdi.case) == (0.99, 1.0, HdiCase.MIDDLE)
+
+
+def test_collapsed_bracket_returns_its_point_without_warning():
+    # mode 1.0, so the bracket [mode - width, 1 - width] is one point, the
+    # only feasible lower end: no sign test, no same-sign fallback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hdi = beta_hdi(BetaParams(1888052316.1761737, 1.0000000011989874),
+                       6.426524210745173e-09)
+    assert hdi.case is HdiCase.MIDDLE
+    assert (hdi.lower, hdi.upper) == (0.9999999935734758, 1.0)

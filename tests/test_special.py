@@ -296,8 +296,8 @@ def _c_incomplete_beta(x, a, b):
     case it gives back raises ArithmeticError."""
     from trimq import _kernels_c, _kernels_py
 
-    y = _kernels_c._c_reg_inc_beta(x, a, b, _kernels_c._log_norm(a, b),
-                                   _kernels_py._MAX_ITER)
+    y = _kernels_c._lib.reg_inc_beta(x, a, b, _kernels_c._log_norm(a, b),
+                                     _kernels_py._MAX_ITER)
     if math.isnan(y):
         raise ArithmeticError("given back")
     return y
