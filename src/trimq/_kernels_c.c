@@ -16,10 +16,14 @@
  * (_hf7) and the weighted sum (_weighted_sum), its math.fsum a port of
  * CPython 3.11's, and a stable sort in place of sorted(), which sort_floats
  * exports on its own, and parse_floats, whose strtod rounds correctly as
- * float() does.  Each does the same operations in the same order, so that,
- * built with -ffp-contract=off and linked against the libm behind Python's
- * math module, it returns the same doubles; the uniforms are 64-bit integer
- * work and the reference's two floating-point steps.
+ * float() does.  Each but quantiles does the same operations in the same
+ * order, so that, built with -ffp-contract=off and linked against the libm
+ * behind Python's math module, it returns the same doubles; the uniforms
+ * are 64-bit integer work and the reference's two floating-point steps.
+ * quantiles keeps the same bits, not the same statements: it takes the
+ * reference's midpoints to the same outcomes cdf(mid) < p, and so to the
+ * same quantile, but decides the outcomes a certificate covers without
+ * evaluating the CDF there.
  *
  * The incomplete beta has one implementation, a lane core that evaluates
  * it at up to LANES points at once, each lane running the reference's
@@ -32,6 +36,27 @@
  * the p of a batch share, indexed by the lane's path, the outcomes of its
  * comparisons so far, which fix the point, so that a value found there is
  * the double the core would return.
+ *
+ * Past those evaluations a bisecting lane tries once to certify a band
+ * around its quantile: a regula falsi point in its bracket, up to three
+ * Newton steps, then the CDF values at the band's two ends, which must
+ * stay a margin m from p, m being at least twice a stated bound on the
+ * core's error there.  That bound is relative, rho |F - alpha| plus the
+ * rounding of 1 - T, alpha being the 0, 1/2 or 1 that the computed CDF
+ * takes its tail from, so in the tails it shrinks with min(p, 1 - p); rho
+ * sums the Lentz tolerance CF_TOL, the cancellation and rounding of the
+ * Lentz recurrence (which grow with a + b and with the number of terms)
+ * and the rounding of exp's argument, which grows with |log_norm| + |a log
+ * x| + |b log1p(-x)|: see curve_init.  Every midpoint below the band then
+ * compares f < p and every one above it f >= p, as its CDF value would.
+ * A lane does not try, and bisects as the reference does, where the bound
+ * is not stated: when the fraction's term count at its switch point, with
+ * headroom, passes max_iter, when the bracket crosses the fraction's
+ * switch or t = 0, has an end at 0 or 1, or when rho passes 2**-30; a
+ * certificate value inside the margin, or a NaN, ends the try the same
+ * way.  Built with -DCHECK_CERTIFIED, as the tests build it, quantiles
+ * also evaluates every midpoint it decides and aborts if the value
+ * disagrees, and counts the certificates taken and failed.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
@@ -51,7 +76,8 @@
  *
  * No state outlives a call: the inversions' memo lives on the stack of
  * its call, and the sort and scoring buffers are allocated and freed by
- * the call that uses them, so threads may call every entry point at once.
+ * the call that uses them, so threads may call every entry point at once
+ * (all but the counters of a CHECK_CERTIFIED build).
  */
 
 #include <float.h>
@@ -86,10 +112,12 @@
  * m (b' - m) x' / ((a' - 1 + 2m)(a' + 2m)), then
  * -(a' + m)(a' + b' + m) x' / ((a' + 2m)(a' + 1 + 2m)).  NaN asks the
  * caller to use the reference: a fraction that does not converge within
- * max_iter terms, or an exp(front) that is not finite.
+ * max_iter terms, or an exp(front) that is not finite.  terms[k], unless
+ * terms is NULL, gets the number of terms of fraction k where it converges.
  */
 static void inc_beta_lanes(int count, const double *x, double a, double b,
-                           double log_norm, long max_iter, double *out)
+                           double log_norm, long max_iter, double *out,
+                           int *terms)
 {
     double fa[LANES], fb[LANES], fx[LANES], qab[LANES], qap[LANES];
     double qam[LANES], scale[LANES], c[LANES], d[LANES], h[LANES];
@@ -156,6 +184,8 @@ static void inc_beta_lanes(int count, const double *x, double a, double b,
             if (-CF_TOL < delta - 1.0 && delta - 1.0 < CF_TOL) {
                 out[k] = upper >> k & 1u ? 1.0 - scale[k] * h[k] / fa[k]
                                          : scale[k] * h[k] / fa[k];
+                if (terms != NULL)
+                    terms[k] = (int)i;
                 todo &= ~(1u << k);
             }
         }
@@ -171,7 +201,7 @@ double reg_inc_beta(double x, double a, double b, double log_norm,
 {
     double y;
 
-    inc_beta_lanes(1, &x, a, b, log_norm, max_iter, &y);
+    inc_beta_lanes(1, &x, a, b, log_norm, max_iter, &y, NULL);
     return y;
 }
 
@@ -205,7 +235,7 @@ long weight_window(long n, long i_lo, long i_hi, double a, double b,
             if (!(x[k] <= lower) && !(x[k] >= upper))
                 inside[used++] = x[k];
         }
-        inc_beta_lanes(used, inside, a, b, log_norm, max_iter, inc);
+        inc_beta_lanes(used, inside, a, b, log_norm, max_iter, inc, NULL);
         used = 0;
         for (k = 0; k < width; k++) {
             i = base + k;
@@ -241,6 +271,110 @@ long weight_window(long n, long i_lo, long i_hi, double a, double b,
 }
 
 /*
+ * What a batch inversion inverts: the CDF of the Beta(a, b) when df is 0,
+ * or else of the Student t at df degrees of freedom (a = df / 2, b = 1 / 2),
+ * log_norm being that of the shape pair (a, b).  The core's fraction is
+ * that of (a, b, x) below `split` and of (b, a, 1 - x) from it on, x being
+ * the point itself for the Beta and df / (df + t^2) for the Student t.
+ * `rho` is the part of the bound on the core's relative error that holds at
+ * every point (certify_start adds the part that grows with the point); 0
+ * when no lane of the call certifies.
+ */
+typedef struct {
+    double a, b, df, log_norm, split, rho;
+    long max_iter;
+} Curve;
+
+/*
+ * The CDF values f[k] at the count <= LANES points t[k], in one core call:
+ * I_t(a, b) when df is 0, or else the Student t CDF at df degrees of
+ * freedom of _kernels_py.student_quantiles, the tail beyond |t| being
+ * I_{df / (df + t^2)}(a, b) / 2.
+ */
+static void cdf_lanes(int count, const double *t, const Curve *c, double *f)
+{
+    double x[LANES] = {0.0}, tail; /* set whole: only x[0 .. count) is read */
+    int k;
+
+    if (c->df == 0.0) {
+        inc_beta_lanes(count, t, c->a, c->b, c->log_norm, c->max_iter, f,
+                       NULL);
+        return;
+    }
+    for (k = 0; k < count; k++)
+        x[k] = c->df / (c->df + t[k] * t[k]);
+    inc_beta_lanes(count, x, c->a, c->b, c->log_norm, c->max_iter, f, NULL);
+    for (k = 0; k < count; k++) {
+        tail = 0.5 * f[k];
+        f[k] = t[k] >= 0.0 ? 1.0 - tail : tail;
+    }
+}
+
+/* the unit roundoff, 2**-53 */
+#define UNIT 0x1p-53
+
+/* the largest relative error bound under which a lane certifies */
+#define RHO_MAX 0x1p-30
+
+/*
+ * The curve of a batch inversion, with the part of its error bound that
+ * holds at every point.  On each piece of the computed CDF (cdf_piece) the
+ * core returns F~ = alpha + beta T~ + r: alpha is 0, 1/2 or 1, beta is +-1
+ * or +-1/2, T~ = scale h / a' is the fraction's tail, and r, the rounding of
+ * 1 - T~ and of the Student's halves, is at most UNIT (2**-1000 where alpha
+ * is 0: a subnormal tail).  Against T' = c T(x), with T the exact tail at
+ * the double x the core is given and c the exponential of log_norm's
+ * rounding, common to every point and so keeping T' monotone, |T~ / T' - 1|
+ * <= rho with
+ *
+ *   rho = 4 CF_TOL + UNIT (N^2 + 8 (a + b) + 24) + 5 UNIT S.
+ *
+ * 4 CF_TOL bounds the fraction's tail past its stopping term (2.3 CF_TOL
+ * at most, measured against mpmath).  8 UNIT (a + b + 2) bounds the
+ * cancellation in the Lentz denominators next to the switch, where the
+ * first, 1 - (a + b) x / (a + 1), is 2 / (a + b + 2), and the rounding of
+ * the 1 - x handed to the fraction of (b, a, 1 - x) (2.2 UNIT (a + b) at
+ * most, measured, at Student df = 1e6 and Beta(0.5, 5e5)).  UNIT N^2 bounds
+ * the rounding that piles up over the n terms of a point (2.6 UNIT n^2 at
+ * most, measured, at Student df = 1e4; N below is at least 2n), and 8 UNIT
+ * exp, the product and the quotient.  5 UNIT S bounds the rounding of
+ * exp's argument, S = |log_norm| + |a log x| + |b log1p(-x)|, log and
+ * log1p within an ulp; certify_start adds it for the lane's bracket.  For
+ * the Student t, x = df / (df + t^2) rounds monotonically in |t|, so
+ * T'(x(t)) stays monotone on either side of t = 0 and needs no margin.
+ *
+ * N bounds the terms at every point: the fraction converges slowest near
+ * the switch, so N is twice the larger count of its two sides there, plus
+ * 8 (the count peaks up to half again higher a little off the switch at
+ * large shapes).  Where N passes max_iter, or the switch does not
+ * converge, rho is 0 and no lane certifies; otherwise every point of the
+ * curve converges, the midpoints a certificate skips among them.
+ */
+static void curve_init(Curve *c, double a, double b, double df,
+                       double log_norm, long max_iter)
+{
+    double x[2], f[2];
+    int terms[2];
+    double n;
+
+    c->a = a;
+    c->b = b;
+    c->df = df;
+    c->log_norm = log_norm;
+    c->max_iter = max_iter;
+    c->split = (a + 1.0) / (a + b + 2.0);
+    c->rho = 0.0;
+    x[0] = nextafter(c->split, 0.0);
+    x[1] = c->split;
+    inc_beta_lanes(2, x, a, b, log_norm, max_iter, f, terms);
+    if (isnan(f[0]) || isnan(f[1]))
+        return;
+    n = 2.0 * (terms[0] > terms[1] ? terms[0] : terms[1]) + 8.0;
+    if (n <= (double)max_iter)
+        c->rho = 4.0 * CF_TOL + UNIT * (n * n + 8.0 * (a + b) + 24.0);
+}
+
+/*
  * One p of a batch inversion, as a state machine: on the real line (the
  * Student t) each end of [-1, 1] doubles until the bracket holds p, the low
  * end first, then [lo, hi] is bisected, as _kernels_py._invert_unbounded
@@ -250,56 +384,106 @@ long weight_window(long n, long i_lo, long i_hi, double a, double b,
  * is decided by that state and f < p alone, so a lane's points are fixed
  * by its path: `node` is 1 followed by the bits f < p of its first
  * MEMO_DEPTH steps, a node of the binary tree of those outcomes.
+ *
+ * Past those steps, a bisecting lane tries once to certify a band
+ * [below, above] around its quantile (certify_start): every midpoint at or
+ * below `below` then compares f < p, and every one at or above `above` f
+ * >= p, without a CDF value; -inf and inf while none is certified.
  */
 typedef struct {
     double p, lo, hi, at;
+    double flo, fhi;    /* the CDF values at lo and hi */
+    double below, above;
+    double rho, alpha, round; /* the lane's error bound: see margin */
+    const Curve *curve;
     long index;         /* of p in the batch */
-    int phase;          /* LANE_LOW, LANE_HIGH or LANE_BISECT */
+    int phase;          /* LANE_LOW .. LANE_CERT_HIGH */
     int levels;         /* bisection steps taken */
-    int evals;          /* CDF values taken */
+    int evals;          /* CDF values taken by the bisection */
     int node;           /* the path of the first MEMO_DEPTH values */
+    int newton;         /* Newton steps taken */
+    int tried;          /* whether the lane has tried to certify */
 } Lane;
 
-enum { LANE_LOW, LANE_HIGH, LANE_BISECT };
+enum { LANE_LOW, LANE_HIGH, LANE_BISECT, LANE_NEWTON, LANE_CERT_LOW,
+       LANE_CERT_HIGH };
 
 /* what a lane asks for: the CDF value at `at`, nothing (`at` is its
    quantile), or the reference (a NaN CDF value, or an end past the largest
    double) */
 enum { LANE_NEEDS, LANE_DONE, LANE_GIVES_BACK };
 
+#ifdef CHECK_CERTIFIED
+/* the test build: lanes that took a certificate, and lanes that tried and
+   did not */
+long certified_taken, certified_failed;
+
+/* abort unless the core's value at mid compares as the certificate says */
+static void check_skipped(const Lane *lane, double mid, int below)
+{
+    double f;
+
+    cdf_lanes(1, &mid, lane->curve, &f);
+    if (isnan(f) || (f < lane->p) != below)
+        abort();
+}
+#endif
+
 /*
- * The lane's next bisection midpoint, for cdf(lo) < p <= cdf(hi), or its
- * quantile where the bisection stops.  A midpoint whose sum overflows,
- * between ends near the largest double, is taken from the halves.
+ * The lane's next bisection midpoint that needs a CDF value, for cdf(lo)
+ * < p <= cdf(hi), or its quantile where the bisection stops.  A midpoint
+ * in the certified tails moves lo or hi as its value would.  A midpoint
+ * whose sum overflows, between ends near the largest double, is taken from
+ * the halves.
  */
 static inline int bisect_next(Lane *lane)
 {
-    double lo = lane->lo, hi = lane->hi, mid;
+    double lo, hi, mid;
 
-    if (lane->levels == BISECT_LEVELS) {
-        lane->at = 0.5 * (lo + hi);
-        return LANE_DONE;
+    for (;; lane->levels++) {
+        lo = lane->lo;
+        hi = lane->hi;
+        if (lane->levels == BISECT_LEVELS) {
+            lane->at = 0.5 * (lo + hi);
+            return LANE_DONE;
+        }
+        mid = 0.5 * (lo + hi);
+        if (isinf(mid))
+            mid = 0.5 * lo + 0.5 * hi;
+        lane->at = mid;
+        if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
+            || mid >= hi)
+            return LANE_DONE;
+        if (mid <= lane->below) {
+#ifdef CHECK_CERTIFIED
+            check_skipped(lane, mid, 1);
+#endif
+            lane->lo = mid;
+        } else if (mid >= lane->above) {
+#ifdef CHECK_CERTIFIED
+            check_skipped(lane, mid, 0);
+#endif
+            lane->hi = mid;
+        } else {
+            return LANE_NEEDS;
+        }
     }
-    mid = 0.5 * (lo + hi);
-    if (isinf(mid))
-        mid = 0.5 * lo + 0.5 * hi;
-    lane->at = mid;
-    if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
-        || mid >= hi)
-        return LANE_DONE;
-    return LANE_NEEDS;
 }
 
-/* start the lane on ps[index] = p, on the real line when unbounded, else on
-   [0, 1] */
-static int lane_start(Lane *lane, double p, long index, int unbounded)
+/* start the lane on ps[index] = p, on the real line when the curve's df is
+   not 0, else on [0, 1] */
+static int lane_start(Lane *lane, double p, long index, const Curve *curve)
 {
     lane->p = p;
     lane->index = index;
-    lane->levels = lane->evals = 0;
+    lane->curve = curve;
+    lane->levels = lane->evals = lane->tried = 0;
     lane->node = 1;
-    lane->hi = 1.0;
-    if (unbounded) {
+    lane->hi = lane->fhi = 1.0;
+    lane->flo = 0.0;
+    lane->below = -INFINITY;
+    lane->above = INFINITY;
+    if (curve->df != 0.0) {
         lane->phase = LANE_LOW;
         lane->at = lane->lo = -1.0;
         return LANE_NEEDS;
@@ -309,11 +493,168 @@ static int lane_start(Lane *lane, double p, long index, int unbounded)
     return bisect_next(lane);
 }
 
+/*
+ * The margin that a CDF value v of the lane keeps from p to certify a
+ * side.  On a piece where alpha + beta T' is monotone, a midpoint at or
+ * below a point L of value v < p compares f < p when p - v > 2 rho' (|v -
+ * alpha| + round) + 2 round, rho' = rho / (1 - rho): its value is at most
+ * L's true value plus its own error, and its error is bounded by L's, T'
+ * being monotone.  Likewise above a point U of value v >= p.  The margin,
+ * 2.5 rho |v - alpha| + 3 round, is twice the bound on the core's error at
+ * v, rho |v - alpha| + round, with room for rho' and for the rounding of p
+ * - v and of the margin itself.
+ */
+static double margin(const Lane *lane, double v)
+{
+    return 2.5 * lane->rho * fabs(v - lane->alpha) + 3.0 * lane->round;
+}
+
+/* which piece of the computed CDF the point t lies on: the fraction's side
+   of the switch, and for the Student t the sign of t; *x gets the core's
+   point */
+static int cdf_piece(const Curve *c, double t, double *x)
+{
+    *x = c->df == 0.0 ? t : c->df / (c->df + t * t);
+    return 2 * (t >= 0.0) + (*x < c->split);
+}
+
+/* the density at t, and in *slope the derivative of its logarithm */
+static double density(const Curve *c, double t, double *slope)
+{
+    if (c->df == 0.0) {
+        *slope = (c->a - 1.0) / t - (c->b - 1.0) / (1.0 - t);
+        return exp(c->log_norm + (c->a - 1.0) * log(t)
+                   + (c->b - 1.0) * log1p(-t));
+    }
+    *slope = -2.0 * (c->a + c->b) * t / (c->df + t * t);
+    return exp(c->log_norm - 0.5 * log(c->df)
+               - (c->a + c->b) * log1p(t * t / c->df));
+}
+
+/* the lane goes on bisecting, with the band it certified or with none */
+static int certify_end(Lane *lane, int taken)
+{
+    if (!taken) {
+        lane->below = -INFINITY;
+        lane->above = INFINITY;
+    }
+#ifdef CHECK_CERTIFIED
+    if (taken)
+        certified_taken++;
+    else
+        certified_failed++;
+#endif
+    lane->phase = LANE_BISECT;
+    return bisect_next(lane);
+}
+
+/*
+ * Try to certify a band around the lane's quantile.  The bracket [lo, hi]
+ * must lie on one piece of the computed CDF (cdf_piece), so that every
+ * midpoint and both points certified share one alpha + beta T~ + r.  The
+ * lane's rho is the curve's plus the terms of its bracket, S at its
+ * largest over it; where S is not finite (an end at 0 or 1, at t = 0, or far
+ * enough out that x is 0) or rho passes RHO_MAX, the lane does not try.  A
+ * regula falsi point between the ends starts up to NEWTON_STEPS Newton
+ * steps, each one CDF value.
+ */
+static int certify_start(Lane *lane)
+{
+    const Curve *c = lane->curve;
+    double xlo, xhi, s, x0;
+    int piece = cdf_piece(c, lane->lo, &xlo);
+
+    lane->tried = 1;
+    if (c->rho == 0.0 || piece != cdf_piece(c, lane->hi, &xhi))
+        return certify_end(lane, 0);
+    s = fabs(c->log_norm) + c->a * fmax(fabs(log(xlo)), fabs(log(xhi)))
+        + c->b * fmax(fabs(log1p(-xlo)), fabs(log1p(-xhi)));
+    lane->rho = c->rho + 5.0 * UNIT * s;
+    if (!(lane->rho <= RHO_MAX))
+        return certify_end(lane, 0);
+    /* the anchor: the tail of the fraction's side, then for the Student t
+       its half on either side of t = 0 */
+    if (c->df == 0.0)
+        lane->alpha = piece & 1 ? 0.0 : 1.0;
+    else
+        lane->alpha = !(piece & 1) ? 0.5 : piece & 2 ? 1.0 : 0.0;
+    /* 1 - T~ rounds by half an ulp of 1; a tail alone only when subnormal */
+    lane->round = lane->alpha == 0.0 ? 0x1p-1000 : UNIT;
+    x0 = lane->lo + (lane->p - lane->flo)
+                    * ((lane->hi - lane->lo) / (lane->fhi - lane->flo));
+    if (lane->lo < x0 && x0 < lane->hi)
+        lane->at = x0;  /* else the pending midpoint */
+    lane->newton = 0;
+    lane->phase = LANE_NEWTON;
+    return LANE_NEEDS;
+}
+
+/* the Newton steps that refine a certifying lane's estimate */
+#define NEWTON_STEPS 3
+
+/*
+ * One step of a certifying lane, given f = the CDF value at its point.
+ * After each Newton step the estimate's error is about slope step^2 / 2;
+ * once that is well inside the band, or after NEWTON_STEPS, the band is
+ * the estimate +- delta, delta = 2 margin(p) / density, and the lane
+ * evaluates its low end, then its high end.  A NaN value, a step out of
+ * the bracket or a value inside the margin ends the try uncertified.
+ */
+static int certify_step(Lane *lane, double f)
+{
+    double pdf, slope, step, delta;
+
+    if (isnan(f))
+        return certify_end(lane, 0);
+    switch (lane->phase) {
+    case LANE_NEWTON:
+        pdf = density(lane->curve, lane->at, &slope);
+        if (!(pdf > 0.0 && pdf < INFINITY))
+            return certify_end(lane, 0);
+        step = (f - lane->p) / pdf;
+        delta = 2.0 * margin(lane, lane->p) / pdf;
+        lane->at -= step;
+        if (!(lane->lo < lane->at && lane->at < lane->hi))
+            return certify_end(lane, 0);
+        if (++lane->newton < NEWTON_STEPS
+            && !(fabs(slope) * step * step <= 0.125 * delta))
+            return LANE_NEEDS;
+        lane->below = lane->at - delta;
+        lane->above = lane->at + delta;
+        if (!(lane->lo < lane->below && lane->above < lane->hi))
+            return certify_end(lane, 0);
+        lane->at = lane->below;
+        lane->phase = LANE_CERT_LOW;
+        return LANE_NEEDS;
+    case LANE_CERT_LOW:
+        if (!(lane->p - f > margin(lane, f)))
+            return certify_end(lane, 0);
+        lane->at = lane->above;
+        lane->phase = LANE_CERT_HIGH;
+        return LANE_NEEDS;
+    default:
+        return certify_end(lane, f - lane->p >= margin(lane, f));
+    }
+}
+
+/* the next bisection midpoint, once per lane past the memo's steps trying
+   to certify first */
+static int bisect_or_certify(Lane *lane)
+{
+    int state = bisect_next(lane);
+
+    if (state == LANE_NEEDS && !lane->tried && lane->evals >= MEMO_DEPTH)
+        return certify_start(lane);
+    return state;
+}
+
 /* one step of the lane, given f = the CDF value at its point.  An end
    whose next doubling would be infinite takes the largest double instead,
    once; past it the lane gives p back. */
 static inline int lane_step(Lane *lane, double f)
 {
+    if (lane->phase > LANE_BISECT)
+        return certify_step(lane, f);
     if (isnan(f))
         return LANE_GIVES_BACK;
     if (lane->evals++ < MEMO_DEPTH)
@@ -321,6 +662,7 @@ static inline int lane_step(Lane *lane, double f)
     switch (lane->phase) {
     case LANE_LOW:
         if (f < lane->p) {
+            lane->flo = f;
             lane->phase = LANE_HIGH;
             lane->at = lane->hi;
             return LANE_NEEDS;
@@ -334,8 +676,9 @@ static inline int lane_step(Lane *lane, double f)
         return LANE_NEEDS;
     case LANE_HIGH:
         if (f >= lane->p) {
+            lane->fhi = f;
             lane->phase = LANE_BISECT;
-            return bisect_next(lane);
+            return bisect_or_certify(lane);
         }
         if (lane->hi == DBL_MAX)
             return LANE_GIVES_BACK;
@@ -345,12 +688,15 @@ static inline int lane_step(Lane *lane, double f)
         lane->at = lane->hi;
         return LANE_NEEDS;
     default:
-        if (f < lane->p)
+        if (f < lane->p) {
             lane->lo = lane->at;
-        else
+            lane->flo = f;
+        } else {
             lane->hi = lane->at;
+            lane->fhi = f;
+        }
         lane->levels++;
-        return bisect_next(lane);
+        return bisect_or_certify(lane);
     }
 }
 
@@ -367,31 +713,6 @@ static int lane_busy(const Lane *lane, int state, double *out, long *stop)
 }
 
 /*
- * The CDF values f[k] at the count <= LANES points t[k], in one core call:
- * I_t(a, b) when df is 0, or else the Student t CDF at df degrees of
- * freedom of _kernels_py.student_quantiles (a = df / 2, b = 1 / 2), the
- * tail beyond |t| being I_{df / (df + t^2)}(a, b) / 2.
- */
-static void cdf_lanes(int count, const double *t, double df, double a,
-                      double b, double log_norm, long max_iter, double *f)
-{
-    double x[LANES], tail;
-    int k;
-
-    if (df == 0.0) {
-        inc_beta_lanes(count, t, a, b, log_norm, max_iter, f);
-        return;
-    }
-    for (k = 0; k < count; k++)
-        x[k] = df / (df + t[k] * t[k]);
-    inc_beta_lanes(count, x, a, b, log_norm, max_iter, f);
-    for (k = 0; k < count; k++) {
-        tail = 0.5 * f[k];
-        f[k] = t[k] >= 0.0 ? 1.0 - tail : tail;
-    }
-}
-
-/*
  * out[i] = the quantile of ps[i] for i < count, ps and out possibly the
  * same buffer: of the Beta(a, b) when df is 0, or else of the Student t at
  * df degrees of freedom, with a = df / 2, b = 1 / 2.  log_norm is that of
@@ -403,16 +724,22 @@ static void cdf_lanes(int count, const double *t, double df, double a,
  * evaluations, which the p of a batch share (the top of the bisection
  * tree, the bracket's doublings), NaN where not yet known; a
  * value found is the double the core would return at the node's point, so
- * no output bit depends on it.  Past |t| = sqrt(DBL_MAX), t * t overflows
- * and the Student t CDF saturates, so a Student p outside
- * [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back, as is every p when
- * those two CDF values are.  Returns count, or the index of the first p
- * given back: the lanes holding lower indices finish, and no p starts
- * after one is given back.
+ * no output bit depends on it.  Past those evaluations a lane certifies
+ * a band around its quantile (certify_start: margins of at least twice the
+ * bound of curve_init on the core's error, skipped where that bound is not
+ * stated), and every midpoint outside the band moves lo or hi as its CDF
+ * value would, without one: the same midpoints, the same outcomes, the
+ * same bits as _kernels_py, from fewer CDF values.  Past
+ * |t| = sqrt(DBL_MAX), t * t overflows and the Student t CDF saturates, so
+ * a Student p outside [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back,
+ * as is every p when those two CDF values are.  Returns count, or the
+ * index of the first p given back: the lanes holding lower indices finish,
+ * and no p starts after one is given back.
  */
 long quantiles(const double *ps, long count, double a, double b, double df,
                double log_norm, long max_iter, double *out)
 {
+    Curve curve;
     Lane lane[LANES];
     double table[1 << MEMO_DEPTH], bounds[2] = {0.0, 1.0}, t[LANES];
     double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)}, f[LANES];
@@ -421,8 +748,9 @@ long quantiles(const double *ps, long count, double a, double b, double df,
 
     if (count == 0)
         return 0;
+    curve_init(&curve, a, b, df, log_norm, max_iter);
     if (df != 0.0) {
-        cdf_lanes(2, roots, df, a, b, log_norm, max_iter, bounds);
+        cdf_lanes(2, roots, &curve, bounds);
         if (isnan(bounds[0]) || isnan(bounds[1]))
             return 0;
     }
@@ -443,7 +771,7 @@ long quantiles(const double *ps, long count, double a, double b, double df,
                         stop = next;
                         break;
                     }
-                    state = lane_start(&lane[k], ps[next], next, df != 0.0);
+                    state = lane_start(&lane[k], ps[next], next, &curve);
                     next++;
                 } else {
                     if (lane[k].evals >= MEMO_DEPTH
@@ -456,7 +784,7 @@ long quantiles(const double *ps, long count, double a, double b, double df,
             if (busy[k])
                 t[used++] = lane[k].at;
         }
-        cdf_lanes(used, t, df, a, b, log_norm, max_iter, f);
+        cdf_lanes(used, t, &curve, f);
         used = 0;
         for (k = 0; k < LANES; k++) {
             if (!busy[k])

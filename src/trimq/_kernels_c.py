@@ -19,8 +19,20 @@ the wrappers call the entry points on that one object, _lib.  Every buffer
 crosses as a c_void_p: the address of an array('d') or array('l'), which
 the C code reads or writes, or the bytes of one, which it only reads.
 
-Every entry point returns the doubles of its namesake in the reference.
-Where the C code gives a case back (a fraction that does not converge, an
+Every entry point returns the doubles of its namesake in the reference,
+and all but ``quantiles`` run its statements in their order.
+``quantiles`` keeps the bits, not the statements: it takes the reference
+bisection's midpoints to the same outcomes cdf(mid) < p, but past each
+lane's first 12 CDF values it certifies a band around the quantile, two
+CDF values that stay from p by a margin of at least twice a stated bound
+on the computed CDF's error (relative to the tail the CDF is taken from,
+so to min(p, 1 - p) in the tails: the Lentz tolerance, the cancellation
+and rounding of the recurrence, growing with a + b and its term count,
+and the rounding of exp's argument), and decides every midpoint outside
+the band without a CDF value.  It bisects plainly where that bound is not
+stated: a bracket across the fraction's switch point or t = 0, or with an
+end at 0 or 1, a fraction that may not converge within the term cap, or
+a bound above 2**-30.  Where the C code gives a case back (a fraction that does not converge, an
 exp(front) that overflows, a bracket end past the largest double, a Student
 t p whose quantile lies past the square root of the largest double, a NaN
 to sort, a weighted sum that math.fsum would not return finite, input that

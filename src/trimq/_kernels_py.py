@@ -3,11 +3,17 @@ bit, and the backend trimq.backend falls back to when the C kernels of
 trimq._kernels_c cannot be built.
 
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
-the incomplete beta, the weight loop, the Beta and Student t inversions,
-the uniforms of a simulation batch's streams, the sort and scoring of a
-piece of simulation samples, and the parse (of plain ASCII decimal input)
-and sort of `trimq estimate`'s numbers from here statement for statement,
-and is the only place that adds speed.  HF7 and the weighted sum are
+the incomplete beta, the weight loop, the uniforms of a simulation batch's
+streams, the sort and scoring of a piece of simulation samples, and the
+parse (of plain ASCII decimal input) and sort of `trimq estimate`'s
+numbers from here statement for statement, and is the only place that
+adds speed.  Its Beta and Student t inversions keep the bits of the
+bisection here, not its statements: they decide the comparisons
+cdf(mid) < p that a certified band settles without evaluating the CDF,
+the band's ends keeping from p a margin of at least twice a stated bound
+on the computed CDF's error (relative to min(p, 1 - p) in the tails), and
+bisect as here where that bound is not stated (see the C file's
+header).  HF7 and the weighted sum are
 written here once, over the scorer data of piece_errors; the public
 estimators and the simulation's callables run them through _estimator.
 Both modules export the same names; the C backend takes the kernels it

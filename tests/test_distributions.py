@@ -199,8 +199,11 @@ def c_bracket(tmp_path_factory):
         tmp_path_factory.mktemp("bracket"), "bracket",
         "int invert_scaled_phi(double sigma, double p, double *out)\n"
         "{\n"
+        "    Curve line = {0}; /* the real line, and no certificate */\n"
         "    Lane lane;\n"
-        "    int state = lane_start(&lane, p, 0, 1);\n"
+        "    int state;\n"
+        "    line.df = 1.0;\n"
+        "    state = lane_start(&lane, p, 0, &line);\n"
         "    while (state == LANE_NEEDS)\n"
         "        state = lane_step(\n"
         "            &lane, 0.5 * erfc(-(lane.at / sigma) / sqrt(2.0)));\n"

@@ -1,8 +1,10 @@
 """The C batch inversion's lanes and per-call memo against the Python
-bisection, its give-back index, the lane paths that index the memo, and
+bisection, its give-back index, the lane paths that index the memo, its
+certified comparisons against the core's values in a checking build, and
 the C kernels under AddressSanitizer and UndefinedBehaviorSanitizer."""
 
 import ctypes
+import json
 import os
 import random
 import struct
@@ -102,13 +104,16 @@ def c_path(tmp_path_factory):
         "              double log_norm, long max_iter, int *node,\n"
         "              double *at)\n"
         "{\n"
+        "    Curve curve;\n"
         "    Lane lane;\n"
         "    double f;\n"
-        "    int state = lane_start(&lane, p, 0, df != 0.0), e = 0;\n"
+        "    int state, e = 0;\n"
+        "    curve_init(&curve, a, b, df, log_norm, max_iter);\n"
+        "    state = lane_start(&lane, p, 0, &curve);\n"
         "    for (; state == LANE_NEEDS && e < MEMO_DEPTH; e++) {\n"
         "        node[e] = lane.node;\n"
         "        at[e] = lane.at;\n"
-        "        cdf_lanes(1, &lane.at, df, a, b, log_norm, max_iter, &f);\n"
+        "        cdf_lanes(1, &lane.at, &curve, &f);\n"
         "        state = lane_step(&lane, f);\n"
         "    }\n"
         "    return e;\n"
@@ -158,12 +163,22 @@ rng = random.Random(5)
 for size in (0, 1, 2, 3, 4, 5, 9, 100, 400, 4096):
     ps = [rng.random() for _ in range(size)] + [0.5, 2.0 ** -54]
     for name, params in (("beta_quantiles", (2.0, 4.0)),
+                         ("beta_quantiles", (2.0, 10.0)),
                          ("beta_quantiles", (0.05, 7.0)),
                          ("beta_quantiles", (1.0, 1.0)),
                          ("student_quantiles", (0.7,)),
-                         ("student_quantiles", (3.0,))):
+                         ("student_quantiles", (3.0,)),
+                         ("student_quantiles", (50.0,))):
         got = getattr(c, name)(ps, *params)
         assert got == getattr(py, name)(ps, *params), (name, size)
+# certified p among p whose certificate fails: Student p within 1e-9 of 0.5
+# (a bracket ending at t = 0) and Beta(0.05, 7) p (one ending at x = 0)
+mixed = [p for k in range(40) for p in (rng.random(), 0.5 + (k - 20) * 5e-11)]
+for name, params in (("student_quantiles", (3.0,)),
+                     ("beta_quantiles", (0.05, 7.0)),
+                     ("beta_quantiles", (2.0, 4.0))):
+    got = getattr(c, name)(mixed, *params)
+    assert got == getattr(py, name)(mixed, *params), name
 for x in (0.0, 1e-300, 0.3, 0.9, 1.0):
     assert c.reg_inc_beta(x, 2.0, 4.0) == py.reg_inc_beta(x, 2.0, 4.0)
 for args in ((10, 0, 10, 4.5, 5.5, 0.0, 1.0, 0.0, 1.0),
@@ -222,3 +237,95 @@ def test_c_kernels_run_clean_under_address_and_ub_sanitizers(tmp_path):
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert proc.stdout == "clean\n"
     assert "runtime error" not in proc.stderr, proc.stderr[-3000:]
+
+
+# the shapes whose certificates the checking build verifies: the inverted
+# specs of sim2_full, those of SPECS and PATH_SHAPES, and three large ones
+CHECKED = (("beta_quantiles", (2.0, 4.0)), ("beta_quantiles", (2.0, 10.0)),
+           ("beta_quantiles", (0.5, 0.5)), ("beta_quantiles", (0.05, 7.0)),
+           ("beta_quantiles", (1.0, 1.0)), ("beta_quantiles", (30.0, 2.0)),
+           ("beta_quantiles", (100.0, 100.0)),
+           ("student_quantiles", (0.7,)), ("student_quantiles", (3.0,)),
+           ("student_quantiles", (50.0,)), ("student_quantiles", (1e4,)))
+
+# the sim2 specs, whose p at a call of 400 nearly all take the certificate
+TAKEN = (("beta_quantiles", (2.0, 4.0)), ("beta_quantiles", (2.0, 10.0)),
+         ("student_quantiles", (3.0,)))
+
+# argv: the library, the count of p per shape, then CHECKED and TAKEN as
+# JSON; prints, per shape, the p inverted and the lanes that took and
+# failed a certificate, then the certificates taken at one call of 400
+_CHECKED_RUN = """
+import ctypes, json, random, sys
+from trimq import _kernels_c as c
+
+c._lib = c._open(sys.argv[1])
+taken, failed = (ctypes.c_long.in_dll(c._lib, name)
+                 for name in ("certified_taken", "certified_failed"))
+count = int(sys.argv[2])
+rng = random.Random(23)
+report = {"shapes": [], "taken_of_400": []}
+for name, params in json.loads(sys.argv[3]):
+    taken.value = failed.value = 0
+    done = 0
+    while done < count:
+        # uniform p, then p near 0, 1 and 0.5, at every scale
+        ps = [rng.random() for _ in range(300)]
+        ps += [2.0 ** -rng.uniform(1, 60) for _ in range(40)]
+        ps += [1.0 - 2.0 ** -rng.uniform(1, 53) for _ in range(30)]
+        ps += [0.5 + rng.choice((-1, 1)) * 2.0 ** -rng.uniform(2, 60)
+               for _ in range(30)]
+        assert len(getattr(c, name)(ps, *params)) == len(ps)
+        done += len(ps)
+    report["shapes"].append([name, params, done, taken.value, failed.value])
+for name, params in json.loads(sys.argv[4]):
+    taken.value = 0
+    getattr(c, name)([rng.random() for _ in range(400)], *params)
+    report["taken_of_400"].append([name, params, taken.value])
+print(json.dumps(report))
+"""
+
+# p per shape in the tier-1 run; CHANGES.md records a run of 10**6
+CHECKED_P = 200000
+
+
+@pytest.fixture(scope="module")
+def checked_run(tmp_path_factory):
+    """The kernels built with CHECK_CERTIFIED, under which every midpoint
+    a certificate decides is also evaluated, any that disagrees aborting
+    the process, run over CHECKED_P p per shape of CHECKED, in a child
+    process: (its exit status, its report, its stderr)."""
+    lib = _cshim.build(tmp_path_factory.mktemp("checked"), "checked", "",
+                       ("-DCHECK_CERTIFIED",), load=False)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        _kernels_c.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECKED_RUN, str(lib), str(CHECKED_P),
+         json.dumps(CHECKED), json.dumps(TAKEN)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=600)
+    report = json.loads(proc.stdout) if proc.returncode == 0 else None
+    return proc.returncode, report, proc.stderr
+
+
+def test_certified_comparisons_agree_with_the_core(checked_run):
+    # about 2e5 p per shape, near 0, 0.5 and 1 among them: every midpoint
+    # skipped compares as the core's value there does, and every shape
+    # takes some certificates
+    status, report, stderr = checked_run
+    assert status == 0, "a certified comparison disagreed (%d): %s" % (
+        status, stderr[-2000:])
+    for name, params, done, taken, failed in report["shapes"]:
+        assert done >= CHECKED_P, (name, params)
+        assert taken > 0, (name, params, taken, failed)
+
+
+@pytest.mark.parametrize("index", range(len(TAKEN)))
+def test_the_sim2_specs_nearly_all_take_the_certificate(checked_run, index):
+    # a certificate that silently stopped firing would keep every bit:
+    # at least 90% of the p of a call of 400 take one
+    status, report, stderr = checked_run
+    assert status == 0, stderr[-2000:]
+    name, params, taken = report["taken_of_400"][index]
+    assert [name, list(params)] == [TAKEN[index][0], list(TAKEN[index][1])]
+    assert taken >= 360, (name, params, taken)
