@@ -28,35 +28,39 @@
  * The incomplete beta has one implementation, a lane core that evaluates
  * it at up to LANES points at once, each lane running the reference's
  * statements in their order, so that the chains of divisions of the
- * points overlap: reg_inc_beta is the core at one lane, weight_window
- * takes its indices LANES at a time, and the batch inversions hold one p
- * per lane, as a state machine of bracket doubling and bisection, a lane
- * that is done taking the next p.  Every batch inversion keeps a memo
- * for the call: the CDF values of each p's first evaluations, which
- * the p of a batch share, indexed by the lane's path, the outcomes of its
+ * points overlap: reg_inc_beta is the core at one lane, and weight_window
+ * takes its indices LANES at a time, which makes a weight vector a quarter
+ * to a third faster than one point per core call.  The batch inversions
+ * walk their p one after the other, each p's bracket doubling and
+ * bisection a plain loop (invert) of one point per core call: with the
+ * certificate below a p needs about six core points, and interleaving
+ * several p in one core call does not pay.  Every batch inversion keeps a
+ * memo for the call: the CDF values of each p's first evaluations, which
+ * the p of a batch share, indexed by the p's path, the outcomes of its
  * comparisons so far, which fix the point, so that a value found there is
  * the double the core would return.
  *
- * Past those evaluations a bisecting lane tries once to certify a band
+ * Past those evaluations a bisecting p tries once to certify a band
  * around its quantile: a regula falsi point in its bracket, up to three
- * Newton steps, then the CDF values at the band's two ends, which must
- * stay a margin m from p, m being at least twice a stated bound on the
- * core's error there.  That bound is relative, rho |F - alpha| plus the
- * rounding of 1 - T, alpha being the 0, 1/2 or 1 that the computed CDF
- * takes its tail from, so in the tails it shrinks with min(p, 1 - p); rho
- * sums the Lentz tolerance CF_TOL, the cancellation and rounding of the
- * Lentz recurrence (which grow with a + b and with the number of terms)
- * and the rounding of exp's argument, which grows with |log_norm| + |a log
- * x| + |b log1p(-x)|: see curve_init.  Every midpoint below the band then
- * compares f < p and every one above it f >= p, as its CDF value would.
- * A lane does not try, and bisects as the reference does, where the bound
- * is not stated: when the fraction's term count at its switch point, with
- * headroom, passes max_iter, when the bracket crosses the fraction's
- * switch or t = 0, has an end at 0 or 1, or when rho passes 2**-30; a
- * certificate value inside the margin, or a NaN, ends the try the same
- * way.  Built with -DCHECK_CERTIFIED, as the tests build it, quantiles
- * also evaluates every midpoint it decides and aborts if the value
- * disagrees, and counts the certificates taken and failed.
+ * Newton steps, then the CDF values at the band's two ends, in one core
+ * call, which must stay a margin m from p, m being at least twice a
+ * stated bound on the core's error there.  That bound is relative, rho |F
+ * - alpha| plus the rounding of 1 - T, alpha being the 0, 1/2 or 1 that
+ * the computed CDF takes its tail from, so in the tails it shrinks with
+ * min(p, 1 - p); rho sums the Lentz tolerance CF_TOL, the cancellation and
+ * rounding of the Lentz recurrence (which grow with a + b and with the
+ * number of terms) and the rounding of exp's argument, which grows with
+ * |log_norm| + |a log x| + |b log1p(-x)|: see curve_init.  Every midpoint
+ * below the band then compares f < p and every one above it f >= p, as its
+ * CDF value would.  A p does not try, and bisects as the reference does,
+ * where the bound is not stated: when the fraction's term count at its
+ * switch point, with headroom, passes max_iter, when the bracket crosses
+ * the fraction's switch or t = 0, has an end at 0 or 1, or when rho passes
+ * 2**-30; a certificate value inside the margin, or a NaN, ends the try
+ * the same way.  Built with -DCHECK_CERTIFIED, as the tests build it,
+ * quantiles also evaluates every midpoint it decides and every value its
+ * memo returns, and aborts if one disagrees, and counts the certificates
+ * taken and failed.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
@@ -66,13 +70,13 @@
  * raises the error itself.  That happens when the fraction does not
  * converge within max_iter terms, when exp(front) is not finite (math.exp
  * raises OverflowError where C returns inf), in the bisections when a CDF
- * value is NaN or a bracket end passes the largest double, at a Student
- * t p whose quantile lies past the square root of the largest double, in
- * piece_errors and sort_floats when a value is NaN (its place in sorted
- * order depends on the sort) or a weighted sum meets a product that is
- * not finite or overflows (math.fsum's special values and
- * OverflowError), and in parse_floats on any input but plain ASCII
- * decimal numbers that are finite.
+ * value is NaN, at a Student t p that is not positive or whose quantile
+ * lies past the square root of the largest double, in piece_errors and
+ * sort_floats when a value is NaN (its place in sorted order depends on
+ * the sort) or a weighted sum meets a product that is not finite or
+ * overflows (math.fsum's special values and OverflowError), and in
+ * parse_floats on any input but plain ASCII decimal numbers that are
+ * finite.
  *
  * No state outlives a call: the inversions' memo lives on the stack of
  * its call, and the sort and scoring buffers are allocated and freed by
@@ -95,7 +99,7 @@
 #define BISECT_TOL 1e-12
 
 /* the points the incomplete-beta core evaluates at once; at least the two
-   Student t bounds of a batch inversion */
+   Student t bounds of a batch inversion, and the two ends of its band */
 #define LANES 4
 
 /* the evaluations of each p that a batch inversion's memo holds */
@@ -277,8 +281,8 @@ long weight_window(long n, long i_lo, long i_hi, double a, double b,
  * that of (a, b, x) below `split` and of (b, a, 1 - x) from it on, x being
  * the point itself for the Beta and df / (df + t^2) for the Student t.
  * `rho` is the part of the bound on the core's relative error that holds at
- * every point (certify_start adds the part that grows with the point); 0
- * when no lane of the call certifies.
+ * every point (certify adds the part that grows with the point); 0 when no
+ * p of the call certifies.
  */
 typedef struct {
     double a, b, df, log_norm, split, rho;
@@ -313,7 +317,7 @@ static void cdf_lanes(int count, const double *t, const Curve *c, double *f)
 /* the unit roundoff, 2**-53 */
 #define UNIT 0x1p-53
 
-/* the largest relative error bound under which a lane certifies */
+/* the largest relative error bound under which a p certifies */
 #define RHO_MAX 0x1p-30
 
 /*
@@ -339,15 +343,15 @@ static void cdf_lanes(int count, const double *t, const Curve *c, double *f)
  * most, measured, at Student df = 1e4; N below is at least 2n), and 8 UNIT
  * exp, the product and the quotient.  5 UNIT S bounds the rounding of
  * exp's argument, S = |log_norm| + |a log x| + |b log1p(-x)|, log and
- * log1p within an ulp; certify_start adds it for the lane's bracket.  For
- * the Student t, x = df / (df + t^2) rounds monotonically in |t|, so
- * T'(x(t)) stays monotone on either side of t = 0 and needs no margin.
+ * log1p within an ulp; certify adds it for the p's bracket.  For the
+ * Student t, x = df / (df + t^2) rounds monotonically in |t|, so T'(x(t))
+ * stays monotone on either side of t = 0 and needs no margin.
  *
  * N bounds the terms at every point: the fraction converges slowest near
  * the switch, so N is twice the larger count of its two sides there, plus
  * 8 (the count peaks up to half again higher a little off the switch at
  * large shapes).  Where N passes max_iter, or the switch does not
- * converge, rho is 0 and no lane certifies; otherwise every point of the
+ * converge, rho is 0 and no p certifies; otherwise every point of the
  * curve converges, the midpoints a certificate skips among them.
  */
 static void curve_init(Curve *c, double a, double b, double df,
@@ -374,139 +378,97 @@ static void curve_init(Curve *c, double a, double b, double df,
         c->rho = 4.0 * CF_TOL + UNIT * (n * n + 8.0 * (a + b) + 24.0);
 }
 
-/*
- * One p of a batch inversion, as a state machine: on the real line (the
- * Student t) each end of [-1, 1] doubles until the bracket holds p, the low
- * end first, then [lo, hi] is bisected, as _kernels_py._invert_unbounded
- * and _bisect_cdf do; a Beta bisects [0, 1] at once.  `at` is the point
- * whose CDF value the lane needs next, and its quantile once it is done.
- * Every lane of a call starts in the same state, and each step's branch
- * is decided by that state and f < p alone, so a lane's points are fixed
- * by its path: `node` is 1 followed by the bits f < p of its first
- * MEMO_DEPTH steps, a node of the binary tree of those outcomes.
- *
- * Past those steps, a bisecting lane tries once to certify a band
- * [below, above] around its quantile (certify_start): every midpoint at or
- * below `below` then compares f < p, and every one at or above `above` f
- * >= p, without a CDF value; -inf and inf while none is certified.
- */
-typedef struct {
-    double p, lo, hi, at;
-    double flo, fhi;    /* the CDF values at lo and hi */
-    double below, above;
-    double rho, alpha, round; /* the lane's error bound: see margin */
-    const Curve *curve;
-    long index;         /* of p in the batch */
-    int phase;          /* LANE_LOW .. LANE_CERT_HIGH */
-    int levels;         /* bisection steps taken */
-    int evals;          /* CDF values taken by the bisection */
-    int node;           /* the path of the first MEMO_DEPTH values */
-    int newton;         /* Newton steps taken */
-    int tried;          /* whether the lane has tried to certify */
-} Lane;
-
-enum { LANE_LOW, LANE_HIGH, LANE_BISECT, LANE_NEWTON, LANE_CERT_LOW,
-       LANE_CERT_HIGH };
-
-/* what a lane asks for: the CDF value at `at`, nothing (`at` is its
-   quantile), or the reference (a NaN CDF value, or an end past the largest
-   double) */
-enum { LANE_NEEDS, LANE_DONE, LANE_GIVES_BACK };
-
 #ifdef CHECK_CERTIFIED
-/* the test build: lanes that took a certificate, and lanes that tried and
-   did not */
-long certified_taken, certified_failed;
+/* the test build: the p that took a certificate, those that tried and did
+   not, and the memo values checked against the core; outside it TALLY and
+   the two checks do nothing */
+long certified_taken, certified_failed, memo_checked;
+#define TALLY(counter) ((counter)++)
 
-/* abort unless the core's value at mid compares as the certificate says */
-static void check_skipped(const Lane *lane, double mid, int below)
+/* abort unless the core's value at t compares with p as the certificate
+   says: f < p when below, else f >= p */
+static void check_skipped(const Curve *c, double p, double t, int below)
 {
     double f;
 
-    cdf_lanes(1, &mid, lane->curve, &f);
-    if (isnan(f) || (f < lane->p) != below)
+    cdf_lanes(1, &t, c, &f);
+    if (isnan(f) || (f < p) != below)
         abort();
 }
+
+/* abort unless the core's value at t has the bits of the memo's value v */
+static void check_memo(const Curve *c, double t, double v)
+{
+    double f;
+
+    cdf_lanes(1, &t, c, &f);
+    if (memcmp(&f, &v, sizeof f) != 0)
+        abort();
+    memo_checked++;
+}
+#else
+#define TALLY(counter) ((void)0)
+#define check_skipped(c, p, t, below) ((void)0)
+#define check_memo(c, t, v) ((void)0)
 #endif
 
 /*
- * The lane's next bisection midpoint that needs a CDF value, for cdf(lo)
- * < p <= cdf(hi), or its quantile where the bisection stops.  A midpoint
- * in the certified tails moves lo or hi as its value would.  A midpoint
- * whose sum overflows, between ends near the largest double, is taken from
- * the halves.
+ * One p of a batch inversion and its place in the call's memo.  Every p of
+ * a call starts at the same point, and each point after that is decided by
+ * the outcomes f < p before it alone, so a p's points are fixed by its path:
+ * `node` is 1 followed by the outcomes of its first MEMO_DEPTH CDF values,
+ * a node of the binary tree of those outcomes, and table[node] the CDF
+ * value at the node's point, a NaN until known.
  */
-static inline int bisect_next(Lane *lane)
-{
-    double lo, hi, mid;
+typedef struct {
+    const Curve *curve;
+    double *table;
+    double p;
+    int node;
+    int evals;      /* CDF values taken by the bracket and the bisection */
+} Path;
 
-    for (;; lane->levels++) {
-        lo = lane->lo;
-        hi = lane->hi;
-        if (lane->levels == BISECT_LEVELS) {
-            lane->at = 0.5 * (lo + hi);
-            return LANE_DONE;
-        }
-        mid = 0.5 * (lo + hi);
-        if (isinf(mid))
-            mid = 0.5 * lo + 0.5 * hi;
-        lane->at = mid;
-        if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
-            || mid >= hi)
-            return LANE_DONE;
-        if (mid <= lane->below) {
-#ifdef CHECK_CERTIFIED
-            check_skipped(lane, mid, 1);
-#endif
-            lane->lo = mid;
-        } else if (mid >= lane->above) {
-#ifdef CHECK_CERTIFIED
-            check_skipped(lane, mid, 0);
-#endif
-            lane->hi = mid;
-        } else {
-            return LANE_NEEDS;
-        }
-    }
-}
-
-/* start the lane on ps[index] = p, on the real line when the curve's df is
-   not 0, else on [0, 1] */
-static int lane_start(Lane *lane, double p, long index, const Curve *curve)
+/* the CDF value at t, the p's next point: through the memo for its first
+   MEMO_DEPTH values, each outcome f < p extending its node */
+static double path_cdf(Path *w, double t)
 {
-    lane->p = p;
-    lane->index = index;
-    lane->curve = curve;
-    lane->levels = lane->evals = lane->tried = 0;
-    lane->node = 1;
-    lane->hi = lane->fhi = 1.0;
-    lane->flo = 0.0;
-    lane->below = -INFINITY;
-    lane->above = INFINITY;
-    if (curve->df != 0.0) {
-        lane->phase = LANE_LOW;
-        lane->at = lane->lo = -1.0;
-        return LANE_NEEDS;
+    double f;
+
+    if (w->evals >= MEMO_DEPTH) {
+        cdf_lanes(1, &t, w->curve, &f);
+        return f;
     }
-    lane->phase = LANE_BISECT;
-    lane->lo = 0.0;
-    return bisect_next(lane);
+    f = w->table[w->node];
+    if (isnan(f)) {
+        cdf_lanes(1, &t, w->curve, &f);
+        w->table[w->node] = f;
+    } else {
+        check_memo(w->curve, t, f);
+    }
+    w->node = 2 * w->node + (f < w->p);
+    w->evals++;
+    return f;
 }
 
 /*
- * The margin that a CDF value v of the lane keeps from p to certify a
- * side.  On a piece where alpha + beta T' is monotone, a midpoint at or
- * below a point L of value v < p compares f < p when p - v > 2 rho' (|v -
- * alpha| + round) + 2 round, rho' = rho / (1 - rho): its value is at most
- * L's true value plus its own error, and its error is bounded by L's, T'
- * being monotone.  Likewise above a point U of value v >= p.  The margin,
- * 2.5 rho |v - alpha| + 3 round, is twice the bound on the core's error at
- * v, rho |v - alpha| + round, with room for rho' and for the rounding of p
- * - v and of the margin itself.
+ * The bound on the core's error on one piece of the computed CDF, and the
+ * margin that a CDF value v keeps from p to certify a side.  On a piece
+ * where alpha + beta T' is monotone, a midpoint at or below a point L of
+ * value v < p compares f < p when p - v > 2 rho' (|v - alpha| + round) + 2
+ * round, rho' = rho / (1 - rho): its value is at most L's true value plus
+ * its own error, and its error is bounded by L's, T' being monotone.
+ * Likewise above a point U of value v >= p.  The margin, 2.5 rho |v -
+ * alpha| + 3 round, is twice the bound on the core's error at v, rho |v -
+ * alpha| + round, with room for rho' and for the rounding of p - v and of
+ * the margin itself.
  */
-static double margin(const Lane *lane, double v)
+typedef struct {
+    double rho, alpha, round;
+} Bound;
+
+static double margin(const Bound *e, double v)
 {
-    return 2.5 * lane->rho * fabs(v - lane->alpha) + 3.0 * lane->round;
+    return 2.5 * e->rho * fabs(v - e->alpha) + 3.0 * e->round;
 }
 
 /* which piece of the computed CDF the point t lies on: the fraction's side
@@ -531,271 +493,184 @@ static double density(const Curve *c, double t, double *slope)
                - (c->a + c->b) * log1p(t * t / c->df));
 }
 
-/* the lane goes on bisecting, with the band it certified or with none */
-static int certify_end(Lane *lane, int taken)
-{
-    if (!taken) {
-        lane->below = -INFINITY;
-        lane->above = INFINITY;
-    }
-#ifdef CHECK_CERTIFIED
-    if (taken)
-        certified_taken++;
-    else
-        certified_failed++;
-#endif
-    lane->phase = LANE_BISECT;
-    return bisect_next(lane);
-}
-
-/*
- * Try to certify a band around the lane's quantile.  The bracket [lo, hi]
- * must lie on one piece of the computed CDF (cdf_piece), so that every
- * midpoint and both points certified share one alpha + beta T~ + r.  The
- * lane's rho is the curve's plus the terms of its bracket, S at its
- * largest over it; where S is not finite (an end at 0 or 1, at t = 0, or far
- * enough out that x is 0) or rho passes RHO_MAX, the lane does not try.  A
- * regula falsi point between the ends starts up to NEWTON_STEPS Newton
- * steps, each one CDF value.
- */
-static int certify_start(Lane *lane)
-{
-    const Curve *c = lane->curve;
-    double xlo, xhi, s, x0;
-    int piece = cdf_piece(c, lane->lo, &xlo);
-
-    lane->tried = 1;
-    if (c->rho == 0.0 || piece != cdf_piece(c, lane->hi, &xhi))
-        return certify_end(lane, 0);
-    s = fabs(c->log_norm) + c->a * fmax(fabs(log(xlo)), fabs(log(xhi)))
-        + c->b * fmax(fabs(log1p(-xlo)), fabs(log1p(-xhi)));
-    lane->rho = c->rho + 5.0 * UNIT * s;
-    if (!(lane->rho <= RHO_MAX))
-        return certify_end(lane, 0);
-    /* the anchor: the tail of the fraction's side, then for the Student t
-       its half on either side of t = 0 */
-    if (c->df == 0.0)
-        lane->alpha = piece & 1 ? 0.0 : 1.0;
-    else
-        lane->alpha = !(piece & 1) ? 0.5 : piece & 2 ? 1.0 : 0.0;
-    /* 1 - T~ rounds by half an ulp of 1; a tail alone only when subnormal */
-    lane->round = lane->alpha == 0.0 ? 0x1p-1000 : UNIT;
-    x0 = lane->lo + (lane->p - lane->flo)
-                    * ((lane->hi - lane->lo) / (lane->fhi - lane->flo));
-    if (lane->lo < x0 && x0 < lane->hi)
-        lane->at = x0;  /* else the pending midpoint */
-    lane->newton = 0;
-    lane->phase = LANE_NEWTON;
-    return LANE_NEEDS;
-}
-
-/* the Newton steps that refine a certifying lane's estimate */
+/* the Newton steps that refine a certificate's estimate */
 #define NEWTON_STEPS 3
 
 /*
- * One step of a certifying lane, given f = the CDF value at its point.
- * After each Newton step the estimate's error is about slope step^2 / 2;
- * once that is well inside the band, or after NEWTON_STEPS, the band is
- * the estimate +- delta, delta = 2 margin(p) / density, and the lane
- * evaluates its low end, then its high end.  A NaN value, a step out of
- * the bracket or a value inside the margin ends the try uncertified.
+ * Whether a band [band[0], band[1]] around the quantile of p is certified,
+ * for flo = cdf(lo) < p <= cdf(hi) = fhi, band being set only when it is.
+ * The bracket must lie on one piece of the computed CDF (cdf_piece), so
+ * that every midpoint and both points certified share one alpha + beta T~
+ * + r.  The p's rho is the curve's plus the terms of its bracket, S at its
+ * largest over it; where S is not finite (an end at 0 or 1, at t = 0, or
+ * far enough out that x is 0) or rho passes RHO_MAX, there is no try.  A
+ * regula falsi point between the ends, else the pending midpoint mid,
+ * starts up to NEWTON_STEPS Newton steps, each one CDF value.  After each
+ * the estimate's error is about slope step^2 / 2; once that is well inside
+ * the band, or after NEWTON_STEPS, the band is the estimate +- delta, delta
+ * = 2 margin(p) / density, and its two ends are one core call, each of
+ * whose values must clear p by its margin.  A NaN value or a step out of
+ * the bracket ends the try uncertified.
  */
-static int certify_step(Lane *lane, double f)
+static int certify(const Curve *c, double p, double lo, double hi,
+                   double flo, double fhi, double mid, double *band)
 {
-    double pdf, slope, step, delta;
+    Bound e;
+    double xlo, xhi, at, f, pdf, slope, step, delta, ends[2], fends[2];
+    int piece = cdf_piece(c, lo, &xlo), newton;
 
-    if (isnan(f))
-        return certify_end(lane, 0);
-    switch (lane->phase) {
-    case LANE_NEWTON:
-        pdf = density(lane->curve, lane->at, &slope);
+    if (c->rho == 0.0 || piece != cdf_piece(c, hi, &xhi))
+        return 0;
+    e.rho = c->rho + 5.0 * UNIT * (fabs(c->log_norm)
+                                   + c->a * fmax(fabs(log(xlo)),
+                                                 fabs(log(xhi)))
+                                   + c->b * fmax(fabs(log1p(-xlo)),
+                                                 fabs(log1p(-xhi))));
+    if (!(e.rho <= RHO_MAX))
+        return 0;
+    /* the anchor: the tail of the fraction's side, then for the Student t
+       its half on either side of t = 0 */
+    if (c->df == 0.0)
+        e.alpha = piece & 1 ? 0.0 : 1.0;
+    else
+        e.alpha = !(piece & 1) ? 0.5 : piece & 2 ? 1.0 : 0.0;
+    /* 1 - T~ rounds by half an ulp of 1; a tail alone only when subnormal */
+    e.round = e.alpha == 0.0 ? 0x1p-1000 : UNIT;
+    at = lo + (p - flo) * ((hi - lo) / (fhi - flo));
+    if (!(lo < at && at < hi))
+        at = mid;
+    for (newton = 1;; newton++) {
+        cdf_lanes(1, &at, c, &f);
+        if (isnan(f))
+            return 0;
+        pdf = density(c, at, &slope);
         if (!(pdf > 0.0 && pdf < INFINITY))
-            return certify_end(lane, 0);
-        step = (f - lane->p) / pdf;
-        delta = 2.0 * margin(lane, lane->p) / pdf;
-        lane->at -= step;
-        if (!(lane->lo < lane->at && lane->at < lane->hi))
-            return certify_end(lane, 0);
-        if (++lane->newton < NEWTON_STEPS
-            && !(fabs(slope) * step * step <= 0.125 * delta))
-            return LANE_NEEDS;
-        lane->below = lane->at - delta;
-        lane->above = lane->at + delta;
-        if (!(lane->lo < lane->below && lane->above < lane->hi))
-            return certify_end(lane, 0);
-        lane->at = lane->below;
-        lane->phase = LANE_CERT_LOW;
-        return LANE_NEEDS;
-    case LANE_CERT_LOW:
-        if (!(lane->p - f > margin(lane, f)))
-            return certify_end(lane, 0);
-        lane->at = lane->above;
-        lane->phase = LANE_CERT_HIGH;
-        return LANE_NEEDS;
-    default:
-        return certify_end(lane, f - lane->p >= margin(lane, f));
+            return 0;
+        step = (f - p) / pdf;
+        delta = 2.0 * margin(&e, p) / pdf;
+        at -= step;
+        if (!(lo < at && at < hi))
+            return 0;
+        if (newton == NEWTON_STEPS
+            || fabs(slope) * step * step <= 0.125 * delta)
+            break;
     }
+    ends[0] = at - delta;
+    ends[1] = at + delta;
+    if (!(lo < ends[0] && ends[1] < hi))
+        return 0;
+    cdf_lanes(2, ends, c, fends);
+    if (!(p - fends[0] > margin(&e, fends[0])
+          && fends[1] - p >= margin(&e, fends[1])))
+        return 0;
+    band[0] = ends[0];
+    band[1] = ends[1];
+    return 1;
 }
 
-/* the next bisection midpoint, once per lane past the memo's steps trying
-   to certify first */
-static int bisect_or_certify(Lane *lane)
+/*
+ * The quantile of p into *q, by the steps of _kernels_py: on the real line
+ * (the Student t) each end of [-1, 1] doubles until the bracket holds p, the
+ * low end first, then [lo, hi] is bisected, as _invert_unbounded and
+ * _bisect_cdf do; a Beta bisects [0, 1] at once.  For a Student p in (0, 1]
+ * no end passes 2**512: there t * t overflows, x is 0 and the CDF reads
+ * exactly 0 or 1, so no sum of two ends overflows either.  Past the memo's
+ * MEMO_DEPTH values, at the first midpoint that needs a CDF value, the p
+ * tries once to certify a band around its quantile (certify); every
+ * midpoint at or below the band then compares f < p, and every one at or
+ * above it f >= p, without a CDF value.  Returns 0 to give p back, at a NaN
+ * CDF value.
+ */
+static int invert(double p, const Curve *c, double *table, double *q)
 {
-    int state = bisect_next(lane);
+    Path w = {c, table, p, 1, 0};
+    double lo = 0.0, hi = 1.0, flo = 0.0, fhi = 1.0, mid, f;
+    double band[2] = {-INFINITY, INFINITY};
+    int level, tried = 0;
 
-    if (state == LANE_NEEDS && !lane->tried && lane->evals >= MEMO_DEPTH)
-        return certify_start(lane);
-    return state;
-}
-
-/* one step of the lane, given f = the CDF value at its point.  An end
-   whose next doubling would be infinite takes the largest double instead,
-   once; past it the lane gives p back. */
-static inline int lane_step(Lane *lane, double f)
-{
-    if (lane->phase > LANE_BISECT)
-        return certify_step(lane, f);
-    if (isnan(f))
-        return LANE_GIVES_BACK;
-    if (lane->evals++ < MEMO_DEPTH)
-        lane->node = 2 * lane->node + (f < lane->p);
-    switch (lane->phase) {
-    case LANE_LOW:
-        if (f < lane->p) {
-            lane->flo = f;
-            lane->phase = LANE_HIGH;
-            lane->at = lane->hi;
-            return LANE_NEEDS;
+    if (c->df != 0.0) {
+        for (lo = -1.0; !((flo = path_cdf(&w, lo)) < p); lo *= 2.0)
+            if (isnan(flo))
+                return 0;
+        for (; !((fhi = path_cdf(&w, hi)) >= p); hi *= 2.0)
+            if (isnan(fhi))
+                return 0;
+    }
+    for (level = 0; level < BISECT_LEVELS; level++) {
+        mid = 0.5 * (lo + hi);
+        if (hi - lo <= BISECT_TOL + BISECT_TOL * fabs(mid) || mid <= lo
+            || mid >= hi) {
+            *q = mid;
+            return 1;
         }
-        if (lane->lo == -DBL_MAX)
-            return LANE_GIVES_BACK;
-        lane->lo *= 2.0;
-        if (lane->lo == -INFINITY)
-            lane->lo = -DBL_MAX;
-        lane->at = lane->lo;
-        return LANE_NEEDS;
-    case LANE_HIGH:
-        if (f >= lane->p) {
-            lane->fhi = f;
-            lane->phase = LANE_BISECT;
-            return bisect_or_certify(lane);
+        if (!tried && w.evals >= MEMO_DEPTH) {
+            tried = 1;
+            if (certify(c, p, lo, hi, flo, fhi, mid, band))
+                TALLY(certified_taken);
+            else
+                TALLY(certified_failed);
         }
-        if (lane->hi == DBL_MAX)
-            return LANE_GIVES_BACK;
-        lane->hi *= 2.0;
-        if (lane->hi == INFINITY)
-            lane->hi = DBL_MAX;
-        lane->at = lane->hi;
-        return LANE_NEEDS;
-    default:
-        if (f < lane->p) {
-            lane->lo = lane->at;
-            lane->flo = f;
+        if (mid <= band[0]) {
+            check_skipped(c, p, mid, 1);
+            lo = mid;
+        } else if (mid >= band[1]) {
+            check_skipped(c, p, mid, 0);
+            hi = mid;
         } else {
-            lane->hi = lane->at;
-            lane->fhi = f;
+            f = path_cdf(&w, mid);
+            if (isnan(f))
+                return 0;
+            if (f < p) {
+                lo = mid;
+                flo = f;
+            } else {
+                hi = mid;
+                fhi = f;
+            }
         }
-        lane->levels++;
-        return bisect_or_certify(lane);
     }
-}
-
-/* whether the lane still needs a CDF value, after a start or step that
-   returned `state`: its quantile goes to out when it is done, and its
-   index to *stop when it gives p back before any other */
-static int lane_busy(const Lane *lane, int state, double *out, long *stop)
-{
-    if (state == LANE_DONE)
-        out[lane->index] = lane->at;
-    else if (state == LANE_GIVES_BACK && lane->index < *stop)
-        *stop = lane->index;
-    return state == LANE_NEEDS;
+    *q = 0.5 * (lo + hi);
+    return 1;
 }
 
 /*
  * out[i] = the quantile of ps[i] for i < count, ps and out possibly the
  * same buffer: of the Beta(a, b) when df is 0, or else of the Student t at
  * df degrees of freedom, with a = df / 2, b = 1 / 2.  log_norm is that of
- * the shape pair (a, b).  LANES lanes each hold one p, taken in batch
- * order, a lane that is done taking the next.  Each round steps every lane
- * through the CDF values the memo holds, then evaluates the points the
- * lanes still need in one core call.  The memo is the table of the CDF
- * values at each node of the paths of the p's first MEMO_DEPTH
- * evaluations, which the p of a batch share (the top of the bisection
- * tree, the bracket's doublings), NaN where not yet known; a
- * value found is the double the core would return at the node's point, so
- * no output bit depends on it.  Past those evaluations a lane certifies
- * a band around its quantile (certify_start: margins of at least twice the
- * bound of curve_init on the core's error, skipped where that bound is not
- * stated), and every midpoint outside the band moves lo or hi as its CDF
- * value would, without one: the same midpoints, the same outcomes, the
- * same bits as _kernels_py, from fewer CDF values.  Past
- * |t| = sqrt(DBL_MAX), t * t overflows and the Student t CDF saturates, so
- * a Student p outside [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back,
- * as is every p when those two CDF values are.  Returns count, or the
- * index of the first p given back: the lanes holding lower indices finish,
- * and no p starts after one is given back.
+ * the shape pair (a, b).  The p are inverted one after the other (invert)
+ * through one memo, the table of the CDF values at each node of the paths
+ * of the p's first MEMO_DEPTH values, which the p of a call share (the top
+ * of the bisection tree, the bracket's doublings), a NaN where not yet
+ * known; a value found is the double the core would return at the node's
+ * point, so no output bit depends on it.  Past those values a p certifies
+ * a band around its quantile (margins of at least twice the bound of
+ * curve_init on the core's error, no try where that bound is not stated),
+ * and every midpoint outside the band moves lo or hi as its CDF value
+ * would, without one: the same midpoints, the same outcomes, the same bits
+ * as _kernels_py, from fewer CDF values.  Past |t| = sqrt(DBL_MAX), t * t
+ * overflows and the Student t CDF saturates, so a Student p outside
+ * [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back, as is every p when
+ * those two CDF values are NaN, and a Student p <= 0, whose low end would
+ * never hold it.  Returns count, or the index of the first p given back.
  */
 long quantiles(const double *ps, long count, double a, double b, double df,
                double log_norm, long max_iter, double *out)
 {
     Curve curve;
-    Lane lane[LANES];
-    double table[1 << MEMO_DEPTH], bounds[2] = {0.0, 1.0}, t[LANES];
-    double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)}, f[LANES];
-    int busy[LANES] = {0}, used, state, k;
-    long next = 0, stop = count;
+    double table[1 << MEMO_DEPTH], bounds[2] = {0.0, 1.0};
+    double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)};
+    long i;
 
-    if (count == 0)
-        return 0;
     curve_init(&curve, a, b, df, log_norm, max_iter);
-    if (df != 0.0) {
+    if (df != 0.0)
         cdf_lanes(2, roots, &curve, bounds);
-        if (isnan(bounds[0]) || isnan(bounds[1]))
-            return 0;
-    }
     memset(table, 0xff, sizeof table); /* all bits set: a NaN */
-    do {
-        used = 0;
-        for (k = 0; k < LANES; k++) {
-            /* until lane k needs the core: a free lane takes the next p,
-               and a busy one steps through the memo's values */
-            for (;;) {
-                if (busy[k] && lane[k].index > stop)
-                    busy[k] = 0;
-                if (!busy[k]) {
-                    if (next >= stop)
-                        break;
-                    if (df != 0.0 && !(bounds[0] <= ps[next]
-                                       && ps[next] <= bounds[1])) {
-                        stop = next;
-                        break;
-                    }
-                    state = lane_start(&lane[k], ps[next], next, &curve);
-                    next++;
-                } else {
-                    if (lane[k].evals >= MEMO_DEPTH
-                        || isnan(table[lane[k].node]))
-                        break;
-                    state = lane_step(&lane[k], table[lane[k].node]);
-                }
-                busy[k] = lane_busy(&lane[k], state, out, &stop);
-            }
-            if (busy[k])
-                t[used++] = lane[k].at;
-        }
-        cdf_lanes(used, t, &curve, f);
-        used = 0;
-        for (k = 0; k < LANES; k++) {
-            if (!busy[k])
-                continue;
-            if (lane[k].evals < MEMO_DEPTH)
-                table[lane[k].node] = f[used];
-            state = lane_step(&lane[k], f[used++]);
-            busy[k] = lane_busy(&lane[k], state, out, &stop);
-        }
-    } while (used > 0);
-    return stop;
+    for (i = 0; i < count; i++)
+        if ((df != 0.0 && !(ps[i] > 0.0 && bounds[0] <= ps[i]
+                            && ps[i] <= bounds[1]))
+            || !invert(ps[i], &curve, table, &out[i]))
+            return i;
+    return count;
 }
 
 /* SplitMix64's increment, and FNV-1a's prime, as in _kernels_py */

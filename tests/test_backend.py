@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import trimq
 from trimq import backend
 from trimq import _kernels_py
@@ -142,15 +144,17 @@ def test_warm_import_loads_no_build_tools():
     assert proc.stdout.split() == ["c", "[]"]
 
 
-def test_c_source_compiles_without_warnings(tmp_path):
-    # the package's own build command with every warning an error: a C
-    # warning fails tier-1, as does a missing compiler
+@pytest.mark.parametrize("flags", [(), ("-DCHECK_CERTIFIED",)])
+def test_c_source_compiles_without_warnings(tmp_path, flags):
+    # the package's own build command with every warning an error, and the
+    # tests' checking build: a C warning fails tier-1, an unused static
+    # function among them, as does a missing compiler
     from trimq import _kernels_c
 
     out = tmp_path / "kernels.so"
     cc, *rest = _kernels_c._compile_command(str(out))
     proc = subprocess.run(
-        [cc, "-pedantic", "-Wall", "-Wextra", "-Werror", *rest],
+        [cc, "-pedantic", "-Wall", "-Wextra", "-Werror", *flags, *rest],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -1,5 +1,4 @@
 import bisect
-import ctypes
 import hashlib
 import math
 import pickle
@@ -8,8 +7,6 @@ import statistics
 import sys
 
 import pytest
-
-import _cshim
 
 from trimq import DistributionSpec, RngStream, sample, true_quantile
 
@@ -189,53 +186,39 @@ def test_quantile_bracket_reaches_the_largest_double():
             true_quantile(spec, p)
 
 
-@pytest.fixture(scope="module")
-def c_bracket(tmp_path_factory):
-    """The C inversion of a normal CDF of scale sigma, phi(x / sigma) as
-    distributions._phi writes it: one lane of the batch inversion on the
-    real line, stepped with that CDF's values, behind an exported
-    wrapper."""
-    lib = _cshim.build(
-        tmp_path_factory.mktemp("bracket"), "bracket",
-        "int invert_scaled_phi(double sigma, double p, double *out)\n"
-        "{\n"
-        "    Curve line = {0}; /* the real line, and no certificate */\n"
-        "    Lane lane;\n"
-        "    int state;\n"
-        "    line.df = 1.0;\n"
-        "    state = lane_start(&lane, p, 0, &line);\n"
-        "    while (state == LANE_NEEDS)\n"
-        "        state = lane_step(\n"
-        "            &lane, 0.5 * erfc(-(lane.at / sigma) / sqrt(2.0)));\n"
-        "    *out = lane.at;\n"
-        "    return state == LANE_DONE;\n"
-        "}\n")
-    lib.invert_scaled_phi.argtypes = (ctypes.c_double, ctypes.c_double,
-                                      ctypes.POINTER(ctypes.c_double))
-    lib.invert_scaled_phi.restype = ctypes.c_int
-    return lib
+def test_c_bracket_matches_the_reference_near_the_double_range(monkeypatch):
+    # the C Student t bracket doubles only within +-2**512, where t * t
+    # overflows and the CDF reads exactly 0 or 1: for p in (0, 1] between
+    # the CDF values at -+sqrt(DBL_MAX), the ends among them, it gives the
+    # reference's bits; every other p (at most 0, NaN, past 1) it gives
+    # back before evaluating it, first or after good p, and the reference
+    # raises its own error from exactly that p
+    from trimq import _kernels_c
 
+    kernel = _kernels_py.student_quantiles
+    received = []
 
-def test_c_bracket_matches_the_reference_near_the_double_range(c_bracket):
-    # the C lane's bracket and bisection, the twin of _invert_unbounded,
-    # take the largest double where the reference does, and give back
-    # exactly where the reference raises
-    sqrt2 = math.sqrt(2.0)
-    gave_back = 0
-    for sigma in (1.0, 1e300, 1e307, 1e308, 1.5e308, sys.float_info.max):
-        for p in (1e-300, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999):
-            def cdf(x):
-                return 0.5 * math.erfc(-(x / sigma) / sqrt2)
-            out = ctypes.c_double()
-            done = c_bracket.invert_scaled_phi(sigma, p, ctypes.byref(out))
-            try:
-                want = _kernels_py._invert_unbounded(cdf, p)
-            except ArithmeticError:
-                assert not done, (sigma, p, out.value)
-                gave_back += 1
-                continue
-            assert done and repr(out.value) == repr(want), (sigma, p)
-    assert gave_back >= 8  # the tails of the widest scales
+    def recorded(rest, *args):
+        received.append(list(rest))
+        return kernel(rest, *args)
+
+    monkeypatch.setattr(_kernels_py, "student_quantiles", recorded)
+    root = math.sqrt(sys.float_info.max)
+    for df in (0.01, 3.0, 1e4):
+        tail = 0.5 * _kernels_py.reg_inc_beta(df / (df + root * root),
+                                              0.5 * df, 0.5)
+        good = [0.3, 0.6, 1.0 - tail] + ([tail] if tail > 0.0 else [])
+        assert _outcome(_kernels_c.student_quantiles, good, df) == _outcome(
+            kernel, good, df)
+        for bad in (0.0, -0.0, -1e-300, math.nan, 1.5):
+            for lead in ([], good):
+                ps = lead + [bad, 0.5]
+                received.clear()
+                want = _outcome(kernel, ps, df)
+                assert want.startswith("ArithmeticError: "), (df, bad, want)
+                assert _outcome(_kernels_c.student_quantiles, ps,
+                                df) == want
+                assert repr(received) == repr([ps[len(lead):]]), (df, bad)
 
 
 def test_parameters_follow_the_positive_real_rule():

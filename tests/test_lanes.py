@@ -1,13 +1,12 @@
-"""The C batch inversion's lanes and per-call memo against the Python
-bisection, its give-back index, the lane paths that index the memo, its
-certified comparisons against the core's values in a checking build, and
-the C kernels under AddressSanitizer and UndefinedBehaviorSanitizer."""
+"""The C batch inversion, which walks its p one at a time through a
+per-call memo, against the Python bisection: its bits at every call size,
+its give-back index, and, in a checking build, the memo's values and the
+certified comparisons against the core's values; and the C kernels under
+AddressSanitizer and UndefinedBehaviorSanitizer."""
 
-import ctypes
 import json
 import os
 import random
-import struct
 import subprocess
 import sys
 
@@ -93,65 +92,63 @@ def test_lanes_give_back_from_the_first_failing_p(monkeypatch, name, params,
 
 
 @pytest.fixture(scope="module")
-def c_path(tmp_path_factory):
-    """One lane of the batch inversion, stepped with the core's CDF values
-    behind an exported wrapper that records the node and the point of each
-    of its first MEMO_DEPTH evaluations, and returns how many it made."""
-    lib = _cshim.build(
-        tmp_path_factory.mktemp("path"), "path",
-        "const int memo_depth = MEMO_DEPTH;\n"
-        "int lane_path(double p, double a, double b, double df,\n"
-        "              double log_norm, long max_iter, int *node,\n"
-        "              double *at)\n"
-        "{\n"
-        "    Curve curve;\n"
-        "    Lane lane;\n"
-        "    double f;\n"
-        "    int state, e = 0;\n"
-        "    curve_init(&curve, a, b, df, log_norm, max_iter);\n"
-        "    state = lane_start(&lane, p, 0, &curve);\n"
-        "    for (; state == LANE_NEEDS && e < MEMO_DEPTH; e++) {\n"
-        "        node[e] = lane.node;\n"
-        "        at[e] = lane.at;\n"
-        "        cdf_lanes(1, &lane.at, &curve, &f);\n"
-        "        state = lane_step(&lane, f);\n"
-        "    }\n"
-        "    return e;\n"
-        "}\n")
-    double = ctypes.c_double
-    lib.lane_path.argtypes = (double, double, double, double, double,
-                              ctypes.c_long, ctypes.POINTER(ctypes.c_int),
-                              ctypes.POINTER(double))
-    lib.lane_path.restype = ctypes.c_int
-    return lib
+def checked_lib(tmp_path_factory):
+    """The path of the kernels built with CHECK_CERTIFIED, under which every
+    midpoint a certificate decides and every CDF value the memo returns are
+    also evaluated by the core, a disagreement aborting the process."""
+    return _cshim.build(tmp_path_factory.mktemp("checked"), "checked", "",
+                        ("-DCHECK_CERTIFIED",), load=False)
+
+
+def _run_checked(lib, script, *args, stdin=None):
+    """Run `script` in a child Python with argv: the library, then args."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        _kernels_c.__file__)))
+    return subprocess.run([sys.executable, "-c", script, str(lib), *args],
+                          input=stdin, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=600)
 
 
 # (a, b, df): Beta(a, b) when df is 0, else Student(df) with a = df / 2
 PATH_SHAPES = ((2.0, 4.0, 0.0), (0.05, 7.0, 0.0), (1.0, 1.0, 0.0),
                (0.35, 0.5, 0.7), (1.5, 0.5, 3.0), (25.0, 0.5, 50.0))
 
+# argv: the library, then (a, b, df) as JSON, the p on stdin; inverts every p
+# through the C entry point, one call from each p it gives back on, and
+# prints the memo values checked against the core
+_PATH_RUN = """
+import ctypes, json, sys
+from array import array
+from trimq import _kernels_c as c, _kernels_py as py
+
+c._lib = c._open(sys.argv[1])
+a, b, df = json.loads(sys.argv[2])
+ps = array("d", json.load(sys.stdin))
+while ps:
+    at = ps.buffer_info()[0]
+    done = c._lib.quantiles(at, len(ps), a, b, df, py._log_norm(a, b),
+                            py._MAX_ITER, at)
+    ps = ps[done + 1:]
+print(ctypes.c_long.in_dll(c._lib, "memo_checked").value)
+"""
+
 
 @pytest.mark.parametrize("a, b, df", PATH_SHAPES)
-def test_a_lanes_path_fixes_the_points_the_memo_holds(c_path, a, b, df):
-    # the memo keeps the CDF value at each node of the outcomes f < p of
-    # the lanes' first evaluations: every p whose lane reaches a node
-    # evaluates the same point there, and a node after e outcomes lies in
-    # [2**e, 2**(e + 1)), inside the table
-    depth = ctypes.c_int.in_dll(c_path, "memo_depth").value
-    node = (ctypes.c_int * depth)()
-    at = (ctypes.c_double * depth)()
-    log_norm = _kernels_py._log_norm(a, b)
+def test_a_lanes_path_fixes_the_points_the_memo_holds(checked_lib, a, b, df):
+    # the memo keeps the CDF value at each node of the outcomes f < p of a
+    # p's first evaluations: every p that reaches a node evaluates the same
+    # point there, so each value the memo returns, which the checking build
+    # also takes from the core, has the core's bits; the 10,011 p share one
+    # memo, but for a fresh one after each p given back (the sanitizer test
+    # keeps the nodes inside the table)
     rng = random.Random(11)
     ps = _SMALL + [1e-300, 1.0 - 1e-16] + [rng.random() for _ in range(10000)]
-    points = {}
-    for p in ps:
-        for e in range(c_path.lane_path(p, a, b, df, log_norm,
-                                        _kernels_py._MAX_ITER, node, at)):
-            assert node[e] >> e == 1, (p, e, node[e])
-            points.setdefault(node[e], set()).add(struct.pack("<d", at[e]))
-    assert len(points) > 2 ** (depth // 2)
-    shared = {n: bits for n, bits in points.items() if len(bits) > 1}
-    assert not shared, sorted(shared)[:5]
+    proc = _run_checked(checked_lib, _PATH_RUN, json.dumps([a, b, df]),
+                        stdin=json.dumps(ps))
+    assert proc.returncode == 0, "a memo value disagreed (%d): %s" % (
+        proc.returncode, proc.stderr[-2000:])
+    # nearly all of each p's 12 memo values are found there
+    assert int(proc.stdout) >= 11 * len(ps), proc.stdout
 
 
 _SANITIZED_RUN = """
@@ -185,6 +182,16 @@ for args in ((10, 0, 10, 4.5, 5.5, 0.0, 1.0, 0.0, 1.0),
              (1000, 480, 521, 500.5, 500.5, 0.48, 0.52, 0.1, 0.8),
              (7, 0, 7, 0.5, 7.5, 0.0, 1.0, 0.0, 1.0)):
     assert c.weight_window(*args) == py.weight_window(*args), args
+# Student p given back before any CDF value, first and after good p
+for df in (0.01, 3.0, 1e4):
+    for bad in (0.0, -0.0, -1e-300, float("nan"), 1.5):
+        for ps in ([bad], [0.3, 0.6, bad, 0.5]):
+            try:
+                c.student_quantiles(ps, df)
+            except ArithmeticError:
+                pass
+            else:
+                raise AssertionError((df, bad))
 # give-backs: Beta and Student failing at the first p and after others, a
 # Student p past the overflow point, and a window stopped by the cap
 py._MAX_ITER = 3
@@ -253,7 +260,7 @@ TAKEN = (("beta_quantiles", (2.0, 4.0)), ("beta_quantiles", (2.0, 10.0)),
          ("student_quantiles", (3.0,)))
 
 # argv: the library, the count of p per shape, then CHECKED and TAKEN as
-# JSON; prints, per shape, the p inverted and the lanes that took and
+# JSON; prints, per shape, the p inverted and the p that took and
 # failed a certificate, then the certificates taken at one call of 400
 _CHECKED_RUN = """
 import ctypes, json, random, sys
@@ -290,20 +297,11 @@ CHECKED_P = 200000
 
 
 @pytest.fixture(scope="module")
-def checked_run(tmp_path_factory):
-    """The kernels built with CHECK_CERTIFIED, under which every midpoint
-    a certificate decides is also evaluated, any that disagrees aborting
-    the process, run over CHECKED_P p per shape of CHECKED, in a child
-    process: (its exit status, its report, its stderr)."""
-    lib = _cshim.build(tmp_path_factory.mktemp("checked"), "checked", "",
-                       ("-DCHECK_CERTIFIED",), load=False)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        _kernels_c.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHECKED_RUN, str(lib), str(CHECKED_P),
-         json.dumps(CHECKED), json.dumps(TAKEN)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=600)
+def checked_run(checked_lib):
+    """The checking build run over CHECKED_P p per shape of CHECKED, in a
+    child process: (its exit status, its report, its stderr)."""
+    proc = _run_checked(checked_lib, _CHECKED_RUN, str(CHECKED_P),
+                        json.dumps(CHECKED), json.dumps(TAKEN))
     report = json.loads(proc.stdout) if proc.returncode == 0 else None
     return proc.returncode, report, proc.stderr
 
