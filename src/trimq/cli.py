@@ -140,6 +140,17 @@ def _cmd_hdi(args):
     return 0
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, for json's object_pairs_hook: a key given
+    twice raises ConfigError instead of keeping the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError("key %r is given twice" % key)
+        obj[key] = value
+    return obj
+
+
 def _cmd_simulate(args):
     try:
         _checks.integer(args.threads, "--threads", 1)
@@ -147,11 +158,13 @@ def _cmd_simulate(args):
         return _fail(2, str(exc))
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         return _fail(3, "cannot read config %s: %s" % (args.config, exc))
     except json.JSONDecodeError as exc:
         return _fail(2, "config %s is not valid JSON: %s" % (args.config, exc))
+    except ConfigError as exc:
+        return _fail(2, "config %s: %s" % (args.config, exc))
 
     try:
         if args.kind == "sim1":

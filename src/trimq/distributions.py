@@ -216,12 +216,17 @@ class DistributionSpec:
                         "expected name=value in distribution spec %r, got %r"
                         % (text, item.strip()))
                 name, _, raw = item.partition("=")
+                name = name.strip()
+                if name in params:
+                    raise ValueError(
+                        "parameter %r given twice in distribution spec %r"
+                        % (name, text))
                 try:
-                    params[name.strip()] = float(raw)
+                    params[name] = float(raw)
                 except ValueError:
                     raise ValueError(
                         "non-numeric value %r for parameter %r in %r"
-                        % (raw.strip(), name.strip(), text)) from None
+                        % (raw.strip(), name, text)) from None
         return cls(kind, **params)
 
     @property

@@ -13,15 +13,15 @@ Three estimators share this module:
   order statistics.
 
 Harrell-Davis is the trimmed recipe at width 1, whose interval is all of
-[0, 1], so one builder makes both weight vectors.  They are exposed
-(``hd_weights`` / ``thd_weights``) for reuse across samples of one size.
-The builder solves the interval here and leaves the loop over its order
-statistics to one ``weight_window`` call of the backend's kernels, C or
-the pure-Python reference; where the C loop's incomplete beta gives out,
-the reference's raises its own ArithmeticError.  An estimate is
-the data of a scorer, the HF7 index and fraction or the weight window,
-and HF7 and the weighted sum over it are written once, in
-trimq._kernels_py, which the simulation's C scoring kernel ports.
+[0, 1], so one builder makes both.  It solves the interval here, leaves the
+loop over its order statistics to one ``weight_window`` call of the
+backend's kernels, C or the pure-Python reference (where the C loop's
+incomplete beta gives out, the reference's raises its own ArithmeticError),
+and returns only the window from the first positive weight to the last:
+the scorer an estimate reads, as HF7's is its index and fraction.  HF7 and
+the weighted sum are written once, in trimq._kernels_py, which the
+simulation's C scoring kernel ports.  Only ``hd_weights`` /
+``thd_weights`` pad the window to the n-long WeightVector.
 """
 
 import math
@@ -126,14 +126,6 @@ def _hf7(n, p):
     return j, h - j
 
 
-def _weighted_sum(wv):
-    """The window scorer of WeightVector `wv`: (lo, ws), its weights over
-    the support, which start at order statistic lo + 1.  Weights outside
-    it are exactly 0 and are skipped."""
-    lo = wv.support_lo - 1
-    return lo, wv.weights[lo:wv.support_hi]
-
-
 def _sqrt_width(n):
     """Default trim width: confines the weights to about sqrt(n) order
     statistics."""
@@ -164,9 +156,10 @@ def _check_np(n, p):
 
 
 def _trimmed_weights(n, p, width):
-    """The one weight builder behind hd_weights and thd_weights, for (n, p)
-    validated by _check_np: W_i = F(i/n) - F((i-1)/n), F the beta CDF
-    truncated to the HDI of `width` and renormalized ([0, 1] at width 1)."""
+    """The window scorer (lo, ws) of W_i = F(i/n) - F((i-1)/n), F the beta
+    CDF truncated to the HDI of `width` and renormalized ([0, 1] at width
+    1), for n >= 1 and p in (0, 1): ws runs from the first positive weight,
+    order statistic lo + 1, to the last; every other weight is 0."""
     params = _shape_params(n, p)
     hdi = beta_hdi(params, width)
     if hdi.case is HdiCase.DEGENERATE:
@@ -175,7 +168,7 @@ def _trimmed_weights(n, p, width):
         if n != 1:
             raise AssertionError(
                 "degenerate HDI for n=%d, p=%g; expected only at n=1" % (n, p))
-        return WeightVector((1.0,), 1, 1)
+        return 0, (1.0,)
     a, b = params.alpha, params.beta
     lower, upper = hdi.lower, hdi.upper
     cdf_lower = _k.reg_inc_beta(lower, a, b)
@@ -190,9 +183,14 @@ def _trimmed_weights(n, p, width):
                                       cdf_lower, denom)
     if not hi:
         raise ArithmeticError("weight vector vanished entirely")
-    weights = [0.0] * n
-    weights[i_lo:i_hi] = window
-    return WeightVector(tuple(weights), lo, hi)
+    return lo - 1, tuple(window[lo - 1 - i_lo:hi - i_lo])
+
+
+def _padded(n, scorer):
+    """The n-long WeightVector of the window scorer (lo, ws)."""
+    lo, ws = scorer
+    return WeightVector((0.0,) * lo + ws + (0.0,) * (n - lo - len(ws)),
+                        lo + 1, lo + len(ws))
 
 
 def hd_weights(n, p):
@@ -200,7 +198,7 @@ def hd_weights(n, p):
     i = 1..n, with (a, b) = ((n+1)p, (n+1)(1-p)): the trimmed recipe of
     thd_weights at width 1, whose interval is all of [0, 1]."""
     n, p = _check_np(n, p)
-    return _trimmed_weights(n, p, 1.0)
+    return _padded(n, _trimmed_weights(n, p, 1.0))
 
 
 def hd_quantile(sample, p):
@@ -216,7 +214,7 @@ def thd_weights(n, p, width):
     nonzero weights live only at positions floor(L*n)+1 .. ceil(R*n).
     """
     n, p = _check_np(n, p)
-    return _trimmed_weights(n, p, width)
+    return _padded(n, _trimmed_weights(n, p, width))
 
 
 def thd_quantile(sample, p, width=None):
@@ -238,4 +236,4 @@ def thd_quantile(sample, p, width=None):
     n = len(x)
     if width is None:
         width = _sqrt_width(n)
-    return _estimator(_weighted_sum(thd_weights(n, p, width)))(x)
+    return _estimator(_trimmed_weights(n, p, width))(x)

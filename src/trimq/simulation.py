@@ -52,8 +52,7 @@ from . import _checks
 from ._kernels_py import _estimator
 from .backend import kernels as _k
 from .distributions import DistributionSpec, transform, true_quantile
-from .estimators import (_hf7, _sqrt_width, _weighted_sum, hd_weights,
-                         thd_weights)
+from .estimators import _hf7, _sqrt_width, _trimmed_weights
 from .rng import _seed_mix, fnv1a64
 
 __all__ = [
@@ -82,13 +81,12 @@ class ConfigError(ValueError):
 
 
 # estimator id -> scorer(n, p): the data of its estimate over n sorted
-# values (see _kernels_py.piece_errors); the weights and the HF7 index are
-# built once per (n, p), not per sample
+# values (see _kernels_py.piece_errors), the HF7 index or the weights'
+# support window, built once per (n, p), not per sample
 _SCORERS = {
     "hf7": _hf7,
-    "hd": lambda n, p: _weighted_sum(hd_weights(n, p)),
-    "thd-sqrt": lambda n, p: _weighted_sum(
-        thd_weights(n, p, _sqrt_width(n))),
+    "hd": lambda n, p: _trimmed_weights(n, p, 1.0),
+    "thd-sqrt": lambda n, p: _trimmed_weights(n, p, _sqrt_width(n)),
 }
 
 

@@ -334,6 +334,25 @@ def test_simulate_config_errors(tmp_path, capsys):
                  str(tmp_path / "missing.json"), "--out", out]) == 3
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"specs": ["Exp(rate=1)"], "sample_sizes": [5], "p_grid": [0.5], '
+     '"samples_per_batch": 10, "batches": 1, "batches": 3}', "batches"),
+    ('{"specs": ["Exp(rate=1)"], "sample_sizes": [5], "p_grid": [0.5], '
+     '"samples_per_batch": 10, "batches": 3, '
+     '"estimators": {"hd": "hd", "hd": "hf7"}}', "hd"),
+])
+def test_simulate_rejects_a_repeated_config_key(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg2.json"
+    cfg.write_text(text)
+    out = tmp_path / "out2.csv"
+    assert main(["simulate", "--kind", "sim2", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config %s: " % cfg)
+    assert "%r is given twice" % key in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_simulate_rejects_non_positive_threads(tmp_path, capsys, threads):
     cfg = _sim1_config_file(tmp_path)

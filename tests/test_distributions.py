@@ -122,6 +122,15 @@ def test_parse_errors():
             parse_distribution(bad)
 
 
+def test_parse_rejects_a_repeated_parameter():
+    for text, name in [("Normal(m=1, m=2)", "m"),
+                       ("Pareto(loc=1, shape=2, shape=2)", "shape")]:
+        with pytest.raises(ValueError, match="parameter %r given twice" % name
+                           ) as info:
+            parse_distribution(text)
+        assert repr(text) in str(info.value)
+
+
 def test_contaminated_normal_rejects_an_overflowing_wide_scale():
     with pytest.raises(ValueError, match="sigma=1e\\+200 c=1e\\+300"):
         parse_distribution(

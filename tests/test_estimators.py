@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -481,3 +482,51 @@ def test_weights_make_one_kernel_call_per_vector(monkeypatch):
     monkeypatch.undo()
     _use_kernels(monkeypatch, "python")
     assert got == repr(hd_weights(10000, 0.37))
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_an_estimate_reads_only_its_window(monkeypatch, backend):
+    # at n = 1e5 the default window spans about 600 order statistics: one
+    # estimate allocates about that much, not the 1.5 MB of the list and
+    # tuple of an n-long weight vector
+    _use_kernels(monkeypatch, backend)
+    sample = Sample(range(100000), presorted=True)
+    thd_quantile(sample, 0.5)  # solve and code paths warmed at another p
+    tracemalloc.start()
+    try:
+        thd_quantile(sample, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_estimates_build_no_weight_vector(monkeypatch, backend):
+    from trimq import Sim2Config, estimate_mse, estimators, run_sim2
+    from trimq import simulation
+
+    monkeypatch.setattr(simulation, "_k", _use_kernels(monkeypatch, backend))
+    rng = random.Random(5)
+    xs = [rng.gauss(0.0, 1.0) for _ in range(1000)]
+    config = Sim2Config.from_dict({
+        "specs": ["Normal(m=0, sd=1)", "Exp(rate=1)"],
+        "sample_sizes": [1, 2, 17], "p_grid": [0.1, 0.5],
+        "samples_per_batch": 4, "batches": 3, "seed": 2})
+
+    def outcomes():
+        return repr((thd_quantile(xs, 0.3), thd_quantile(xs, 0.3, 0.2),
+                     hd_quantile(xs, 0.9),
+                     estimate_mse("thd-sqrt", "Exp(rate=1)", 40, 0.25, 6, 3,
+                                  9),
+                     run_sim2(config).to_csv()))
+
+    want = outcomes()
+
+    def no_vector(*args):
+        raise AssertionError("an estimate built a WeightVector")
+
+    monkeypatch.setattr(estimators, "WeightVector", no_vector)
+    assert outcomes() == want
+    with pytest.raises(AssertionError, match="built a WeightVector"):
+        hd_weights(10, 0.5)

@@ -15,7 +15,7 @@ from trimq import (DistributionSpec, ESTIMATORS, Sim2Config, estimate_mse,
                    hd_quantile, hf7_quantile, run_sim2, simulation,
                    thd_quantile)
 from trimq import _kernels_py
-from trimq.estimators import _hf7, _weighted_sum, hd_weights, thd_weights
+from trimq.estimators import _hf7, _trimmed_weights, hd_weights
 
 BACKENDS = ("python", "c")
 
@@ -177,8 +177,8 @@ def test_c_sum_keeps_a_partial_per_product(c_parts):
 
 
 def _scorers(n, p):
-    return [_hf7(n, p), _weighted_sum(hd_weights(n, p)),
-            _weighted_sum(thd_weights(n, p, 1.0 / math.sqrt(n)))]
+    return [_hf7(n, p), _trimmed_weights(n, p, 1.0),
+            _trimmed_weights(n, p, 1 / math.sqrt(n))]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
