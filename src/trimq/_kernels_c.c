@@ -25,42 +25,38 @@
  * same quantile, but decides the outcomes a certificate covers without
  * evaluating the CDF there.
  *
- * The incomplete beta has one implementation, a lane core that evaluates
- * it at up to LANES points at once, each lane running the reference's
- * statements in their order, so that the chains of divisions of the
- * points overlap: reg_inc_beta is the core at one lane, and weight_window
- * takes its indices LANES at a time, which makes a weight vector a quarter
- * to a third faster than one point per core call.  The batch inversions
- * walk their p one after the other, each p's bracket doubling and
- * bisection a plain loop (invert) of one point per core call: with the
- * certificate below a p needs about six core points, and interleaving
- * several p in one core call does not pay.  Every batch inversion keeps a
- * memo for the call: the CDF values of each p's first evaluations, which
- * the p of a batch share, indexed by the p's path, the outcomes of its
- * comparisons so far, which fix the point, so that a value found there is
- * the double the core would return.
+ * The incomplete beta has one implementation, the core inc_beta, which
+ * evaluates it at one point and holds the file's only Lentz loop:
+ * reg_inc_beta returns its value, weight_window calls it once per index,
+ * and the batch inversions walk their p one after the other, each p's
+ * bracket doubling and bisection a plain loop (invert) of one core point
+ * at a time.  Every batch inversion keeps a memo for the call: the CDF
+ * values of each p's first evaluations, which the p of a batch share,
+ * indexed by the p's path, the outcomes of its comparisons so far, which
+ * fix the point, so that a value found there is the double the core would
+ * return.
  *
  * Past those evaluations a bisecting p tries once to certify a band
  * around its quantile: a regula falsi point in its bracket, up to three
- * Newton steps, then the CDF values at the band's two ends, in one core
- * call, which must stay a margin m from p, m being at least twice a
- * stated bound on the core's error there.  That bound is relative, rho |F
- * - alpha| plus the rounding of 1 - T, alpha being the 0, 1/2 or 1 that
- * the computed CDF takes its tail from, so in the tails it shrinks with
- * min(p, 1 - p); rho sums the Lentz tolerance CF_TOL, the cancellation and
- * rounding of the Lentz recurrence (which grow with a + b and with the
- * number of terms) and the rounding of exp's argument, which grows with
- * |log_norm| + |a log x| + |b log1p(-x)|: see curve_init.  Every midpoint
- * below the band then compares f < p and every one above it f >= p, as its
- * CDF value would.  A p does not try, and bisects as the reference does,
- * where the bound is not stated: when the fraction's term count at its
- * switch point, with headroom, passes max_iter, when the bracket crosses
- * the fraction's switch or t = 0, has an end at 0 or 1, or when rho passes
- * 2**-30; a certificate value inside the margin, or a NaN, ends the try
- * the same way.  Built with -DCHECK_CERTIFIED, as the tests build it,
- * quantiles also evaluates every midpoint it decides and every value its
- * memo returns, and aborts if one disagrees, and counts the certificates
- * taken and failed.
+ * Newton steps, then the CDF values at the band's two ends, which must
+ * stay a margin m from p, m being at least twice a stated bound on the
+ * core's error there.  That bound is relative, rho |F - alpha| plus the
+ * rounding of 1 - T, alpha being the 0, 1/2 or 1 that the computed CDF
+ * takes its tail from, so in the tails it shrinks with min(p, 1 - p); rho
+ * sums the Lentz tolerance CF_TOL, the cancellation and rounding of the
+ * Lentz recurrence (which grow with a + b and with the number of terms)
+ * and the rounding of exp's argument, which grows with |log_norm| + |a log
+ * x| + |b log1p(-x)|: see curve_init.  Every midpoint below the band then
+ * compares f < p and every one above it f >= p, as its CDF value would.
+ * A p does not try, and bisects as the reference does, where the bound is
+ * not stated: when the fraction's term count at its switch point, with
+ * headroom, passes max_iter, when the bracket crosses the fraction's
+ * switch or t = 0, has an end at 0 or 1, or when rho passes 2**-30; a
+ * certificate value inside the margin, or a NaN, ends the try the same
+ * way.  Built with -DCHECK_CERTIFIED, as the tests build it, quantiles
+ * also evaluates every midpoint it decides and every value its memo
+ * returns, and aborts if one disagrees, and counts the certificates taken
+ * and failed.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
@@ -98,115 +94,97 @@
 #define BISECT_LEVELS 500
 #define BISECT_TOL 1e-12
 
-/* the points the incomplete-beta core evaluates at once; at least the two
-   Student t bounds of a batch inversion, and the two ends of its band */
-#define LANES 4
-
 /* the evaluations of each p that a batch inversion's memo holds */
 #define MEMO_DEPTH 12
 
 /*
- * I_x(a, b) at the count <= LANES points x[k], into out[k], with log_norm =
- * ln(1 / B(a, b)) as _kernels_py._log_norm computes it.  Each lane runs the
- * statements of _kernels_py.reg_inc_beta and of its modified Lentz
- * recurrence, _beta_cont_frac, in their order, so out[k] is the double that
- * reg_inc_beta(x[k], a, b) returns; the lanes' chains of divisions, each
- * waiting on the one before, overlap.  The fraction of (a', b', x') is
- * (a, b, x) below the mean and (b, a, 1 - x) above it, its term m being
+ * I_x(a, b) for x in [0, 1], with log_norm = ln(1 / B(a, b)) as
+ * _kernels_py._log_norm computes it: the statements of
+ * _kernels_py.reg_inc_beta and of its modified Lentz recurrence,
+ * _beta_cont_frac, in their order, so the double that reg_inc_beta(x, a, b)
+ * returns.  The fraction of (a', b', x') is (a, b, x) below the mean and
+ * (b, a, 1 - x) above it, its term m being
  * m (b' - m) x' / ((a' - 1 + 2m)(a' + 2m)), then
  * -(a' + m)(a' + b' + m) x' / ((a' + 2m)(a' + 1 + 2m)).  NaN asks the
  * caller to use the reference: a fraction that does not converge within
- * max_iter terms, or an exp(front) that is not finite.  terms[k], unless
- * terms is NULL, gets the number of terms of fraction k where it converges.
+ * max_iter terms, or an exp(front) that is not finite.  *terms, unless
+ * terms is NULL, gets the number of terms of the fraction where it
+ * converges.
  */
-static void inc_beta_lanes(int count, const double *x, double a, double b,
-                           double log_norm, long max_iter, double *out,
-                           int *terms)
+static double inc_beta(double x, double a, double b, double log_norm,
+                       long max_iter, int *terms)
 {
-    double fa[LANES], fb[LANES], fx[LANES], qab[LANES], qap[LANES];
-    double qam[LANES], scale[LANES], c[LANES], d[LANES], h[LANES];
-    double m, m2, am2, aa, delta;
-    unsigned todo = 0, upper = 0;
+    double fa, fb, fx, qab, qap, qam, scale, c, d, h, m, m2, am2, aa, delta;
+    int upper;
     long i;
-    int k;
 
-    for (k = 0; k < count; k++) {
-        out[k] = x[k] <= 0.0 ? 0.0 : x[k] >= 1.0 ? 1.0 : NAN;
-        if (!isnan(out[k]))
-            continue;
-        scale[k] = exp(log_norm + a * log(x[k]) + b * log1p(-x[k]));
-        if (!isfinite(scale[k]))
-            continue;
-        if (x[k] < (a + 1.0) / (a + b + 2.0)) {
-            fa[k] = a;
-            fb[k] = b;
-            fx[k] = x[k];
-        } else {
-            /* I_x(a, b) = 1 - I_{1-x}(b, a) */
-            fa[k] = b;
-            fb[k] = a;
-            fx[k] = 1.0 - x[k];
-            upper |= 1u << k;
-        }
-        qab[k] = fa[k] + fb[k];
-        qap[k] = fa[k] + 1.0;
-        qam[k] = fa[k] - 1.0;
-        c[k] = 1.0;
-        d[k] = 1.0 - qab[k] * fx[k] / qap[k];
-        if (-FPMIN < d[k] && d[k] < FPMIN)
-            d[k] = FPMIN;
-        d[k] = 1.0 / d[k];
-        h[k] = d[k];
-        todo |= 1u << k;
+    if (x <= 0.0)
+        return 0.0;
+    if (x >= 1.0)
+        return 1.0;
+    scale = exp(log_norm + a * log(x) + b * log1p(-x));
+    if (!isfinite(scale))
+        return NAN;
+    upper = !(x < (a + 1.0) / (a + b + 2.0));
+    if (!upper) {
+        fa = a;
+        fb = b;
+        fx = x;
+    } else {
+        /* I_x(a, b) = 1 - I_{1-x}(b, a) */
+        fa = b;
+        fb = a;
+        fx = 1.0 - x;
     }
-    for (i = 1; todo && i <= max_iter; i++) {
+    qab = fa + fb;
+    qap = fa + 1.0;
+    qam = fa - 1.0;
+    c = 1.0;
+    d = 1.0 - qab * fx / qap;
+    if (-FPMIN < d && d < FPMIN)
+        d = FPMIN;
+    d = 1.0 / d;
+    h = d;
+    for (i = 1; i <= max_iter; i++) {
         m = (double)i;
         m2 = m + m;
-        for (k = 0; k < count; k++) {
-            if (!(todo >> k & 1u))
-                continue;
-            am2 = fa[k] + m2;
-            aa = m * (fb[k] - m) * fx[k] / ((qam[k] + m2) * am2);
-            d[k] = 1.0 + aa * d[k];
-            if (-FPMIN < d[k] && d[k] < FPMIN)
-                d[k] = FPMIN;
-            c[k] = 1.0 + aa / c[k];
-            if (-FPMIN < c[k] && c[k] < FPMIN)
-                c[k] = FPMIN;
-            d[k] = 1.0 / d[k];
-            h[k] *= d[k] * c[k];
-            aa = -(fa[k] + m) * (qab[k] + m) * fx[k] / (am2 * (qap[k] + m2));
-            d[k] = 1.0 + aa * d[k];
-            if (-FPMIN < d[k] && d[k] < FPMIN)
-                d[k] = FPMIN;
-            c[k] = 1.0 + aa / c[k];
-            if (-FPMIN < c[k] && c[k] < FPMIN)
-                c[k] = FPMIN;
-            d[k] = 1.0 / d[k];
-            delta = d[k] * c[k];
-            h[k] *= delta;
-            if (-CF_TOL < delta - 1.0 && delta - 1.0 < CF_TOL) {
-                out[k] = upper >> k & 1u ? 1.0 - scale[k] * h[k] / fa[k]
-                                         : scale[k] * h[k] / fa[k];
-                if (terms != NULL)
-                    terms[k] = (int)i;
-                todo &= ~(1u << k);
-            }
+        am2 = fa + m2;
+        aa = m * (fb - m) * fx / ((qam + m2) * am2);
+        d = 1.0 + aa * d;
+        if (-FPMIN < d && d < FPMIN)
+            d = FPMIN;
+        c = 1.0 + aa / c;
+        if (-FPMIN < c && c < FPMIN)
+            c = FPMIN;
+        d = 1.0 / d;
+        h *= d * c;
+        aa = -(fa + m) * (qab + m) * fx / (am2 * (qap + m2));
+        d = 1.0 + aa * d;
+        if (-FPMIN < d && d < FPMIN)
+            d = FPMIN;
+        c = 1.0 + aa / c;
+        if (-FPMIN < c && c < FPMIN)
+            c = FPMIN;
+        d = 1.0 / d;
+        delta = d * c;
+        h *= delta;
+        if (-CF_TOL < delta - 1.0 && delta - 1.0 < CF_TOL) {
+            if (terms != NULL)
+                *terms = (int)i;
+            return upper ? 1.0 - scale * h / fa : scale * h / fa;
         }
     }
+    return NAN;
 }
 
 /*
- * Regularized incomplete beta I_x(a, b) for x in [0, 1]: the core at one
- * lane.  NaN asks the caller to use the reference.
+ * Regularized incomplete beta I_x(a, b) for x in [0, 1].  NaN asks the
+ * caller to use the reference.
  */
 double reg_inc_beta(double x, double a, double b, double log_norm,
                     long max_iter)
 {
-    double y;
-
-    inc_beta_lanes(1, &x, a, b, log_norm, max_iter, &y, NULL);
-    return y;
+    return inc_beta(x, a, b, log_norm, max_iter, NULL);
 }
 
 /*
@@ -216,8 +194,7 @@ double reg_inc_beta(double x, double a, double b, double log_norm,
  * cdf_lower) / denom clamped to [0, 1], 0 at or below lower and 1 at or
  * above upper.  support[0] and support[1] get the 1-based indices of the
  * first and last positive weight, 0 and 0 when none is.  i / n rounds as
- * Python's int division does for n < 2**53.  The incomplete betas of each
- * LANES consecutive indices are one core call.  Returns i_hi + 1 when the
+ * Python's int division does for n < 2**53.  Returns i_hi + 1 when the
  * window is done, or else the index i whose I_{i/n}(a, b) it gives back to
  * the caller, every index before it having converged.
  */
@@ -226,50 +203,38 @@ long weight_window(long n, long i_lo, long i_hi, double a, double b,
                    double denom, double log_norm, long max_iter, double *out,
                    long *support)
 {
-    double x[LANES], inside[LANES], inc[LANES], cur, prev = 0.0, w;
-    long i, base;
-    int k, width, used;
+    double x, cur, prev = 0.0, w;
+    long i;
 
     support[0] = support[1] = 0;
-    for (base = i_lo; base <= i_hi; base += LANES) {
-        width = i_hi - base < LANES ? (int)(i_hi - base + 1) : LANES;
-        used = 0;
-        for (k = 0; k < width; k++) {
-            x[k] = (double)(base + k) / (double)n;
-            if (!(x[k] <= lower) && !(x[k] >= upper))
-                inside[used++] = x[k];
-        }
-        inc_beta_lanes(used, inside, a, b, log_norm, max_iter, inc, NULL);
-        used = 0;
-        for (k = 0; k < width; k++) {
-            i = base + k;
-            if (x[k] <= lower) {
+    for (i = i_lo; i <= i_hi; i++) {
+        x = (double)i / (double)n;
+        if (x <= lower) {
+            cur = 0.0;
+        } else if (x >= upper) {
+            cur = 1.0;
+        } else {
+            cur = inc_beta(x, a, b, log_norm, max_iter, NULL);
+            if (isnan(cur))
+                return i;
+            cur = (cur - cdf_lower) / denom;
+            if (cur < 0.0)
                 cur = 0.0;
-            } else if (x[k] >= upper) {
+            else if (cur > 1.0)
                 cur = 1.0;
-            } else {
-                cur = inc[used++];
-                if (isnan(cur))
-                    return i;
-                cur = (cur - cdf_lower) / denom;
-                if (cur < 0.0)
-                    cur = 0.0;
-                else if (cur > 1.0)
-                    cur = 1.0;
-            }
-            if (i > i_lo) {
-                w = cur - prev;
-                if (w > 0.0) {
-                    out[i - i_lo - 1] = w;
-                    if (!support[0])
-                        support[0] = i;
-                    support[1] = i;
-                } else {
-                    out[i - i_lo - 1] = 0.0;
-                }
-            }
-            prev = cur;
         }
+        if (i > i_lo) {
+            w = cur - prev;
+            if (w > 0.0) {
+                out[i - i_lo - 1] = w;
+                if (!support[0])
+                    support[0] = i;
+                support[1] = i;
+            } else {
+                out[i - i_lo - 1] = 0.0;
+            }
+        }
+        prev = cur;
     }
     return i_hi + 1;
 }
@@ -290,28 +255,19 @@ typedef struct {
 } Curve;
 
 /*
- * The CDF values f[k] at the count <= LANES points t[k], in one core call:
- * I_t(a, b) when df is 0, or else the Student t CDF at df degrees of
- * freedom of _kernels_py.student_quantiles, the tail beyond |t| being
- * I_{df / (df + t^2)}(a, b) / 2.
+ * The CDF value at t: I_t(a, b) when df is 0, or else the Student t CDF at
+ * df degrees of freedom of _kernels_py.student_quantiles, the tail beyond
+ * |t| being I_{df / (df + t^2)}(a, b) / 2.
  */
-static void cdf_lanes(int count, const double *t, const Curve *c, double *f)
+static double cdf(double t, const Curve *c)
 {
-    double x[LANES] = {0.0}, tail; /* set whole: only x[0 .. count) is read */
-    int k;
+    double tail;
 
-    if (c->df == 0.0) {
-        inc_beta_lanes(count, t, c->a, c->b, c->log_norm, c->max_iter, f,
-                       NULL);
-        return;
-    }
-    for (k = 0; k < count; k++)
-        x[k] = c->df / (c->df + t[k] * t[k]);
-    inc_beta_lanes(count, x, c->a, c->b, c->log_norm, c->max_iter, f, NULL);
-    for (k = 0; k < count; k++) {
-        tail = 0.5 * f[k];
-        f[k] = t[k] >= 0.0 ? 1.0 - tail : tail;
-    }
+    if (c->df == 0.0)
+        return inc_beta(t, c->a, c->b, c->log_norm, c->max_iter, NULL);
+    tail = 0.5 * inc_beta(c->df / (c->df + t * t), c->a, c->b, c->log_norm,
+                          c->max_iter, NULL);
+    return t >= 0.0 ? 1.0 - tail : tail;
 }
 
 /* the unit roundoff, 2**-53 */
@@ -357,8 +313,7 @@ static void cdf_lanes(int count, const double *t, const Curve *c, double *f)
 static void curve_init(Curve *c, double a, double b, double df,
                        double log_norm, long max_iter)
 {
-    double x[2], f[2];
-    int terms[2];
+    int terms_below, terms_at;
     double n;
 
     c->a = a;
@@ -368,12 +323,11 @@ static void curve_init(Curve *c, double a, double b, double df,
     c->max_iter = max_iter;
     c->split = (a + 1.0) / (a + b + 2.0);
     c->rho = 0.0;
-    x[0] = nextafter(c->split, 0.0);
-    x[1] = c->split;
-    inc_beta_lanes(2, x, a, b, log_norm, max_iter, f, terms);
-    if (isnan(f[0]) || isnan(f[1]))
+    if (isnan(inc_beta(nextafter(c->split, 0.0), a, b, log_norm, max_iter,
+                       &terms_below))
+        || isnan(inc_beta(c->split, a, b, log_norm, max_iter, &terms_at)))
         return;
-    n = 2.0 * (terms[0] > terms[1] ? terms[0] : terms[1]) + 8.0;
+    n = 2.0 * (terms_below > terms_at ? terms_below : terms_at) + 8.0;
     if (n <= (double)max_iter)
         c->rho = 4.0 * CF_TOL + UNIT * (n * n + 8.0 * (a + b) + 24.0);
 }
@@ -389,9 +343,8 @@ long certified_taken, certified_failed, memo_checked;
    says: f < p when below, else f >= p */
 static void check_skipped(const Curve *c, double p, double t, int below)
 {
-    double f;
+    double f = cdf(t, c);
 
-    cdf_lanes(1, &t, c, &f);
     if (isnan(f) || (f < p) != below)
         abort();
 }
@@ -399,9 +352,8 @@ static void check_skipped(const Curve *c, double p, double t, int below)
 /* abort unless the core's value at t has the bits of the memo's value v */
 static void check_memo(const Curve *c, double t, double v)
 {
-    double f;
+    double f = cdf(t, c);
 
-    cdf_lanes(1, &t, c, &f);
     if (memcmp(&f, &v, sizeof f) != 0)
         abort();
     memo_checked++;
@@ -434,13 +386,11 @@ static double path_cdf(Path *w, double t)
 {
     double f;
 
-    if (w->evals >= MEMO_DEPTH) {
-        cdf_lanes(1, &t, w->curve, &f);
-        return f;
-    }
+    if (w->evals >= MEMO_DEPTH)
+        return cdf(t, w->curve);
     f = w->table[w->node];
     if (isnan(f)) {
-        cdf_lanes(1, &t, w->curve, &f);
+        f = cdf(t, w->curve);
         w->table[w->node] = f;
     } else {
         check_memo(w->curve, t, f);
@@ -508,8 +458,8 @@ static double density(const Curve *c, double t, double *slope)
  * starts up to NEWTON_STEPS Newton steps, each one CDF value.  After each
  * the estimate's error is about slope step^2 / 2; once that is well inside
  * the band, or after NEWTON_STEPS, the band is the estimate +- delta, delta
- * = 2 margin(p) / density, and its two ends are one core call, each of
- * whose values must clear p by its margin.  A NaN value or a step out of
+ * = 2 margin(p) / density, and the CDF values at its two ends must each
+ * clear p by its margin.  A NaN value or a step out of
  * the bracket ends the try uncertified.
  */
 static int certify(const Curve *c, double p, double lo, double hi,
@@ -540,7 +490,7 @@ static int certify(const Curve *c, double p, double lo, double hi,
     if (!(lo < at && at < hi))
         at = mid;
     for (newton = 1;; newton++) {
-        cdf_lanes(1, &at, c, &f);
+        f = cdf(at, c);
         if (isnan(f))
             return 0;
         pdf = density(c, at, &slope);
@@ -559,7 +509,8 @@ static int certify(const Curve *c, double p, double lo, double hi,
     ends[1] = at + delta;
     if (!(lo < ends[0] && ends[1] < hi))
         return 0;
-    cdf_lanes(2, ends, c, fends);
+    fends[0] = cdf(ends[0], c);
+    fends[1] = cdf(ends[1], c);
     if (!(p - fends[0] > margin(&e, fends[0])
           && fends[1] - p >= margin(&e, fends[1])))
         return 0;
@@ -634,41 +585,43 @@ static int invert(double p, const Curve *c, double *table, double *q)
 }
 
 /*
- * out[i] = the quantile of ps[i] for i < count, ps and out possibly the
- * same buffer: of the Beta(a, b) when df is 0, or else of the Student t at
- * df degrees of freedom, with a = df / 2, b = 1 / 2.  log_norm is that of
- * the shape pair (a, b).  The p are inverted one after the other (invert)
- * through one memo, the table of the CDF values at each node of the paths
- * of the p's first MEMO_DEPTH values, which the p of a call share (the top
- * of the bisection tree, the bracket's doublings), a NaN where not yet
- * known; a value found is the double the core would return at the node's
- * point, so no output bit depends on it.  Past those values a p certifies
- * a band around its quantile (margins of at least twice the bound of
- * curve_init on the core's error, no try where that bound is not stated),
- * and every midpoint outside the band moves lo or hi as its CDF value
- * would, without one: the same midpoints, the same outcomes, the same bits
- * as _kernels_py, from fewer CDF values.  Past |t| = sqrt(DBL_MAX), t * t
+ * ps[i] replaced by its quantile for i < count: of the Beta(a, b) when df
+ * is 0, or else of the Student t at df degrees of freedom, with a = df /
+ * 2, b = 1 / 2.  log_norm is that of the shape pair (a, b).  The p are
+ * inverted one after the other (invert) through one memo, the table of the
+ * CDF values at each node of the paths of the p's first MEMO_DEPTH values,
+ * which the p of a call share (the top of the bisection tree, the
+ * bracket's doublings), a NaN where not yet known; a value found is the
+ * double the core would return at the node's point, so no output bit
+ * depends on it.  Past those values a p certifies a band around its
+ * quantile (margins of at least twice the bound of curve_init on the
+ * core's error, no try where that bound is not stated), and every
+ * midpoint outside the band moves lo or hi as its CDF value would,
+ * without one: the same midpoints, the same outcomes, the same bits as
+ * _kernels_py, from fewer CDF values.  Past |t| = sqrt(DBL_MAX), t * t
  * overflows and the Student t CDF saturates, so a Student p outside
  * [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back, as is every p when
  * those two CDF values are NaN, and a Student p <= 0, whose low end would
- * never hold it.  Returns count, or the index of the first p given back.
+ * never hold it.  Returns count, or the index of the first p given back,
+ * that p and those after it left as they are.
  */
-long quantiles(const double *ps, long count, double a, double b, double df,
-               double log_norm, long max_iter, double *out)
+long quantiles(double *ps, long count, double a, double b, double df,
+               double log_norm, long max_iter)
 {
     Curve curve;
     double table[1 << MEMO_DEPTH], bounds[2] = {0.0, 1.0};
-    double roots[2] = {-sqrt(DBL_MAX), sqrt(DBL_MAX)};
     long i;
 
     curve_init(&curve, a, b, df, log_norm, max_iter);
-    if (df != 0.0)
-        cdf_lanes(2, roots, &curve, bounds);
+    if (df != 0.0) {
+        bounds[0] = cdf(-sqrt(DBL_MAX), &curve);
+        bounds[1] = cdf(sqrt(DBL_MAX), &curve);
+    }
     memset(table, 0xff, sizeof table); /* all bits set: a NaN */
     for (i = 0; i < count; i++)
         if ((df != 0.0 && !(ps[i] > 0.0 && bounds[0] <= ps[i]
                             && ps[i] <= bounds[1]))
-            || !invert(ps[i], &curve, table, &out[i]))
+            || !invert(ps[i], &curve, table, &ps[i]))
             return i;
     return count;
 }

@@ -33,25 +33,23 @@ decides every midpoint outside the band without a CDF value.  It bisects
 plainly where that bound is not stated: a bracket across the fraction's
 switch point or t = 0, or with an end at 0 or 1, a fraction that may not
 converge within the term cap, or a bound above 2**-30.  The incomplete
-beta's C core evaluates up to four points per call, their chains of
-divisions overlapping: ``weight_window`` takes its indices four at a
-time, a quarter to a third faster than one at a time, while ``quantiles``
-asks it for one point at a time but for the two Student t bounds and the
-two ends of a band.  Where the C code gives a case back (a fraction that
-does not converge, an exp(front) that overflows, a NaN CDF value, a
-Student t p that is not positive or whose quantile lies past the square
-root of the largest double, a NaN to sort, a weighted sum that math.fsum
-would not return finite, input that is not plain ASCII decimal numbers,
-finite ones), the wrapper hands the call to that namesake, which raises
-its own error or returns what it returns.  A batch inversion returns the
-index of the first p it gives back; the wrapper keeps the quantiles
-before that index and hands over only the p from it.  A weight window
-hands over only the incomplete beta it stopped at, whose reference
-raises, and the whole window only if that one does not.  A scorer that
-is a callable is Python to run, so ``piece_errors`` hands such a call to
-the reference whole.  The library keeps no state between calls (a batch
-inversion's memo is a table on the stack of its call) and ctypes releases
-the GIL around each call, so threads may call it at once.
+beta's C core evaluates one point per call: ``weight_window`` calls it
+once per index, ``quantiles`` once per CDF value.  Where the C code gives
+a case back (a fraction that does not converge, an exp(front) that
+overflows, a NaN CDF value, a Student t p that is not positive or whose
+quantile lies past the square root of the largest double, a NaN to sort,
+a weighted sum that math.fsum would not return finite, input that is not
+plain ASCII decimal numbers, finite ones), the wrapper hands the call to
+that namesake, which raises its own error or returns what it returns.  A
+batch inversion returns the index of the first p it gives back; the
+wrapper keeps the quantiles before that index and hands over only the p
+from it.  A weight window hands over only the incomplete beta it stopped
+at, whose reference raises, and the whole window only if that one does
+not.  A scorer that is a callable is Python to run, so ``piece_errors``
+hands such a call to the reference whole.  The library keeps no state
+between calls (a batch inversion's memo is a table on the stack of its
+call) and ctypes releases the GIL around each call, so threads may call
+it at once.
 """
 
 import ctypes
@@ -155,7 +153,7 @@ _double, _long, _buffer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
 _ENTRIES = {
     "reg_inc_beta": (_double, (_double, _double, _double, _double, _long)),
     "quantiles": (_long, (_buffer, _long, _double, _double, _double, _double,
-                          _long, _buffer)),
+                          _long)),
     "weight_window": (_long, (_long, _long, _long, _double, _double, _double,
                               _double, _double, _double, _double, _long,
                               _buffer, _buffer)),
@@ -217,9 +215,8 @@ def _quantiles(ps, a, b, df, reference, *params):
     C code gives back."""
     count = len(ps)
     buf = array("d", ps)  # read and overwritten in place
-    at = buf.buffer_info()[0]
-    done = _lib.quantiles(at, count, a, b, df, _log_norm(a, b), _py._MAX_ITER,
-                          at)
+    done = _lib.quantiles(buf.buffer_info()[0], count, a, b, df,
+                          _log_norm(a, b), _py._MAX_ITER)
     if done < count:
         return buf[:done].tolist() + reference(ps[done:], *params)
     return buf.tolist()

@@ -287,9 +287,10 @@ def test_edited_source_is_rebuilt_and_the_stale_library_never_loaded(
     assert len(built) == 1
     source = root / "trimq" / "_kernels_c.c"
     text = source.read_text()
-    # the scalar entry's return of the one-lane core's value
-    assert text.count("    return y;") == 1
-    source.write_text(text.replace("    return y;", "    return 0.25;"))
+    # the scalar entry's one return, of the core's value
+    entry_return = "    return inc_beta(x, a, b, log_norm, max_iter, NULL);"
+    assert text.count(entry_return) == 1
+    source.write_text(text.replace(entry_return, "    return 0.25;"))
     second = _run("", RAW, src=root)
     assert second.returncode == 0, second.stderr
     assert second.stdout.strip() == "0.25"

@@ -459,6 +459,54 @@ def test_c_weight_window_raises_where_it_stops(monkeypatch):
         "converge (a=370000, b=630001, x=0.369856)")
 
 
+def test_c_weight_window_hands_over_the_index_it_stops_at(monkeypatch):
+    # under a term cap the C loop stops at the first index whose fraction
+    # does not converge, the window starting 0 to 3 indices before it: the
+    # wrapper asks the reference incomplete beta there alone, which raises
+    # its own error; were that one to return, the wrapper would return the
+    # reference loop's window whole
+    from trimq import _kernels_c, _kernels_py
+
+    n, a, b = 1000, 370.37, 630.63
+    monkeypatch.setattr(_kernels_py, "_MAX_ITER", 20)
+
+    def converges(i):
+        try:
+            _kernels_py.reg_inc_beta(i / n, a, b)
+        except ArithmeticError:
+            return False
+        return True
+
+    stop = 332  # the first index whose fraction needs more than 20 terms
+    assert all(map(converges, range(stop))) and not converges(stop)
+    reference = _kernels_py.reg_inc_beta
+    asked = []
+
+    def recorded(x, a, b):
+        asked.append(x)
+        return reference(x, a, b)
+
+    def returning(x, a, b):
+        asked.append(x)
+        return x
+
+    for offset in range(4):
+        args = (n, stop - offset, stop + 5, a, b, 0.0, 1.0, 0.0, 1.0)
+        monkeypatch.setattr(_kernels_py, "reg_inc_beta", recorded)
+        with pytest.raises(ArithmeticError) as info:
+            _kernels_c.weight_window(*args)
+        assert asked == [stop / n], offset
+        assert str(info.value) == (
+            "incomplete beta continued fraction did not converge "
+            "(a=370.37, b=630.63, x=0.332)")
+        asked.clear()
+        monkeypatch.setattr(_kernels_py, "reg_inc_beta", returning)
+        got = _kernels_c.weight_window(*args)
+        assert asked[0] == stop / n, offset
+        assert got == _kernels_py.weight_window(*args), offset
+        asked.clear()
+
+
 def test_weights_make_one_kernel_call_per_vector(monkeypatch):
     # the loop crosses into C once; the interval ends are the only scalar
     # incomplete betas

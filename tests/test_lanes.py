@@ -45,9 +45,8 @@ BATCHES = [_SMALL[:size] for size in range(10)] + [
 
 @pytest.mark.parametrize("name, params", SPECS)
 def test_lanes_give_the_reference_bits(monkeypatch, name, params):
-    # batches of 0 to 9 p, fewer and more than the lanes, and the sim2
-    # call sizes up to the largest, each p the double the scalar reference
-    # returns
+    # batches of 0 to 9 p, and the sim2 call sizes up to the largest, each
+    # p the double the scalar reference returns
     want = [getattr(_kernels_py, name)(ps, *params) for ps in BATCHES]
     monkeypatch.setattr(_kernels_py, name, _given_back)
     got = [getattr(_kernels_c, name)(ps, *params) for ps in BATCHES]
@@ -69,9 +68,9 @@ CAPPED = (("beta_quantiles", (2.0, 4.0), 3,
 @pytest.mark.parametrize("first", [0, 1, 2, 3, 4, 9])
 def test_lanes_give_back_from_the_first_failing_p(monkeypatch, name, params,
                                                   cap, good, bad, first):
-    # the first failing p at each lane position, and after the lanes have
-    # taken new p, with good and failing p after it: the reference receives
-    # exactly the p from the first failing one
+    # the first failing p first, after one to four good p and after nine,
+    # with good and failing p after it: the reference receives exactly the
+    # p from the first failing one
     kernel = getattr(_kernels_py, name)
     ps = good[:first] + [bad[0], good[0], bad[1], good[1], bad[2]]
     received = []
@@ -125,9 +124,8 @@ c._lib = c._open(sys.argv[1])
 a, b, df = json.loads(sys.argv[2])
 ps = array("d", json.load(sys.stdin))
 while ps:
-    at = ps.buffer_info()[0]
-    done = c._lib.quantiles(at, len(ps), a, b, df, py._log_norm(a, b),
-                            py._MAX_ITER, at)
+    done = c._lib.quantiles(ps.buffer_info()[0], len(ps), a, b, df,
+                            py._log_norm(a, b), py._MAX_ITER)
     ps = ps[done + 1:]
 print(ctypes.c_long.in_dll(c._lib, "memo_checked").value)
 """

@@ -233,8 +233,8 @@ def test_piece_errors_match_the_reference_across_the_double_range(
 def test_c_piece_errors_give_back_what_the_reference_returns_or_raises(
         monkeypatch):
     # a NaN, whose place in sorted order depends on the sort; a callable
-    # scorer; an infinite product; a scorer past the sample; and an
-    # intermediate overflow, which fsum raises
+    # scorer; an infinite product; a scorer past the sample; a short last
+    # sample; and an intermediate overflow, which fsum raises
     from trimq import _kernels_c
 
     nan_piece = [0.5, math.nan, -1.0, 2.0, 0.25, 3.0]
@@ -243,6 +243,7 @@ def test_c_piece_errors_give_back_what_the_reference_returns_or_raises(
         ([3.0, 1.0, 2.0, 5.0, 4.0, 6.0], 3, [(2, 0.5), max]),
         ([math.inf, 1.0, 2.0], 3, [(1, 0.5), (0, (0.5, 0.5, 0.5))]),
         ([3.0, 1.0, 2.0], 3, [(2, (0.5, 0.5))]),
+        ([3.0, 1.0, 2.0, 5.0, 4.0], 3, [(2, 0.5)]),
     ]
     reference = _kernels_py.piece_errors
     calls = _recorded_give_backs(monkeypatch)
