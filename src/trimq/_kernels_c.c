@@ -1,9 +1,10 @@
 /*
  * The regularized incomplete beta, the loop that turns it into a window of
  * (trimmed) Harrell-Davis weights, the bisections that invert the Beta and
- * Student t CDFs through it, the counter-based uniforms of a whole
- * simulation batch of random streams, the sort and scoring of a piece of
- * simulation samples, and the parse and sort of the numbers that
+ * Student t CDFs through it, the quantiles of the closed-form families
+ * (with Wichura's PPND16 for the normal), the counter-based uniforms of a
+ * whole simulation batch of random streams, the sort and scoring of a
+ * piece of simulation samples, and the parse and sort of the numbers that
  * `trimq estimate` reads, in plain C99 for trimq/_kernels_c.py, which
  * builds this file and loads it with ctypes.
  *
@@ -11,12 +12,15 @@
  * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
  * quantiles, the one inversion behind beta_quantiles and student_quantiles,
  * with their bisection _bisect_cdf, the bracket of _invert_unbounded and the
- * Student t bounds, batch_uniforms with the draw loop of stream_uniforms,
- * the FNV-1a fold fnv1a64 and the finalizer _mix64, piece_errors with HF7
- * (_hf7) and the weighted sum (_weighted_sum), its math.fsum a port of
- * CPython 3.11's, and a stable sort in place of sorted(), which sort_floats
- * exports on its own, and parse_floats, whose strtod rounds correctly as
- * float() does.  Each but quantiles does the same operations in the same
+ * Student t bounds, closed_quantiles with the formulas of _CLOSED, its
+ * normal quantile a copy of CPython 3.11's _statistics._normal_dist_inv_cdf
+ * (the reference's statistics.NormalDist.inv_cdf), its ** the cases of
+ * CPython's float_pow that reach the platform pow, batch_uniforms with the
+ * draw loop of stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer
+ * _mix64, piece_errors with HF7 (_hf7) and the weighted sum
+ * (_weighted_sum), its math.fsum a port of CPython 3.11's, and a stable
+ * sort in place of sorted(), which sort_floats exports on its own, and
+ * parse_floats, whose strtod rounds correctly as float() does.  Each but quantiles does the same operations in the same
  * order, so that, built with -ffp-contract=off and linked against the libm
  * behind Python's math module, it returns the same doubles; the uniforms
  * are 64-bit integer work and the reference's two floating-point steps.
@@ -60,14 +64,18 @@
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
- * or, from weight_window and a batch inversion, the index it stopped at.
- * The caller then hands the call, the rest of the batch, or the one
- * incomplete beta the window stopped at, to the namesake reference, which
- * raises the error itself.  That happens when the fraction does not
- * converge within max_iter terms, when exp(front) is not finite (math.exp
- * raises OverflowError where C returns inf), in the bisections when a CDF
- * value is NaN, at a Student t p that is not positive or whose quantile
- * lies past the square root of the largest double, in piece_errors and
+ * or, from weight_window, a batch inversion and closed_quantiles, the
+ * index it stopped at.  The caller then hands the call, the rest of the
+ * batch, or the one incomplete beta the window stopped at, to the
+ * namesake reference, which raises the error itself or returns what it
+ * does.  That happens when the fraction does not converge within max_iter
+ * terms, when exp(front) is not finite (math.exp raises OverflowError
+ * where C returns inf), in the bisections when a CDF value is NaN, at a
+ * Student t p that is not positive or whose quantile lies past the square
+ * root of the largest double, in closed_quantiles at a p outside (0, 1)
+ * or NaN, a quantile that is not finite (math.exp and ** raise where C
+ * returns inf, and the reference's array stops there) and a power that
+ * CPython's float_pow treats itself, in piece_errors and
  * sort_floats when a value is NaN (its place in sorted order depends on
  * the sort) or a weighted sum meets a product that is not finite or
  * overflows (math.fsum's special values and OverflowError), and in
@@ -623,6 +631,208 @@ long quantiles(double *ps, long count, double a, double b, double df,
                             && ps[i] <= bounds[1]))
             || !invert(ps[i], &curve, table, &ps[i]))
             return i;
+    return count;
+}
+
+/*
+ * The closed-form families of closed_quantiles, numbered in the order of
+ * _kernels_py._CLOSED.
+ */
+enum { UNIFORM, TRIANGULAR, NORMAL, LOGNORMAL, WEIBULL, GUMBEL, EXP, CAUCHY,
+       PARETO, FRECHET };
+
+/* math.pi */
+#define PI 3.141592653589793
+
+/*
+ * The coefficients of Wichura's PPND16 (AS241, 1988) as CPython 3.11's
+ * statistics module spells them, each the double of its repr() there:
+ * the numerators and denominators of the centre |p - 0.5| <= 0.425, of the
+ * near tails (r = sqrt(-log(min(p, 1 - p))) <= 5) and of the far tails,
+ * the coefficient of r**k at index k.
+ */
+static const double PPND_CENTRE_NUM[8] = {
+    3.3871328727963665, 133.14166789178438, 1971.5909503065513,
+    13731.69376550946, 45921.95393154987, 67265.7709270087, 33430.57558358813,
+    2509.0809287301227
+};
+static const double PPND_CENTRE_DEN[8] = {
+    1.0, 42.31333070160091, 687.1870074920579, 5394.196021424751,
+    21213.794301586597, 39307.89580009271, 28729.085735721943,
+    5226.495278852854
+};
+static const double PPND_NEAR_NUM[8] = {
+    1.4234371107496835, 4.630337846156546, 5.769497221460691,
+    3.6478483247632045, 1.2704582524523684, 0.2417807251774506,
+    0.022723844989269184, 0.0007745450142783414
+};
+static const double PPND_NEAR_DEN[8] = {
+    1.0, 2.053191626637759, 1.6763848301838038, 0.6897673349851,
+    0.14810397642748008, 0.015198666563616457, 0.0005475938084995345,
+    1.0507500716444169e-09
+};
+static const double PPND_FAR_NUM[8] = {
+    6.657904643501103, 5.463784911164114, 1.7848265399172913,
+    0.29656057182850487, 0.026532189526576124, 0.0012426609473880784,
+    2.7115555687434876e-05, 2.0103343992922881e-07
+};
+static const double PPND_FAR_DEN[8] = {
+    1.0, 0.599832206555888, 0.1369298809227358, 0.014875361290850615,
+    0.0007868691311456133, 1.8463183175100548e-05, 1.421511758316446e-07,
+    2.0442631033899397e-15
+};
+
+/*
+ * The polynomial of the coefficients c[0 .. 8) at r, by Horner's rule from
+ * c[7]: PPND16's nested products and sums, in their order.
+ */
+static double horner(const double *c, double r)
+{
+    double h = c[7];
+    int k;
+
+    for (k = 6; k >= 0; k--)
+        h = h * r + c[k];
+    return h;
+}
+
+/*
+ * mu + x sigma, x the standard normal quantile of p in (0, 1) by PPND16:
+ * the statements of CPython 3.11's _statistics._normal_dist_inv_cdf, the
+ * function behind statistics.NormalDist.inv_cdf.
+ */
+static double normal_quantile(double p, double mu, double sigma)
+{
+    double q = p - 0.5, r, x;
+
+    if (fabs(q) <= 0.425) {
+        r = 0.180625 - q * q;
+        x = horner(PPND_CENTRE_NUM, r) * q / horner(PPND_CENTRE_DEN, r);
+        return mu + x * sigma;
+    }
+    r = q <= 0.0 ? p : 1.0 - p;
+    r = sqrt(-log(r));
+    if (r <= 5.0) {
+        r = r - 1.6;
+        x = horner(PPND_NEAR_NUM, r) / horner(PPND_NEAR_DEN, r);
+    } else {
+        r = r - 5.0;
+        x = horner(PPND_FAR_NUM, r) / horner(PPND_FAR_DEN, r);
+    }
+    if (q < 0.0)
+        x = -x;
+    return mu + x * sigma;
+}
+
+/*
+ * x ** y where CPython's float_pow hands it to the platform pow, for x
+ * finite and above 0 and y finite (its own x == 1 and y == 0 cases give
+ * pow's 1.0); NaN, which closed_quantiles gives back, in every case that
+ * float_pow treats itself.
+ */
+static double float_pow(double x, double y)
+{
+    if (!(x > 0.0 && isfinite(x) && isfinite(y)))
+        return NAN;
+    return pow(x, y);
+}
+
+/*
+ * A closed-form family at its parameters: a and b the first two, b - a,
+ * and what else does not depend on p, worked out once as the functions of
+ * _kernels_py._CLOSED work it out.
+ */
+typedef struct {
+    long kind;
+    double a, b, ba, ca, bc, split, power;
+} Closed;
+
+/* the quantile of p in (0, 1): the formula of _kernels_py._CLOSED */
+static double closed_quantile(const Closed *f, double p)
+{
+    switch (f->kind) {
+    case UNIFORM: /* a, b */
+        return f->a + f->ba * p;
+    case TRIANGULAR: /* a, b, c */
+        return p < f->split ? f->a + sqrt(p * f->ba * f->ca)
+                            : f->b - sqrt((1.0 - p) * f->ba * f->bc);
+    case NORMAL: /* m, sd */
+        return normal_quantile(p, f->a, f->b);
+    case LOGNORMAL: /* mlog, sdlog */
+        return exp(normal_quantile(p, f->a, f->b));
+    case WEIBULL: /* scale, shape */
+        return f->a * float_pow(-log1p(-p), f->power);
+    case GUMBEL: /* loc, scale */
+        return f->a - f->b * log(-log(p));
+    case EXP: /* rate */
+        return -log1p(-p) / f->a;
+    case CAUCHY: /* x0, gamma */
+        return f->a + f->b * tan(PI * (p - 0.5));
+    case PARETO: /* loc, shape */
+        return f->a * float_pow(1.0 - p, f->power);
+    default: /* FRECHET: shape */
+        return float_pow(-log(p), f->power);
+    }
+}
+
+/*
+ * ps[i] replaced by its quantile under the closed-form family `kind` at
+ * the parameters params, as many as the family has, for i < count: the
+ * formulas of _kernels_py._CLOSED, the same libm calls in the same order.
+ * Returns count, or the index of the first p given back, that p and those
+ * after it left as they are: a p outside (0, 1) or NaN, a quantile that
+ * is not finite (where math.exp or ** raises OverflowError, or arithmetic
+ * gives an infinity or a NaN), and a power that float_pow treats itself.
+ * A kind that is no family gives back every p.
+ */
+long closed_quantiles(long kind, const double *params, double *ps,
+                      long count)
+{
+    Closed f = {0};
+    double x;
+    long i;
+
+    f.kind = kind;
+    f.a = params[0];
+    switch (kind) {
+    case UNIFORM:
+        f.ba = params[1] - f.a;
+        break;
+    case TRIANGULAR:
+        f.b = params[1];
+        f.ba = f.b - f.a;
+        f.ca = params[2] - f.a;
+        f.bc = f.b - params[2];
+        f.split = f.ca / f.ba;
+        break;
+    case NORMAL:
+    case LOGNORMAL:
+    case GUMBEL:
+    case CAUCHY:
+        f.b = params[1];
+        break;
+    case WEIBULL:
+        f.power = 1.0 / params[1];
+        break;
+    case PARETO:
+        f.power = -1.0 / params[1];
+        break;
+    case FRECHET:
+        f.power = -1.0 / f.a;
+        break;
+    case EXP:
+        break;
+    default:
+        return 0;
+    }
+    for (i = 0; i < count; i++) {
+        if (!(ps[i] > 0.0 && ps[i] < 1.0))
+            return i;
+        x = closed_quantile(&f, ps[i]);
+        if (!isfinite(x))
+            return i;
+        ps[i] = x;
+    }
     return count;
 }
 

@@ -1,8 +1,10 @@
 """The C backend: the incomplete beta, the weight loop, the Beta and Student
-t inversions (one C entry point, ``quantiles``), ``batch_uniforms`` (the
-uniforms of the streams of consecutive samples of a simulation batch, in
-one call), ``piece_errors`` (the sort and the estimators' squared errors of
-a piece of simulation samples, in one call), ``parse_floats`` (the numbers
+t inversions (one C entry point, ``quantiles``), ``closed_quantiles`` (the
+quantiles of the ten closed-form families, the normal one a copy of the
+standard library's PPND16), ``batch_uniforms`` (the uniforms of the streams
+of consecutive samples of a simulation batch, in one array('d')),
+``piece_errors`` (the sort and the estimators' squared errors of a piece of
+simulation samples, in one call), ``parse_floats`` (the numbers
 of an input's bytes) and ``sort_floats`` (a stable sort of an array('d'),
 in place) of trimq/_kernels_c.c, loaded with ctypes, with the other kernels
 taken from the pure-Python reference, trimq._kernels_py.
@@ -37,19 +39,21 @@ beta's C core evaluates one point per call: ``weight_window`` calls it
 once per index, ``quantiles`` once per CDF value.  Where the C code gives
 a case back (a fraction that does not converge, an exp(front) that
 overflows, a NaN CDF value, a Student t p that is not positive or whose
-quantile lies past the square root of the largest double, a NaN to sort,
-a weighted sum that math.fsum would not return finite, input that is not
-plain ASCII decimal numbers, finite ones), the wrapper hands the call to
-that namesake, which raises its own error or returns what it returns.  A
-batch inversion returns the index of the first p it gives back; the
-wrapper keeps the quantiles before that index and hands over only the p
-from it.  A weight window hands over only the incomplete beta it stopped
-at, whose reference raises, and the whole window only if that one does
-not.  A scorer that is a callable is Python to run, so ``piece_errors``
-hands such a call to the reference whole.  The library keeps no state
-between calls (a batch inversion's memo is a table on the stack of its
-call) and ctypes releases the GIL around each call, so threads may call
-it at once.
+quantile lies past the square root of the largest double, a closed-form
+p outside (0, 1) or NaN, a closed-form quantile that is not finite or a
+power that CPython's float_pow treats itself, a NaN to sort, a weighted
+sum that math.fsum would not return finite, input that is not plain
+ASCII decimal numbers, finite ones), the wrapper hands the call to that
+namesake, which raises its own error or returns what it returns.  A
+batch inversion, and ``closed_quantiles``, return the index of the first
+p they give back; the wrapper keeps the quantiles before that index and
+hands over only the p from it.  A weight window hands over only the
+incomplete beta it stopped at, whose reference raises, and the whole
+window only if that one does not.  A scorer that is a callable is Python
+to run, so ``piece_errors`` hands such a call to the reference whole.
+The library keeps no state between calls (a batch inversion's memo is a
+table on the stack of its call) and ctypes releases the GIL around each
+call, so threads may call it at once.
 """
 
 import ctypes
@@ -154,6 +158,7 @@ _ENTRIES = {
     "reg_inc_beta": (_double, (_double, _double, _double, _double, _long)),
     "quantiles": (_long, (_buffer, _long, _double, _double, _double, _double,
                           _long)),
+    "closed_quantiles": (_long, (_long, _buffer, _buffer, _long)),
     "weight_window": (_long, (_long, _long, _long, _double, _double, _double,
                               _double, _double, _double, _double, _long,
                               _buffer, _buffer)),
@@ -234,6 +239,26 @@ def student_quantiles(ps, df):
     return _quantiles(ps, 0.5 * df, 0.5, df, _py.student_quantiles, df)
 
 
+# the closed-form families, numbered as the C code numbers them
+_CLOSED = {kind: i for i, kind in enumerate(_py._CLOSED)}
+
+
+def closed_quantiles(kind, params, ps):
+    """The quantiles of the p of ps under the closed-form family `kind` at
+    the parameters `params`, in an array('d'): a copy of ps, each p
+    replaced in one C call; from the first p that the C code gives back,
+    what the reference makes of the rest."""
+    buf = array("d", ps)
+    count = len(buf)
+    done = _lib.closed_quantiles(_CLOSED[kind],
+                                 _pack("%dd" % len(params), *params),
+                                 buf.buffer_info()[0], count)
+    if done < count:
+        del buf[done:]
+        buf += _py.closed_quantiles(kind, params, ps[done:])
+    return buf
+
+
 def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
     """The weight window of order statistics i_lo + 1 .. i_hi of a sample
     of n, with its 1-based support, in one C call over a buffer as long as
@@ -254,22 +279,23 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
 
 def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
     """The `per_sample` uniforms of stream fnv1a64("%d" % s, batch_hash)
-    for s = first .. first + count - 1, in one list, from one C call; an
-    s outside [0, 2**64), whose digits the C code cannot fold, hands the
-    call to the reference."""
+    for s = first .. first + count - 1, in one array('d'), the buffer of
+    one C call; an s outside [0, 2**64), whose digits the C code cannot
+    fold, hands the call to the reference."""
     if first < 0 or first + count > _M64 + 1:
         return _py.batch_uniforms(seed_mix, batch_hash, first, count,
                                   per_sample)
     buf = _ZERO * (count * per_sample)
     _lib.batch_uniforms(seed_mix, batch_hash, first, count, per_sample,
                         buf.buffer_info()[0])
-    return buf.tolist()
+    return buf
 
 
 def piece_errors(values, n, theta, scorers):
     """Per scorer, the squared errors of the samples of n values in
-    `values`, each sorted and scored in one C call; a callable scorer, or
-    a case the C code gives back, hands the call to the reference."""
+    `values`, a list or an array('d'), each sorted and scored in one C
+    call; a callable scorer, or a case the C code gives back, hands the
+    call to the reference."""
     count, rest = divmod(len(values), n)
     if rest:  # a short last sample, as the reference slices it
         return _py.piece_errors(values, n, theta, scorers)
@@ -289,10 +315,15 @@ def piece_errors(values, n, theta, scorers):
             coef.append(c)
     k = len(at)
     out = _ZERO * (k * count)
-    # struct packs a list of floats several times faster than array does
-    if _lib.piece_errors(_pack("%dd" % len(values), *values), count, n,
-                         theta, k, at.buffer_info()[0], width.buffer_info()[0],
-                         coef.buffer_info()[0], out.buffer_info()[0]):
+    # an array('d') crosses by its address; struct packs a list of floats
+    # several times faster than array does
+    if isinstance(values, array) and values.typecode == "d":
+        data = values.buffer_info()[0]
+    else:
+        data = _pack("%dd" % len(values), *values)
+    if _lib.piece_errors(data, count, n, theta, k, at.buffer_info()[0],
+                         width.buffer_info()[0], coef.buffer_info()[0],
+                         out.buffer_info()[0]):
         return _py.piece_errors(values, n, theta, scorers)
     return [out[i * count:(i + 1) * count].tolist() for i in range(k)]
 

@@ -3,27 +3,29 @@ bit, and the backend trimq.backend falls back to when the C kernels of
 trimq._kernels_c cannot be built.
 
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
-the incomplete beta, the weight loop, the uniforms of a simulation batch's
-streams, the sort and scoring of a piece of simulation samples, and the
-parse (of plain ASCII decimal input) and sort of `trimq estimate`'s
-numbers from here statement for statement, and is the only place that
-adds speed.  Its Beta and Student t inversions keep the bits of the
-bisection here, not its statements: they decide the comparisons
-cdf(mid) < p that a certified band settles without evaluating the CDF,
-the band's ends keeping from p a margin of at least twice a stated bound
-on the computed CDF's error (relative to min(p, 1 - p) in the tails), and
-bisect as here where that bound is not stated (see the C file's
-header).  HF7 and the weighted sum are
-written here once, over the scorer data of piece_errors; the public
-estimators and the simulation's callables run them through _estimator.
-Both modules export the same names; the C backend takes the kernels it
-does not port from here, and hands every case its own code gives back to
-the namesake kernel here, so both backends raise the same errors.  The
-only caches are the two normalizers per shape pair.
+the incomplete beta, the weight loop, the closed-form families' quantile
+formulas, the uniforms of a simulation batch's streams, the sort and
+scoring of a piece of simulation samples, and the parse (of plain ASCII
+decimal input) and sort of `trimq estimate`'s numbers from here statement
+for statement, and is the only place that adds speed.  Its Beta and Student
+t inversions keep the bits of the bisection here, not its statements: they
+decide the comparisons cdf(mid) < p that a certified band settles without
+evaluating the CDF, the band's ends keeping from p a margin of at least
+twice a stated bound on the computed CDF's error (relative to min(p, 1 - p)
+in the tails), and bisect as here where that bound is not stated (see the C
+file's header).  HF7 and the weighted sum are written here once, over the
+scorer data of piece_errors; the public estimators and the simulation's
+callables run them through _estimator.  Both modules export the same names;
+the C backend takes the kernels it does not port from here, and hands every
+case its own code gives back to the namesake kernel here, so both backends
+raise the same errors.  The only caches are the two normalizers per shape
+pair.
 
-The normal quantile is not here: the Normal, LogNormal and contaminated
-normal families draw through the standard library's
-``statistics.NormalDist.inv_cdf``, the same PPND16 algorithm.
+The normal quantile of the Normal and LogNormal formulas of
+closed_quantiles is the standard library's ``statistics.NormalDist.inv_cdf``,
+Wichura's PPND16; the C file holds a copy of CPython 3.11's C version of
+it, which gives the same bits.  The contaminated normal's variates call
+the standard library's directly.
 
 Arguments are assumed pre-validated by the public wrappers in trimq.special
 and friends.
@@ -36,9 +38,9 @@ import operator
 import sys
 from array import array
 
-__all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "log_beta",
-           "log_gamma", "mix_seed", "parse_floats", "piece_errors",
-           "reg_inc_beta", "sort_floats", "stream_uniforms",
+__all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "closed_quantiles",
+           "log_beta", "log_gamma", "mix_seed", "parse_floats",
+           "piece_errors", "reg_inc_beta", "sort_floats", "stream_uniforms",
            "student_quantiles", "weight_window"]
 
 # ln(2*pi)/2
@@ -311,6 +313,85 @@ def student_quantiles(ps, df):
     return out
 
 
+# Each closed-form family's quantile function of one p, from the family's
+# parameters in the order of its factory's signature in
+# trimq.distributions, with what does not depend on p worked out once.
+# The C port numbers the families in the order of _CLOSED.
+
+def _uniform(a, b):
+    span = b - a
+    return lambda p: a + span * p
+
+
+def _triangular(a, b, c):
+    ba, ca, bc = b - a, c - a, b - c
+    split = ca / ba
+    return lambda p: (a + math.sqrt(p * ba * ca) if p < split
+                      else b - math.sqrt((1.0 - p) * ba * bc))
+
+
+def _normal(m, sd):
+    # imported here so that `import trimq` does not load statistics
+    from statistics import NormalDist
+    return NormalDist(m, sd).inv_cdf
+
+
+def _lognormal(mlog, sdlog):
+    inv_cdf = _normal(mlog, sdlog)
+    return lambda p: math.exp(inv_cdf(p))
+
+
+def _weibull(scale, shape):
+    power = 1.0 / shape
+    return lambda p: scale * (-math.log1p(-p)) ** power
+
+
+def _gumbel(loc, scale):
+    return lambda p: loc - scale * math.log(-math.log(p))
+
+
+def _exp(rate):
+    return lambda p: -math.log1p(-p) / rate
+
+
+def _cauchy(x0, gamma):
+    return lambda p: x0 + gamma * math.tan(math.pi * (p - 0.5))
+
+
+def _pareto(loc, shape):
+    power = -1.0 / shape
+    return lambda p: loc * (1.0 - p) ** power
+
+
+def _frechet(shape):
+    power = -1.0 / shape
+    return lambda p: (-math.log(p)) ** power
+
+
+_CLOSED = {"Uniform": _uniform, "Triangular": _triangular, "Normal": _normal,
+           "LogNormal": _lognormal, "Weibull": _weibull, "Gumbel": _gumbel,
+           "Exp": _exp, "Cauchy": _cauchy, "Pareto": _pareto,
+           "Frechet": _frechet}
+
+
+def closed_quantiles(kind, params, ps):
+    """The quantiles of the p of ps under the closed-form family `kind`, a
+    key of _CLOSED, at the parameters `params`, in an array('d') that stops
+    before the first p whose quantile is not finite: math.exp or **
+    raising OverflowError, or arithmetic giving an infinity or a NaN."""
+    q = _CLOSED[kind](*params)
+    out = array("d")
+    for p in ps:
+        try:
+            x = q(p)
+        except OverflowError:
+            break
+        if not math.isfinite(x):
+            break
+        out.append(x)
+    return out
+
+
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BELOW_ONE = 1.0 - 2.0 ** -53
@@ -378,13 +459,13 @@ def stream_uniforms(seed_mix, stream_id, start, count):
 
 def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
     """The `per_sample` uniforms of stream fnv1a64("%d" % s, batch_hash) of
-    the seed, for s = first .. first + count - 1, in one list, for
+    the seed, for s = first .. first + count - 1, in one array('d'), for
     seed_mix = mix_seed(seed) and batch_hash in [0, 2**64): the draws of
     `count` consecutive samples of one simulation batch."""
-    out = []
+    out = array("d")
     for s in range(first, first + count):
-        out += stream_uniforms(seed_mix, fnv1a64("%d" % s, batch_hash), 0,
-                               per_sample)
+        out.fromlist(stream_uniforms(seed_mix, fnv1a64("%d" % s, batch_hash),
+                                     0, per_sample))
     return out
 
 

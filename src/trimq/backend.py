@@ -4,8 +4,10 @@
 and ``BACKEND`` names it:
 
 - "c": trimq._kernels_c, the incomplete beta, the weight loop
-  (``weight_window``), the Beta and Student t inversions, the uniforms
-  of the streams of a run of simulation samples (``batch_uniforms``),
+  (``weight_window``), the Beta and Student t inversions, the quantiles
+  of the ten closed-form families (``closed_quantiles``, the normal
+  quantile a copy of the standard library's), the uniforms of the
+  streams of a run of simulation samples (``batch_uniforms``),
   the sort and scoring of those samples (``piece_errors``), and the
   parse and sort of `trimq estimate`'s input (``parse_floats``,
   ``sort_floats``) in C, built with the system ``cc`` on first import and
@@ -21,8 +23,9 @@ is not plain ASCII decimal numbers among them).  The TRIMQ_BACKEND
 environment variable picks one: unset or empty, the C backend when it
 builds and loads, the reference otherwise; "c", the C backend or an
 ImportError that says why it is not available; "python", the reference.
-Any other value fails at import.  The normal quantile is no kernel: the
-standard library's ``statistics.NormalDist.inv_cdf`` supplies it.
+Any other value fails at import.  The reference's normal quantile is the
+standard library's ``statistics.NormalDist.inv_cdf``, and the C backend's
+a copy of it, bit for bit.
 """
 
 import os

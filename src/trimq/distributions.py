@@ -4,15 +4,19 @@ A DistributionSpec names a family and its parameters, e.g.
 ``Pareto(loc=1, shape=0.5)``.  Each family is declared once, as the factory
 of its inverse CDF: the factory's signature lists the family's parameters
 and its body checks the rules between them.  Every inverse CDF has one call
-shape, q(ps) -> the list of the quantiles of a sequence of p, and gives both
-the exact quantile theta(p), q on (p,), and the variates, through
-``transform``, the one mapping from uniforms to variates that ``sample`` and
-both simulation studies run, so identical (seed, stream_id) give identical
-variates on every platform with the same libm, and at every thread count.
-Beta and Student invert their CDFs in the backend kernels beta_quantiles and
-student_quantiles, one call per list of p.  The contaminated normal samples
-compositionally (one uniform picks the mixture component, one feeds the
-normal quantile) and therefore consumes exactly two uniforms per variate.
+shape, q(ps) -> the quantiles of a sequence of p, and gives both the exact
+quantile theta(p), q on (p,), and the variates, through ``transform``, the
+one mapping from uniforms to variates that ``sample`` and both simulation
+studies run, so identical (seed, stream_id) give identical variates on every
+platform with the same libm, and at every thread count.  The ten
+closed-form families compute their quantiles in the backend kernel
+closed_quantiles, which holds each formula, one call per sequence of p,
+into an array('d'): a sim2 piece stays one array('d') from its uniforms to
+its variates.  Beta and Student invert their CDFs in the backend kernels
+beta_quantiles and student_quantiles, one call per sequence of p, into a
+list.  The contaminated normal samples compositionally (one uniform picks
+the mixture component, one feeds the normal quantile) and therefore
+consumes exactly two uniforms per variate.
 """
 
 import functools
@@ -37,8 +41,7 @@ def _phi(z):
 # declares the family's parameters, in label order, a default making one
 # optional.  Called with the parameters checked one by one, it raises
 # ValueError when a rule between them fails, and otherwise returns q(ps),
-# the list of the quantiles of the p of ps, with what does not depend on p
-# worked out once.
+# the quantiles of the p of ps.
 
 def _span(kind, a, b):
     """b - a of a family supported on [a, b]: positive, and finite so that
@@ -50,22 +53,25 @@ def _span(kind, a, b):
     return span
 
 
+def _closed(kind, *params):
+    """q(ps) of a closed-form family: one call of the backend kernel
+    closed_quantiles, which holds the family's formula."""
+    return lambda ps: _k.closed_quantiles(kind, params, ps)
+
+
 def _q_uniform(*, a=0.0, b=1.0):
-    span = _span("Uniform", a, b)
-    return lambda ps: [a + span * p for p in ps]
+    _span("Uniform", a, b)
+    return _closed("Uniform", a, b)
 
 
 def _q_triangular(*, a, b, c):
     ba = _span("Triangular", a, b)
     if not a <= c <= b:
         raise ValueError("Triangular requires a <= c <= b, got c=%g" % c)
-    ca, bc = c - a, b - c
-    if not math.isfinite(ba * max(ca, bc)):
+    if not math.isfinite(ba * max(c - a, b - c)):
         raise ValueError("Triangular requires (b - a)(c - a) and (b - a)(b - c) "
                          "finite, got a=%g b=%g c=%g" % (a, b, c))
-    split = ca / ba
-    return lambda ps: [a + math.sqrt(p * ba * ca) if p < split
-                       else b - math.sqrt((1.0 - p) * ba * bc) for p in ps]
+    return _closed("Triangular", a, b, c)
 
 
 def _q_beta(*, a, b):
@@ -73,15 +79,11 @@ def _q_beta(*, a, b):
 
 
 def _q_normal(*, m=0.0, sd=1.0):
-    # imported here so that `import trimq` does not load statistics
-    from statistics import NormalDist
-    inv_cdf = NormalDist(m, sd).inv_cdf
-    return lambda ps: list(map(inv_cdf, ps))
+    return _closed("Normal", m, sd)
 
 
 def _q_weibull(*, scale=1.0, shape):
-    power = 1.0 / shape
-    return lambda ps: [scale * (-math.log1p(-p)) ** power for p in ps]
+    return _closed("Weibull", scale, shape)
 
 
 def _q_student(*, df):
@@ -89,32 +91,27 @@ def _q_student(*, df):
 
 
 def _q_gumbel(*, loc=0.0, scale=1.0):
-    return lambda ps: [loc - scale * math.log(-math.log(p)) for p in ps]
+    return _closed("Gumbel", loc, scale)
 
 
 def _q_exp(*, rate=1.0):
-    return lambda ps: [-math.log1p(-p) / rate for p in ps]
+    return _closed("Exp", rate)
 
 
 def _q_cauchy(*, x0=0.0, gamma=1.0):
-    return lambda ps: [x0 + gamma * math.tan(math.pi * (p - 0.5))
-                       for p in ps]
+    return _closed("Cauchy", x0, gamma)
 
 
 def _q_pareto(*, loc, shape):
-    power = -1.0 / shape
-    return lambda ps: [loc * (1.0 - p) ** power for p in ps]
+    return _closed("Pareto", loc, shape)
 
 
 def _q_lognormal(*, mlog=0.0, sdlog=1.0):
-    from statistics import NormalDist
-    inv_cdf = NormalDist(mlog, sdlog).inv_cdf
-    return lambda ps: [math.exp(inv_cdf(p)) for p in ps]
+    return _closed("LogNormal", mlog, sdlog)
 
 
 def _q_frechet(*, shape):
-    power = -1.0 / shape
-    return lambda ps: [(-math.log(p)) ** power for p in ps]
+    return _closed("Frechet", shape)
 
 
 def _q_contaminated_normal(*, epsilon, sigma, c):
@@ -250,38 +247,16 @@ class DistributionSpec:
         return hash((self.kind, tuple(sorted(self.params.items()))))
 
 
-def _finite(spec, values, ps, what):
-    """`values`, the quantiles or variates of `spec` from the p of `ps`, if
-    every one is finite; otherwise an ArithmeticError naming the spec and
-    the first p whose `what` is not."""
-    # a sum that is not finite is cheap to find, and holds every value that
-    # overflowed
-    if not math.isfinite(sum(values)):
-        for p, x in zip(ps, values):
-            if not math.isfinite(x):
-                raise ArithmeticError("%s: the %s at p=%r overflows"
-                                      % (spec.label, what, p))
-    return values
-
-
 def _quantiles(spec, ps):
     """The quantiles of `spec` at the p of `ps`, one call of its inverse
-    CDF.  A quantile past the largest double, whether math.exp or ** raises
-    OverflowError or plain arithmetic gives an infinity, raises an
-    ArithmeticError naming the spec and the first such p."""
-    q = spec._q
-    try:
-        values = q(ps)
-    except OverflowError:
-        # up to the p that raised, one at a time, that p standing as inf
-        values = []
-        for p in ps:
-            try:
-                values += q((p,))
-            except OverflowError:
-                values.append(math.inf)
-                break
-    return _finite(spec, values, ps, "quantile")
+    CDF.  A quantile past the largest double, where the closed-form
+    quantiles stop short, raises an ArithmeticError naming the spec and
+    the first such p."""
+    values = spec._q(ps)
+    if len(values) < len(ps):
+        raise ArithmeticError("%s: the quantile at p=%r overflows"
+                              % (spec.label, ps[len(values)]))
+    return values
 
 
 def true_quantile(spec, p):
@@ -296,15 +271,17 @@ def true_quantile(spec, p):
 
 
 def transform(spec):
-    """(per, variates): variates(us) maps a list of uniforms to the variates
-    of `spec`, taking `per` uniforms for each.
+    """(per, variates): variates(us) maps a sequence of uniforms to the
+    variates of `spec`, taking `per` uniforms for each.
 
     Built once per spec or cell, and the one mapping that every draw runs.
     The contaminated normal takes two uniforms per variate, the first
-    picking the component and the second feeding the normal quantile; every
-    other family maps the list through its inverse CDF in one call.  A
-    variate past the largest double raises an ArithmeticError naming the
-    spec and the p it came from, as true_quantile does.
+    picking the component and the second feeding the normal quantile, and
+    returns a list; every other family maps the uniforms through its
+    inverse CDF in one call, the closed-form families into an array('d'),
+    Beta and Student into a list.  A variate past the largest double
+    raises an ArithmeticError naming the spec and the p it came from, as
+    true_quantile does.
     """
     if spec.kind == "ContaminatedNormal":
         eps, sigma, wide = spec._q.mixture
@@ -313,14 +290,24 @@ def transform(spec):
 
         def variates(us):
             ps = us[1::2]
-            return _finite(spec, [(wide if pick < eps else sigma) * inv_cdf(u)
-                                  for pick, u in zip(us[::2], ps)],
-                           ps, "variate")
+            values = [(wide if pick < eps else sigma) * inv_cdf(u)
+                      for pick, u in zip(us[::2], ps)]
+            # a sum that is not finite is cheap to find, and holds every
+            # value that overflowed
+            if not math.isfinite(sum(values)):
+                for p, x in zip(ps, values):
+                    if not math.isfinite(x):
+                        raise ArithmeticError(
+                            "%s: the variate at p=%r overflows"
+                            % (spec.label, p))
+            return values
         return 2, variates
     return 1, functools.partial(_quantiles, spec)
 
 
 def sample(spec, rng, count):
-    """Draw `count` variates from the given distribution on `rng`."""
+    """Draw `count` variates from the given distribution on `rng`, in a
+    list."""
     per, variates = transform(spec)
-    return variates(rng.uniforms(per * _checks.integer(count, "count", 0)))
+    us = rng.uniforms(per * _checks.integer(count, "count", 0))
+    return list(variates(us))

@@ -17,16 +17,20 @@ Two studies, both reproducible to the byte given a seed:
   exactly 1.  The hash is a left fold, so a cell hashes "label|n|p|" once,
   each batch continues it over "batch|", and each sample over "sample".
 
-Both studies mix the seed once per run or cell and map uniforms to
-variates through the spec's one transform (``distributions.transform``),
-which calls the family's inverse CDF once per list of uniforms.
-``run_sim1`` draws each replication's stream in one kernel call
-(``stream_uniforms``) and maps it in one transform.  ``run_sim2`` draws a
-batch's samples in pieces of about ``_PIECE`` uniforms: one kernel call
-(``batch_uniforms``) derives the stream ids of the piece's samples from the
-batch's hash and draws their uniforms, one transform maps them all, and one
-more kernel call (``piece_errors``) sorts each sample's n values and scores
-it by every estimator.  The estimators reach that kernel as data, not as
+Both studies mix the seed once per run or cell and map uniforms to variates
+through the spec's one transform (``distributions.transform``), which calls
+the family's inverse CDF once per sequence of uniforms.  ``run_sim1`` draws
+each replication's stream in one kernel call (``stream_uniforms``) and maps
+it in one transform.  ``run_sim2`` draws a batch's samples in pieces of
+about ``_PIECE`` uniforms: one kernel call (``batch_uniforms``) derives the
+stream ids of the piece's samples from the batch's hash and draws their
+uniforms into one array('d'), one transform maps them all, and one more
+kernel call (``piece_errors``) sorts each sample's n values and scores it
+by every estimator.  A closed-form family's piece stays one array('d') from
+its uniforms to its scores: its transform is one ``closed_quantiles`` call,
+which returns its variates in an array('d') (in the C backend, a copy of
+the uniforms' array mapped in place), and ``piece_errors`` reads that array
+by its address.  The estimators reach that kernel as data, not as
 callables: each id of ``ESTIMATORS`` has a scorer, the HF7 index and
 fraction or a window of weights, built once per (n, p); a callable
 estimator, such as a factory passed to ``estimate_mse``, runs per sample in
@@ -367,8 +371,9 @@ def _mse_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
     _kernels_py.piece_errors).  One stream per (cell, batch, sample),
     derived by hashing, so results do not depend on which estimators or
     cells run together.  A batch's samples are drawn in pieces: one kernel
-    call for the uniforms of a piece's streams, one transform, then one
-    kernel call that sorts each sample and scores it by every estimator.
+    call for the uniforms of a piece's streams, in an array('d'), one
+    transform, then one kernel call that sorts each sample and scores it
+    by every estimator.
     """
     theta = true_quantile(spec, p)
     per, variates = transform(spec)

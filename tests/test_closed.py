@@ -1,0 +1,188 @@
+"""The closed-form quantiles, closed_quantiles: the C port against the
+reference bit for bit, the normal quantile against both of the standard
+library's PPND16, the cases the C code gives back, and the sim2 pieces
+that run through it."""
+
+import ast
+import hashlib
+import json
+import math
+import random
+import statistics
+import struct
+
+import pytest
+
+from trimq import (DistributionSpec, Sim2Config, distributions, run_sim2,
+                   simulation, true_quantile)
+from trimq import _kernels_c, _kernels_py
+from trimq.distributions import transform
+
+from test_distributions import _neighbours, _outcome
+from test_simulation import CONFIG_DIR, PRESET_DIGESTS
+
+# each closed-form family with its parameters by decade, none of whose
+# quantiles at SWEEP_PS overflows
+PARAMS = {
+    "Uniform": ((0.0, 1.0), (-10.0, 1e3), (1e-3, 1e-2), (-1e300, 1e300)),
+    "Triangular": ((0.0, 1.0, 0.5), (-10.0, 1e3, 0.1), (0.0, 1e-3, 1e-3),
+                   (1e3, 1e4, 1e3)),
+    "Normal": ((0.0, 1.0), (1e3, 1e-3), (-1e-3, 1e3), (1e300, 1e300)),
+    "LogNormal": ((0.0, 1.0), (10.0, 0.1), (-10.0, 10.0), (1e-3, 1e-3)),
+    "Weibull": ((1.0, 1.0), (1e3, 0.1), (1e-3, 10.0), (1.0, 1e-2)),
+    "Gumbel": ((0.0, 1.0), (1e3, 1e-3), (-1e-3, 1e3)),
+    "Exp": ((1.0,), (1e-3,), (1e3,), (1e-300,)),
+    "Cauchy": ((0.0, 1.0), (1e3, 1e-3), (-1e-3, 1e3)),
+    "Pareto": ((1.0, 1.0), (1e-3, 10.0), (1e3, 0.1)),
+    "Frechet": ((1.0,), (10.0,), (0.1,)),
+}
+
+
+def _sweep_ps():
+    # 2**-k down to the smallest double and 1 - 2**-k up to the largest
+    # double below 1, the doubles beside PPND16's switch points, and 10**5
+    # uniforms
+    ps = [2.0 ** -k for k in range(1, 1075)]
+    ps += [1.0 - 2.0 ** -k for k in range(1, 54)]
+    for edge in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+        ps += _neighbours(edge)
+    rng = random.Random(27)
+    return ps + [rng.random() for _ in range(10 ** 5)]
+
+
+SWEEP_PS = _sweep_ps()
+
+
+def _bits(xs):
+    # -0.0 and 0.0 told apart, as is every NaN from a number
+    return struct.pack("%dd" % len(xs), *xs)
+
+
+def _recorded_give_backs(monkeypatch):
+    """The p the C code hands to the reference, which still runs."""
+    reference = _kernels_py.closed_quantiles
+    received = []
+
+    def recorded(kind, params, rest):
+        received.append(list(rest))
+        return reference(kind, params, rest)
+    monkeypatch.setattr(_kernels_py, "closed_quantiles", recorded)
+    return received
+
+
+def test_the_sweep_covers_every_closed_family():
+    # the C code numbers the families as _CLOSED orders them, so a family
+    # the sweep left out could run another's formula unseen
+    assert sorted(PARAMS) == sorted(_kernels_py._CLOSED)
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMS))
+def test_c_closed_quantiles_are_the_reference_bit_for_bit(monkeypatch, kind):
+    # every p of the sweep at every parameter set, none given back
+    want = {params: _kernels_py.closed_quantiles(kind, params, SWEEP_PS)
+            for params in PARAMS[kind]}
+    received = _recorded_give_backs(monkeypatch)
+    for params in PARAMS[kind]:
+        got = _kernels_c.closed_quantiles(kind, params, SWEEP_PS)
+        assert len(want[params]) == len(SWEEP_PS), params
+        assert _bits(got) == _bits(want[params]), params
+    assert received == []
+
+
+def _pure_normal_inv_cdf():
+    """statistics' pure-Python _normal_dist_inv_cdf, which the C one of
+    _statistics replaces when statistics is imported."""
+    with open(statistics.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                and n.name == "_normal_dist_inv_cdf")
+    namespace = dict(vars(statistics))
+    exec(compile(ast.Module([node], []), statistics.__file__, "exec"),
+         namespace)
+    return namespace["_normal_dist_inv_cdf"]
+
+
+def test_c_normal_is_both_stdlib_ppnd16s_bit_for_bit():
+    import _statistics
+
+    pure = _pure_normal_inv_cdf()
+    assert pure is not _statistics._normal_dist_inv_cdf
+    for m, sd in PARAMS["Normal"]:
+        got = _bits(_kernels_c.closed_quantiles("Normal", (m, sd), SWEEP_PS))
+        for inv_cdf in (_statistics._normal_dist_inv_cdf, pure):
+            assert got == _bits([inv_cdf(p, m, sd) for p in SWEEP_PS]), (
+                inv_cdf, m, sd)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_a_piece_overflowing_mid_list_names_its_p(monkeypatch, backend):
+    # the C code keeps the quantiles before the first p that overflows and
+    # hands the reference exactly the p from it; the error names that p
+    kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
+    monkeypatch.setattr(distributions, "_k", kernels)
+    us = [0.1, 0.5, 0.999999, 0.3, 0.9999999]
+    params = (1e-308,)
+    want = _kernels_py.closed_quantiles("Exp", params, us)
+    assert len(want) == 2 and all(math.isfinite(x) for x in want)
+    received = _recorded_give_backs(monkeypatch)
+    assert _bits(kernels.closed_quantiles("Exp", params, us)) == _bits(want)
+    assert received == ([us[2:]] if backend == "c" else [us])
+    _, variates = transform(DistributionSpec.parse("Exp(rate=1e-308)"))
+    assert _outcome(variates, us) == (
+        "ArithmeticError: Exp(rate=1e-308): the quantile at p=0.999999 "
+        "overflows")
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_a_power_that_underflows_stays_zero(monkeypatch, backend):
+    # 6.9 ** -1000 rounds to 0.0, which ** returns without an error; the C
+    # code computes it without giving it back
+    kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
+    monkeypatch.setattr(distributions, "_k", kernels)
+    received = _recorded_give_backs(monkeypatch)
+    spec = DistributionSpec.parse("Frechet(shape=0.001)")
+    assert repr(true_quantile(spec, 1e-3)) == "0.0"
+    assert received == ([] if backend == "c" else [[1e-3]])
+
+
+# calls the C code gives back from one of their p, the reference raising
+# or returning what it makes of the rest: a p outside (0, 1), a NaN, and a
+# power whose exponent is infinite
+EDGES = (("Exp", (1.0,), [0.5, 0.0, 0.3]), ("Exp", (1.0,), [0.5, 1.0]),
+         ("Normal", (0.0, 1.0), [0.5, -0.5]),
+         ("Gumbel", (0.0, 1.0), [0.2, math.nan, 0.4]),
+         ("Cauchy", (0.0, 1.0), [math.nan]),
+         ("Weibull", (1.0, 5e-324), [0.1, 0.9]),
+         ("Frechet", (5e-324,), [0.1, 0.9]),
+         ("Pareto", (1.0, 5e-324), [0.3]))
+
+
+def _any_outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@pytest.mark.parametrize("kind, params, ps", EDGES)
+def test_c_gives_back_what_the_reference_raises_or_returns(kind, params, ps):
+    want = _any_outcome(_kernels_py.closed_quantiles, kind, params, ps)
+    assert _any_outcome(_kernels_c.closed_quantiles, kind, params, ps) == want
+
+
+def test_sim2_desk_runs_every_closed_quantile_in_c(monkeypatch):
+    # the shipped desk grid, the closed-form families Normal, Exp, Cauchy
+    # and Pareto, with the reference made to fail: every true quantile and
+    # every piece's variates come from the C code, to the pinned bytes
+    def given_back(*args):
+        raise AssertionError("the C code gave a piece back: %r"
+                             % (args[:2],))
+
+    monkeypatch.setattr(_kernels_py, "closed_quantiles", given_back)
+    monkeypatch.setattr(distributions, "_k", _kernels_c)
+    monkeypatch.setattr(simulation, "_k", _kernels_c)
+    with open(CONFIG_DIR / "sim2_desk.json", encoding="utf-8") as fh:
+        cfg = Sim2Config.from_dict(json.load(fh))
+    text = run_sim2(cfg).to_csv()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        PRESET_DIGESTS["sim2", "sim2_desk.json"])

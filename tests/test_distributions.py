@@ -313,7 +313,7 @@ def test_quantile_monotone_in_p(monkeypatch, backend):
         spec = parse_distribution(text)
         qs = [true_quantile(spec, p) for p in ps]
         assert qs == sorted(qs), text
-        assert repr(spec._q(ps)) == repr(qs), text
+        assert repr(list(spec._q(ps))) == repr(qs), text
 
 
 def test_quantile_rejects_boundary_p():
@@ -626,6 +626,21 @@ OVERFLOWS = (
      "Cauchy(x0=1e+308, gamma=1e+308): the quantile at p=0.9 overflows"),
     ("Gumbel(loc=1e308, scale=1e308)", 0.9,
      "Gumbel(loc=1e+308, scale=1e+308): the quantile at p=0.9 overflows"),
+    # one per closed-form family whose C code gives a quantile back
+    ("Pareto(loc=1e300, shape=0.01)", 0.999,
+     "Pareto(loc=1e+300, shape=0.01): the quantile at p=0.999 overflows"),
+    ("LogNormal(mlog=700, sdlog=10)", 0.99,
+     "LogNormal(mlog=700, sdlog=10): the quantile at p=0.99 overflows"),
+    ("Weibull(scale=1e300, shape=0.001)", 0.999,
+     "Weibull(scale=1e+300, shape=0.001): the quantile at p=0.999 "
+     "overflows"),
+    ("Gumbel(loc=1e308, scale=1e308)", 1e-300,
+     "Gumbel(loc=1e+308, scale=1e+308): the quantile at p=1e-300 "
+     "overflows"),
+    ("Exp(rate=1e-308)", 0.999999,
+     "Exp(rate=1e-308): the quantile at p=0.999999 overflows"),
+    ("Cauchy(x0=0, gamma=1e308)", 1e-12,
+     "Cauchy(x0=0, gamma=1e+308): the quantile at p=1e-12 overflows"),
 )
 
 

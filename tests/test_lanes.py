@@ -150,7 +150,7 @@ def test_a_lanes_path_fixes_the_points_the_memo_holds(checked_lib, a, b, df):
 
 
 _SANITIZED_RUN = """
-import random, sys
+import math, random, sys
 from trimq import _kernels_c as c, _kernels_py as py
 
 c._lib = c._open(sys.argv[1])
@@ -210,6 +210,39 @@ for ps in ([0.99], [0.5, 0.6, 0.7, 0.8, 0.985, 0.99, 0.5]):
         c.student_quantiles(ps, 0.01)
     except ArithmeticError:
         pass
+# every closed-form family at the edge p: 2**-k, 1 - 2**-k and the doubles
+# beside PPND16's switch points, then p given back first, mid-list and
+# last (outside (0, 1), NaN, an overflow, an infinite power)
+edge = [2.0 ** -k for k in range(1, 1075)]
+edge += [1.0 - 2.0 ** -k for k in range(1, 54)]
+for x in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+    for k in range(6):
+        edge += [x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)]
+        x = math.nextafter(x, 0.0)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args).tobytes()
+    except Exception as exc:
+        return repr(exc)
+
+
+for kind, params in (("Uniform", (-1.0, 3.0)), ("Triangular", (0.0, 2.0, 0.2)),
+                     ("Normal", (1.0, 2.0)), ("LogNormal", (0.5, 1.5)),
+                     ("Weibull", (2.0, 0.5)), ("Gumbel", (1.0, 2.0)),
+                     ("Exp", (3.0,)), ("Cauchy", (1.0, 0.5)),
+                     ("Pareto", (2.0, 1.5)), ("Frechet", (2.0,)),
+                     ("Exp", (1e-308,)), ("Weibull", (1.0, 5e-324))):
+    for ps in (edge, [], [0.0] + edge, edge[:9] + [float("nan")] + edge,
+               edge + [1.0]):
+        assert (outcome(c.closed_quantiles, kind, params, ps)
+                == outcome(py.closed_quantiles, kind, params, ps)), kind
+# a piece kept as an array('d') from its uniforms to its scores
+values = c.closed_quantiles("Normal", (0.0, 1.0),
+                            c.batch_uniforms(c.mix_seed(3), 12345, 0, 7, 10))
+assert (c.piece_errors(values, 10, 0.0, [(3, 0.5), (2, (0.25, 0.75))])
+        == py.piece_errors(values, 10, 0.0, [(3, 0.5), (2, (0.25, 0.75))]))
 n = 10 ** 6
 try:  # past the term cap from about n = 3.4e5
     c.weight_window(n, 369800, 370200, 0.37 * (n + 1), 0.63 * (n + 1), 0.0,

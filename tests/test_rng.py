@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -185,4 +186,5 @@ def test_batch_uniforms_are_the_concatenated_streams(backend):
                     mixed, fnv1a64("%d" % s, batch), 0, per_sample)
             got = module.batch_uniforms(mixed, batch, first, count,
                                         per_sample)
-            assert got == want, (seed, first, count, per_sample)
+            assert got == array("d", want), (seed, first, count,
+                                             per_sample)

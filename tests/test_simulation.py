@@ -363,12 +363,12 @@ def test_cell_draws_what_sample_draws():
                 sid = fnv1a64("%s|%d|%r|%d|%d" % (spec.label, n, p, b, s))
                 assert fnv1a64("%d" % s, batch) == sid
                 one = sample(spec, RngStream(seed, sid), n)
-                assert variates(kernels.batch_uniforms(
-                    seed_mix, batch, s, 1, per * n)) == one
+                assert list(variates(kernels.batch_uniforms(
+                    seed_mix, batch, s, 1, per * n))) == one
                 want += one
             # a piece of samples 0 to 2 is theirs end to end
-            assert variates(kernels.batch_uniforms(
-                seed_mix, batch, 0, 3, per * n)) == want[:3 * n]
+            assert list(variates(kernels.batch_uniforms(
+                seed_mix, batch, 0, 3, per * n))) == want[:3 * n]
 
 
 @pytest.mark.parametrize("piece", [1, 7, 13, 37])
