@@ -18,9 +18,12 @@
  * CPython's float_pow that reach the platform pow, batch_uniforms with the
  * draw loop of stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer
  * _mix64, piece_errors with HF7 (_hf7) and the weighted sum
- * (_weighted_sum), its math.fsum a port of CPython 3.11's, and a stable
- * sort in place of sorted(), which sort_floats exports on its own, and
- * parse_floats, whose strtod rounds correctly as float() does.  Each but quantiles does the same operations in the same
+ * (weighted_sum), its math.fsum a port of CPython 3.11's, which
+ * weighted_sum exports on its own over a window of a sorted array, a
+ * stable sort in place of sorted(), which sort_floats exports on its own,
+ * and parse_floats, which converts a token by Clinger's or Eisel-Lemire's
+ * exact fast path, or else with strtod, each rounding correctly as
+ * float() does.  Each but quantiles does the same operations in the same
  * order, so that, built with -ffp-contract=off and linked against the libm
  * behind Python's math module, it returns the same doubles; the uniforms
  * are 64-bit integer work and the reference's two floating-point steps.
@@ -63,28 +66,28 @@
  * and failed.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
- * from reg_inc_beta, -1 from piece_errors, sort_floats or parse_floats,
- * or, from weight_window, a batch inversion and closed_quantiles, the
- * index it stopped at.  The caller then hands the call, the rest of the
- * batch, or the one incomplete beta the window stopped at, to the
- * namesake reference, which raises the error itself or returns what it
- * does.  That happens when the fraction does not converge within max_iter
- * terms, when exp(front) is not finite (math.exp raises OverflowError
- * where C returns inf), in the bisections when a CDF value is NaN, at a
- * Student t p that is not positive or whose quantile lies past the square
- * root of the largest double, in closed_quantiles at a p outside (0, 1)
- * or NaN, a quantile that is not finite (math.exp and ** raise where C
- * returns inf, and the reference's array stops there) and a power that
- * CPython's float_pow treats itself, in piece_errors and
+ * from reg_inc_beta or weighted_sum, -1 from piece_errors, sort_floats or
+ * parse_floats, or, from weight_window, a batch inversion and
+ * closed_quantiles, the index it stopped at.  The caller then hands the
+ * call, the rest of the batch, or the one incomplete beta the window
+ * stopped at, to the namesake reference, which raises the error itself or
+ * returns what it does.  That happens when the fraction does not converge
+ * within max_iter terms, when exp(front) is not finite (math.exp raises
+ * OverflowError where C returns inf), in the bisections when a CDF value
+ * is NaN, at a Student t p that is not positive or whose quantile lies
+ * past the square root of the largest double, in closed_quantiles at a p
+ * outside (0, 1) or NaN, a quantile that is not finite (math.exp and **
+ * raise where C returns inf, and the reference's array stops there) and a
+ * power that CPython's float_pow treats itself, in piece_errors and
  * sort_floats when a value is NaN (its place in sorted order depends on
- * the sort) or a weighted sum meets a product that is not finite or
- * overflows (math.fsum's special values and OverflowError), and in
- * parse_floats on any input but plain ASCII decimal numbers that are
- * finite.
+ * the sort), in piece_errors and weighted_sum when a weighted sum meets a
+ * product that is not finite or overflows (math.fsum's special values and
+ * OverflowError), and in parse_floats on any input but plain ASCII
+ * decimal numbers that are finite.
  *
  * No state outlives a call: the inversions' memo lives on the stack of
- * its call, and the sort and scoring buffers are allocated and freed by
- * the call that uses them, so threads may call every entry point at once
+ * its call, and the sort, scoring and sum buffers are allocated and freed
+ * by the call that uses them, so threads may call every entry point at once
  * (all but the counters of a CHECK_CERTIFIED build).
  */
 
@@ -1071,6 +1074,23 @@ static int fsum_products(const double *ws, const double *xs, long len,
 }
 
 /*
+ * The sum of ws[k] * xs[k] for k < len, _kernels_py.weighted_sum over a
+ * window of sorted values whose first is xs[0]: fsum_products' sum, or
+ * NaN to give the sum back (a product that is not finite, an overflow,
+ * or no memory for the partials).
+ */
+double weighted_sum(const double *ws, const double *xs, long len)
+{
+    double *p, sum = NAN;
+
+    p = malloc(((size_t)len + 1) * sizeof *p);
+    if (p != NULL && !fsum_products(ws, xs, len, p, &sum))
+        sum = NAN;
+    free(p);
+    return sum;
+}
+
+/*
  * The squared errors (estimate - theta)^2 of the count samples of n
  * values each in values, per scorer, the loop of
  * _kernels_py.piece_errors: each sample is copied, sorted, then scored.
@@ -1139,12 +1159,352 @@ static const char *skip_digits(const char *s, const char *end)
 }
 
 /*
+ * The exact fast paths of parse_floats.  A token of its form is w * 10^q
+ * with w the integer of its significant digits (the mantissa's digits,
+ * its leading zeros dropped) and q its exponent less the digits after the
+ * point.  Where w has at most FAST_DIGITS digits, so w < 10^19 < 2^64,
+ * two exact conversions come before strtod: Clinger's (How to Read
+ * Floating Point Numbers Accurately, PLDI 1990), which for w <= 2^53 and
+ * |q| <= 22 takes one correctly rounded multiply or divide of two exact
+ * doubles, and Eisel-Lemire's (D. Lemire, Number Parsing at a Gigabyte
+ * per Second, Software: Practice and Experience 51(8), 2021), which for
+ * q in [POW10_MIN, POW10_MAX] rounds w * 10^q from the top of a 128-bit
+ * product.  Each stores the double that strtod returns, or declines;
+ * strtod converts every token they decline: more than FAST_DIGITS
+ * significant digits, q outside the table or an exponent of EXP_CAP or
+ * more, a subnormal or overflowing result, and Eisel-Lemire's ambiguous
+ * cases.  The products are formed from 32-bit halves, in plain C99.
+ */
+
+/* the significant digits the fast paths take */
+#define FAST_DIGITS 19
+
+/* an exponent, or a count of digits after the point, from which a token
+   goes to strtod: far past the table, and no long overflows below it */
+#define EXP_CAP 100000
+
+/* 10^0 .. 10^22, every one a double exactly */
+static const double POW10_EXACT[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* the powers of ten of the Eisel-Lemire path: q in [-64, 64], beyond
+   which tokens are rare in data and go to strtod */
+#define POW10_MIN (-64)
+#define POW10_MAX 64
+
+/*
+ * Row q - POW10_MIN: the high and the low 64 bits of the 128-bit
+ * T_q = floor(10^q * 2^(127 - e_q)), e_q = floor(log2 10^q), so that
+ * 2^127 <= T_q < 2^128: the leading 128 bits of 10^q, rounded down.
+ */
+static const uint64_t POW10_128[][2] = {
+    {0xa87fea27a539e9a5u, 0x3f2398d747b36224u},
+    {0xd29fe4b18e88640eu, 0x8eec7f0d19a03aadu},
+    {0x83a3eeeef9153e89u, 0x1953cf68300424acu},
+    {0xa48ceaaab75a8e2bu, 0x5fa8c3423c052dd7u},
+    {0xcdb02555653131b6u, 0x3792f412cb06794du},
+    {0x808e17555f3ebf11u, 0xe2bbd88bbee40bd0u},
+    {0xa0b19d2ab70e6ed6u, 0x5b6aceaeae9d0ec4u},
+    {0xc8de047564d20a8bu, 0xf245825a5a445275u},
+    {0xfb158592be068d2eu, 0xeed6e2f0f0d56712u},
+    {0x9ced737bb6c4183du, 0x55464dd69685606bu},
+    {0xc428d05aa4751e4cu, 0xaa97e14c3c26b886u},
+    {0xf53304714d9265dfu, 0xd53dd99f4b3066a8u},
+    {0x993fe2c6d07b7fabu, 0xe546a8038efe4029u},
+    {0xbf8fdb78849a5f96u, 0xde98520472bdd033u},
+    {0xef73d256a5c0f77cu, 0x963e66858f6d4440u},
+    {0x95a8637627989aadu, 0xdde7001379a44aa8u},
+    {0xbb127c53b17ec159u, 0x5560c018580d5d52u},
+    {0xe9d71b689dde71afu, 0xaab8f01e6e10b4a6u},
+    {0x9226712162ab070du, 0xcab3961304ca70e8u},
+    {0xb6b00d69bb55c8d1u, 0x3d607b97c5fd0d22u},
+    {0xe45c10c42a2b3b05u, 0x8cb89a7db77c506au},
+    {0x8eb98a7a9a5b04e3u, 0x77f3608e92adb242u},
+    {0xb267ed1940f1c61cu, 0x55f038b237591ed3u},
+    {0xdf01e85f912e37a3u, 0x6b6c46dec52f6688u},
+    {0x8b61313bbabce2c6u, 0x2323ac4b3b3da015u},
+    {0xae397d8aa96c1b77u, 0xabec975e0a0d081au},
+    {0xd9c7dced53c72255u, 0x96e7bd358c904a21u},
+    {0x881cea14545c7575u, 0x7e50d64177da2e54u},
+    {0xaa242499697392d2u, 0xdde50bd1d5d0b9e9u},
+    {0xd4ad2dbfc3d07787u, 0x955e4ec64b44e864u},
+    {0x84ec3c97da624ab4u, 0xbd5af13bef0b113eu},
+    {0xa6274bbdd0fadd61u, 0xecb1ad8aeacdd58eu},
+    {0xcfb11ead453994bau, 0x67de18eda5814af2u},
+    {0x81ceb32c4b43fcf4u, 0x80eacf948770ced7u},
+    {0xa2425ff75e14fc31u, 0xa1258379a94d028du},
+    {0xcad2f7f5359a3b3eu, 0x096ee45813a04330u},
+    {0xfd87b5f28300ca0du, 0x8bca9d6e188853fcu},
+    {0x9e74d1b791e07e48u, 0x775ea264cf55347du},
+    {0xc612062576589ddau, 0x95364afe032a819du},
+    {0xf79687aed3eec551u, 0x3a83ddbd83f52204u},
+    {0x9abe14cd44753b52u, 0xc4926a9672793542u},
+    {0xc16d9a0095928a27u, 0x75b7053c0f178293u},
+    {0xf1c90080baf72cb1u, 0x5324c68b12dd6338u},
+    {0x971da05074da7beeu, 0xd3f6fc16ebca5e03u},
+    {0xbce5086492111aeau, 0x88f4bb1ca6bcf584u},
+    {0xec1e4a7db69561a5u, 0x2b31e9e3d06c32e5u},
+    {0x9392ee8e921d5d07u, 0x3aff322e62439fcfu},
+    {0xb877aa3236a4b449u, 0x09befeb9fad487c2u},
+    {0xe69594bec44de15bu, 0x4c2ebe687989a9b3u},
+    {0x901d7cf73ab0acd9u, 0x0f9d37014bf60a10u},
+    {0xb424dc35095cd80fu, 0x538484c19ef38c94u},
+    {0xe12e13424bb40e13u, 0x2865a5f206b06fb9u},
+    {0x8cbccc096f5088cbu, 0xf93f87b7442e45d3u},
+    {0xafebff0bcb24aafeu, 0xf78f69a51539d748u},
+    {0xdbe6fecebdedd5beu, 0xb573440e5a884d1bu},
+    {0x89705f4136b4a597u, 0x31680a88f8953030u},
+    {0xabcc77118461cefcu, 0xfdc20d2b36ba7c3du},
+    {0xd6bf94d5e57a42bcu, 0x3d32907604691b4cu},
+    {0x8637bd05af6c69b5u, 0xa63f9a49c2c1b10fu},
+    {0xa7c5ac471b478423u, 0x0fcf80dc33721d53u},
+    {0xd1b71758e219652bu, 0xd3c36113404ea4a8u},
+    {0x83126e978d4fdf3bu, 0x645a1cac083126e9u},
+    {0xa3d70a3d70a3d70au, 0x3d70a3d70a3d70a3u},
+    {0xccccccccccccccccu, 0xccccccccccccccccu},
+    {0x8000000000000000u, 0x0000000000000000u},
+    {0xa000000000000000u, 0x0000000000000000u},
+    {0xc800000000000000u, 0x0000000000000000u},
+    {0xfa00000000000000u, 0x0000000000000000u},
+    {0x9c40000000000000u, 0x0000000000000000u},
+    {0xc350000000000000u, 0x0000000000000000u},
+    {0xf424000000000000u, 0x0000000000000000u},
+    {0x9896800000000000u, 0x0000000000000000u},
+    {0xbebc200000000000u, 0x0000000000000000u},
+    {0xee6b280000000000u, 0x0000000000000000u},
+    {0x9502f90000000000u, 0x0000000000000000u},
+    {0xba43b74000000000u, 0x0000000000000000u},
+    {0xe8d4a51000000000u, 0x0000000000000000u},
+    {0x9184e72a00000000u, 0x0000000000000000u},
+    {0xb5e620f480000000u, 0x0000000000000000u},
+    {0xe35fa931a0000000u, 0x0000000000000000u},
+    {0x8e1bc9bf04000000u, 0x0000000000000000u},
+    {0xb1a2bc2ec5000000u, 0x0000000000000000u},
+    {0xde0b6b3a76400000u, 0x0000000000000000u},
+    {0x8ac7230489e80000u, 0x0000000000000000u},
+    {0xad78ebc5ac620000u, 0x0000000000000000u},
+    {0xd8d726b7177a8000u, 0x0000000000000000u},
+    {0x878678326eac9000u, 0x0000000000000000u},
+    {0xa968163f0a57b400u, 0x0000000000000000u},
+    {0xd3c21bcecceda100u, 0x0000000000000000u},
+    {0x84595161401484a0u, 0x0000000000000000u},
+    {0xa56fa5b99019a5c8u, 0x0000000000000000u},
+    {0xcecb8f27f4200f3au, 0x0000000000000000u},
+    {0x813f3978f8940984u, 0x4000000000000000u},
+    {0xa18f07d736b90be5u, 0x5000000000000000u},
+    {0xc9f2c9cd04674edeu, 0xa400000000000000u},
+    {0xfc6f7c4045812296u, 0x4d00000000000000u},
+    {0x9dc5ada82b70b59du, 0xf020000000000000u},
+    {0xc5371912364ce305u, 0x6c28000000000000u},
+    {0xf684df56c3e01bc6u, 0xc732000000000000u},
+    {0x9a130b963a6c115cu, 0x3c7f400000000000u},
+    {0xc097ce7bc90715b3u, 0x4b9f100000000000u},
+    {0xf0bdc21abb48db20u, 0x1e86d40000000000u},
+    {0x96769950b50d88f4u, 0x1314448000000000u},
+    {0xbc143fa4e250eb31u, 0x17d955a000000000u},
+    {0xeb194f8e1ae525fdu, 0x5dcfab0800000000u},
+    {0x92efd1b8d0cf37beu, 0x5aa1cae500000000u},
+    {0xb7abc627050305adu, 0xf14a3d9e40000000u},
+    {0xe596b7b0c643c719u, 0x6d9ccd05d0000000u},
+    {0x8f7e32ce7bea5c6fu, 0xe4820023a2000000u},
+    {0xb35dbf821ae4f38bu, 0xdda2802c8a800000u},
+    {0xe0352f62a19e306eu, 0xd50b2037ad200000u},
+    {0x8c213d9da502de45u, 0x4526f422cc340000u},
+    {0xaf298d050e4395d6u, 0x9670b12b7f410000u},
+    {0xdaf3f04651d47b4cu, 0x3c0cdd765f114000u},
+    {0x88d8762bf324cd0fu, 0xa5880a69fb6ac800u},
+    {0xab0e93b6efee0053u, 0x8eea0d047a457a00u},
+    {0xd5d238a4abe98068u, 0x72a4904598d6d880u},
+    {0x85a36366eb71f041u, 0x47a6da2b7f864750u},
+    {0xa70c3c40a64e6c51u, 0x999090b65f67d924u},
+    {0xd0cf4b50cfe20765u, 0xfff4b4e3f741cf6du},
+    {0x82818f1281ed449fu, 0xbff8f10e7a8921a4u},
+    {0xa321f2d7226895c7u, 0xaff72d52192b6a0du},
+    {0xcbea6f8ceb02bb39u, 0x9bf4f8a69f764490u},
+    {0xfee50b7025c36a08u, 0x02f236d04753d5b4u},
+    {0x9f4f2726179a2245u, 0x01d762422c946590u},
+    {0xc722f0ef9d80aad6u, 0x424d3ad2b7b97ef5u},
+    {0xf8ebad2b84e0d58bu, 0xd2e0898765a7deb2u},
+    {0x9b934c3b330c8577u, 0x63cc55f49f88eb2fu},
+    {0xc2781f49ffcfa6d5u, 0x3cbf6b71c76b25fbu},
+};
+
+/* e_q = floor(log2 10^q) = floor(217706 q / 2^16) for |q| <= 64 */
+static long pow10_exponent(long q)
+{
+    long t = 217706 * q;
+
+    return t >= 0 ? t / 65536 : -((65535 - t) / 65536);
+}
+
+/* the 128-bit product a * b in *hi and *lo, from 32-bit halves */
+static void mul_64x64(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
+{
+    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32;
+    uint64_t b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+
+    *lo = mid << 32 | (p00 & 0xFFFFFFFFu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* the number of leading zero bits of w > 0 */
+static int leading_zeros(uint64_t w)
+{
+    int n = 0;
+
+    if (!(w >> 32)) {
+        n += 32;
+        w <<= 32;
+    }
+    if (!(w >> 48)) {
+        n += 16;
+        w <<= 16;
+    }
+    if (!(w >> 56)) {
+        n += 8;
+        w <<= 8;
+    }
+    if (!(w >> 60)) {
+        n += 4;
+        w <<= 4;
+    }
+    if (!(w >> 62)) {
+        n += 2;
+        w <<= 2;
+    }
+    return n + !(w >> 63);
+}
+
+/*
+ * w * 10^q rounded to the nearest double, ties to even, for 0 < w < 2^64,
+ * negated if negative: Eisel-Lemire.  With N = w shifted left until its
+ * top bit is set, the exact product P = N * 10^q * 2^(127 - e_q) lies in
+ * [2^190, 2^192), and the double's 54 leading bits (the 53 kept and the
+ * rounding bit) are those of P / 2^128 from its bit 9 or 10.  N * T_q's
+ * high 128 bits (hi, lo) fall short of P / 2^64 by less than N, since T_q
+ * falls short of its real value by less than 1; so a carry from below can
+ * reach the bits kept only when bits 0 .. 8 of hi are all set and lo + N
+ * carries.  Then the product of N and T_q's low 64 bits is added, which
+ * leaves hi:lo short of P / 2^64 by less than 2, and the case is still
+ * ambiguous when those bits are set, lo is all ones and its low 64 bits
+ * plus N carry.  A tie needs every bit of P below the rounding bit clear,
+ * which hi:lo cannot tell from just above a tie when its bits there are
+ * clear.  Returns 1 and stores the double in *x, or 0 to leave the token
+ * to strtod: q outside the table, those two ambiguous cases, or a result
+ * that is subnormal or past the largest double.
+ */
+static int eisel_lemire(uint64_t w, long q, int negative, double *x)
+{
+    const uint64_t *t;
+    uint64_t hi, lo, low_hi, low_lo, m, bits;
+    long e;
+    int lz, msb;
+
+    if (q < POW10_MIN || q > POW10_MAX)
+        return 0;
+    t = POW10_128[q - POW10_MIN];
+    lz = leading_zeros(w);
+    w <<= lz;
+    mul_64x64(w, t[0], &hi, &lo);
+    if ((hi & 0x1FF) == 0x1FF && lo + w < w) {
+        mul_64x64(w, t[1], &low_hi, &low_lo);
+        lo += low_hi;
+        if (lo < low_hi)
+            hi++;
+        if ((hi & 0x1FF) == 0x1FF && lo + 1 == 0 && low_lo + w < w)
+            return 0;
+    }
+    msb = (int)(hi >> 63);
+    m = hi >> (msb + 9);
+    if (lo == 0 && (hi & 0x1FF) == 0 && (m & 3) == 1)
+        return 0;
+    /* round the 54 bits to 53, half up: a tie, to even, left above */
+    m += m & 1;
+    m >>= 1;
+    e = pow10_exponent(q) + 1086 + msb - lz;
+    if (m >> 53) {
+        m >>= 1;
+        e++;
+    }
+    if (e <= 0 || e >= 0x7FF)
+        return 0;
+    bits = (uint64_t)e << 52 | (m & (((uint64_t)1 << 52) - 1))
+           | (uint64_t)negative << 63;
+    memcpy(x, &bits, sizeof *x);
+    return 1;
+}
+
+/*
+ * The token [s, end) of parse_floats' form, already checked, as the
+ * double strtod returns for it, in *x, by an exact fast path: 1, or 0
+ * when neither path decides it.  A w of 0 is a zero of the token's sign.
+ */
+static int fast_decimal(const char *s, const char *end, double *x)
+{
+    const char *first, *point;
+    uint64_t w = 0;
+    long digits, q = 0, e = 0;
+    int negative = 0, negative_e = 0;
+
+    if (*s == '+' || *s == '-')
+        negative = *s++ == '-';
+    while (s < end && *s == '0')
+        s++;  /* leading zeros */
+    for (first = s; s < end && *s >= '0' && *s <= '9'; s++)
+        w = 10 * w + (uint64_t)(*s - '0');
+    digits = (long)(s - first);
+    if (s < end && *s == '.') {
+        point = ++s;
+        if (digits == 0)
+            while (s < end && *s == '0')
+                s++;  /* leading zeros after the point */
+        for (first = s; s < end && *s >= '0' && *s <= '9'; s++)
+            w = 10 * w + (uint64_t)(*s - '0');
+        if (s - point >= EXP_CAP)
+            return 0;
+        digits += (long)(s - first);
+        q = -(long)(s - point);
+    }
+    /* w wrapped around past FAST_DIGITS digits, and is not used */
+    if (digits > FAST_DIGITS)
+        return 0;
+    if (s < end) {  /* the exponent */
+        s++;
+        if (*s == '+' || *s == '-')
+            negative_e = *s++ == '-';
+        for (; s < end; s++) {
+            e = 10 * e + (*s - '0');
+            if (e >= EXP_CAP)
+                return 0;
+        }
+        q += negative_e ? -e : e;
+    }
+    if (w == 0) {
+        *x = negative ? -0.0 : 0.0;
+        return 1;
+    }
+    if (FLT_EVAL_METHOD == 0 && w <= (uint64_t)1 << 53 && q >= -22
+            && q <= 22) {
+        *x = (double)w;
+        *x = q < 0 ? *x / POW10_EXACT[-q] : *x * POW10_EXACT[q];
+        if (negative)
+            *x = -*x;
+        return 1;
+    }
+    return eisel_lemire(w, q, negative, x);
+}
+
+/*
  * The numbers of the whitespace-separated tokens of data[0 .. len), the
  * fast path of _kernels_py.parse_floats, stored in out unless out is NULL,
  * which only counts them.  It takes only tokens of the form
  * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, ASCII digits d, separated by the six
- * ASCII whitespace bytes, and converts each with strtod, which rounds
- * correctly as Python's float() does.  data[len] must be readable and
+ * ASCII whitespace bytes, and converts each by an exact fast path
+ * (fast_decimal) or else with strtod, both rounding correctly as Python's
+ * float() does.  data[len] must be readable and
  * must not be part of a number, as the NUL that ends a Python bytes
  * object is.  Returns the number of tokens, or -1 to give the input back
  * to the reference, which returns or raises what it does: any other byte
@@ -1186,9 +1546,11 @@ long parse_floats(const char *data, long len, double *out)
         if (s < end && !is_space((unsigned char)*s))
             return -1;
         if (out != NULL) {
-            x = strtod(token, &stop);
-            if (stop != s || !isfinite(x))
-                return -1;
+            if (!fast_decimal(token, s, &x)) {
+                x = strtod(token, &stop);
+                if (stop != s || !isfinite(x))
+                    return -1;
+            }
             out[count] = x;
         }
         count++;

@@ -4,10 +4,13 @@ quantiles of the ten closed-form families, the normal one a copy of the
 standard library's PPND16), ``batch_uniforms`` (the uniforms of the streams
 of consecutive samples of a simulation batch, in one array('d')),
 ``piece_errors`` (the sort and the estimators' squared errors of a piece of
-simulation samples, in one call), ``parse_floats`` (the numbers
-of an input's bytes) and ``sort_floats`` (a stable sort of an array('d'),
-in place) of trimq/_kernels_c.c, loaded with ctypes, with the other kernels
-taken from the pure-Python reference, trimq._kernels_py.
+simulation samples, in one call), ``weighted_sum`` (an estimate's sum over
+a window of a sorted array('d'), the port of math.fsum over the array
+itself), ``parse_floats`` (the numbers of an input's bytes, each by an
+exact fast path, Clinger's or Eisel-Lemire's, or else by strtod) and
+``sort_floats`` (a stable sort of an array('d'), in place) of
+trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken from
+the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
 the system ``cc``, into this package's ``__pycache__``, loads it, and deletes
@@ -43,8 +46,9 @@ quantile lies past the square root of the largest double, a closed-form
 p outside (0, 1) or NaN, a closed-form quantile that is not finite or a
 power that CPython's float_pow treats itself, a NaN to sort, a weighted
 sum that math.fsum would not return finite, input that is not plain
-ASCII decimal numbers, finite ones), the wrapper hands the call to that
-namesake, which raises its own error or returns what it returns.  A
+ASCII decimal numbers, finite ones, a window outside an array('d')), the
+wrapper hands the call to that namesake, which raises its own error or
+returns what it returns.  A
 batch inversion, and ``closed_quantiles``, return the index of the first
 p they give back; the wrapper keeps the quantiles before that index and
 hands over only the p from it.  A weight window hands over only the
@@ -168,6 +172,7 @@ _ENTRIES = {
                                     _buffer, _buffer, _buffer, _buffer)),
     "sort_floats": (ctypes.c_int, (_buffer, _long)),
     "parse_floats": (_long, (_buffer, _long, _buffer)),
+    "weighted_sum": (_double, (_buffer, _buffer, _long)),
 }
 
 
@@ -326,6 +331,22 @@ def piece_errors(values, n, theta, scorers):
                          out.buffer_info()[0]):
         return _py.piece_errors(values, n, theta, scorers)
     return [out[i * count:(i + 1) * count].tolist() for i in range(k)]
+
+
+def weighted_sum(lo, ws, xs):
+    """The correctly rounded sum of ws[k] times xs[lo + k], in one C call
+    over the array('d') xs from its offset lo; xs of another type, a
+    window past its end, or a sum the C code gives back hands the call to
+    the reference."""
+    count = len(ws)
+    if (not isinstance(xs, array) or xs.typecode != "d" or lo < 0
+            or lo + count > len(xs)):
+        return _py.weighted_sum(lo, ws, xs)
+    total = _lib.weighted_sum(_pack("%dd" % count, *ws),
+                              xs.buffer_info()[0] + lo * xs.itemsize, count)
+    if total != total:  # NaN: the C code gives the sum back
+        return _py.weighted_sum(lo, ws, xs)
+    return total
 
 
 def sort_floats(xs):

@@ -5,8 +5,9 @@ trimq._kernels_c cannot be built.
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
 the incomplete beta, the weight loop, the closed-form families' quantile
 formulas, the uniforms of a simulation batch's streams, the sort and
-scoring of a piece of simulation samples, and the parse (of plain ASCII
-decimal input) and sort of `trimq estimate`'s numbers from here statement
+scoring of a piece of simulation samples, the weighted sum of a window,
+and the parse (of plain ASCII decimal input; its exact fast paths return
+float()'s double) and sort of `trimq estimate`'s numbers from here statement
 for statement, and is the only place that adds speed.  Its Beta and Student
 t inversions keep the bits of the bisection here, not its statements: they
 decide the comparisons cdf(mid) < p that a certified band settles without
@@ -14,8 +15,9 @@ evaluating the CDF, the band's ends keeping from p a margin of at least
 twice a stated bound on the computed CDF's error (relative to min(p, 1 - p)
 in the tails), and bisect as here where that bound is not stated (see the C
 file's header).  HF7 and the weighted sum are written here once, over the
-scorer data of piece_errors; the public estimators and the simulation's
-callables run them through _estimator.  Both modules export the same names;
+scorer data of piece_errors; the simulation's callables run them through
+_estimator, and the public estimators call weighted_sum, a kernel of both
+backends.  Both modules export the same names;
 the C backend takes the kernels it does not port from here, and hands every
 case its own code gives back to the namesake kernel here, so both backends
 raise the same errors.  The only caches are the two normalizers per shape
@@ -41,7 +43,7 @@ from array import array
 __all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "closed_quantiles",
            "log_beta", "log_gamma", "mix_seed", "parse_floats",
            "piece_errors", "reg_inc_beta", "sort_floats", "stream_uniforms",
-           "student_quantiles", "weight_window"]
+           "student_quantiles", "weight_window", "weighted_sum"]
 
 # ln(2*pi)/2
 _HALF_LN_TWO_PI = 0.9189385332046727
@@ -483,7 +485,7 @@ def _hf7(j, g, xs):
     return (1.0 - g) * lo + g * xs[j]
 
 
-def _weighted_sum(lo, ws, xs):
+def weighted_sum(lo, ws, xs):
     """The correctly rounded sum of ws[k] times xs[lo + k], the sorted xs'
     order statistic lo + k + 1."""
     return math.fsum(map(operator.mul, ws, xs[lo:lo + len(ws)]))
@@ -495,7 +497,7 @@ def _estimator(scorer):
     if callable(scorer):
         return scorer
     at, coef = scorer
-    formula = _weighted_sum if isinstance(coef, tuple) else _hf7
+    formula = weighted_sum if isinstance(coef, tuple) else _hf7
     return functools.partial(formula, at, coef)
 
 

@@ -8,9 +8,10 @@ and ``BACKEND`` names it:
   of the ten closed-form families (``closed_quantiles``, the normal
   quantile a copy of the standard library's), the uniforms of the
   streams of a run of simulation samples (``batch_uniforms``),
-  the sort and scoring of those samples (``piece_errors``), and the
-  parse and sort of `trimq estimate`'s input (``parse_floats``,
-  ``sort_floats``) in C, built with the system ``cc`` on first import and
+  the sort and scoring of those samples (``piece_errors``), the parse and
+  sort of `trimq estimate`'s input (``parse_floats``, ``sort_floats``) and
+  the weighted sum of an estimate's window (``weighted_sum``) in C, built
+  with the system ``cc`` on first import and
   cached in this package's ``__pycache__``, the other kernels from the
   reference;
 - "python": trimq._kernels_py, the pure-Python reference, the plain

@@ -20,8 +20,10 @@ incomplete beta gives out, the reference's raises its own ArithmeticError),
 and returns only the window from the first positive weight to the last:
 the scorer an estimate reads, as HF7's is its index and fraction.  HF7 and
 the weighted sum are written once, in trimq._kernels_py, which the
-simulation's C scoring kernel ports.  Only ``hd_weights`` /
-``thd_weights`` pad the window to the n-long WeightVector.
+simulation's C scoring kernel ports; the estimates read the sorted values
+from the array('d') a Sample keeps, and sum a window with the backend's
+``weighted_sum``, one C call over the array in the C backend.  Only
+``hd_weights`` / ``thd_weights`` pad the window to the n-long WeightVector.
 """
 
 import math
@@ -50,20 +52,26 @@ class Sample:
     """Sorted, finite, non-empty observations.
 
     Values are sorted at construction by the backend's stable sort, the
-    order of sorted().  One sum checks that every value is finite: only a
-    sum that is not finite, from a value that is not or from finite values
-    that overflow it, scans them to name the first that is not.
+    order of sorted(), and kept in one array('d'), a copy of an array('d')
+    given.  One sum checks that every value is finite: only a sum that is
+    not finite, from a value that is not or from finite values that
+    overflow it, scans them to name the first that is not.
     presorted=True skips the sort but not a scan for order: it turns
-    out-of-order input into a ValueError instead of sorting it.
+    out-of-order input into a ValueError instead of sorting it.  The
+    estimators read the array; ``values``, the sorted values as a tuple of
+    floats, is built on first access and kept.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("_xs", "_values")
 
     def __init__(self, values, presorted=False):
         if isinstance(values, (str, bytes, bytearray)):
             raise ValueError("sample values must be a sequence of numbers, "
                              "not %s" % type(values).__name__)
-        vals = array("d", map(float, values))
+        if isinstance(values, array) and values.typecode == "d":
+            vals = array("d", values)
+        else:
+            vals = array("d", map(float, values))
         if not vals:
             raise ValueError("sample must contain at least one value")
         drop = None
@@ -83,18 +91,26 @@ class Sample:
                 "presorted sample is out of order at position %d" % drop)
         if not presorted:
             _k.sort_floats(vals)
-        self.values = tuple(vals)
+        self._xs = vals
+        self._values = None
+
+    @property
+    def values(self):
+        """The sorted values, a tuple of floats built on first access."""
+        if self._values is None:
+            self._values = tuple(self._xs)
+        return self._values
 
     @property
     def n(self):
-        return len(self.values)
+        return len(self._xs)
 
     def __len__(self):
-        return len(self.values)
+        return len(self._xs)
 
     def __repr__(self):
         return "Sample(n=%d, min=%g, max=%g)" % (
-            self.n, self.values[0], self.values[-1])
+            self.n, self._xs[0], self._xs[-1])
 
 
 def _as_sample(sample):
@@ -136,7 +152,7 @@ def hf7_quantile(sample, p):
     """Linear-interpolation quantile at h = (n-1)p + 1 (1-based)."""
     sample = _as_sample(sample)
     p = _checks.fraction(p, "p")
-    return _estimator(_hf7(sample.n, p))(sample.values)
+    return _estimator(_hf7(sample.n, p))(sample._xs)
 
 
 def _shape_params(n, p):
@@ -228,12 +244,13 @@ def thd_quantile(sample, p, width=None):
     if width is not None:
         # checked here too: p = 0 and p = 1 return before any interval
         width = _checks.fraction(width, "width", "(0, 1]")
-    x = sample.values
+    xs = sample._xs
     if p == 0.0:
-        return x[0]
+        return xs[0]
     if p == 1.0:
-        return x[-1]
-    n = len(x)
+        return xs[-1]
+    n = len(xs)
     if width is None:
         width = _sqrt_width(n)
-    return _estimator(_trimmed_weights(n, p, width))(x)
+    lo, ws = _trimmed_weights(n, p, width)
+    return _k.weighted_sum(lo, ws, xs)

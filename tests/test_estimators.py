@@ -1,7 +1,9 @@
 import hashlib
 import math
 import random
+import struct
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -578,3 +580,95 @@ def test_estimates_build_no_weight_vector(monkeypatch, backend):
     assert outcomes() == want
     with pytest.raises(AssertionError, match="built a WeightVector"):
         hd_weights(10, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the weighted sum of a window
+
+def _recorded_sums(monkeypatch):
+    """The sums the C code hands to the reference, which still runs."""
+    from trimq import _kernels_py
+
+    reference = _kernels_py.weighted_sum
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return reference(*args)
+    monkeypatch.setattr(_kernels_py, "weighted_sum", recorded)
+    return calls
+
+
+def _sum_outcome(kernel, lo, ws, xs):
+    """The bits of the sum, or the error's type and text."""
+    try:
+        return struct.pack("<d", kernel(lo, ws, xs))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_c_weighted_sum_matches_the_reference_bit_for_bit(monkeypatch):
+    # every hd window at n = 1e4 (p = 0.01 .. 0.99) over contaminated
+    # normal values, whose weights fall to subnormals at the window's
+    # ends, then seeded windows of random weights at random offsets, the
+    # first and last values among them: the same double, never given back
+    from trimq import _kernels_c, _kernels_py, estimators
+
+    kernels = _use_kernels(monkeypatch, "c")
+    rng = random.Random(28)
+    n = 10 ** 4
+    xs = array("d", (rng.gauss(0.0, 1000.0 if rng.random() < 0.05 else 1.0)
+                     for _ in range(n)))
+    kernels.sort_floats(xs)
+    windows = [estimators._trimmed_weights(n, k / 100, 1.0)
+               for k in range(1, 100)]
+    for _ in range(300):
+        length = rng.randrange(400)
+        windows.append((rng.randrange(n - length + 1),
+                        tuple(rng.random() * 10.0 ** rng.randrange(-330, 5)
+                              for _ in range(length))))
+    windows += [(0, (1.0,)), (n - 3, (0.25, 0.25, 0.5)), (n, ())]
+    want = [_kernels_py.weighted_sum(lo, ws, xs) for lo, ws in windows]
+    gave_back = _recorded_sums(monkeypatch)
+    got = [_kernels_c.weighted_sum(lo, ws, xs) for lo, ws in windows]
+    assert gave_back == []
+    assert struct.pack("<%dd" % len(got), *got) == (
+        struct.pack("<%dd" % len(want), *want))
+
+
+# products that are not finite, or whose sum overflows: the C code gives
+# each back, and the reference returns or raises what math.fsum does
+GIVEN_BACK_SUMS = {
+    "inf": ((1e300,), [1e300]),
+    "-inf": ((2.0, 1e300), [-1.0, -1e300]),
+    "inf - inf": ((1e300, 1e300), [-1e300, 1e300]),
+    "overflow": ((1.0, 1.0), [1e308, 1e308]),
+    "nan": ((0.0, 1.0), [math.inf, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GIVEN_BACK_SUMS))
+def test_c_weighted_sum_gives_back_what_the_reference_returns(monkeypatch,
+                                                              case):
+    from trimq import _kernels_c, _kernels_py
+
+    ws, values = GIVEN_BACK_SUMS[case]
+    xs = array("d", [0.5] + values)
+    want = _sum_outcome(_kernels_py.weighted_sum, 1, ws, xs)
+    gave_back = _recorded_sums(monkeypatch)
+    assert _sum_outcome(_kernels_c.weighted_sum, 1, ws, xs) == want
+    assert gave_back == [(1, ws, xs)]
+
+
+def test_c_weighted_sum_hands_other_sequences_to_the_reference(monkeypatch):
+    # a list, an array of another type or a window past the end: the
+    # reference's slice decides
+    from trimq import _kernels_c, _kernels_py
+
+    ws = (0.25, 0.75)
+    cases = [(1, [1.0, 2.0, 4.0]), (0, array("f", [1.0, 2.0])),
+             (2, array("d", [1.0, 2.0, 4.0]))]
+    want = [_kernels_py.weighted_sum(lo, ws, xs) for lo, xs in cases]
+    gave_back = _recorded_sums(monkeypatch)
+    assert [_kernels_c.weighted_sum(lo, ws, xs) for lo, xs in cases] == want
+    assert len(gave_back) == len(cases)

@@ -1,17 +1,25 @@
-"""The input of `trimq estimate`: the numbers of its bytes (parse_floats),
-their sort (sort_floats) and the one check of each value in Sample, the
-same bits and errors from the C kernels as from the reference."""
+"""The input of `trimq estimate`: the numbers of its bytes (parse_floats,
+with the C parse's exact fast paths and their power-of-ten table), their
+sort (sort_floats) and the one check of each value in Sample, which keeps
+them in one array('d'), the same bits and errors from the C kernels as from
+the reference."""
 
+import ctypes
 import io
 import math
 import random
+import re
 import struct
 import sys
+import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
 
-from trimq import Sample, _kernels_py, estimators
+import _cshim
+
+from trimq import Sample, _kernels_py, estimators, thd_quantile
 from trimq.cli import main
 
 BACKENDS = ("python", "c")
@@ -115,6 +123,158 @@ def test_c_parse_matches_the_reference_bit_for_bit(monkeypatch):
         # and each value is what float() reads from its token
         assert got.tolist() == [float(t) for t in data.split()]
     assert len(tokens) > 20000
+
+
+def _table_bounds():
+    """The C source, and the range of q of its power-of-ten table."""
+    from trimq import _kernels_c
+
+    with open(_kernels_c._SOURCE) as fh:
+        source = fh.read()
+    low = int(re.search(r"^#define POW10_MIN \((-\d+)\)$", source, re.M)[1])
+    high = int(re.search(r"^#define POW10_MAX (\d+)$", source, re.M)[1])
+    return source, low, high
+
+
+def _decimal(m, k):
+    """The exact decimal token of m * 2**k."""
+    if k >= 0:
+        return str(m << k)
+    return "%de-%d" % (m * 5 ** -k, -k)
+
+
+def _edge_tokens(rng, low, high):
+    """Tokens at each edge of the C parse's fast paths: repr of random
+    doubles, 1- to 19-digit mantissas at every q of the table and one past
+    each end, with and without a point, 20- to 25-digit mantissas, exact
+    ties between doubles, normal and subnormal extremes, zeros and bare
+    points, and exponents of many digits."""
+    for _ in range(3000):
+        yield repr(_random_double(rng))
+    for q in range(low - 1, high + 2):
+        for digits in range(1, 20):
+            text = str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+            yield "%se%d" % (text, q)
+            cut = rng.randrange(digits + 1)
+            yield "-%s.%se%d" % (text[:cut], text[cut:], q + digits - cut)
+    for digits in range(20, 26):
+        for q in (low - 1, low, -22, -8, 0, 22, high, high + 1):
+            yield "%de%d" % (rng.randrange(10 ** (digits - 1),
+                                           10 ** digits), q)
+    for _ in range(600):
+        # halfway between two doubles: round half to even decides
+        m = (rng.getrandbits(52) | 1 << 52) * 2 + 1
+        yield _decimal(m, rng.randrange(-80, 120))
+    for k in range(0, 12):  # ties of 16 to 20 digits, and their neighbours
+        m = (rng.getrandbits(52) | 1 << 52) * 2 + 1
+        yield str(m << k)
+        yield str((m << k) + 1)
+        yield str((m << k) - 1)
+    yield from ["9007199254740992", "9007199254740993", "9007199254740995",
+                "18014398509481985", "2.2250738585072014e-308",
+                "2.2250738585072011e-308", "2.2250738585072009e-308",
+                "4.9406564584124654e-324", "5e-324",
+                "2.4703282292062328e-324", "1.7976931348623157e308",
+                "-0", "0", "+0", "-0.0", "0e0", "-0e99999999999999999999",
+                "+5", "1.", ".5", "-.5", "000123.4500",
+                "1.0000000000000000000000", "100000000000000000000",
+                "0.0000000000000000000000001", "1e0000000000000000000005",
+                "1e-99999999999999999999", "1e-0000000000000000000000308",
+                "0." + "0" * 120000 + "1e120010",
+                "1" + "0" * 120000 + "e-120000"]
+    for _ in range(200):
+        bits = rng.getrandbits(52) >> rng.randrange(52)
+        yield repr(struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+
+
+def test_c_parse_sweeps_the_fast_path_edges_bit_for_bit(monkeypatch):
+    # every token as float() reads it and as the reference does, with no
+    # give-back: the fast paths' decisions, and strtod's for the rest
+    from trimq import _kernels_c
+
+    rng = random.Random(1990)
+    _, low, high = _table_bounds()
+    tokens = list(_edge_tokens(rng, low, high))
+    data = _joined(rng, tokens)
+    want = _kernels_py.parse_floats(data).tobytes()
+    gave_back = _recorded_give_backs(monkeypatch, "parse_floats")
+    got = _kernels_c.parse_floats(data)
+    assert gave_back == []
+    assert got.tobytes() == want
+    assert want == array("d", [float(t) for t in tokens]).tobytes()
+
+
+_FAST = """
+int fast(const char *s, long len, double *x)
+{
+    return fast_decimal(s, s + len, x);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def fast(tmp_path_factory):
+    """fast_decimal(token): the double an exact fast path decides, or
+    None where it leaves the token to strtod."""
+    lib = _cshim.build(tmp_path_factory.mktemp("fast"), "fast", _FAST)
+    lib.fast.argtypes = (ctypes.c_char_p, ctypes.c_long,
+                         ctypes.POINTER(ctypes.c_double))
+    out = ctypes.c_double()
+
+    def decide(token):
+        data = token.encode("ascii")
+        return out.value if lib.fast(data, len(data), out) else None
+    return decide
+
+
+def test_the_fast_paths_decide_what_they_should(fast):
+    # a sweep would pass with fast paths that decide nothing: every token
+    # of at most 19 digits with q in the table is decided (the seeded
+    # draws hold no exact tie, which Eisel-Lemire leaves to strtod), each
+    # decision is float()'s, and the rest go to strtod
+    _, low, high = _table_bounds()
+    rng = random.Random(2021)
+    for q in range(low, high + 1):
+        for digits in range(1, 20):
+            w = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            for token in ("%de%d" % (w, q), "-%d.e%d" % (w, q),
+                          "0.000%de%d" % (w, q + 3 + digits)):
+                x = fast(token)
+                assert x is not None, token
+                assert struct.pack("<d", x) == struct.pack("<d", float(token))
+    for token in ("9007199254740992", "0.1", "-0", "0e-99999", "+5", "1.",
+                  ".5", "1e0000000000000000000005", "1234567890123456789"):
+        assert struct.pack("<d", fast(token)) == (
+            struct.pack("<d", float(token))), token
+    declined = ["12345678901234567890", "1234567890123456789012345e-10",
+                "1.0000000000000000000000", "12345678901234567e%d" % (low - 1),
+                "12345678901234567e%d" % (high + 1), "1e-99999999999999999999",
+                "1e99999999999999999999", "5e-324", "2.2250738585072011e-308",
+                "9007199254740993", "0." + "0" * 100000 + "1e100001"]
+    assert [t for t in declined if fast(t) is not None] == []
+
+
+def test_power_of_ten_table_is_its_stated_recipe():
+    # row q - POW10_MIN is T_q = floor(10**q * 2**(127 - e_q)),
+    # e_q = floor(log2 10**q), split into its high and low 64 bits, and
+    # pow10_exponent's floor(217706 q / 2**16) is e_q over the table
+    source, low, high = _table_bounds()
+    body = re.search(r"POW10_128\[\]\[2\] = \{\n(.*?)\n\};", source, re.S)[1]
+    rows = re.findall(r"^    \{0x([0-9a-f]{16})u, 0x([0-9a-f]{16})u\},$",
+                      body, re.M)
+    assert len(rows) == body.count("\n") + 1 == high - low + 1
+    assert low <= -22 and high >= 22  # the workload's q lie in [-21, -8]
+    for q, (hi, lo) in zip(range(low, high + 1), rows):
+        power = Fraction(10) ** q
+        e = 0
+        while Fraction(2) ** e > power:
+            e -= 1
+        while Fraction(2) ** (e + 1) <= power:
+            e += 1
+        t = math.floor(power * Fraction(2) ** (127 - e))
+        assert 2 ** 127 <= t < 2 ** 128
+        assert (int(hi, 16) << 64 | int(lo, 16)) == t, q
+        assert (217706 * q) >> 16 == e, q
 
 
 # the C parse gives each of these back; the reference returns the numbers
@@ -277,6 +437,45 @@ def test_sample_converts_and_sorts_as_before(kernels):
     assert [math.copysign(1.0, x) for x in got[:3]] == [1.0, -1.0, 1.0]
     assert all(type(x) is float for x in got)
     assert Sample(array("d", [3.0, 1.0])).values == (1.0, 3.0)
+
+
+def test_sample_keeps_one_array_and_builds_values_once(kernels):
+    values = [2.5, -0.0, 1.0, 0.0, -3.0, 1.0]
+    given = array("d", values)
+    sample = Sample(given)
+    given[0] = 99.0  # an array given is copied
+    assert sample.values == tuple(sorted(values))
+    assert sample.values is sample.values
+    assert [math.copysign(1.0, x) for x in sample.values] == (
+        [math.copysign(1.0, x) for x in sorted(values)])
+    assert all(type(x) is float for x in sample.values)
+    assert (sample.n, len(sample)) == (6, 6)
+    assert repr(sample) == "Sample(n=6, min=-3, max=2.5)"
+    # other arrays take the path of any other sequence
+    assert Sample(array("l", [3, 1])).values == (1.0, 3.0)
+    assert Sample(array("f", [0.5, 0.25])).values == (0.25, 0.5)
+
+
+def test_a_sample_of_an_array_holds_one_copy(monkeypatch):
+    # Sample(array) then an estimate at n = 1e5 allocates about the one
+    # copy of the 800 kB array, not the 3.2 MB of a tuple of floats (the
+    # C sort's buffer is C memory, which tracemalloc does not see)
+    from trimq import _kernels_c
+
+    monkeypatch.setattr(estimators, "_k", _kernels_c)
+    rng = random.Random(7)
+    n = 10 ** 5
+    given = array("d", (rng.gauss(0.0, 1.0) for _ in range(n)))
+    thd_quantile(Sample(given[:1000]), 0.5)  # code paths warmed
+    tracemalloc.start()
+    try:
+        sample = Sample(given)
+        thd_quantile(sample, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 128 * 1024, peak
+    assert sample._values is None
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,21 @@ values = c.closed_quantiles("Normal", (0.0, 1.0),
                             c.batch_uniforms(c.mix_seed(3), 12345, 0, 7, 10))
 assert (c.piece_errors(values, 10, 0.0, [(3, 0.5), (2, (0.25, 0.75))])
         == py.piece_errors(values, 10, 0.0, [(3, 0.5), (2, (0.25, 0.75))]))
+# the parse's fast paths at their edges: 19-digit mantissas at each end
+# of the power-of-ten table and one past it, a 20-digit mantissa, a
+# 25-digit exponent and a subnormal
+for data in (b"1234567890123456789e-64 9999999999999999999e64",
+             b"1234567890123456789e-65 -9999999999999999999e65",
+             b"12345678901234567890 1e0000000000000000000000005",
+             b"1e-9999999999999999999999999 4.9406564584124654e-324 -0 .5"):
+    assert c.parse_floats(data).tobytes() == py.parse_floats(data).tobytes()
+# a window that ends at the array's last value, and one whose product
+# overflows, which the C code gives back
+from array import array
+xs = array("d", [k * 0.5 for k in range(50)])
+for lo, ws in ((47, (0.25, 0.25, 0.5)), (0, (1.0,) * 50)):
+    assert c.weighted_sum(lo, ws, xs) == py.weighted_sum(lo, ws, xs)
+assert c.weighted_sum(1, (1e300,), array("d", [0.0, 1e300])) == math.inf
 n = 10 ** 6
 try:  # past the term cap from about n = 3.4e5
     c.weight_window(n, 369800, 370200, 0.37 * (n + 1), 0.63 * (n + 1), 0.0,
