@@ -36,11 +36,13 @@ fraction or a window of weights, built once per (n, p); a callable
 estimator, such as a factory passed to ``estimate_mse``, runs per sample in
 Python.
 
-The ``threads`` argument counts worker processes.  Where the ``fork``
-start method exists and the calling process runs no other Python thread,
-up to that many forked workers split the replication/cell loops;
-otherwise, and at one worker, the loops run in-process.  Results are
-reassembled in a fixed order, so the worker count never changes the output.
+The ``threads`` argument counts worker processes: at N, the caller and up
+to N - 1 children, forked where ``os.fork`` exists and the calling process
+runs no other Python thread.  They split the replication/cell loops in
+shares of near-equal expected cost, and each child pipes its results back
+pickled; otherwise, and at one worker, the loops run in-process.  Results
+are reassembled in a fixed order and the failure of the lowest index is
+raised, so the worker count never changes the output or the error.
 """
 
 import csv
@@ -48,6 +50,7 @@ import dataclasses
 import functools
 import io
 import math
+import os
 import threading
 from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
@@ -282,49 +285,114 @@ class EfficiencyReport:
 # ---------------------------------------------------------------------------
 # harness
 
-# in a forked worker process: the (worker, chunks) of the run that forked it
-_TASK = None
+def _deal(costs, workers):
+    """Chunk indices in `workers` shares of near-equal summed cost.
+
+    Graham's LPT rule: the chunks go costliest first (a stable sort, so
+    equal costs keep their order), each to the share whose summed cost is
+    least so far, the lowest-numbered share on a tie.
+    """
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += costs[i]
+    return shares
 
 
-def _install_task(worker, chunks):
-    global _TASK
-    _TASK = (worker, chunks)
+def _run_share(worker, chunks, share):
+    """([(i, worker(chunks[i]))], failure) for the share's chunks in index
+    order, up to the first that raises; failure is (i, exception) of that
+    one, or None.  A later chunk could not change which failure a run
+    raises, the one of the lowest index, so it does not run."""
+    done = []
+    for i in sorted(share):
+        try:
+            done.append((i, worker(chunks[i])))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
 
 
-def _run_task(index):
-    worker, chunks = _TASK
-    return worker(chunks[index])
+def _child(worker, chunks, share, fd, inherited):
+    """A forked worker's life: close the `inherited` pipe ends, run its
+    share, write the pickled reply to `fd`, and leave by os._exit, with
+    status 0 only once the whole reply is written.  It never returns into
+    the caller's stack."""
+    status = 1
+    try:
+        import pickle
+        for other in inherited:
+            os.close(other)
+        done, failure = _run_share(worker, chunks, share)
+        if failure is not None:
+            i, exc = failure
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                failure = i, RuntimeError("a worker process raised %r" % exc)
+        with open(fd, "wb") as out:
+            out.write(pickle.dumps((done, failure), pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_chunks(worker, chunks, threads, cost):
-    """[worker(c) for c in chunks], on up to `threads` worker processes.
+    """[worker(c) for c in chunks], in up to `threads` processes: the caller
+    and forked children.
 
-    `cost(chunk)` ranks chunks by their expected run time.  The pool takes
-    the costliest first, so the tasks left when a worker runs dry are the
-    short ones and the other worker does not idle through a long one.
+    `cost(chunk)` ranks chunks by their expected run time; _deal splits
+    them into one share per process, the first of them the caller's.  Each
+    child sends its results back pickled through a pipe.  Where chunks
+    raise, the one of the lowest index is raised, as the in-process loop
+    would.
     """
     workers = min(_checks.integer(threads, "threads", 1), len(chunks))
     # a fork copies no thread but the caller's, nor releases the locks the
     # others hold, so a process with other threads runs the loops itself
-    if workers > 1 and threading.active_count() == 1:
-        # imported here so that single-worker runs do not pay for them
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            order = sorted(range(len(chunks)),
-                           key=lambda i: cost(chunks[i]), reverse=True)
-            # fork hands the closures to the workers without pickling them;
-            # only chunk indices go out and results come back
-            with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_install_task,
-                    initargs=(worker, chunks)) as pool:
-                results = [None] * len(chunks)
-                for i, result in zip(order, pool.map(_run_task, order)):
-                    results[i] = result
-                return results
-    return [worker(c) for c in chunks]
+    if (workers < 2 or not hasattr(os, "fork")
+            or threading.active_count() != 1):
+        return [worker(c) for c in chunks]
+    # imported here so that single-worker runs do not pay for it
+    import pickle
+    shares = _deal([cost(c) for c in chunks], workers)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(worker, chunks, share, write,
+                       [read] + [fd for _, fd in children])
+            os.close(write)
+            children.append((pid, read))
+        done, failure = _run_share(worker, chunks, shares[0])
+    finally:
+        # every pipe to its end before any wait, so that no child blocks
+        # on a full pipe while the caller waits for it to exit
+        replies = []
+        for _, fd in children:
+            with open(fd, "rb") as reply:
+                replies.append(reply.read())
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    failures = [] if failure is None else [failure]
+    for (pid, _), reply, status in zip(children, replies, statuses):
+        if status != 0:
+            raise RuntimeError(
+                "worker process %d ended with exit status %d and no result"
+                % (pid, os.waitstatus_to_exitcode(status)))
+        child_done, child_failure = pickle.loads(reply)
+        done += child_done
+        if child_failure is not None:
+            failures.append(child_failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    results = [None] * len(chunks)
+    for i, result in done:
+        results[i] = result
+    return results
 
 
 def run_sim1(config, threads=1):

@@ -1,10 +1,12 @@
 import io
 import json
 import math
+import os
 
 import pytest
 
-from trimq import __version__, beta_hdi, BetaParams, run_sim1, Sim1Config
+from trimq import (__version__, beta_hdi, BetaParams, run_sim1, run_sim2,
+                   simulation, Sim1Config, Sim2Config)
 from trimq.cli import main
 
 SAMPLE = "\n".join(["-0.565", "-0.106", "-0.095", "0.363", "0.404", "0.633",
@@ -316,6 +318,22 @@ def test_simulate_overflowing_quantile_is_input_error(tmp_path, capsys,
     assert "Pareto(loc=1, shape=0.01): the quantile at p=" in err
     assert err.rstrip().endswith(" overflows") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_simulate_error_tests_fail_in_a_child(monkeypatch):
+    # the two tests above give the failing cell index 1 of two cells of
+    # n = 5; at --threads 2 a forked child runs it, not the caller
+    def pid_cell(spec, n, p, estimators, samples_per_batch, batches, seed):
+        return {"hf7": float(os.getpid()), "hd": 1.0, "thd": 1.0}
+
+    monkeypatch.setattr(simulation, "_mse_cell", pid_cell)
+    for second in ["Beta(a=1000000, b=1000000)", "Pareto(loc=1, shape=0.01)"]:
+        rows = run_sim2(Sim2Config.from_dict(
+            {"specs": ["Normal(m=0, sd=1)", second], "sample_sizes": [5],
+             "p_grid": [0.5], "samples_per_batch": 2, "batches": 1}),
+            threads=2).rows
+        assert rows[0].mse_hf7 == os.getpid()
+        assert rows[1].mse_hf7 != os.getpid()
 
 
 def test_simulate_config_errors(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import fractions
@@ -6,8 +5,11 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -397,68 +399,78 @@ def test_more_workers_than_chunks_give_the_same_bytes():
             == run_sim1(cfg1, threads=1).to_csv())
 
 
-class _InlinePool:
-    """Stands in for the process pool: records its size, runs in-process."""
+def _count_forks(monkeypatch):
+    """The list that each os.fork call of the calling process adds one to."""
+    forks = []
+    fork = os.fork
 
-    sizes = []
-    orders = []
+    def counting():
+        forks.append(1)
+        return fork()
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        items = list(items)
-        self.orders.append(items)
-        return map(fn, items)
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="worker processes need the fork start method")
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="worker processes need os.fork")
+
+
+@needs_fork
 def test_worker_count_is_capped_by_chunks(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "orders", [])
-    monkeypatch.setattr(simulation, "_TASK", None)
+    forks = _count_forks(monkeypatch)
     cfg2 = _sim2_cfg(specs=[NORMAL], p_grid=[0.25, 0.5])
     want = run_sim2(cfg2).to_csv()
-    assert _InlinePool.sizes == []  # one worker runs in-process
-    assert run_sim2(cfg2, threads=8).to_csv() == want
-    run_sim2(_sim2_cfg(), threads=3)  # four cells
-    run_sim1(_sim1_cfg(replications=600), threads=8)  # two chunks
-    run_sim1(_sim1_cfg(), threads=8)  # one chunk: in-process
-    assert _InlinePool.sizes == [2, 3, 2]
+    assert forks == []  # one worker runs in-process
+    counts = []
+    for run, cfg, threads in [
+            (run_sim2, cfg2, 8),
+            (run_sim2, _sim2_cfg(), 3),  # four cells
+            (run_sim1, _sim1_cfg(replications=600), 8),  # two chunks
+            (run_sim1, _sim1_cfg(), 8)]:  # one chunk: in-process
+        out = run(cfg, threads=threads).to_csv()
+        if cfg is cfg2:
+            assert out == want
+        counts.append(len(forks))
+        forks.clear()
+    # the caller is one of the workers: N workers fork N - 1 children
+    assert counts == [1, 2, 1, 0]
+    _assert_no_child_left()
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="worker processes need the fork start method")
+@needs_fork
 def test_pool_takes_the_largest_cells_first(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _InlinePool)
-    monkeypatch.setattr(_InlinePool, "orders", [])
-    monkeypatch.setattr(simulation, "_TASK", None)
+    dealt = []
+    deal = simulation._deal
+    monkeypatch.setattr(simulation, "_deal",
+                        lambda costs, workers: dealt.append(
+                            deal(costs, workers)) or dealt[-1])
     # cells run spec by spec, n = 5 before n = 20 within each spec
     cfg = _sim2_cfg(sample_sizes=[5, 20], p_grid=[0.5])
     want = run_sim2(cfg).to_csv()
+    assert dealt == []
     assert run_sim2(cfg, threads=2).to_csv() == want
-    assert _InlinePool.orders == [[1, 3, 0, 2]]
+    # dealt 1, 3, 0, 2: the n = 20 cells first, each chunk to the share of
+    # least summed cost so far, share 0 on a tie
+    assert dealt == [[[1, 0], [3, 2]]]
     # equal replication chunks keep their order
     run_sim1(_sim1_cfg(replications=600), threads=2)
-    assert _InlinePool.orders[1] == [0, 1]
+    assert dealt[1] == [[0], [1]]
+
+
+def test_deal_gives_each_chunk_to_the_least_loaded_share():
+    assert simulation._deal([3, 3, 2, 2, 2], 2) == [[0, 2, 4], [1, 3]]
+    assert simulation._deal([1, 5, 1, 1, 1], 2) == [[1], [0, 2, 3, 4]]
+    assert simulation._deal([4, 9], 3) == [[1], [0], []]
 
 
 def test_process_with_other_threads_does_not_fork(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "orders", [])
+    forks = _count_forks(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10.0,))
     other.start()
@@ -470,7 +482,117 @@ def test_process_with_other_threads_does_not_fork(monkeypatch):
         release.set()
         other.join(10.0)
     assert not other.is_alive()
-    assert _InlinePool.sizes == []
+    assert forks == []
+
+
+def _touching(tmp_path, failing):
+    """A worker that marks chunk c as run in tmp_path, then raises
+    ArithmeticError("chunk c") if c is in `failing`."""
+    def worker(c):
+        (tmp_path / str(c)).touch()
+        if c in failing:
+            raise ArithmeticError("chunk %d" % c)
+        return c
+    return worker
+
+
+@needs_fork
+@pytest.mark.parametrize("workers, ran", [
+    (1, {0, 1, 2, 3}),
+    # shares [0, 2, 4, 6] and [1, 3, 5, 7]: the caller fails at 4 and
+    # skips 6, the child fails at 3 and skips 5 and 7
+    (2, {0, 1, 2, 3, 4}),
+    # shares [0, 3, 6], [1, 4, 7] and [2, 5]: the caller fails at 3, the
+    # first child at 4
+    (3, {0, 1, 2, 3, 4, 5})])
+def test_the_lowest_failing_chunk_raises_at_every_worker_count(
+        tmp_path, workers, ran):
+    chunks = list(range(8))
+    with pytest.raises(ArithmeticError, match="^chunk 3$"):
+        simulation._run_chunks(_touching(tmp_path, {3, 4}), chunks, workers,
+                               cost=lambda c: 1)
+    assert {int(path.name) for path in tmp_path.iterdir()} == ran
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_chunks_runs_in_the_caller_and_children():
+    pids = simulation._run_chunks(lambda c: os.getpid(), [0, 1, 2], 3,
+                                  cost=lambda c: 1)
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 3
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_child_killed_before_its_result_names_its_exit_status():
+    parent = os.getpid()
+
+    def worker(c):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return c
+
+    with pytest.raises(RuntimeError, match=r"exit status -%d and no result"
+                       % signal.SIGKILL):
+        simulation._run_chunks(worker, [0, 1], 2, cost=lambda c: 1)
+    _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its args hold one value, not two."""
+
+    def __init__(self, a, b):
+        super().__init__("%s and %s" % (a, b))
+
+
+@needs_fork
+def test_exception_that_cannot_be_pickled_comes_back_as_its_repr():
+    class Local(Exception):
+        pass
+
+    def worker(c):
+        if c == 1:
+            raise Local("cannot pickle")
+        if c == 3:
+            raise _TwoArgError("cannot", "unpickle")
+        return c
+
+    with pytest.raises(RuntimeError,
+                       match=r"raised Local\('cannot pickle'\)$"):
+        simulation._run_chunks(worker, [0, 1], 2, cost=lambda c: 1)
+    _assert_no_child_left()
+    with pytest.raises(RuntimeError,
+                       match=r"raised _TwoArgError\('cannot and unpickle'\)$"):
+        simulation._run_chunks(worker, [0, 3], 2, cost=lambda c: 1)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_child_exception_keeps_its_type_and_message():
+    def worker(c):
+        if c == 1:
+            raise ConfigError("cell 1: bad")
+        return c
+
+    with pytest.raises(ConfigError, match="^cell 1: bad$"):
+        simulation._run_chunks(worker, [0, 1], 2, cost=lambda c: 1)
+    _assert_no_child_left()
+
+
+def test_importing_the_cli_loads_no_pickle_or_pool():
+    # pickle is imported where children are forked, so setting up the CLI
+    # pays for none of these; -S keeps site hooks from importing them
+    src = os.path.dirname(os.path.dirname(simulation.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\nimport trimq.cli\n"
+         "print([m for m in ('pickle', 'multiprocessing', "
+         "'concurrent.futures') if m in sys.modules])\n"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 @pytest.mark.parametrize("threads", [0, -3])
