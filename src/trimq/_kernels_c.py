@@ -1,16 +1,11 @@
-"""The C backend: the incomplete beta, the weight loop, the Beta and Student
-t inversions (one C entry point, ``quantiles``), ``closed_quantiles`` (the
-quantiles of the ten closed-form families, the normal one a copy of the
-standard library's PPND16), ``batch_uniforms`` (the uniforms of the streams
-of consecutive samples of a simulation batch, in one array('d')),
-``piece_errors`` (the sort and the estimators' squared errors of a piece of
-simulation samples, in one call), ``weighted_sum`` (an estimate's sum over
-a window of a sorted array('d'), the port of math.fsum over the array
-itself), ``parse_floats`` (the numbers of an input's bytes, each by an
-exact fast path, Clinger's or Eisel-Lemire's, or else by strtod) and
-``sort_floats`` (a stable sort of an array('d'), in place) of
-trimq/_kernels_c.c, loaded with ctypes, with the other kernels taken from
-the pure-Python reference, trimq._kernels_py.
+"""The C backend: the kernels of trimq/_kernels_c.c, loaded with ctypes, the
+incomplete beta, the weight loop, the Beta and Student t inversions (one C
+entry point, ``quantiles``), ``closed_quantiles`` (its normal quantile a
+copy of the standard library's PPND16), ``batch_uniforms``,
+``piece_errors``, ``weighted_sum`` (a port of math.fsum), ``parse_floats``
+(each number by an exact fast path, Clinger's or Eisel-Lemire's, or else
+by strtod) and ``sort_floats``, each described by its wrapper here; the
+other kernels are taken from the pure-Python reference, trimq._kernels_py.
 
 Importing this module builds the C file once per version of its source, with
 the system ``cc``, into this package's ``__pycache__``, loads it, and deletes
@@ -20,44 +15,34 @@ reference.
 
 The table _ENTRIES declares each entry point of the library once, its
 return type and its parameters' types; _open types the library from it and
-the wrappers call the entry points on that one object, _lib.  Every buffer
-crosses as a c_void_p: the address of an array('d') or array('l'), which
-the C code reads or writes, or the bytes of one, which it only reads.
+the wrappers call the entry points on that one object, _lib.  A sequence of
+doubles has one form, an array('d'): every kernel returns its doubles in
+one, and the C code reads only arrays (and the bytes ``parse_floats``
+parses), each at its address, bound to a name for the whole call.  A
+wrapper given any other sequence for such a buffer hands the call to the
+reference.
 
 Every entry point returns the doubles of its namesake in the reference,
 and all but ``quantiles`` run its statements in their order.
-``quantiles`` keeps the bits, not the statements: it walks the p one at a
-time, each through the reference bisection's midpoints to the same
-outcomes cdf(mid) < p, but past each p's first 12 CDF values it certifies
-a band around the quantile, two CDF values that stay from p by a margin
-of at least twice a stated bound on the computed CDF's error (relative to
-the tail the CDF is taken from, so to min(p, 1 - p) in the tails: the
-Lentz tolerance, the cancellation and rounding of the recurrence, growing
-with a + b and its term count, and the rounding of exp's argument), and
-decides every midpoint outside the band without a CDF value.  It bisects
-plainly where that bound is not stated: a bracket across the fraction's
-switch point or t = 0, or with an end at 0 or 1, a fraction that may not
-converge within the term cap, or a bound above 2**-30.  The incomplete
-beta's C core evaluates one point per call: ``weight_window`` calls it
-once per index, ``quantiles`` once per CDF value.  Where the C code gives
-a case back (a fraction that does not converge, an exp(front) that
-overflows, a NaN CDF value, a Student t p that is not positive or whose
-quantile lies past the square root of the largest double, a closed-form
-p outside (0, 1) or NaN, a closed-form quantile that is not finite or a
-power that CPython's float_pow treats itself, a NaN to sort, a weighted
-sum that math.fsum would not return finite, input that is not plain
-ASCII decimal numbers, finite ones, a window outside an array('d')), the
-wrapper hands the call to that namesake, which raises its own error or
-returns what it returns.  A
+``quantiles`` keeps the bits, not the statements: it decides the
+comparisons cdf(mid) < p of the reference bisection's midpoints that a
+certified band around the quantile settles without evaluating the CDF, and
+bisects plainly where the band's error bound is not stated (see the C
+file's header).  The incomplete beta's C core evaluates one point per
+call: ``weight_window`` calls it once per index, ``quantiles`` once per CDF
+value.  Where the C code gives a case back (the C file's header lists
+them), or a window lies outside its array, the wrapper hands the call to
+that namesake, which raises its own error or returns what it returns.  A
 batch inversion, and ``closed_quantiles``, return the index of the first
 p they give back; the wrapper keeps the quantiles before that index and
 hands over only the p from it.  A weight window hands over only the
 incomplete beta it stopped at, whose reference raises, and the whole
 window only if that one does not.  A scorer that is a callable is Python
-to run, so ``piece_errors`` hands such a call to the reference whole.
-The library keeps no state between calls (a batch inversion's memo is a
-table on the stack of its call) and ctypes releases the GIL around each
-call, so threads may call it at once.
+to run, so ``piece_errors`` hands such a call to the reference whole; it
+tells HF7's (j, g) from a window (lo, ws) by its float g.  The library
+keeps no state between calls (a batch inversion's memo is a table on the
+stack of its call) and ctypes releases the GIL around each call, so
+threads may call it at once.
 """
 
 import ctypes
@@ -65,7 +50,6 @@ import os
 import sys
 import zlib
 from array import array
-from struct import pack as _pack
 
 from . import _kernels_py as _py
 from ._kernels_py import (_M64, _log_norm, beta_pdf, log_beta, log_gamma,
@@ -218,29 +202,35 @@ def reg_inc_beta(x, a, b):
     return y
 
 
+def _doubles(xs):
+    """Whether the C code may read xs at its address: an array('d')."""
+    return isinstance(xs, array) and xs.typecode == "d"
+
+
 def _quantiles(ps, a, b, df, reference, *params):
     """The quantiles of ps from the one C inversion, of the Beta(a, b)
-    when df is 0, else of the Student t at df = 2a degrees of freedom;
-    reference(rest, *params) inverts the rest, from the first p that the
-    C code gives back."""
+    when df is 0, else of the Student t at df = 2a degrees of freedom, in
+    an array('d'); reference(rest, *params) inverts the rest, from the
+    first p that the C code gives back."""
     count = len(ps)
     buf = array("d", ps)  # read and overwritten in place
     done = _lib.quantiles(buf.buffer_info()[0], count, a, b, df,
                           _log_norm(a, b), _py._MAX_ITER)
     if done < count:
-        return buf[:done].tolist() + reference(ps[done:], *params)
-    return buf.tolist()
+        del buf[done:]
+        buf += reference(ps[done:], *params)
+    return buf
 
 
 def beta_quantiles(ps, a, b):
-    """[the Beta(a, b) quantile of p for p in ps], each bisected on
-    [0, 1]."""
+    """The Beta(a, b) quantile of each p of ps, in an array('d'), each
+    bisected on [0, 1]."""
     return _quantiles(ps, a, b, 0.0, _py.beta_quantiles, a, b)
 
 
 def student_quantiles(ps, df):
-    """[the Student t quantile of p at df degrees of freedom for p in ps],
-    each by bracket doubling and bisection."""
+    """The Student t quantile of each p of ps at df degrees of freedom, in
+    an array('d'), each by bracket doubling and bisection."""
     return _quantiles(ps, 0.5 * df, 0.5, df, _py.student_quantiles, df)
 
 
@@ -253,10 +243,10 @@ def closed_quantiles(kind, params, ps):
     the parameters `params`, in an array('d'): a copy of ps, each p
     replaced in one C call; from the first p that the C code gives back,
     what the reference makes of the rest."""
+    coef = array("d", params)
     buf = array("d", ps)
     count = len(buf)
-    done = _lib.closed_quantiles(_CLOSED[kind],
-                                 _pack("%dd" % len(params), *params),
+    done = _lib.closed_quantiles(_CLOSED[kind], coef.buffer_info()[0],
                                  buf.buffer_info()[0], count)
     if done < count:
         del buf[done:]
@@ -266,8 +256,8 @@ def closed_quantiles(kind, params, ps):
 
 def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
     """The weight window of order statistics i_lo + 1 .. i_hi of a sample
-    of n, with its 1-based support, in one C call over a buffer as long as
-    the window."""
+    of n, in an array('d'), the buffer of one C call, with its 1-based
+    support."""
     buf = _ZERO * (i_hi - i_lo)
     support = array("l", (0, 0))
     stop = _lib.weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower,
@@ -279,7 +269,7 @@ def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
         _py.reg_inc_beta(stop / n, a, b)
         return _py.weight_window(n, i_lo, i_hi, a, b, lower, upper,
                                  cdf_lower, denom)
-    return buf.tolist(), support[0], support[1]
+    return buf, support[0], support[1]
 
 
 def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
@@ -297,52 +287,46 @@ def batch_uniforms(seed_mix, batch_hash, first, count, per_sample):
 
 
 def piece_errors(values, n, theta, scorers):
-    """Per scorer, the squared errors of the samples of n values in
-    `values`, a list or an array('d'), each sorted and scored in one C
-    call; a callable scorer, or a case the C code gives back, hands the
-    call to the reference."""
+    """Per scorer, the squared errors of the samples of n values in the
+    array('d') `values`, each sorted and scored in one C call, in an
+    array('d'); values or a window of another type, a callable scorer, or
+    a case the C code gives back, hands the call to the reference."""
     count, rest = divmod(len(values), n)
-    if rest:  # a short last sample, as the reference slices it
+    if rest or not _doubles(values):  # rest: a short last sample
         return _py.piece_errors(values, n, theta, scorers)
-    at = array("l")
-    width = array("l")
-    coef = array("d")
+    at, width, coef = array("l"), array("l"), array("d")
     for scorer in scorers:
-        if callable(scorer):
+        if callable(scorer):  # Python to run
             return _py.piece_errors(values, n, theta, scorers)
         start, c = scorer
         at.append(start)
-        if isinstance(c, tuple):
-            width.append(len(c))
-            coef.extend(c)
-        else:
+        if isinstance(c, float):  # HF7's fraction
             width.append(-1)
             coef.append(c)
+        elif _doubles(c):
+            width.append(len(c))
+            coef += c
+        else:
+            return _py.piece_errors(values, n, theta, scorers)
     k = len(at)
     out = _ZERO * (k * count)
-    # an array('d') crosses by its address; struct packs a list of floats
-    # several times faster than array does
-    if isinstance(values, array) and values.typecode == "d":
-        data = values.buffer_info()[0]
-    else:
-        data = _pack("%dd" % len(values), *values)
-    if _lib.piece_errors(data, count, n, theta, k, at.buffer_info()[0],
-                         width.buffer_info()[0], coef.buffer_info()[0],
-                         out.buffer_info()[0]):
+    if _lib.piece_errors(values.buffer_info()[0], count, n, theta, k,
+                         at.buffer_info()[0], width.buffer_info()[0],
+                         coef.buffer_info()[0], out.buffer_info()[0]):
         return _py.piece_errors(values, n, theta, scorers)
-    return [out[i * count:(i + 1) * count].tolist() for i in range(k)]
+    return [out[i * count:(i + 1) * count] for i in range(k)]
 
 
 def weighted_sum(lo, ws, xs):
     """The correctly rounded sum of ws[k] times xs[lo + k], in one C call
-    over the array('d') xs from its offset lo; xs of another type, a
-    window past its end, or a sum the C code gives back hands the call to
-    the reference."""
+    over the arrays('d') ws and xs, the latter from its offset lo; ws or
+    xs of another type, a window past its end, or a sum the C code gives
+    back hands the call to the reference."""
     count = len(ws)
-    if (not isinstance(xs, array) or xs.typecode != "d" or lo < 0
+    if (not _doubles(ws) or not _doubles(xs) or lo < 0
             or lo + count > len(xs)):
         return _py.weighted_sum(lo, ws, xs)
-    total = _lib.weighted_sum(_pack("%dd" % count, *ws),
+    total = _lib.weighted_sum(ws.buffer_info()[0],
                               xs.buffer_info()[0] + lo * xs.itemsize, count)
     if total != total:  # NaN: the C code gives the sum back
         return _py.weighted_sum(lo, ws, xs)
@@ -353,7 +337,7 @@ def sort_floats(xs):
     """Sort the array('d') `xs` in place, equal values keeping their order,
     in one C call; a NaN among them, or an array of another type, hands
     the call to the reference."""
-    if xs.typecode != "d" or _lib.sort_floats(xs.buffer_info()[0], len(xs)):
+    if not _doubles(xs) or _lib.sort_floats(xs.buffer_info()[0], len(xs)):
         _py.sort_floats(xs)
 
 

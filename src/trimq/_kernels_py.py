@@ -17,17 +17,18 @@ in the tails), and bisect as here where that bound is not stated (see the C
 file's header).  HF7 and the weighted sum are written here once, over the
 scorer data of piece_errors; the simulation's callables run them through
 _estimator, and the public estimators call weighted_sum, a kernel of both
-backends.  Both modules export the same names;
-the C backend takes the kernels it does not port from here, and hands every
-case its own code gives back to the namesake kernel here, so both backends
-raise the same errors.  The only caches are the two normalizers per shape
-pair.
+backends.  A sequence of doubles is an array('d'): each kernel returns its
+doubles in one, as a window scorer holds its weights.  Both modules export
+the same names; the C backend takes the kernels it does not port from
+here, and hands every case its own code gives back to the namesake kernel
+here, so both backends raise the same errors.  The only caches are the two
+normalizers per shape pair.
 
 The normal quantile of the Normal and LogNormal formulas of
-closed_quantiles is the standard library's ``statistics.NormalDist.inv_cdf``,
-Wichura's PPND16; the C file holds a copy of CPython 3.11's C version of
-it, which gives the same bits.  The contaminated normal's variates call
-the standard library's directly.
+closed_quantiles, and of the contaminated normal's variates, is the
+standard library's ``statistics.NormalDist.inv_cdf``, Wichura's PPND16;
+the C file holds a copy of CPython 3.11's C version of it, which gives the
+same bits.
 
 Arguments are assumed pre-validated by the public wrappers in trimq.special
 and friends.
@@ -211,11 +212,11 @@ def reg_inc_beta(x, a, b):
 
 def weight_window(n, i_lo, i_hi, a, b, lower, upper, cdf_lower, denom):
     """The weights of order statistics i_lo + 1 .. i_hi of a sample of n,
-    with the 1-based indices of the first and last positive one (0, 0 when
-    none is): W_i = F(i/n) - F((i-1)/n), F the Beta(a, b) CDF truncated to
-    [lower, upper], F(x) = (I_x(a, b) - cdf_lower) / denom clamped to
-    [0, 1].  A difference that is not positive is written as 0.0."""
-    window = []
+    an array('d'), and the 1-based indices of the first and last positive
+    one (0, 0 if none is): W_i = F(i/n) - F((i-1)/n), F the Beta(a, b) CDF
+    truncated to [lower, upper], F(x) = (I_x(a, b) - cdf_lower) / denom
+    clamped to [0, 1].  A difference that is not positive is 0.0."""
+    window = array("d")
     prev = None
     lo = hi = 0
     # F inline, clamped by branches: a call per index slows the width-1 path
@@ -285,16 +286,16 @@ def _invert_unbounded(cdf, p):
 
 
 def beta_quantiles(ps, a, b):
-    """[the Beta(a, b) quantile of p for p in ps], each bisected on
-    [0, 1]."""
+    """The Beta(a, b) quantile of each p of ps, in an array('d'), each
+    bisected on [0, 1]."""
     def cdf(x):
         return reg_inc_beta(x, a, b)
-    return [_bisect_cdf(cdf, p, 0.0, 1.0) for p in ps]
+    return array("d", [_bisect_cdf(cdf, p, 0.0, 1.0) for p in ps])
 
 
 def student_quantiles(ps, df):
-    """[the Student t quantile of p at df degrees of freedom for p in ps],
-    through the incomplete beta: the tail beyond |t| is
+    """The Student t quantile of each p of ps at df degrees of freedom, in
+    an array('d'), through the incomplete beta: the tail beyond |t| is
     I_{df / (df + t^2)}(df / 2, 1 / 2) / 2.  Past |t| = sqrt of the largest
     double, t * t overflows and the CDF saturates, so a p outside the CDF
     values there raises ArithmeticError."""
@@ -303,10 +304,10 @@ def student_quantiles(ps, df):
     def cdf(t):
         tail = 0.5 * reg_inc_beta(df / (df + t * t), a, 0.5)
         return 1.0 - tail if t >= 0.0 else tail
+    out = array("d")
     if not ps:
-        return []
+        return out
     low, high = cdf(-_ROOT_DBL_MAX), cdf(_ROOT_DBL_MAX)
-    out = []
     for p in ps:
         if not low <= p <= high:
             raise ArithmeticError("Student t quantile overflows (df=%g, p=%r)"
@@ -497,7 +498,7 @@ def _estimator(scorer):
     if callable(scorer):
         return scorer
     at, coef = scorer
-    formula = weighted_sum if isinstance(coef, tuple) else _hf7
+    formula = _hf7 if isinstance(coef, float) else weighted_sum
     return functools.partial(formula, at, coef)
 
 
@@ -530,16 +531,16 @@ def sort_floats(xs):
 
 def piece_errors(values, n, theta, scorers):
     """Per scorer, the squared errors (estimate - theta) ** 2 of the samples
-    of `values`, in sample order: sample i is values[i * n:(i + 1) * n],
-    sorted.
+    of `values`, in sample order, in an array('d'): sample i is
+    values[i * n:(i + 1) * n], sorted.
 
-    A scorer is the data of one estimate over n sorted values: (j, g), HF7
-    between the 1-based order statistics j and j + 1 at fraction g, the
-    largest value when j >= n; (lo, ws), ws a tuple, the correctly rounded
-    sum of ws[k] times order statistic lo + k + 1; or a callable over the
-    sorted values.
+    A scorer is the data of one estimate over n sorted values: (j, g), g a
+    float, HF7 between the 1-based order statistics j and j + 1 at
+    fraction g, the largest value when j >= n; (lo, ws), ws an array('d'),
+    the correctly rounded sum of ws[k] times order statistic lo + k + 1;
+    or a callable over the sorted values.
     """
-    out = [[] for _ in scorers]
+    out = [array("d") for _ in scorers]
     pairs = [(errs.append, _estimator(scorer))
              for errs, scorer in zip(out, scorers)]
     for i in range(0, len(values), n):

@@ -10,19 +10,19 @@ one mapping from uniforms to variates that ``sample`` and both simulation
 studies run, so identical (seed, stream_id) give identical variates on every
 platform with the same libm, and at every thread count.  The ten
 closed-form families compute their quantiles in the backend kernel
-closed_quantiles, which holds each formula, one call per sequence of p,
-into an array('d'): a sim2 piece stays one array('d') from its uniforms to
-its variates.  Beta and Student invert their CDFs in the backend kernels
-beta_quantiles and student_quantiles, one call per sequence of p, into a
-list.  The contaminated normal samples compositionally (one uniform picks
-the mixture component, one feeds the normal quantile) and therefore
-consumes exactly two uniforms per variate.
+closed_quantiles, which holds each formula, and Beta and Student invert
+their CDFs in beta_quantiles and student_quantiles, one kernel call per
+sequence of p into an array('d'), the one form of a sequence of doubles
+between the layers.  The contaminated normal samples compositionally (one
+uniform picks the mixture component, one feeds the standard normal
+quantile) and therefore consumes exactly two uniforms per variate.
 """
 
 import functools
 import inspect
 import math
 import re
+from array import array
 
 from . import _checks
 from ._kernels_py import _invert_unbounded
@@ -128,7 +128,7 @@ def _q_contaminated_normal(*, epsilon, sigma, c):
         return (1.0 - epsilon) * _phi(x / sigma) + epsilon * _phi(x / wide)
 
     def q(ps):
-        return [_invert_unbounded(cdf, p) for p in ps]
+        return array("d", [_invert_unbounded(cdf, p) for p in ps])
     q.mixture = (epsilon, sigma, wide)
     return q
 
@@ -272,30 +272,28 @@ def true_quantile(spec, p):
 
 def transform(spec):
     """(per, variates): variates(us) maps a sequence of uniforms to the
-    variates of `spec`, taking `per` uniforms for each.
+    variates of `spec`, in an array('d'), taking `per` uniforms for each.
 
     Built once per spec or cell, and the one mapping that every draw runs.
     The contaminated normal takes two uniforms per variate, the first
-    picking the component and the second feeding the normal quantile, and
-    returns a list; every other family maps the uniforms through its
-    inverse CDF in one call, the closed-form families into an array('d'),
-    Beta and Student into a list.  A variate past the largest double
-    raises an ArithmeticError naming the spec and the p it came from, as
-    true_quantile does.
+    picking the component and the second feeding the standard normal
+    quantile; each family maps its p through one kernel call.  A variate
+    past the largest double raises an ArithmeticError naming the spec and
+    the p it came from, as true_quantile does.
     """
     if spec.kind == "ContaminatedNormal":
         eps, sigma, wide = spec._q.mixture
-        from statistics import NormalDist
-        inv_cdf = NormalDist().inv_cdf
 
         def variates(us):
             ps = us[1::2]
-            values = [(wide if pick < eps else sigma) * inv_cdf(u)
-                      for pick, u in zip(us[::2], ps)]
+            zs = _k.closed_quantiles("Normal", (0.0, 1.0), ps)
+            values = array("d", [(wide if pick < eps else sigma) * z
+                                 for pick, z in zip(us[::2], zs)])
             # a sum that is not finite is cheap to find, and holds every
-            # value that overflowed
-            if not math.isfinite(sum(values)):
-                for p, x in zip(ps, values):
+            # value that overflowed; the quantiles stop short of a NaN p,
+            # whose variate the NaN after them stands for
+            if len(zs) < len(ps) or not math.isfinite(sum(values)):
+                for p, x in zip(ps, [*values, math.nan]):
                     if not math.isfinite(x):
                         raise ArithmeticError(
                             "%s: the variate at p=%r overflows"

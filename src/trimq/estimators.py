@@ -17,13 +17,13 @@ Harrell-Davis is the trimmed recipe at width 1, whose interval is all of
 loop over its order statistics to one ``weight_window`` call of the
 backend's kernels, C or the pure-Python reference (where the C loop's
 incomplete beta gives out, the reference's raises its own ArithmeticError),
-and returns only the window from the first positive weight to the last:
-the scorer an estimate reads, as HF7's is its index and fraction.  HF7 and
-the weighted sum are written once, in trimq._kernels_py, which the
-simulation's C scoring kernel ports; the estimates read the sorted values
-from the array('d') a Sample keeps, and sum a window with the backend's
-``weighted_sum``, one C call over the array in the C backend.  Only
-``hd_weights`` / ``thd_weights`` pad the window to the n-long WeightVector.
+and returns only the window from the first positive weight to the last,
+an array('d'): the scorer an estimate reads, as HF7's is its index and
+fraction.  HF7 and the weighted sum are written once, in trimq._kernels_py;
+the estimates sum a window over the array('d') a Sample keeps with the
+backend's ``weighted_sum``, one C call over the two arrays in the C
+backend.  Only ``hd_weights`` / ``thd_weights`` pad the window, to the
+n-long tuple of a WeightVector.
 """
 
 import math
@@ -53,7 +53,8 @@ class Sample:
 
     Values are sorted at construction by the backend's stable sort, the
     order of sorted(), and kept in one array('d'), a copy of an array('d')
-    given.  One sum checks that every value is finite: only a sum that is
+    given, a number past the largest double read as the infinity of its
+    sign.  One sum checks that every value is finite: only a sum that is
     not finite, from a value that is not or from finite values that
     overflow it, scans them to name the first that is not.
     presorted=True skips the sort but not a scan for order: it turns
@@ -71,7 +72,12 @@ class Sample:
         if isinstance(values, array) and values.typecode == "d":
             vals = array("d", values)
         else:
-            vals = array("d", map(float, values))
+            if not isinstance(values, (list, tuple)):
+                values = list(values)  # read again if float() overflows
+            try:
+                vals = array("d", map(float, values))
+            except OverflowError:
+                vals = array("d", map(_extended_float, values))
         if not vals:
             raise ValueError("sample must contain at least one value")
         drop = None
@@ -111,6 +117,14 @@ class Sample:
     def __repr__(self):
         return "Sample(n=%d, min=%g, max=%g)" % (
             self.n, self._xs[0], self._xs[-1])
+
+
+def _extended_float(value):
+    """float(value), or the infinity of its sign past the largest double."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _as_sample(sample):
@@ -174,8 +188,9 @@ def _check_np(n, p):
 def _trimmed_weights(n, p, width):
     """The window scorer (lo, ws) of W_i = F(i/n) - F((i-1)/n), F the beta
     CDF truncated to the HDI of `width` and renormalized ([0, 1] at width
-    1), for n >= 1 and p in (0, 1): ws runs from the first positive weight,
-    order statistic lo + 1, to the last; every other weight is 0."""
+    1), for n >= 1 and p in (0, 1): ws, an array('d'), runs from the first
+    positive weight, order statistic lo + 1, to the last; every other
+    weight is 0."""
     params = _shape_params(n, p)
     hdi = beta_hdi(params, width)
     if hdi.case is HdiCase.DEGENERATE:
@@ -184,7 +199,7 @@ def _trimmed_weights(n, p, width):
         if n != 1:
             raise AssertionError(
                 "degenerate HDI for n=%d, p=%g; expected only at n=1" % (n, p))
-        return 0, (1.0,)
+        return 0, array("d", (1.0,))
     a, b = params.alpha, params.beta
     lower, upper = hdi.lower, hdi.upper
     cdf_lower = _k.reg_inc_beta(lower, a, b)
@@ -199,13 +214,13 @@ def _trimmed_weights(n, p, width):
                                       cdf_lower, denom)
     if not hi:
         raise ArithmeticError("weight vector vanished entirely")
-    return lo - 1, tuple(window[lo - 1 - i_lo:hi - i_lo])
+    return lo - 1, window[lo - 1 - i_lo:hi - i_lo]
 
 
 def _padded(n, scorer):
     """The n-long WeightVector of the window scorer (lo, ws)."""
     lo, ws = scorer
-    return WeightVector((0.0,) * lo + ws + (0.0,) * (n - lo - len(ws)),
+    return WeightVector((0.0,) * lo + tuple(ws) + (0.0,) * (n - lo - len(ws)),
                         lo + 1, lo + len(ws))
 
 

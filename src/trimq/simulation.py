@@ -26,15 +26,14 @@ about ``_PIECE`` uniforms: one kernel call (``batch_uniforms``) derives the
 stream ids of the piece's samples from the batch's hash and draws their
 uniforms into one array('d'), one transform maps them all, and one more
 kernel call (``piece_errors``) sorts each sample's n values and scores it
-by every estimator.  A closed-form family's piece stays one array('d') from
-its uniforms to its scores: its transform is one ``closed_quantiles`` call,
-which returns its variates in an array('d') (in the C backend, a copy of
-the uniforms' array mapped in place), and ``piece_errors`` reads that array
-by its address.  The estimators reach that kernel as data, not as
-callables: each id of ``ESTIMATORS`` has a scorer, the HF7 index and
-fraction or a window of weights, built once per (n, p); a callable
-estimator, such as a factory passed to ``estimate_mse``, runs per sample in
-Python.
+by every estimator.  A piece stays one array('d') from its uniforms to its
+scores, the one form of a sequence of doubles between the layers: its
+transform returns its variates in an array('d'), and ``piece_errors`` reads
+that array by its address.  The estimators reach that kernel as data, not
+as callables: each id of ``ESTIMATORS`` has a scorer, the HF7 index and
+fraction or a window of weights in an array('d'), built once per (n, p); a
+callable estimator, such as a factory passed to ``estimate_mse``, runs per
+sample in Python.
 
 The ``threads`` argument counts worker processes: at N, the caller and up
 to N - 1 children, forked where ``os.fork`` exists and the calling process

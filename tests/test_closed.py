@@ -115,6 +115,36 @@ def test_c_normal_is_both_stdlib_ppnd16s_bit_for_bit():
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
+def test_contaminated_normal_variates_are_the_stdlib_s(monkeypatch, backend):
+    # the normal deviates come from one closed_quantiles call; the standard
+    # library's inv_cdf is their oracle at the centre, the near tail and
+    # the far tail of PPND16, the doubles beside its switch points among
+    # them, each under either component
+    kernels = {"python": _kernels_py, "c": _kernels_c}[backend]
+    monkeypatch.setattr(distributions, "_k", kernels)
+    received = _recorded_give_backs(monkeypatch)
+    spec = DistributionSpec.parse("ContaminatedNormal(epsilon=0.1, sigma=2, "
+                                  "c=100)")
+    eps, sigma, wide = 0.1, 2.0, 20.0
+    ps = [0.5, 0.3, 0.9, 1e-3, 0.99, 1e-9, 1e-300, 5e-324, 1.0 - 2.0 ** -53]
+    for edge in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+        ps += _neighbours(edge, 2)
+    us = []
+    for p in ps:
+        us += [0.05, p, 0.1, p, 0.7, p]  # wide, then sigma twice
+    inv_cdf = statistics.NormalDist().inv_cdf
+    want = [(wide if pick < eps else sigma) * inv_cdf(u)
+            for pick, u in zip(us[::2], us[1::2])]
+    _, variates = transform(spec)
+    assert _bits(variates(us)) == _bits(want)
+    assert received == ([] if backend == "c" else [us[1::2]])
+    # the quantiles stop short of a NaN p, which raises as a variate that
+    # overflows does, naming its p
+    assert _outcome(variates, [0.5, 0.3, 0.05, math.nan, 0.5, 0.7]) == (
+        "ArithmeticError: %s: the variate at p=nan overflows" % spec.label)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
 def test_a_piece_overflowing_mid_list_names_its_p(monkeypatch, backend):
     # the C code keeps the quantiles before the first p that overflows and
     # hands the reference exactly the p from it; the error names that p

@@ -5,6 +5,7 @@ import pickle
 import random
 import statistics
 import sys
+from array import array
 
 import pytest
 
@@ -528,7 +529,7 @@ def test_batch_inversion_matches_the_python_bisection(monkeypatch):
     _reference_kernels(monkeypatch)
     for text in BATCH_SPECS:
         spec = parse_distribution(text)
-        want = [true_quantile(spec, p) for p in _batch_ps(text)]
+        want = array("d", [true_quantile(spec, p) for p in _batch_ps(text)])
         assert repr(got[text]) == repr(want), text
 
 

@@ -625,9 +625,11 @@ def test_c_weighted_sum_matches_the_reference_bit_for_bit(monkeypatch):
     for _ in range(300):
         length = rng.randrange(400)
         windows.append((rng.randrange(n - length + 1),
-                        tuple(rng.random() * 10.0 ** rng.randrange(-330, 5)
-                              for _ in range(length))))
-    windows += [(0, (1.0,)), (n - 3, (0.25, 0.25, 0.5)), (n, ())]
+                        array("d", [rng.random()
+                                    * 10.0 ** rng.randrange(-330, 5)
+                                    for _ in range(length)])))
+    windows += [(0, array("d", (1.0,))),
+                (n - 3, array("d", (0.25, 0.25, 0.5))), (n, array("d"))]
     want = [_kernels_py.weighted_sum(lo, ws, xs) for lo, ws in windows]
     gave_back = _recorded_sums(monkeypatch)
     got = [_kernels_c.weighted_sum(lo, ws, xs) for lo, ws in windows]
@@ -653,6 +655,7 @@ def test_c_weighted_sum_gives_back_what_the_reference_returns(monkeypatch,
     from trimq import _kernels_c, _kernels_py
 
     ws, values = GIVEN_BACK_SUMS[case]
+    ws = array("d", ws)
     xs = array("d", [0.5] + values)
     want = _sum_outcome(_kernels_py.weighted_sum, 1, ws, xs)
     gave_back = _recorded_sums(monkeypatch)
@@ -665,7 +668,7 @@ def test_c_weighted_sum_hands_other_sequences_to_the_reference(monkeypatch):
     # reference's slice decides
     from trimq import _kernels_c, _kernels_py
 
-    ws = (0.25, 0.75)
+    ws = array("d", (0.25, 0.75))
     cases = [(1, [1.0, 2.0, 4.0]), (0, array("f", [1.0, 2.0])),
              (2, array("d", [1.0, 2.0, 4.0]))]
     want = [_kernels_py.weighted_sum(lo, ws, xs) for lo, xs in cases]

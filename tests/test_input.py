@@ -19,7 +19,8 @@ import pytest
 
 import _cshim
 
-from trimq import Sample, _kernels_py, estimators, thd_quantile
+from trimq import (Sample, _kernels_py, estimators, hd_quantile, hf7_quantile,
+                   thd_quantile)
 from trimq.cli import main
 
 BACKENDS = ("python", "c")
@@ -422,6 +423,28 @@ def test_sample_messages_are_unchanged(kernels):
         "sample values must be finite, got nan at position 0")
     assert _error([1e308, 1e308, 1.0], presorted=True) == (
         "presorted sample is out of order at position 2")
+
+
+def test_a_number_past_the_largest_double_is_not_finite(kernels):
+    # float() raises OverflowError on these; each reads as the infinity of
+    # its sign, with the message a non-finite float gets, and the first
+    # fault in input order is still the one named
+    assert _error([10 ** 400]) == (
+        "sample values must be finite, got inf at position 0")
+    assert _error(iter([1.0, -10 ** 400, 2])) == (
+        "sample values must be finite, got -inf at position 1")
+    assert _error((3, Fraction(10 ** 400, 3))) == (
+        "sample values must be finite, got inf at position 1")
+    assert _error([math.nan, 10 ** 400]) == (
+        "sample values must be finite, got nan at position 0")
+    assert _error([1.0, 10 ** 400], presorted=True) == (
+        "sample values must be finite, got inf at position 1")
+    for estimate in (hf7_quantile, hd_quantile, thd_quantile):
+        with pytest.raises(ValueError) as info:
+            estimate([1.0, 10 ** 400], 0.5)
+        assert str(info.value) == (
+            "sample values must be finite, got inf at position 1")
+    assert Sample([10 ** 300, -2]).values == (-2.0, 1e300)
 
 
 def test_sample_takes_finite_values_whose_sum_overflows(kernels):

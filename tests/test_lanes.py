@@ -80,8 +80,9 @@ def test_lanes_give_back_from_the_first_failing_p(monkeypatch, name, params,
         return kernel(rest, *args)
 
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", cap)
-    assert all(_outcome(kernel, [p], *params).startswith("[") for p in good)
-    assert not any(_outcome(kernel, [p], *params).startswith("[")
+    assert all(_outcome(kernel, [p], *params).startswith("array('d', [")
+               for p in good)
+    assert not any(_outcome(kernel, [p], *params).startswith("array('d', [")
                    for p in bad)
     want = _outcome(kernel, ps, *params)
     monkeypatch.setattr(_kernels_py, name, recorded)
@@ -239,10 +240,12 @@ for kind, params in (("Uniform", (-1.0, 3.0)), ("Triangular", (0.0, 2.0, 0.2)),
         assert (outcome(c.closed_quantiles, kind, params, ps)
                 == outcome(py.closed_quantiles, kind, params, ps)), kind
 # a piece kept as an array('d') from its uniforms to its scores
+from array import array
 values = c.closed_quantiles("Normal", (0.0, 1.0),
                             c.batch_uniforms(c.mix_seed(3), 12345, 0, 7, 10))
-assert (c.piece_errors(values, 10, 0.0, [(3, 0.5), (2, (0.25, 0.75))])
-        == py.piece_errors(values, 10, 0.0, [(3, 0.5), (2, (0.25, 0.75))]))
+scorers = [(3, 0.5), (2, array("d", (0.25, 0.75)))]
+assert (c.piece_errors(values, 10, 0.0, scorers)
+        == py.piece_errors(values, 10, 0.0, scorers))
 # the parse's fast paths at their edges: 19-digit mantissas at each end
 # of the power-of-ten table and one past it, a 20-digit mantissa, a
 # 25-digit exponent and a subnormal
@@ -253,11 +256,12 @@ for data in (b"1234567890123456789e-64 9999999999999999999e64",
     assert c.parse_floats(data).tobytes() == py.parse_floats(data).tobytes()
 # a window that ends at the array's last value, and one whose product
 # overflows, which the C code gives back
-from array import array
 xs = array("d", [k * 0.5 for k in range(50)])
-for lo, ws in ((47, (0.25, 0.25, 0.5)), (0, (1.0,) * 50)):
+for lo, ws in ((47, array("d", (0.25, 0.25, 0.5))),
+               (0, array("d", (1.0,) * 50))):
     assert c.weighted_sum(lo, ws, xs) == py.weighted_sum(lo, ws, xs)
-assert c.weighted_sum(1, (1e300,), array("d", [0.0, 1e300])) == math.inf
+assert (c.weighted_sum(1, array("d", (1e300,)), array("d", [0.0, 1e300]))
+        == math.inf)
 n = 10 ** 6
 try:  # past the term cap from about n = 3.4e5
     c.weight_window(n, 369800, 370200, 0.37 * (n + 1), 0.63 * (n + 1), 0.0,

@@ -6,6 +6,7 @@ import ctypes
 import math
 import random
 import struct
+from array import array
 
 import pytest
 
@@ -192,11 +193,13 @@ def test_piece_errors_are_the_public_estimators(monkeypatch, backend):
     for n in (1, 2, 3, 10, 32, 33, 100):
         for p in (0.05, 0.5, 0.95):
             count = 5
-            values = [rng.choice((0.0, -0.0, 1.0)) if rng.random() < 0.2
-                      else rng.gauss(0.0, 1.0) for _ in range(count * n)]
+            values = array("d", [rng.choice((0.0, -0.0, 1.0))
+                                 if rng.random() < 0.2
+                                 else rng.gauss(0.0, 1.0)
+                                 for _ in range(count * n)])
             theta = rng.gauss(0.0, 1.0)
             got = module.piece_errors(values, n, theta, _scorers(n, p))
-            want = [[], [], []]
+            want = [array("d"), array("d"), array("d")]
             for i in range(0, count * n, n):
                 xs = values[i:i + n]
                 for errs, est in zip(want, (
@@ -213,13 +216,15 @@ def test_piece_errors_match_the_reference_across_the_double_range(
     # windows of weights over values of every magnitude
     module = _module(backend)
     rng = random.Random(11)
-    cases = [([-1.7e308, 1.7e308], 2, [(1, 0.5), (2, 0.0)]),
-             ([1e300, -1e300, 1e-300, 5e-324], 4,
-              [(1, 0.25), (0, (0.25, 0.25, 0.25, 0.25)), (1, (1.0, 1.0))])]
+    cases = [(array("d", [-1.7e308, 1.7e308]), 2, [(1, 0.5), (2, 0.0)]),
+             (array("d", [1e300, -1e300, 1e-300, 5e-324]), 4,
+              [(1, 0.25), (0, array("d", (0.25, 0.25, 0.25, 0.25))),
+               (1, array("d", (1.0, 1.0)))])]
     for n in (3, 8, 40):
-        values = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
-                  for _ in range(10 * n)]
-        ws = tuple(rng.random() for _ in range(n - 1))
+        values = array("d", [rng.choice((-1.0, 1.0))
+                             * 10.0 ** rng.uniform(-300, 300)
+                             for _ in range(10 * n)])
+        ws = array("d", [rng.random() for _ in range(n - 1)])
         cases.append((values, n, [(n - 1, 0.75), (0, ws), (1, ws)]))
     want = [_kernels_py.piece_errors(values, n, 0.5, scorers)
             for values, n, scorers in cases]
@@ -237,13 +242,14 @@ def test_c_piece_errors_give_back_what_the_reference_returns_or_raises(
     # sample; and an intermediate overflow, which fsum raises
     from trimq import _kernels_c
 
-    nan_piece = [0.5, math.nan, -1.0, 2.0, 0.25, 3.0]
+    nan_piece = array("d", [0.5, math.nan, -1.0, 2.0, 0.25, 3.0])
     cases = [
         (nan_piece, 3, [(2, 0.5)]),
-        ([3.0, 1.0, 2.0, 5.0, 4.0, 6.0], 3, [(2, 0.5), max]),
-        ([math.inf, 1.0, 2.0], 3, [(1, 0.5), (0, (0.5, 0.5, 0.5))]),
-        ([3.0, 1.0, 2.0], 3, [(2, (0.5, 0.5))]),
-        ([3.0, 1.0, 2.0, 5.0, 4.0], 3, [(2, 0.5)]),
+        (array("d", [3.0, 1.0, 2.0, 5.0, 4.0, 6.0]), 3, [(2, 0.5), max]),
+        (array("d", [math.inf, 1.0, 2.0]), 3,
+         [(1, 0.5), (0, array("d", (0.5, 0.5, 0.5)))]),
+        (array("d", [3.0, 1.0, 2.0]), 3, [(2, array("d", (0.5, 0.5)))]),
+        (array("d", [3.0, 1.0, 2.0, 5.0, 4.0]), 3, [(2, 0.5)]),
     ]
     reference = _kernels_py.piece_errors
     calls = _recorded_give_backs(monkeypatch)
@@ -253,8 +259,8 @@ def test_c_piece_errors_give_back_what_the_reference_returns_or_raises(
         calls.clear()
         assert repr(got) == repr(reference(values, n, 0.0, scorers))
     with pytest.raises(OverflowError, match="intermediate overflow"):
-        _kernels_c.piece_errors([1.7e308, 1.7e308], 2, 0.0,
-                                [(0, (1.0, 1.0))])
+        _kernels_c.piece_errors(array("d", [1.7e308, 1.7e308]), 2, 0.0,
+                                [(0, array("d", (1.0, 1.0)))])
     assert len(calls) == 1
 
 
