@@ -1,21 +1,21 @@
 /*
  * The regularized incomplete beta, the loop that turns it into a window of
- * (trimmed) Harrell-Davis weights, the bisections that invert the Beta and
- * Student t CDFs through it, the quantiles of the closed-form families
- * (with Wichura's PPND16 for the normal), the counter-based uniforms of a
- * whole simulation batch of random streams, the sort and scoring of a
- * piece of simulation samples, and the parse and sort of the numbers that
- * `trimq estimate` reads, in plain C99 for trimq/_kernels_c.py, which
- * builds this file and loads it with ctypes.
+ * (trimmed) Harrell-Davis weights, the one inverse-CDF kernel (the Beta and
+ * Student t CDFs bisected through the incomplete beta, the closed-form
+ * families' formulas, Wichura's PPND16 for the normal), the counter-based
+ * uniforms of a whole simulation batch of random streams, the sort and
+ * scoring of a piece of simulation samples, and the parse and sort of the
+ * numbers that `trimq estimate` reads, in plain C99 for
+ * trimq/_kernels_c.py, which builds this file and loads it with ctypes.
  *
  * Every function is a port of its reference in trimq/_kernels_py.py:
  * reg_inc_beta and its Lentz fraction _beta_cont_frac, weight_window,
- * quantiles, the one inversion behind beta_quantiles and student_quantiles,
- * with their bisection _bisect_cdf, the bracket of _invert_unbounded and the
- * Student t bounds, closed_quantiles with the formulas of _CLOSED, its
- * normal quantile a copy of CPython 3.11's _statistics._normal_dist_inv_cdf
- * (the reference's statistics.NormalDist.inv_cdf), its ** the cases of
- * CPython's float_pow that reach the platform pow, batch_uniforms with the
+ * quantiles with the quantile functions of _KINDS (the Beta and Student t
+ * ones one batch inversion, inversions, with their bisection _bisect_cdf,
+ * the bracket of _invert_unbounded and the Student t bounds; the normal
+ * quantile a copy of CPython 3.11's _statistics._normal_dist_inv_cdf, the
+ * reference's statistics.NormalDist.inv_cdf; ** the cases of CPython's
+ * float_pow that reach the platform pow), batch_uniforms with the
  * draw loop of stream_uniforms, the FNV-1a fold fnv1a64 and the finalizer
  * _mix64, piece_errors with HF7 (_hf7) and the weighted sum
  * (weighted_sum), its math.fsum a port of CPython 3.11's, which
@@ -23,14 +23,14 @@
  * stable sort in place of sorted(), which sort_floats exports on its own,
  * and parse_floats, which converts a token by Clinger's or Eisel-Lemire's
  * exact fast path, or else with strtod, each rounding correctly as
- * float() does.  Each but quantiles does the same operations in the same
- * order, so that, built with -ffp-contract=off and linked against the libm
- * behind Python's math module, it returns the same doubles; the uniforms
- * are 64-bit integer work and the reference's two floating-point steps.
- * quantiles keeps the same bits, not the same statements: it takes the
- * reference's midpoints to the same outcomes cdf(mid) < p, and so to the
- * same quantile, but decides the outcomes a certificate covers without
- * evaluating the CDF there.
+ * float() does.  Each but the inversions does the same operations in the
+ * same order, so that, built with -ffp-contract=off and linked against the
+ * libm behind Python's math module, it returns the same doubles; the
+ * uniforms are 64-bit integer work and the reference's two floating-point
+ * steps.  The inversions keep the same bits, not the same statements: they
+ * take the reference's midpoints to the same outcomes cdf(mid) < p, and so
+ * to the same quantile, but decide the outcomes a certificate covers
+ * without evaluating the CDF there.
  *
  * The incomplete beta has one implementation, the core inc_beta, which
  * evaluates it at one point and holds the file's only Lentz loop:
@@ -60,30 +60,30 @@
  * headroom, passes max_iter, when the bracket crosses the fraction's
  * switch or t = 0, has an end at 0 or 1, or when rho passes 2**-30; a
  * certificate value inside the margin, or a NaN, ends the try the same
- * way.  Built with -DCHECK_CERTIFIED, as the tests build it, quantiles
+ * way.  Built with -DCHECK_CERTIFIED, as the tests build it, inversions
  * also evaluates every midpoint it decides and every value its memo
  * returns, and aborts if one disagrees, and counts the certificates taken
  * and failed.
  *
  * Where the reference raises, the port gives the case back instead: a NaN
  * from reg_inc_beta or weighted_sum, -1 from piece_errors, sort_floats or
- * parse_floats, or, from weight_window, a batch inversion and
- * closed_quantiles, the index it stopped at.  The caller then hands the
- * call, the rest of the batch, or the one incomplete beta the window
- * stopped at, to the namesake reference, which raises the error itself or
- * returns what it does.  That happens when the fraction does not converge
- * within max_iter terms, when exp(front) is not finite (math.exp raises
- * OverflowError where C returns inf), in the bisections when a CDF value
- * is NaN, at a Student t p that is not positive or whose quantile lies
- * past the square root of the largest double, in closed_quantiles at a p
- * outside (0, 1) or NaN, a quantile that is not finite (math.exp and **
- * raise where C returns inf, and the reference's array stops there) and a
- * power that CPython's float_pow treats itself, in piece_errors and
- * sort_floats when a value is NaN (its place in sorted order depends on
- * the sort), in piece_errors and weighted_sum when a weighted sum meets a
- * product that is not finite or overflows (math.fsum's special values and
- * OverflowError), and in parse_floats on any input but plain ASCII
- * decimal numbers that are finite.
+ * parse_floats, or, from weight_window and quantiles, the index it stopped
+ * at.  The caller then hands the call, the rest of the batch, or the one
+ * incomplete beta the window stopped at, to the namesake reference, which
+ * raises the error itself or returns what it does.  That happens when the
+ * fraction does not converge within max_iter terms, when exp(front) is not
+ * finite (math.exp raises OverflowError where C returns inf), in the
+ * bisections when a CDF value is NaN, at a Student t p that is not
+ * positive or whose quantile lies past the square root of the largest
+ * double, in a closed form at a p outside (0, 1) or NaN, a quantile that
+ * is not finite (math.exp and ** raise where C returns inf, and the
+ * reference's array stops there) and a power that CPython's float_pow
+ * treats itself, at every p of a kind not ported here, the contaminated
+ * normal's, in piece_errors and sort_floats when a value is NaN (its place
+ * in sorted order depends on the sort), in piece_errors and weighted_sum
+ * when a weighted sum meets a product that is not finite or overflows
+ * (math.fsum's special values and OverflowError), and in parse_floats on
+ * any input but plain ASCII decimal numbers that are finite.
  *
  * No state outlives a call: the inversions' memo lives on the stack of
  * its call, and the sort, scoring and sum buffers are allocated and freed
@@ -267,7 +267,7 @@ typedef struct {
 
 /*
  * The CDF value at t: I_t(a, b) when df is 0, or else the Student t CDF at
- * df degrees of freedom of _kernels_py.student_quantiles, the tail beyond
+ * df degrees of freedom of _kernels_py._student, the tail beyond
  * |t| being I_{df / (df + t^2)}(a, b) / 2.
  */
 static double cdf(double t, const Curve *c)
@@ -596,28 +596,28 @@ static int invert(double p, const Curve *c, double *table, double *q)
 }
 
 /*
- * ps[i] replaced by its quantile for i < count: of the Beta(a, b) when df
- * is 0, or else of the Student t at df degrees of freedom, with a = df /
- * 2, b = 1 / 2.  log_norm is that of the shape pair (a, b).  The p are
- * inverted one after the other (invert) through one memo, the table of the
- * CDF values at each node of the paths of the p's first MEMO_DEPTH values,
- * which the p of a call share (the top of the bisection tree, the
- * bracket's doublings), a NaN where not yet known; a value found is the
- * double the core would return at the node's point, so no output bit
- * depends on it.  Past those values a p certifies a band around its
- * quantile (margins of at least twice the bound of curve_init on the
- * core's error, no try where that bound is not stated), and every
- * midpoint outside the band moves lo or hi as its CDF value would,
- * without one: the same midpoints, the same outcomes, the same bits as
- * _kernels_py, from fewer CDF values.  Past |t| = sqrt(DBL_MAX), t * t
+ * The batch inversion of quantiles: ps[i] replaced by its quantile for i <
+ * count, of the Beta(a, b) when df is 0, or else of the Student t at df
+ * degrees of freedom, with a = df / 2, b = 1 / 2.  log_norm is that of the
+ * shape pair (a, b).  The p are inverted one after the other (invert)
+ * through one memo, the table of the CDF values at each node of the paths
+ * of the p's first MEMO_DEPTH values, which the p of a call share (the top
+ * of the bisection tree, the bracket's doublings), a NaN where not yet
+ * known; a value found is the double the core would return at the node's
+ * point, so no output bit depends on it.  Past those values a p certifies a
+ * band around its quantile (margins of at least twice the bound of
+ * curve_init on the core's error, no try where that bound is not stated),
+ * and every midpoint outside the band moves lo or hi as its CDF value
+ * would, without one: the same midpoints, the same outcomes, the same bits
+ * as _kernels_py, from fewer CDF values.  Past |t| = sqrt(DBL_MAX), t * t
  * overflows and the Student t CDF saturates, so a Student p outside
  * [F(-sqrt(DBL_MAX)), F(sqrt(DBL_MAX))] is given back, as is every p when
  * those two CDF values are NaN, and a Student p <= 0, whose low end would
  * never hold it.  Returns count, or the index of the first p given back,
  * that p and those after it left as they are.
  */
-long quantiles(double *ps, long count, double a, double b, double df,
-               double log_norm, long max_iter)
+static long inversions(double *ps, long count, double a, double b,
+                       double df, double log_norm, long max_iter)
 {
     Curve curve;
     double table[1 << MEMO_DEPTH], bounds[2] = {0.0, 1.0};
@@ -638,11 +638,11 @@ long quantiles(double *ps, long count, double a, double b, double df,
 }
 
 /*
- * The closed-form families of closed_quantiles, numbered in the order of
- * _kernels_py._CLOSED.
+ * The families of quantiles, numbered in the order of _kernels_py._KINDS,
+ * the closed forms first.
  */
 enum { UNIFORM, TRIANGULAR, NORMAL, LOGNORMAL, WEIBULL, GUMBEL, EXP, CAUCHY,
-       PARETO, FRECHET };
+       PARETO, FRECHET, BETA, STUDENT };
 
 /* math.pi */
 #define PI 3.141592653589793
@@ -730,7 +730,7 @@ static double normal_quantile(double p, double mu, double sigma)
 /*
  * x ** y where CPython's float_pow hands it to the platform pow, for x
  * finite and above 0 and y finite (its own x == 1 and y == 0 cases give
- * pow's 1.0); NaN, which closed_quantiles gives back, in every case that
+ * pow's 1.0); NaN, which quantiles gives back, in every case that
  * float_pow treats itself.
  */
 static double float_pow(double x, double y)
@@ -743,14 +743,14 @@ static double float_pow(double x, double y)
 /*
  * A closed-form family at its parameters: a and b the first two, b - a,
  * and what else does not depend on p, worked out once as the functions of
- * _kernels_py._CLOSED work it out.
+ * _kernels_py._KINDS work it out.
  */
 typedef struct {
     long kind;
     double a, b, ba, ca, bc, split, power;
 } Closed;
 
-/* the quantile of p in (0, 1): the formula of _kernels_py._CLOSED */
+/* the quantile of p in (0, 1): the formula of _kernels_py._KINDS */
 static double closed_quantile(const Closed *f, double p)
 {
     switch (f->kind) {
@@ -779,17 +779,18 @@ static double closed_quantile(const Closed *f, double p)
 }
 
 /*
- * ps[i] replaced by its quantile under the closed-form family `kind` at
- * the parameters params, as many as the family has, for i < count: the
- * formulas of _kernels_py._CLOSED, the same libm calls in the same order.
+ * ps[i] replaced by its quantile under the family `kind` at the parameters
+ * params for i < count: Beta(a, b) and Student(df) by inversions, with the
+ * log_norm and max_iter of their incomplete beta, the closed forms by the
+ * formulas of _kernels_py._KINDS, the same libm calls in the same order.
  * Returns count, or the index of the first p given back, that p and those
- * after it left as they are: a p outside (0, 1) or NaN, a quantile that
- * is not finite (where math.exp or ** raises OverflowError, or arithmetic
- * gives an infinity or a NaN), and a power that float_pow treats itself.
- * A kind that is no family gives back every p.
+ * after it left as they are: a closed form's p outside (0, 1) or NaN, a
+ * quantile that is not finite (where math.exp or ** raises OverflowError,
+ * or arithmetic gives an infinity or a NaN), and a power that float_pow
+ * treats itself.  A kind that is not ported gives back every p.
  */
-long closed_quantiles(long kind, const double *params, double *ps,
-                      long count)
+long quantiles(long kind, const double *params, double *ps, long count,
+               double log_norm, long max_iter)
 {
     Closed f = {0};
     double x;
@@ -825,6 +826,12 @@ long closed_quantiles(long kind, const double *params, double *ps,
         break;
     case EXP:
         break;
+    case BETA:
+        return inversions(ps, count, f.a, params[1], 0.0, log_norm,
+                          max_iter);
+    case STUDENT:
+        return inversions(ps, count, 0.5 * f.a, 0.5, f.a, log_norm,
+                          max_iter);
     default:
         return 0;
     }

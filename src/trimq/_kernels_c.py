@@ -1,7 +1,7 @@
 """The C backend: the kernels of trimq/_kernels_c.c, loaded with ctypes, the
-incomplete beta, the weight loop, the Beta and Student t inversions (one C
-entry point, ``quantiles``), ``closed_quantiles`` (its normal quantile a
-copy of the standard library's PPND16), ``batch_uniforms``,
+incomplete beta, the weight loop, ``quantiles``, the one inverse-CDF kernel
+(the Beta and Student t inversions and the closed forms, its normal
+quantile a copy of the standard library's PPND16), ``batch_uniforms``,
 ``piece_errors``, ``weighted_sum`` (a port of math.fsum), ``parse_floats``
 (each number by an exact fast path, Clinger's or Eisel-Lemire's, or else
 by strtod) and ``sort_floats``, each described by its wrapper here; the
@@ -23,26 +23,26 @@ wrapper given any other sequence for such a buffer hands the call to the
 reference.
 
 Every entry point returns the doubles of its namesake in the reference,
-and all but ``quantiles`` run its statements in their order.
-``quantiles`` keeps the bits, not the statements: it decides the
+and all but the inversions of ``quantiles`` run its statements in their
+order.  The inversions keep the bits, not the statements: they decide the
 comparisons cdf(mid) < p of the reference bisection's midpoints that a
 certified band around the quantile settles without evaluating the CDF, and
-bisects plainly where the band's error bound is not stated (see the C
+bisect plainly where the band's error bound is not stated (see the C
 file's header).  The incomplete beta's C core evaluates one point per
 call: ``weight_window`` calls it once per index, ``quantiles`` once per CDF
 value.  Where the C code gives a case back (the C file's header lists
 them), or a window lies outside its array, the wrapper hands the call to
-that namesake, which raises its own error or returns what it returns.  A
-batch inversion, and ``closed_quantiles``, return the index of the first
-p they give back; the wrapper keeps the quantiles before that index and
-hands over only the p from it.  A weight window hands over only the
-incomplete beta it stopped at, whose reference raises, and the whole
-window only if that one does not.  A scorer that is a callable is Python
-to run, so ``piece_errors`` hands such a call to the reference whole; it
-tells HF7's (j, g) from a window (lo, ws) by its float g.  The library
+that namesake, which raises its own error or returns what it returns.
+``quantiles`` returns the index of the first p it gives back, 0 for the
+contaminated normal, which it does not port; the wrapper keeps the quantiles
+before that index and hands over only the p from it.  A weight window hands
+over only the incomplete beta it stopped at, whose reference raises, and the
+whole window only if that one does not.  A scorer that is a callable is
+Python to run, so ``piece_errors`` hands such a call to the reference whole;
+it tells HF7's (j, g) from a window (lo, ws) by its float g.  The library
 keeps no state between calls (a batch inversion's memo is a table on the
-stack of its call) and ctypes releases the GIL around each call, so
-threads may call it at once.
+stack of its call) and ctypes releases the GIL around each call, so threads
+may call it at once.
 """
 
 import ctypes
@@ -144,9 +144,7 @@ _double, _long, _buffer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
 # each entry point of the library: its return type, then its parameters'
 _ENTRIES = {
     "reg_inc_beta": (_double, (_double, _double, _double, _double, _long)),
-    "quantiles": (_long, (_buffer, _long, _double, _double, _double, _double,
-                          _long)),
-    "closed_quantiles": (_long, (_long, _buffer, _buffer, _long)),
+    "quantiles": (_long, (_long, _buffer, _buffer, _long, _double, _long)),
     "weight_window": (_long, (_long, _long, _long, _double, _double, _double,
                               _double, _double, _double, _double, _long,
                               _buffer, _buffer)),
@@ -207,50 +205,29 @@ def _doubles(xs):
     return isinstance(xs, array) and xs.typecode == "d"
 
 
-def _quantiles(ps, a, b, df, reference, *params):
-    """The quantiles of ps from the one C inversion, of the Beta(a, b)
-    when df is 0, else of the Student t at df = 2a degrees of freedom, in
-    an array('d'); reference(rest, *params) inverts the rest, from the
-    first p that the C code gives back."""
-    count = len(ps)
-    buf = array("d", ps)  # read and overwritten in place
-    done = _lib.quantiles(buf.buffer_info()[0], count, a, b, df,
-                          _log_norm(a, b), _py._MAX_ITER)
-    if done < count:
-        del buf[done:]
-        buf += reference(ps[done:], *params)
-    return buf
+# the families, numbered as the C code numbers them
+_NUMBER = {kind: i for i, kind in enumerate(_py._KINDS)}
+
+# the shape pair of the incomplete beta that an inverted family's CDF runs
+_SHAPES = {"Beta": lambda a, b: (a, b), "Student": lambda df: (0.5 * df, 0.5)}
 
 
-def beta_quantiles(ps, a, b):
-    """The Beta(a, b) quantile of each p of ps, in an array('d'), each
-    bisected on [0, 1]."""
-    return _quantiles(ps, a, b, 0.0, _py.beta_quantiles, a, b)
-
-
-def student_quantiles(ps, df):
-    """The Student t quantile of each p of ps at df degrees of freedom, in
-    an array('d'), each by bracket doubling and bisection."""
-    return _quantiles(ps, 0.5 * df, 0.5, df, _py.student_quantiles, df)
-
-
-# the closed-form families, numbered as the C code numbers them
-_CLOSED = {kind: i for i, kind in enumerate(_py._CLOSED)}
-
-
-def closed_quantiles(kind, params, ps):
-    """The quantiles of the p of ps under the closed-form family `kind` at
-    the parameters `params`, in an array('d'): a copy of ps, each p
-    replaced in one C call; from the first p that the C code gives back,
-    what the reference makes of the rest."""
+def quantiles(kind, params, ps):
+    """The quantiles of the p of ps under the family `kind` at the
+    parameters `params`, in an array('d'): a copy of ps, each p replaced in
+    one C call; from the first p that the C code gives back, what the
+    reference makes of the rest."""
     coef = array("d", params)
-    buf = array("d", ps)
+    buf = array("d", ps)  # read and overwritten in place
     count = len(buf)
-    done = _lib.closed_quantiles(_CLOSED[kind], coef.buffer_info()[0],
-                                 buf.buffer_info()[0], count)
+    shapes = _SHAPES.get(kind)
+    log_norm = _log_norm(*shapes(*params)) if shapes else 0.0
+    done = _lib.quantiles(_NUMBER[kind], coef.buffer_info()[0],
+                          buf.buffer_info()[0], count, log_norm,
+                          _py._MAX_ITER)
     if done < count:
         del buf[done:]
-        buf += _py.closed_quantiles(kind, params, ps[done:])
+        buf += _py.quantiles(kind, params, ps[done:])
     return buf
 
 

@@ -4,11 +4,13 @@ trimq._kernels_c cannot be built.
 
 Each kernel is the plain algorithm: the C file, trimq/_kernels_c.c, ports
 the incomplete beta, the weight loop, the closed-form families' quantile
-formulas, the uniforms of a simulation batch's streams, the sort and
-scoring of a piece of simulation samples, the weighted sum of a window,
-and the parse (of plain ASCII decimal input; its exact fast paths return
-float()'s double) and sort of `trimq estimate`'s numbers from here statement
-for statement, and is the only place that adds speed.  Its Beta and Student
+formulas, the uniforms of a simulation batch's streams, the sort and scoring
+of a piece of simulation samples, the weighted sum of a window, and the
+parse (of plain ASCII decimal input; its exact fast paths return float()'s
+double) and sort of `trimq estimate`'s numbers from here statement for
+statement, and is the only place that adds speed.  One inverse-CDF kernel,
+quantiles, serves every family from one table of quantile functions, _KINDS;
+the C file holds all but the contaminated normal's, and its Beta and Student
 t inversions keep the bits of the bisection here, not its statements: they
 decide the comparisons cdf(mid) < p that a certified band settles without
 evaluating the CDF, the band's ends keeping from p a margin of at least
@@ -19,16 +21,15 @@ scorer data of piece_errors; the simulation's callables run them through
 _estimator, and the public estimators call weighted_sum, a kernel of both
 backends.  A sequence of doubles is an array('d'): each kernel returns its
 doubles in one, as a window scorer holds its weights.  Both modules export
-the same names; the C backend takes the kernels it does not port from
-here, and hands every case its own code gives back to the namesake kernel
-here, so both backends raise the same errors.  The only caches are the two
+the same names; the C backend takes the kernels it does not port from here,
+and hands every case its own code gives back to the namesake kernel here, so
+both backends raise the same errors.  The only caches are the two
 normalizers per shape pair.
 
-The normal quantile of the Normal and LogNormal formulas of
-closed_quantiles, and of the contaminated normal's variates, is the
-standard library's ``statistics.NormalDist.inv_cdf``, Wichura's PPND16;
-the C file holds a copy of CPython 3.11's C version of it, which gives the
-same bits.
+The normal quantile of the Normal and LogNormal formulas of quantiles,
+and of the contaminated normal's variates, is the standard library's
+``statistics.NormalDist.inv_cdf``, Wichura's PPND16; the C file holds a
+copy of CPython 3.11's C version of it, which gives the same bits.
 
 Arguments are assumed pre-validated by the public wrappers in trimq.special
 and friends.
@@ -41,10 +42,10 @@ import operator
 import sys
 from array import array
 
-__all__ = ["batch_uniforms", "beta_pdf", "beta_quantiles", "closed_quantiles",
-           "log_beta", "log_gamma", "mix_seed", "parse_floats",
-           "piece_errors", "reg_inc_beta", "sort_floats", "stream_uniforms",
-           "student_quantiles", "weight_window", "weighted_sum"]
+__all__ = ["batch_uniforms", "beta_pdf", "log_beta", "log_gamma",
+           "mix_seed", "parse_floats", "piece_errors", "quantiles",
+           "reg_inc_beta", "sort_floats", "stream_uniforms", "weight_window",
+           "weighted_sum"]
 
 # ln(2*pi)/2
 _HALF_LN_TWO_PI = 0.9189385332046727
@@ -285,41 +286,11 @@ def _invert_unbounded(cdf, p):
     return _bisect_cdf(cdf, p, lo, hi)
 
 
-def beta_quantiles(ps, a, b):
-    """The Beta(a, b) quantile of each p of ps, in an array('d'), each
-    bisected on [0, 1]."""
-    def cdf(x):
-        return reg_inc_beta(x, a, b)
-    return array("d", [_bisect_cdf(cdf, p, 0.0, 1.0) for p in ps])
-
-
-def student_quantiles(ps, df):
-    """The Student t quantile of each p of ps at df degrees of freedom, in
-    an array('d'), through the incomplete beta: the tail beyond |t| is
-    I_{df / (df + t^2)}(df / 2, 1 / 2) / 2.  Past |t| = sqrt of the largest
-    double, t * t overflows and the CDF saturates, so a p outside the CDF
-    values there raises ArithmeticError."""
-    a = 0.5 * df
-
-    def cdf(t):
-        tail = 0.5 * reg_inc_beta(df / (df + t * t), a, 0.5)
-        return 1.0 - tail if t >= 0.0 else tail
-    out = array("d")
-    if not ps:
-        return out
-    low, high = cdf(-_ROOT_DBL_MAX), cdf(_ROOT_DBL_MAX)
-    for p in ps:
-        if not low <= p <= high:
-            raise ArithmeticError("Student t quantile overflows (df=%g, p=%r)"
-                                  % (df, p))
-        out.append(_invert_unbounded(cdf, p))
-    return out
-
-
-# Each closed-form family's quantile function of one p, from the family's
-# parameters in the order of its factory's signature in
-# trimq.distributions, with what does not depend on p worked out once.
-# The C port numbers the families in the order of _CLOSED.
+# Each family's quantile function of one p, from the family's parameters
+# in the order of its factory's signature in trimq.distributions (the
+# contaminated normal's wide scale in place of c), with what does not
+# depend on p worked out once.  The C port numbers the kinds in the order
+# of _KINDS.
 
 def _uniform(a, b):
     span = b - a
@@ -371,19 +342,67 @@ def _frechet(shape):
     return lambda p: (-math.log(p)) ** power
 
 
-_CLOSED = {"Uniform": _uniform, "Triangular": _triangular, "Normal": _normal,
-           "LogNormal": _lognormal, "Weibull": _weibull, "Gumbel": _gumbel,
-           "Exp": _exp, "Cauchy": _cauchy, "Pareto": _pareto,
-           "Frechet": _frechet}
+def _beta(a, b):
+    """Bisection of the Beta(a, b) CDF on [0, 1]."""
+    def cdf(x):
+        return reg_inc_beta(x, a, b)
+    return lambda p: _bisect_cdf(cdf, p, 0.0, 1.0)
 
 
-def closed_quantiles(kind, params, ps):
-    """The quantiles of the p of ps under the closed-form family `kind`, a
-    key of _CLOSED, at the parameters `params`, in an array('d') that stops
-    before the first p whose quantile is not finite: math.exp or **
-    raising OverflowError, or arithmetic giving an infinity or a NaN."""
-    q = _CLOSED[kind](*params)
+def _student(df):
+    """The Student t at df degrees of freedom, through the incomplete beta:
+    the tail beyond |t| is I_{df / (df + t^2)}(df / 2, 1 / 2) / 2.  Past
+    |t| = sqrt of the largest double, t * t overflows and the CDF
+    saturates, so a p outside the CDF values there raises
+    ArithmeticError."""
+    a = 0.5 * df
+
+    def cdf(t):
+        tail = 0.5 * reg_inc_beta(df / (df + t * t), a, 0.5)
+        return 1.0 - tail if t >= 0.0 else tail
+    low, high = cdf(-_ROOT_DBL_MAX), cdf(_ROOT_DBL_MAX)
+
+    def q(p):
+        if not low <= p <= high:
+            raise ArithmeticError("Student t quantile overflows (df=%g, p=%r)"
+                                  % (df, p))
+        return _invert_unbounded(cdf, p)
+    return q
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _phi(z):
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _contaminated_normal(epsilon, sigma, wide):
+    """The mixture of the normals of scales sigma and wide, weighted 1 -
+    epsilon and epsilon, by inverting its CDF."""
+    def cdf(x):
+        return (1.0 - epsilon) * _phi(x / sigma) + epsilon * _phi(x / wide)
+    return lambda p: _invert_unbounded(cdf, p)
+
+
+_KINDS = {"Uniform": _uniform, "Triangular": _triangular, "Normal": _normal,
+          "LogNormal": _lognormal, "Weibull": _weibull, "Gumbel": _gumbel,
+          "Exp": _exp, "Cauchy": _cauchy, "Pareto": _pareto,
+          "Frechet": _frechet, "Beta": _beta, "Student": _student,
+          "ContaminatedNormal": _contaminated_normal}
+
+
+def quantiles(kind, params, ps):
+    """The quantiles of the p of ps under the family `kind`, a key of
+    _KINDS, at the parameters `params`, in an array('d') that stops before
+    the first p whose quantile is not finite: math.exp or ** raising
+    OverflowError, or arithmetic giving an infinity or a NaN.  Every other
+    ArithmeticError, an incomplete beta that gives out or a CDF that no
+    bracket holds p of, passes through.  An empty ps evaluates no CDF."""
     out = array("d")
+    if not ps:
+        return out
+    q = _KINDS[kind](*params)
     for p in ps:
         try:
             x = q(p)
@@ -492,13 +511,14 @@ def weighted_sum(lo, ws, xs):
     return math.fsum(map(operator.mul, ws, xs[lo:lo + len(ws)]))
 
 
-def _estimator(scorer):
+def _estimator(scorer, total=weighted_sum):
     """The estimate that `scorer` defines, as a callable over sorted values
-    (see piece_errors); a callable scorer is returned as it is."""
+    (see piece_errors), a window summed by `total`, weighted_sum or a
+    backend's; a callable scorer is returned as it is."""
     if callable(scorer):
         return scorer
     at, coef = scorer
-    formula = _hf7 if isinstance(coef, float) else weighted_sum
+    formula = _hf7 if isinstance(coef, float) else total
     return functools.partial(formula, at, coef)
 
 

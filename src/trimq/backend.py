@@ -4,9 +4,9 @@
 and ``BACKEND`` names it:
 
 - "c": trimq._kernels_c, the incomplete beta, the weight loop
-  (``weight_window``), the Beta and Student t inversions, the quantiles
-  of the ten closed-form families (``closed_quantiles``, the normal
-  quantile a copy of the standard library's), the uniforms of the
+  (``weight_window``), the one inverse-CDF kernel (``quantiles``: the
+  Beta and Student t inversions and the ten closed-form families, the
+  normal quantile a copy of the standard library's), the uniforms of the
   streams of a run of simulation samples (``batch_uniforms``), the sort
   and scoring of those samples (``piece_errors``), the parse and sort of
   `trimq estimate`'s input (``parse_floats``, ``sort_floats``) and the

@@ -185,6 +185,8 @@ def _cmd_simulate(args):
             result = run_sim2(config, threads=args.threads)
     except ArithmeticError as exc:
         return _fail(2, "cannot simulate %s: %s" % (args.config, exc))
+    except OSError as exc:  # e.g. a worker process that could not fork
+        return _fail(3, "cannot simulate %s: %s" % (args.config, exc))
     elapsed = time.perf_counter() - started
 
     try:

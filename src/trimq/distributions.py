@@ -8,14 +8,14 @@ shape, q(ps) -> the quantiles of a sequence of p, and gives both the exact
 quantile theta(p), q on (p,), and the variates, through ``transform``, the
 one mapping from uniforms to variates that ``sample`` and both simulation
 studies run, so identical (seed, stream_id) give identical variates on every
-platform with the same libm, and at every thread count.  The ten
-closed-form families compute their quantiles in the backend kernel
-closed_quantiles, which holds each formula, and Beta and Student invert
-their CDFs in beta_quantiles and student_quantiles, one kernel call per
-sequence of p into an array('d'), the one form of a sequence of doubles
-between the layers.  The contaminated normal samples compositionally (one
-uniform picks the mixture component, one feeds the standard normal
-quantile) and therefore consumes exactly two uniforms per variate.
+platform with the same libm, and at every thread count.  Every family
+computes its quantiles in the one inverse-CDF kernel of the backend,
+quantiles, which holds each family's quantile function: one kernel call
+per sequence of p into an array('d'), the one form of a sequence of
+doubles between the layers.  The contaminated normal samples
+compositionally (one uniform picks the mixture component, one feeds the
+standard normal quantile) and therefore consumes exactly two uniforms per
+variate.
 """
 
 import functools
@@ -25,16 +25,9 @@ import re
 from array import array
 
 from . import _checks
-from ._kernels_py import _invert_unbounded
 from .backend import kernels as _k
 
 __all__ = ["DistributionSpec", "true_quantile", "sample"]
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def _phi(z):
-    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 # Each family's inverse CDF as a factory.  Its keyword-only signature
@@ -53,15 +46,15 @@ def _span(kind, a, b):
     return span
 
 
-def _closed(kind, *params):
-    """q(ps) of a closed-form family: one call of the backend kernel
-    closed_quantiles, which holds the family's formula."""
-    return lambda ps: _k.closed_quantiles(kind, params, ps)
+def _kernel(kind, *params):
+    """q(ps) of the family `kind`: one call of the backend kernel
+    quantiles, which holds the family's quantile function."""
+    return lambda ps: _k.quantiles(kind, params, ps)
 
 
 def _q_uniform(*, a=0.0, b=1.0):
     _span("Uniform", a, b)
-    return _closed("Uniform", a, b)
+    return _kernel("Uniform", a, b)
 
 
 def _q_triangular(*, a, b, c):
@@ -71,64 +64,58 @@ def _q_triangular(*, a, b, c):
     if not math.isfinite(ba * max(c - a, b - c)):
         raise ValueError("Triangular requires (b - a)(c - a) and (b - a)(b - c) "
                          "finite, got a=%g b=%g c=%g" % (a, b, c))
-    return _closed("Triangular", a, b, c)
+    return _kernel("Triangular", a, b, c)
 
 
 def _q_beta(*, a, b):
-    return lambda ps: _k.beta_quantiles(ps, a, b)
+    return _kernel("Beta", a, b)
 
 
 def _q_normal(*, m=0.0, sd=1.0):
-    return _closed("Normal", m, sd)
+    return _kernel("Normal", m, sd)
 
 
 def _q_weibull(*, scale=1.0, shape):
-    return _closed("Weibull", scale, shape)
+    return _kernel("Weibull", scale, shape)
 
 
 def _q_student(*, df):
-    return lambda ps: _k.student_quantiles(ps, df)
+    return _kernel("Student", df)
 
 
 def _q_gumbel(*, loc=0.0, scale=1.0):
-    return _closed("Gumbel", loc, scale)
+    return _kernel("Gumbel", loc, scale)
 
 
 def _q_exp(*, rate=1.0):
-    return _closed("Exp", rate)
+    return _kernel("Exp", rate)
 
 
 def _q_cauchy(*, x0=0.0, gamma=1.0):
-    return _closed("Cauchy", x0, gamma)
+    return _kernel("Cauchy", x0, gamma)
 
 
 def _q_pareto(*, loc, shape):
-    return _closed("Pareto", loc, shape)
+    return _kernel("Pareto", loc, shape)
 
 
 def _q_lognormal(*, mlog=0.0, sdlog=1.0):
-    return _closed("LogNormal", mlog, sdlog)
+    return _kernel("LogNormal", mlog, sdlog)
 
 
 def _q_frechet(*, shape):
-    return _closed("Frechet", shape)
+    return _kernel("Frechet", shape)
 
 
 def _q_contaminated_normal(*, epsilon, sigma, c):
-    """q(ps) by CDF inversion; q.mixture is (epsilon, sigma, wide), the
-    contamination weight and the two components' scales, for the
-    variates."""
+    """q(ps), with q.mixture (epsilon, sigma, wide), the contamination
+    weight and the two components' scales, for the variates."""
     epsilon = _checks.fraction(epsilon, "epsilon of ContaminatedNormal")
     wide = sigma * math.sqrt(c)
     if not math.isfinite(wide):
         raise ValueError("ContaminatedNormal requires a finite wide scale "
                          "sigma * sqrt(c), got sigma=%g c=%g" % (sigma, c))
-
-    def cdf(x):
-        return (1.0 - epsilon) * _phi(x / sigma) + epsilon * _phi(x / wide)
-
-    def q(ps):
-        return array("d", [_invert_unbounded(cdf, p) for p in ps])
+    q = _kernel("ContaminatedNormal", epsilon, sigma, wide)
     q.mixture = (epsilon, sigma, wide)
     return q
 
@@ -262,10 +249,9 @@ def _quantiles(spec, ps):
 def true_quantile(spec, p):
     """Exact quantile theta(p) of the given distribution, 0 < p < 1.
 
-    Closed-form inverse CDF where one exists; Beta and Student invert
-    their CDFs by one kernel call on (p,), and the contaminated normal
-    bisects its CDF.  A quantile past the largest double raises
-    ArithmeticError.
+    One call of the family's inverse CDF on (p,): a closed form where one
+    exists, else a bisection of the CDF.  A quantile past the largest
+    double raises ArithmeticError.
     """
     return _quantiles(spec, (_checks.fraction(p, "p", "(0, 1)"),))[0]
 
@@ -286,7 +272,7 @@ def transform(spec):
 
         def variates(us):
             ps = us[1::2]
-            zs = _k.closed_quantiles("Normal", (0.0, 1.0), ps)
+            zs = _k.quantiles("Normal", (0.0, 1.0), ps)
             values = array("d", [(wide if pick < eps else sigma) * z
                                  for pick, z in zip(us[::2], zs)])
             # a sum that is not finite is cheap to find, and holds every

@@ -97,7 +97,7 @@ _SCORERS = {
 
 
 def _factory(scorer):
-    return lambda n, p: _estimator(scorer(n, p))
+    return lambda n, p: _estimator(scorer(n, p), _k.weighted_sum)
 
 
 # estimator id -> factory(n, p) -> callable(sorted values) -> estimate
@@ -361,7 +361,12 @@ def _run_chunks(worker, chunks, threads, cost):
     try:
         for share in shares[1:]:
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM: no child holds the pipe
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 _child(worker, chunks, share, write,
                        [read] + [fd for _, fd in children])
@@ -407,7 +412,8 @@ def run_sim1(config, threads=1):
         lo, hi = bounds
         out = []
         for r in range(lo, hi):
-            xs = sorted(variates(_k.stream_uniforms(seed_mix, r, 0, per * n)))
+            xs = variates(_k.stream_uniforms(seed_mix, r, 0, per * n))
+            _k.sort_floats(xs)
             out.append(tuple(est(xs) for _, est in factories))
         return out
 

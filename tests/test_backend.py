@@ -115,6 +115,10 @@ def test_c_backend_serves_every_reference_kernel():
     for module in (_kernels_py, _kernels_c):
         for name in module.__all__:
             assert callable(getattr(module, name)), (module, name)
+        # one inverse-CDF kernel, quantiles, serves every family
+        for name in ("beta_quantiles", "student_quantiles",
+                     "closed_quantiles"):
+            assert not hasattr(module, name), (module, name)
 
 
 def test_import_leaves_statistics_unloaded():

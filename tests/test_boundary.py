@@ -10,12 +10,14 @@ from array import array
 
 import pytest
 
-from trimq import (DistributionSpec, Sim2Config, distributions, estimators,
-                   hd_quantile, run_sim2, simulation, thd_quantile)
+from trimq import (DistributionSpec, Sim1Config, Sim2Config, distributions,
+                   estimators, hd_quantile, run_sim1, run_sim2, simulation,
+                   thd_quantile)
 from trimq import _kernels_c, _kernels_py
 from trimq.distributions import _FAMILIES, transform
 from trimq.estimators import Sample, _hf7, _trimmed_weights
 
+from test_distributions import _case_id
 from test_simulation import ALL_FAMILIES
 
 MODULES = {"python": _kernels_py, "c": _kernels_c}
@@ -25,20 +27,20 @@ def _is_doubles(xs):
     return type(xs) is array and xs.typecode == "d"
 
 
-def _uncapped_rest(monkeypatch, name):
-    """The reference kernel `name`, which receives the rest of a call that
-    the C code gives back under a term cap, run without the cap: the
-    wrapper's result is then the C prefix joined to the reference's rest.
-    The p handed over are recorded."""
-    kernel = getattr(_kernels_py, name)
+def _uncapped_rest(monkeypatch):
+    """The reference quantiles, which receive the rest of a call that the
+    C code gives back under a term cap, run without the cap: the wrapper's
+    result is then the C prefix joined to the reference's rest.  The p
+    handed over are recorded."""
+    kernel = _kernels_py.quantiles
     received = []
 
-    def rest(ps, *params):
+    def rest(kind, params, ps):
         received.append(list(ps))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernels_py, "_MAX_ITER", 300)
-            return kernel(ps, *params)
-    monkeypatch.setattr(_kernels_py, name, rest)
+            return kernel(kind, params, ps)
+    monkeypatch.setattr(_kernels_py, "quantiles", rest)
     return received
 
 
@@ -46,12 +48,12 @@ def _uncapped_rest(monkeypatch, name):
 def test_every_kernel_returns_an_array_of_doubles(backend):
     k = MODULES[backend]
     ps = [0.01, 0.3, 0.5, 0.97]
-    assert _is_doubles(k.beta_quantiles(ps, 2.0, 4.0))
-    assert _is_doubles(k.beta_quantiles([], 2.0, 4.0))
-    assert _is_doubles(k.student_quantiles(ps, 3.0))
-    assert _is_doubles(k.student_quantiles([], 3.0))
-    assert _is_doubles(k.closed_quantiles("Normal", (0.0, 1.0), ps))
-    assert _is_doubles(k.closed_quantiles("Exp", (1.0,), ()))
+    assert _is_doubles(k.quantiles("Beta", (2.0, 4.0), ps))
+    assert _is_doubles(k.quantiles("Beta", (2.0, 4.0), []))
+    assert _is_doubles(k.quantiles("Student", (3.0,), ps))
+    assert _is_doubles(k.quantiles("Student", (3.0,), []))
+    assert _is_doubles(k.quantiles("Normal", (0.0, 1.0), ps))
+    assert _is_doubles(k.quantiles("Exp", (1.0,), ()))
     window, lo, hi = k.weight_window(10, 0, 10, 3.3, 7.7, 0.0, 1.0, 0.0, 1.0)
     assert _is_doubles(window) and len(window) == 10 and (lo, hi) == (1, 10)
     us = k.batch_uniforms(k.mix_seed(5), 77, 0, 6, 4)
@@ -63,18 +65,18 @@ def test_every_kernel_returns_an_array_of_doubles(backend):
     assert all(len(errs) == 6 for errs in got)
 
 
-@pytest.mark.parametrize("name, params, cap, good, bad", (
-    ("beta_quantiles", (2.0, 4.0), 3, [0.85, 0.9], [0.3, 0.5]),
-    ("student_quantiles", (50.0,), 12, [0.3, 0.5], [0.05, 0.95])))
-def test_a_batch_given_back_partway_is_still_an_array(monkeypatch, name,
+@pytest.mark.parametrize("kind, params, cap, good, bad", (
+    ("Beta", (2.0, 4.0), 3, [0.85, 0.9], [0.3, 0.5]),
+    ("Student", (50.0,), 12, [0.3, 0.5], [0.05, 0.95])), ids=_case_id)
+def test_a_batch_given_back_partway_is_still_an_array(monkeypatch, kind,
                                                       params, cap, good, bad):
     # the p of `bad` do not converge under the cap: the C code keeps the
     # quantiles before the first and hands the reference the rest
     ps = good + bad + good
-    want = getattr(_kernels_py, name)(ps, *params)
-    received = _uncapped_rest(monkeypatch, name)
+    want = _kernels_py.quantiles(kind, params, ps)
+    received = _uncapped_rest(monkeypatch)
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", cap)
-    got = getattr(_kernels_c, name)(ps, *params)
+    got = _kernels_c.quantiles(kind, params, ps)
     assert received == [ps[len(good):]]
     assert _is_doubles(got) and got.tobytes() == want.tobytes()
 
@@ -84,7 +86,7 @@ def test_the_other_kernels_given_back_are_still_arrays(backend):
     # under C, each call below is given back whole or from a point on
     k = MODULES[backend]
     # an Exp quantile past the largest double: the array stops short
-    got = k.closed_quantiles("Exp", (1e-308,), [0.5, 0.999999, 0.5])
+    got = k.quantiles("Exp", (1e-308,), [0.5, 0.999999, 0.5])
     assert _is_doubles(got) and len(got) == 1
     # a NaN, whose place in sorted order only the reference decides
     values = array("d", [0.5, math.nan, -1.0, 2.0, 0.25, 3.0])
@@ -128,19 +130,24 @@ def _fail(name):
 
 
 def test_the_hot_paths_give_nothing_back(monkeypatch):
-    # every sim2 piece is scored, and every thd and hd estimate summed, in
-    # C: a producer that handed over a list instead of an array('d') would
-    # send each to the reference, about ten times slower with the same
-    # bytes, and fail here
+    # every sim2 piece is scored, every sim1 replication sorted and summed,
+    # and every thd and hd estimate summed, in C: a producer that handed
+    # over a list instead of an array('d') would send each to the
+    # reference, about ten times slower with the same bytes, and fail here
     for module in (simulation, distributions, estimators):
         monkeypatch.setattr(module, "_k", _kernels_c)
-    for name in ("piece_errors", "weighted_sum"):
+    for name in ("piece_errors", "weighted_sum", "sort_floats"):
         monkeypatch.setattr(_kernels_py, name, _fail(name))
     cfg = Sim2Config.from_dict({
         "specs": ALL_FAMILIES, "sample_sizes": [7], "p_grid": [0.3],
         "samples_per_batch": 4, "batches": 1, "seed": 3})
     rows = run_sim2(cfg).rows
     assert len(rows) == len(_FAMILIES)
+    for text in ALL_FAMILIES:
+        cfg = Sim1Config.from_dict({"spec": text, "sample_size": 9,
+                                    "replications": 5, "p_estimated": 0.3,
+                                    "seed": 3})
+        assert len(run_sim1(cfg).estimates["thd-sqrt"]) == 5, text
     rng = random.Random(41)
     sample = Sample([rng.gauss(0.0, 1.0) for _ in range(10 ** 3)])
     for p in (0.05, 0.5, 0.9):

@@ -1,5 +1,6 @@
-"""The closed-form quantiles, closed_quantiles: the C port against the
-reference bit for bit, the normal quantile against both of the standard
+"""The quantiles of every family, the one kernel quantiles: the closed
+forms' C port against the reference bit for bit, every family's on a
+seeded sweep, the normal quantile against both of the standard
 library's PPND16, the cases the C code gives back, and the sim2 pieces
 that run through it."""
 
@@ -16,7 +17,7 @@ import pytest
 from trimq import (DistributionSpec, Sim2Config, distributions, run_sim2,
                    simulation, true_quantile)
 from trimq import _kernels_c, _kernels_py
-from trimq.distributions import transform
+from trimq.distributions import _FAMILIES, transform
 
 from test_distributions import _neighbours, _outcome
 from test_simulation import CONFIG_DIR, PRESET_DIGESTS
@@ -60,33 +61,87 @@ def _bits(xs):
 
 def _recorded_give_backs(monkeypatch):
     """The p the C code hands to the reference, which still runs."""
-    reference = _kernels_py.closed_quantiles
+    reference = _kernels_py.quantiles
     received = []
 
     def recorded(kind, params, rest):
         received.append(list(rest))
         return reference(kind, params, rest)
-    monkeypatch.setattr(_kernels_py, "closed_quantiles", recorded)
+    monkeypatch.setattr(_kernels_py, "quantiles", recorded)
     return received
 
 
 def test_the_sweep_covers_every_closed_family():
-    # the C code numbers the families as _CLOSED orders them, so a family
-    # the sweep left out could run another's formula unseen
-    assert sorted(PARAMS) == sorted(_kernels_py._CLOSED)
+    # the C code numbers the families as _KINDS orders them, the closed
+    # forms first, so a family the sweep left out could run another's
+    # formula unseen
+    assert sorted(PARAMS) == sorted(list(_kernels_py._KINDS)[:len(PARAMS)])
 
 
 @pytest.mark.parametrize("kind", sorted(PARAMS))
 def test_c_closed_quantiles_are_the_reference_bit_for_bit(monkeypatch, kind):
     # every p of the sweep at every parameter set, none given back
-    want = {params: _kernels_py.closed_quantiles(kind, params, SWEEP_PS)
+    want = {params: _kernels_py.quantiles(kind, params, SWEEP_PS)
             for params in PARAMS[kind]}
     received = _recorded_give_backs(monkeypatch)
     for params in PARAMS[kind]:
-        got = _kernels_c.closed_quantiles(kind, params, SWEEP_PS)
+        got = _kernels_c.quantiles(kind, params, SWEEP_PS)
         assert len(want[params]) == len(SWEEP_PS), params
         assert _bits(got) == _bits(want[params]), params
     assert received == []
+
+
+# every family at one parameter set, in the order of its factory's
+# signature (the contaminated normal's wide scale in place of c)
+FAMILY_PARAMS = {**{kind: sets[0] for kind, sets in PARAMS.items()},
+                 "Beta": (2.0, 4.0), "Student": (3.0,),
+                 "ContaminatedNormal": (0.1, 2.0, 20.0)}
+
+# a seeded sweep the reference's bisections run in well under a second:
+# the extremes of the uniforms, the far tail, the centre and random p
+_FAMILY_RNG = random.Random(32)
+FAMILY_PS = [2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300, 0.5] + [
+    _FAMILY_RNG.random() for _ in range(300)]
+
+# per inverted family, parameters, a term cap, p that the C code inverts
+# under it, and one that it gives back
+CAPPED = {"Beta": ((2.0, 4.0), 3, [0.85, 0.9], 0.3),
+          "Student": ((50.0,), 12, [0.3, 0.5], 0.05)}
+
+
+@pytest.mark.parametrize("kind", sorted(_FAMILIES))
+def test_c_quantiles_are_the_reference_bit_for_bit_in_every_family(
+        monkeypatch, kind):
+    # one kernel for every family: the C code inverts the Beta and Student
+    # t, computes the closed forms, and gives the contaminated normal,
+    # which it does not port, back whole
+    assert sorted(FAMILY_PARAMS) == sorted(_FAMILIES)
+    params = FAMILY_PARAMS[kind]
+    reference = _kernels_py.quantiles
+    want = reference(kind, params, FAMILY_PS)
+    assert len(want) == len(FAMILY_PS)
+    received = _recorded_give_backs(monkeypatch)
+    assert _bits(_kernels_c.quantiles(kind, params, FAMILY_PS)) == _bits(want)
+    assert received == ([FAMILY_PS] if kind == "ContaminatedNormal" else [])
+    if kind not in CAPPED:
+        return
+    # given back partway: the C quantiles before the first p past the cap,
+    # then the reference's quantiles of the rest, run without the cap
+    params, cap, good, bad = CAPPED[kind]
+    ps = good + [bad] + good
+    want = reference(kind, params, ps)
+    received.clear()
+
+    def uncapped(kind, params, rest):
+        received.append(list(rest))
+        with pytest.MonkeyPatch.context() as lifted:
+            lifted.setattr(_kernels_py, "_MAX_ITER", 300)
+            return reference(kind, params, rest)
+
+    monkeypatch.setattr(_kernels_py, "quantiles", uncapped)
+    monkeypatch.setattr(_kernels_py, "_MAX_ITER", cap)
+    assert _bits(_kernels_c.quantiles(kind, params, ps)) == _bits(want)
+    assert received == [ps[len(good):]]
 
 
 def _pure_normal_inv_cdf():
@@ -108,7 +163,7 @@ def test_c_normal_is_both_stdlib_ppnd16s_bit_for_bit():
     pure = _pure_normal_inv_cdf()
     assert pure is not _statistics._normal_dist_inv_cdf
     for m, sd in PARAMS["Normal"]:
-        got = _bits(_kernels_c.closed_quantiles("Normal", (m, sd), SWEEP_PS))
+        got = _bits(_kernels_c.quantiles("Normal", (m, sd), SWEEP_PS))
         for inv_cdf in (_statistics._normal_dist_inv_cdf, pure):
             assert got == _bits([inv_cdf(p, m, sd) for p in SWEEP_PS]), (
                 inv_cdf, m, sd)
@@ -116,7 +171,7 @@ def test_c_normal_is_both_stdlib_ppnd16s_bit_for_bit():
 
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_contaminated_normal_variates_are_the_stdlib_s(monkeypatch, backend):
-    # the normal deviates come from one closed_quantiles call; the standard
+    # the normal deviates come from one quantiles call; the standard
     # library's inv_cdf is their oracle at the centre, the near tail and
     # the far tail of PPND16, the doubles beside its switch points among
     # them, each under either component
@@ -152,10 +207,10 @@ def test_a_piece_overflowing_mid_list_names_its_p(monkeypatch, backend):
     monkeypatch.setattr(distributions, "_k", kernels)
     us = [0.1, 0.5, 0.999999, 0.3, 0.9999999]
     params = (1e-308,)
-    want = _kernels_py.closed_quantiles("Exp", params, us)
+    want = _kernels_py.quantiles("Exp", params, us)
     assert len(want) == 2 and all(math.isfinite(x) for x in want)
     received = _recorded_give_backs(monkeypatch)
-    assert _bits(kernels.closed_quantiles("Exp", params, us)) == _bits(want)
+    assert _bits(kernels.quantiles("Exp", params, us)) == _bits(want)
     assert received == ([us[2:]] if backend == "c" else [us])
     _, variates = transform(DistributionSpec.parse("Exp(rate=1e-308)"))
     assert _outcome(variates, us) == (
@@ -196,8 +251,8 @@ def _any_outcome(f, *args):
 
 @pytest.mark.parametrize("kind, params, ps", EDGES)
 def test_c_gives_back_what_the_reference_raises_or_returns(kind, params, ps):
-    want = _any_outcome(_kernels_py.closed_quantiles, kind, params, ps)
-    assert _any_outcome(_kernels_c.closed_quantiles, kind, params, ps) == want
+    want = _any_outcome(_kernels_py.quantiles, kind, params, ps)
+    assert _any_outcome(_kernels_c.quantiles, kind, params, ps) == want
 
 
 def test_sim2_desk_runs_every_closed_quantile_in_c(monkeypatch):
@@ -208,7 +263,7 @@ def test_sim2_desk_runs_every_closed_quantile_in_c(monkeypatch):
         raise AssertionError("the C code gave a piece back: %r"
                              % (args[:2],))
 
-    monkeypatch.setattr(_kernels_py, "closed_quantiles", given_back)
+    monkeypatch.setattr(_kernels_py, "quantiles", given_back)
     monkeypatch.setattr(distributions, "_k", _kernels_c)
     monkeypatch.setattr(simulation, "_k", _kernels_c)
     with open(CONFIG_DIR / "sim2_desk.json", encoding="utf-8") as fh:

@@ -46,6 +46,17 @@ def _phi(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+# the parametrized cases of one inverted family keep the ids they had when
+# each family had a kernel of its own, beta_quantiles and student_quantiles
+_KERNEL_IDS = {"Beta": "beta_quantiles", "Student": "student_quantiles"}
+
+
+def _case_id(value):
+    """The id of a case's kind, for pytest's ids; None, pytest's own id,
+    for every other value."""
+    return _KERNEL_IDS.get(value) if isinstance(value, str) else None
+
+
 # ---------------------------------------------------------------------------
 # parsing and labels
 
@@ -205,29 +216,29 @@ def test_c_bracket_matches_the_reference_near_the_double_range(monkeypatch):
     # raises its own error from exactly that p
     from trimq import _kernels_c
 
-    kernel = _kernels_py.student_quantiles
+    kernel = _kernels_py.quantiles
     received = []
 
-    def recorded(rest, *args):
+    def recorded(kind, params, rest):
         received.append(list(rest))
-        return kernel(rest, *args)
+        return kernel(kind, params, rest)
 
-    monkeypatch.setattr(_kernels_py, "student_quantiles", recorded)
+    monkeypatch.setattr(_kernels_py, "quantiles", recorded)
     root = math.sqrt(sys.float_info.max)
     for df in (0.01, 3.0, 1e4):
         tail = 0.5 * _kernels_py.reg_inc_beta(df / (df + root * root),
                                               0.5 * df, 0.5)
         good = [0.3, 0.6, 1.0 - tail] + ([tail] if tail > 0.0 else [])
-        assert _outcome(_kernels_c.student_quantiles, good, df) == _outcome(
-            kernel, good, df)
+        assert _outcome(_kernels_c.quantiles, "Student", (df,),
+                        good) == _outcome(kernel, "Student", (df,), good)
         for bad in (0.0, -0.0, -1e-300, math.nan, 1.5):
             for lead in ([], good):
                 ps = lead + [bad, 0.5]
                 received.clear()
-                want = _outcome(kernel, ps, df)
+                want = _outcome(kernel, "Student", (df,), ps)
                 assert want.startswith("ArithmeticError: "), (df, bad, want)
-                assert _outcome(_kernels_c.student_quantiles, ps,
-                                df) == want
+                assert _outcome(_kernels_c.quantiles, "Student", (df,),
+                                ps) == want
                 assert repr(received) == repr([ps[len(lead):]]), (df, bad)
 
 
@@ -512,7 +523,7 @@ def _outcome(f, *args):
 
 
 def _given_back(*args):
-    raise AssertionError("the C code gave the batch back: %r" % (args[1:],))
+    raise AssertionError("the C code gave the batch back: %r" % (args[:2],))
 
 
 def test_batch_inversion_matches_the_python_bisection(monkeypatch):
@@ -520,8 +531,7 @@ def test_batch_inversion_matches_the_python_bisection(monkeypatch):
 
     # a batch the C code gives back fails here instead of being inverted
     # by the reference
-    for name in ("beta_quantiles", "student_quantiles"):
-        monkeypatch.setattr(_kernels_py, name, _given_back)
+    monkeypatch.setattr(_kernels_py, "quantiles", _given_back)
     monkeypatch.setattr(distributions, "_k", _kernels_c)
     got = {text: parse_distribution(text)._q(_batch_ps(text))
            for text in BATCH_SPECS}
@@ -541,34 +551,30 @@ def test_batch_inversion_gives_back_what_the_bisection_raises(monkeypatch):
 
     texts = ("Beta(a=1000000, b=1000000)", "Beta(a=1e300, b=1e300)",
              "Student(df=1e300)")
-    kernels = {"Beta": "beta_quantiles", "Student": "student_quantiles"}
+    kernel = _kernels_py.quantiles
     given_back = []
 
-    def recorded(name):
-        kernel = getattr(_kernels_py, name)
-
-        def call(ps, *params):
-            given_back.append((name, params))
-            return kernel(ps, *params)
-        return call
+    def recorded(kind, params, ps):
+        given_back.append((kind, params))
+        return kernel(kind, params, ps)
 
     got = {}
     for text in texts:
         spec = parse_distribution(text)
-        name = kernels[spec.kind]
         params = tuple(spec.params.values())
         with monkeypatch.context() as patch:
-            patch.setattr(_kernels_py, name, recorded(name))
+            patch.setattr(_kernels_py, "quantiles", recorded)
             patch.setattr(distributions, "_k", _kernels_c)
-            got[text] = (_outcome(getattr(_kernels_c, name), [0.5], *params),
+            got[text] = (_outcome(_kernels_c.quantiles, spec.kind, params,
+                                  [0.5]),
                          _outcome(sample, spec, RngStream(3, 4), 5))
-        assert given_back == [(name, params)] * 2, text
+        assert given_back == [(spec.kind, params)] * 2, text
         given_back.clear()
     _reference_kernels(monkeypatch)
     for text in texts:
         spec = parse_distribution(text)
-        want = (_outcome(getattr(_kernels_py, kernels[spec.kind]), [0.5],
-                         *spec.params.values()),
+        want = (_outcome(kernel, spec.kind, tuple(spec.params.values()),
+                         [0.5]),
                 _outcome(sample, spec, RngStream(3, 4), 5))
         assert want[0].startswith("ArithmeticError: incomplete beta "), want
         assert got[text] == want, text
@@ -578,18 +584,14 @@ def test_sample_makes_one_kernel_call_per_draw(monkeypatch):
     from trimq import _kernels_c
 
     calls = []
+    kernel = _kernels_c.quantiles
 
-    def counted(name):
-        kernel = getattr(_kernels_c, name)
-
-        def call(ps, *params):
-            calls.append((name, len(ps), params))
-            return kernel(ps, *params)
-        return call
+    def counted(kind, params, ps):
+        calls.append((kind, len(ps), params))
+        return kernel(kind, params, ps)
 
     monkeypatch.setattr(distributions, "_k", _kernels_c)
-    for name in ("beta_quantiles", "student_quantiles"):
-        monkeypatch.setattr(_kernels_c, name, counted(name))
+    monkeypatch.setattr(_kernels_c, "quantiles", counted)
 
     def draws(text):
         spec = parse_distribution(text)
@@ -597,8 +599,8 @@ def test_sample_makes_one_kernel_call_per_draw(monkeypatch):
 
     texts = ("Beta(a=2, b=4)", "Student(df=3)")
     got = {text: draws(text) for text in texts}
-    assert calls == [("beta_quantiles", 7, (2.0, 4.0))] * 2 + [
-        ("student_quantiles", 7, (3.0,))] * 2
+    assert calls == [("Beta", 7, (2.0, 4.0))] * 2 + [
+        ("Student", 7, (3.0,))] * 2
     monkeypatch.undo()
     _reference_kernels(monkeypatch)
     for text in texts:
@@ -692,11 +694,11 @@ def test_student_quantile_past_the_overflow_point_raises(monkeypatch,
     assert repr(true_quantile(spec, 0.985)) == "9.741314114552754e+150"
     # a batch raises at its first p outside, as the scalar loop would
     with pytest.raises(ArithmeticError, match=r"p=0\.995\)$"):
-        kernels.student_quantiles([0.5, 0.985, 0.995, 0.001], 0.01)
+        kernels.quantiles("Student", (0.01,), [0.5, 0.985, 0.995, 0.001])
     # and df of 1 or more never saturates at a p the sampler draws
     for df in (1.0, 3.0, 1e6):
-        assert kernels.student_quantiles([2.0 ** -54, 1.0 - 2.0 ** -53],
-                                         df)[0] < 0.0
+        assert kernels.quantiles("Student", (df,),
+                                 [2.0 ** -54, 1.0 - 2.0 ** -53])[0] < 0.0
 
 
 def test_batch_inversion_gives_back_only_the_rest(monkeypatch):
@@ -705,38 +707,38 @@ def test_batch_inversion_gives_back_only_the_rest(monkeypatch):
     # the C code gave back, then raises the error of the whole batch
     from trimq import _kernels_c, _kernels_py
 
-    for name, params, cap, ps in (
-            ("beta_quantiles", (2.0, 4.0), 3, [0.9, 0.99, 0.3, 0.999]),
-            ("student_quantiles", (100.0,), 12, [0.5, 0.7, 0.1, 0.3])):
-        kernel = getattr(_kernels_py, name)
+    kernel = _kernels_py.quantiles
+    for kind, params, cap, ps in (
+            ("Beta", (2.0, 4.0), 3, [0.9, 0.99, 0.3, 0.999]),
+            ("Student", (100.0,), 12, [0.5, 0.7, 0.1, 0.3])):
         received = []
 
-        def recorded(rest, *args, kernel=kernel):
+        def recorded(kind, params, rest):
             received.append(list(rest))
-            return kernel(rest, *args)
+            return kernel(kind, params, rest)
 
         with monkeypatch.context() as patch:
             patch.setattr(_kernels_py, "_MAX_ITER", cap)
-            want = _outcome(kernel, ps, *params)
-            patch.setattr(_kernels_py, name, recorded)
-            got = _outcome(getattr(_kernels_c, name), ps, *params)
-            assert received == [ps[2:]], name
-            assert got == want, name
+            want = _outcome(kernel, kind, params, ps)
+            patch.setattr(_kernels_py, "quantiles", recorded)
+            got = _outcome(_kernels_c.quantiles, kind, params, ps)
+            assert received == [ps[2:]], kind
+            assert got == want, kind
             assert want.startswith("ArithmeticError: incomplete beta "), want
             # with the cap lifted for the reference alone, the batch is the
             # C quantiles before the give-back, then the reference's
             received.clear()
 
-            def uncapped(rest, *args, kernel=kernel):
+            def uncapped(kind, params, rest):
                 received.append(list(rest))
                 with monkeypatch.context() as lifted:
                     lifted.setattr(_kernels_py, "_MAX_ITER", 300)
-                    return kernel(rest, *args)
+                    return kernel(kind, params, rest)
 
-            patch.setattr(_kernels_py, name, uncapped)
-            got = getattr(_kernels_c, name)(ps, *params)
-            assert received == [ps[2:]], name
-        assert repr(got) == repr(kernel(ps, *params)), name
+            patch.setattr(_kernels_py, "quantiles", uncapped)
+            got = _kernels_c.quantiles(kind, params, ps)
+            assert received == [ps[2:]], kind
+        assert repr(got) == repr(kernel(kind, params, ps)), kind
 
 
 def test_batch_draws_give_the_same_bits_under_threads():

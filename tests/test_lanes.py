@@ -16,12 +16,11 @@ import _cshim
 
 from trimq import _kernels_c, _kernels_py
 
-from test_distributions import _given_back, _outcome
+from test_distributions import _case_id, _given_back, _outcome
 
-SPECS = (("beta_quantiles", (2.0, 4.0)), ("beta_quantiles", (0.5, 0.5)),
-         ("beta_quantiles", (0.05, 7.0)), ("beta_quantiles", (1.0, 1.0)),
-         ("student_quantiles", (0.7,)), ("student_quantiles", (3.0,)),
-         ("student_quantiles", (50.0,)))
+SPECS = (("Beta", (2.0, 4.0)), ("Beta", (0.5, 0.5)), ("Beta", (0.05, 7.0)),
+         ("Beta", (1.0, 1.0)), ("Student", (0.7,)), ("Student", (3.0,)),
+         ("Student", (50.0,)))
 
 # the extremes of the uniforms, the centre, repeats (memo hits in one call)
 # and Student p whose low or high end doubles 0, 1, 2, 4 or many times
@@ -43,50 +42,51 @@ BATCHES = [_SMALL[:size] for size in range(10)] + [
     _batch(100, 1), _batch(400, 2), _batch(4096, 3)]
 
 
-@pytest.mark.parametrize("name, params", SPECS)
-def test_lanes_give_the_reference_bits(monkeypatch, name, params):
+@pytest.mark.parametrize("kind, params", SPECS, ids=_case_id)
+def test_lanes_give_the_reference_bits(monkeypatch, kind, params):
     # batches of 0 to 9 p, and the sim2 call sizes up to the largest, each
     # p the double the scalar reference returns
-    want = [getattr(_kernels_py, name)(ps, *params) for ps in BATCHES]
-    monkeypatch.setattr(_kernels_py, name, _given_back)
-    got = [getattr(_kernels_c, name)(ps, *params) for ps in BATCHES]
+    want = [_kernels_py.quantiles(kind, params, ps) for ps in BATCHES]
+    monkeypatch.setattr(_kernels_py, "quantiles", _given_back)
+    got = [_kernels_c.quantiles(kind, params, ps) for ps in BATCHES]
     for ps, g, w in zip(BATCHES, got, want):
         assert len(g) == len(ps)
-        assert repr(g) == repr(w), (name, params, len(ps))
+        assert repr(g) == repr(w), (kind, params, len(ps))
 
 
 # a term cap that the p of `good` live through and those of `bad` do not
-CAPPED = (("beta_quantiles", (2.0, 4.0), 3,
+CAPPED = (("Beta", (2.0, 4.0), 3,
            [0.85, 0.9, 0.95, 0.99, 0.9, 0.875, 0.925, 0.97, 0.98],
            [0.3, 0.5, 0.1]),
-          ("student_quantiles", (50.0,), 12,
+          ("Student", (50.0,), 12,
            [0.3, 0.5, 0.7, 0.5, 0.2, 0.6, 0.4, 0.8, 0.45],
            [0.05, 0.95, 0.01]))
 
 
-@pytest.mark.parametrize("name, params, cap, good, bad", CAPPED)
+@pytest.mark.parametrize("kind, params, cap, good, bad", CAPPED,
+                         ids=_case_id)
 @pytest.mark.parametrize("first", [0, 1, 2, 3, 4, 9])
-def test_lanes_give_back_from_the_first_failing_p(monkeypatch, name, params,
+def test_lanes_give_back_from_the_first_failing_p(monkeypatch, kind, params,
                                                   cap, good, bad, first):
     # the first failing p first, after one to four good p and after nine,
     # with good and failing p after it: the reference receives exactly the
     # p from the first failing one
-    kernel = getattr(_kernels_py, name)
+    kernel = _kernels_py.quantiles
     ps = good[:first] + [bad[0], good[0], bad[1], good[1], bad[2]]
     received = []
 
-    def recorded(rest, *args):
+    def recorded(kind, params, rest):
         received.append(list(rest))
-        return kernel(rest, *args)
+        return kernel(kind, params, rest)
 
     monkeypatch.setattr(_kernels_py, "_MAX_ITER", cap)
-    assert all(_outcome(kernel, [p], *params).startswith("array('d', [")
+    assert all(_outcome(kernel, kind, params, [p]).startswith("array('d', [")
                for p in good)
-    assert not any(_outcome(kernel, [p], *params).startswith("array('d', [")
-                   for p in bad)
-    want = _outcome(kernel, ps, *params)
-    monkeypatch.setattr(_kernels_py, name, recorded)
-    assert _outcome(getattr(_kernels_c, name), ps, *params) == want
+    assert not any(_outcome(kernel, kind, params, [p])
+                   .startswith("array('d', [") for p in bad)
+    want = _outcome(kernel, kind, params, ps)
+    monkeypatch.setattr(_kernels_py, "quantiles", recorded)
+    assert _outcome(_kernels_c.quantiles, kind, params, ps) == want
     assert received == [ps[first:]]
     assert want.startswith("ArithmeticError: incomplete beta "), want
 
@@ -123,10 +123,13 @@ from trimq import _kernels_c as c, _kernels_py as py
 
 c._lib = c._open(sys.argv[1])
 a, b, df = json.loads(sys.argv[2])
+kind, params = ("Student", (df,)) if df else ("Beta", (a, b))
+coef = array("d", params)
 ps = array("d", json.load(sys.stdin))
 while ps:
-    done = c._lib.quantiles(ps.buffer_info()[0], len(ps), a, b, df,
-                            py._log_norm(a, b), py._MAX_ITER)
+    done = c._lib.quantiles(c._NUMBER[kind], coef.buffer_info()[0],
+                            ps.buffer_info()[0], len(ps), py._log_norm(a, b),
+                            py._MAX_ITER)
     ps = ps[done + 1:]
 print(ctypes.c_long.in_dll(c._lib, "memo_checked").value)
 """
@@ -158,23 +161,19 @@ c._lib = c._open(sys.argv[1])
 rng = random.Random(5)
 for size in (0, 1, 2, 3, 4, 5, 9, 100, 400, 4096):
     ps = [rng.random() for _ in range(size)] + [0.5, 2.0 ** -54]
-    for name, params in (("beta_quantiles", (2.0, 4.0)),
-                         ("beta_quantiles", (2.0, 10.0)),
-                         ("beta_quantiles", (0.05, 7.0)),
-                         ("beta_quantiles", (1.0, 1.0)),
-                         ("student_quantiles", (0.7,)),
-                         ("student_quantiles", (3.0,)),
-                         ("student_quantiles", (50.0,))):
-        got = getattr(c, name)(ps, *params)
-        assert got == getattr(py, name)(ps, *params), (name, size)
+    for kind, params in (("Beta", (2.0, 4.0)), ("Beta", (2.0, 10.0)),
+                         ("Beta", (0.05, 7.0)), ("Beta", (1.0, 1.0)),
+                         ("Student", (0.7,)), ("Student", (3.0,)),
+                         ("Student", (50.0,))):
+        got = c.quantiles(kind, params, ps)
+        assert got == py.quantiles(kind, params, ps), (kind, size)
 # certified p among p whose certificate fails: Student p within 1e-9 of 0.5
 # (a bracket ending at t = 0) and Beta(0.05, 7) p (one ending at x = 0)
 mixed = [p for k in range(40) for p in (rng.random(), 0.5 + (k - 20) * 5e-11)]
-for name, params in (("student_quantiles", (3.0,)),
-                     ("beta_quantiles", (0.05, 7.0)),
-                     ("beta_quantiles", (2.0, 4.0))):
-    got = getattr(c, name)(mixed, *params)
-    assert got == getattr(py, name)(mixed, *params), name
+for kind, params in (("Student", (3.0,)), ("Beta", (0.05, 7.0)),
+                     ("Beta", (2.0, 4.0))):
+    got = c.quantiles(kind, params, mixed)
+    assert got == py.quantiles(kind, params, mixed), kind
 for x in (0.0, 1e-300, 0.3, 0.9, 1.0):
     assert c.reg_inc_beta(x, 2.0, 4.0) == py.reg_inc_beta(x, 2.0, 4.0)
 for args in ((10, 0, 10, 4.5, 5.5, 0.0, 1.0, 0.0, 1.0),
@@ -186,7 +185,7 @@ for df in (0.01, 3.0, 1e4):
     for bad in (0.0, -0.0, -1e-300, float("nan"), 1.5):
         for ps in ([bad], [0.3, 0.6, bad, 0.5]):
             try:
-                c.student_quantiles(ps, df)
+                c.quantiles("Student", (df,), ps)
             except ArithmeticError:
                 pass
             else:
@@ -196,24 +195,25 @@ for df in (0.01, 3.0, 1e4):
 py._MAX_ITER = 3
 for ps in ([0.3], [0.9, 0.95, 0.99, 0.9, 0.3, 0.5], [0.9] * 7 + [0.3]):
     try:
-        c.beta_quantiles(ps, 2.0, 4.0)
+        c.quantiles("Beta", (2.0, 4.0), ps)
     except ArithmeticError:
         pass
 py._MAX_ITER = 12
 for ps in ([0.05], [0.5, 0.3, 0.7, 0.4, 0.6, 0.01, 0.5]):
     try:
-        c.student_quantiles(ps, 50.0)
+        c.quantiles("Student", (50.0,), ps)
     except ArithmeticError:
         pass
 py._MAX_ITER = 300
 for ps in ([0.99], [0.5, 0.6, 0.7, 0.8, 0.985, 0.99, 0.5]):
     try:
-        c.student_quantiles(ps, 0.01)
+        c.quantiles("Student", (0.01,), ps)
     except ArithmeticError:
         pass
 # every closed-form family at the edge p: 2**-k, 1 - 2**-k and the doubles
 # beside PPND16's switch points, then p given back first, mid-list and
-# last (outside (0, 1), NaN, an overflow, an infinite power)
+# last (outside (0, 1), NaN, an overflow, an infinite power); and the
+# contaminated normal, which the C code gives back whole
 edge = [2.0 ** -k for k in range(1, 1075)]
 edge += [1.0 - 2.0 ** -k for k in range(1, 54)]
 for x in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
@@ -234,15 +234,16 @@ for kind, params in (("Uniform", (-1.0, 3.0)), ("Triangular", (0.0, 2.0, 0.2)),
                      ("Weibull", (2.0, 0.5)), ("Gumbel", (1.0, 2.0)),
                      ("Exp", (3.0,)), ("Cauchy", (1.0, 0.5)),
                      ("Pareto", (2.0, 1.5)), ("Frechet", (2.0,)),
-                     ("Exp", (1e-308,)), ("Weibull", (1.0, 5e-324))):
+                     ("Exp", (1e-308,)), ("Weibull", (1.0, 5e-324)),
+                     ("ContaminatedNormal", (0.1, 2.0, 20.0))):
     for ps in (edge, [], [0.0] + edge, edge[:9] + [float("nan")] + edge,
                edge + [1.0]):
-        assert (outcome(c.closed_quantiles, kind, params, ps)
-                == outcome(py.closed_quantiles, kind, params, ps)), kind
+        assert (outcome(c.quantiles, kind, params, ps)
+                == outcome(py.quantiles, kind, params, ps)), kind
 # a piece kept as an array('d') from its uniforms to its scores
 from array import array
-values = c.closed_quantiles("Normal", (0.0, 1.0),
-                            c.batch_uniforms(c.mix_seed(3), 12345, 0, 7, 10))
+values = c.quantiles("Normal", (0.0, 1.0),
+                     c.batch_uniforms(c.mix_seed(3), 12345, 0, 7, 10))
 scorers = [(3, 0.5), (2, array("d", (0.25, 0.75)))]
 assert (c.piece_errors(values, 10, 0.0, scorers)
         == py.piece_errors(values, 10, 0.0, scorers))
@@ -298,16 +299,13 @@ def test_c_kernels_run_clean_under_address_and_ub_sanitizers(tmp_path):
 
 # the shapes whose certificates the checking build verifies: the inverted
 # specs of sim2_full, those of SPECS and PATH_SHAPES, and three large ones
-CHECKED = (("beta_quantiles", (2.0, 4.0)), ("beta_quantiles", (2.0, 10.0)),
-           ("beta_quantiles", (0.5, 0.5)), ("beta_quantiles", (0.05, 7.0)),
-           ("beta_quantiles", (1.0, 1.0)), ("beta_quantiles", (30.0, 2.0)),
-           ("beta_quantiles", (100.0, 100.0)),
-           ("student_quantiles", (0.7,)), ("student_quantiles", (3.0,)),
-           ("student_quantiles", (50.0,)), ("student_quantiles", (1e4,)))
+CHECKED = (("Beta", (2.0, 4.0)), ("Beta", (2.0, 10.0)), ("Beta", (0.5, 0.5)),
+           ("Beta", (0.05, 7.0)), ("Beta", (1.0, 1.0)), ("Beta", (30.0, 2.0)),
+           ("Beta", (100.0, 100.0)), ("Student", (0.7,)),
+           ("Student", (3.0,)), ("Student", (50.0,)), ("Student", (1e4,)))
 
 # the sim2 specs, whose p at a call of 400 nearly all take the certificate
-TAKEN = (("beta_quantiles", (2.0, 4.0)), ("beta_quantiles", (2.0, 10.0)),
-         ("student_quantiles", (3.0,)))
+TAKEN = (("Beta", (2.0, 4.0)), ("Beta", (2.0, 10.0)), ("Student", (3.0,)))
 
 # argv: the library, the count of p per shape, then CHECKED and TAKEN as
 # JSON; prints, per shape, the p inverted and the p that took and
@@ -322,7 +320,7 @@ taken, failed = (ctypes.c_long.in_dll(c._lib, name)
 count = int(sys.argv[2])
 rng = random.Random(23)
 report = {"shapes": [], "taken_of_400": []}
-for name, params in json.loads(sys.argv[3]):
+for kind, params in json.loads(sys.argv[3]):
     taken.value = failed.value = 0
     done = 0
     while done < count:
@@ -332,13 +330,13 @@ for name, params in json.loads(sys.argv[3]):
         ps += [1.0 - 2.0 ** -rng.uniform(1, 53) for _ in range(30)]
         ps += [0.5 + rng.choice((-1, 1)) * 2.0 ** -rng.uniform(2, 60)
                for _ in range(30)]
-        assert len(getattr(c, name)(ps, *params)) == len(ps)
+        assert len(c.quantiles(kind, params, ps)) == len(ps)
         done += len(ps)
-    report["shapes"].append([name, params, done, taken.value, failed.value])
-for name, params in json.loads(sys.argv[4]):
+    report["shapes"].append([kind, params, done, taken.value, failed.value])
+for kind, params in json.loads(sys.argv[4]):
     taken.value = 0
-    getattr(c, name)([rng.random() for _ in range(400)], *params)
-    report["taken_of_400"].append([name, params, taken.value])
+    c.quantiles(kind, params, [rng.random() for _ in range(400)])
+    report["taken_of_400"].append([kind, params, taken.value])
 print(json.dumps(report))
 """
 
@@ -363,9 +361,9 @@ def test_certified_comparisons_agree_with_the_core(checked_run):
     status, report, stderr = checked_run
     assert status == 0, "a certified comparison disagreed (%d): %s" % (
         status, stderr[-2000:])
-    for name, params, done, taken, failed in report["shapes"]:
-        assert done >= CHECKED_P, (name, params)
-        assert taken > 0, (name, params, taken, failed)
+    for kind, params, done, taken, failed in report["shapes"]:
+        assert done >= CHECKED_P, (kind, params)
+        assert taken > 0, (kind, params, taken, failed)
 
 
 @pytest.mark.parametrize("index", range(len(TAKEN)))
@@ -374,6 +372,6 @@ def test_the_sim2_specs_nearly_all_take_the_certificate(checked_run, index):
     # at least 90% of the p of a call of 400 take one
     status, report, stderr = checked_run
     assert status == 0, stderr[-2000:]
-    name, params, taken = report["taken_of_400"][index]
-    assert [name, list(params)] == [TAKEN[index][0], list(TAKEN[index][1])]
-    assert taken >= 360, (name, params, taken)
+    kind, params, taken = report["taken_of_400"][index]
+    assert [kind, list(params)] == [TAKEN[index][0], list(TAKEN[index][1])]
+    assert taken >= 360, (kind, params, taken)

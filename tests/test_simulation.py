@@ -539,6 +539,45 @@ def test_child_killed_before_its_result_names_its_exit_status():
     _assert_no_child_left()
 
 
+@needs_fork
+def test_a_fork_that_fails_leaks_no_pipe_and_leaves_no_child(
+        monkeypatch, tmp_path, capsys):
+    # the second of two forks fails, as at EAGAIN: the pipe made for it is
+    # closed, the first child is reaped, the error reaches the caller, and
+    # the command line reports it in one line
+    from trimq.cli import main
+
+    fork = os.fork
+    forks = []
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) % 2 == 0:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    data = {"specs": [NORMAL, EXP], "sample_sizes": [5],
+            "p_grid": [0.25, 0.5, 0.75], "samples_per_batch": 12,
+            "batches": 3, "seed": 1}
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        run_sim2(Sim2Config.from_dict(data), threads=3)
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    _assert_no_child_left()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    code = main(["simulate", "--kind", "sim2", "--config", str(path),
+                 "--out", str(tmp_path / "out.csv"), "--threads", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("error: cannot simulate %s: [Errno 11] Resource "
+                   "temporarily unavailable\n" % path)
+    assert len(os.listdir("/proc/self/fd")) == before
+    _assert_no_child_left()
+
+
 class _TwoArgError(Exception):
     """Pickles, but does not unpickle: its args hold one value, not two."""
 
